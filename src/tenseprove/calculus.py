@@ -1,14 +1,19 @@
 """Inference rules of the three linear nested sequent calculi.
 
-Rules are enumerated as RuleInstance values carrying their premisses, so the
+One table holds an instance generator per rule; the modal ones come from
+three makers given the box kind and the links the rule acts across.  A
+priority-ordered rule tuple per variant gives its rule set and search order.
+The generators yield RuleInstance values carrying their premisses, so the
 same code serves backward search (saturating=True, with the side conditions
-that force progress) and derivation checking (saturating=False, schema only).
+that force progress) and checking (saturating=False, schema only), where
+`matching_instances` builds the premisses of the one rule being checked.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity
 from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag
@@ -42,43 +47,23 @@ class RuleId(enum.Enum):
 
 
 RESTART_RULES = frozenset((RuleId.BOX_L2, RuleId.BBOX_L2, RuleId.KB_BOX_L2))
-PROPAGATION_RULES = frozenset((RuleId.BOX_L1, RuleId.BBOX_L1, RuleId.KB_BOX_L1))
 RIGHT_BOX_RULES = frozenset(
     (RuleId.BOX_R1, RuleId.BBOX_R1, RuleId.BOX_R2, RuleId.BBOX_R2,
      RuleId.BOX_R, RuleId.BBOX_R, RuleId.KB_BOX_R)
 )
 TWO_PREMISS_BOX_RULES = frozenset((RuleId.BOX_R1, RuleId.BBOX_R1))
 
-RULES_BY_VARIANT = {
-    CalculusVariant.KT: frozenset(
-        (RuleId.ID, RuleId.BOT_L, RuleId.IMP_R, RuleId.IMP_L, RuleId.EW,
-         RuleId.BOX_R1, RuleId.BBOX_R1, RuleId.BOX_R2, RuleId.BBOX_R2,
-         RuleId.BOX_L1, RuleId.BBOX_L1, RuleId.BOX_L2, RuleId.BBOX_L2)
-    ),
-    CalculusVariant.KT_STAR: frozenset(
-        (RuleId.ID, RuleId.BOT_L, RuleId.IMP_R, RuleId.IMP_L, RuleId.EW,
-         RuleId.BOX_R, RuleId.BBOX_R,
-         RuleId.BOX_L1, RuleId.BBOX_L1, RuleId.BOX_L2, RuleId.BBOX_L2)
-    ),
-    CalculusVariant.KB: frozenset(
-        (RuleId.ID, RuleId.BOT_L, RuleId.IMP_R, RuleId.IMP_L, RuleId.EW,
-         RuleId.KB_BOX_R, RuleId.KB_BOX_L1, RuleId.KB_BOX_L2)
-    ),
-}
+# The link a right box rule opens for each box kind.
+BOX_LINK = {Box: Polarity.FORWARD, BlackBox: Polarity.BACKWARD}
 
 
 class VariantMismatch(Exception):
     pass
 
 
-class NotApplicable(Exception):
-    pass
-
-
 @dataclass(frozen=True)
 class RuleInstance:
     rule: RuleId
-    position: int
     principal: Formula | None
     premisses: tuple[LinearNestedSequent, ...]
 
@@ -88,208 +73,201 @@ def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
         raise VariantMismatch("KB sequents use forward links only")
 
 
-def _fresh_component(body: Formula, tags) -> Component:
-    return Component(Multiset(), Multiset((body,)), tag=tags())
+def _last_link(s: LinearNestedSequent) -> Polarity | None:
+    return s.links[-1] if s.links else None
 
 
-def _restart_premiss(s: LinearNestedSequent, body: Formula) -> LinearNestedSequent:
-    shorter = s.drop_last()
-    absorber = shorter.last
-    absorber = replace(absorber, ant=absorber.ant.add(body), restarts=absorber.restarts + 1)
-    return shorter.replace_component(shorter.length - 1, absorber)
+def _of_kind(ms: Multiset, kind) -> list[Formula]:
+    return [f for f in ms.distinct() if isinstance(f, kind)]
 
 
-def _terminal_instances(s: LinearNestedSequent) -> list[RuleInstance]:
-    last, i = s.last, s.length - 1
-    out = []
-    for f in last.ant.distinct():
-        if isinstance(f, Atom) and f in last.succ:
-            out.append(RuleInstance(RuleId.ID, i, f, ()))
-    if Bottom() in last.ant:
-        out.append(RuleInstance(RuleId.BOT_L, i, Bottom(), ()))
-    return out
+# --- propositional rules and external weakening -------------------------------
 
 
-def _cpl_instances(s: LinearNestedSequent, saturating: bool) -> list[RuleInstance]:
-    last, i = s.last, s.length - 1
-    out = []
-    for f in last.succ.distinct():
-        if isinstance(f, Implies):
-            if saturating and f.left in last.ant and f.right in last.succ:
+def _id(s, saturating, tags):
+    last = s.last
+    for f in _of_kind(last.ant, Atom):
+        if f in last.succ:
+            yield RuleInstance(RuleId.ID, f, ())
+
+
+def _bot_l(s, saturating, tags):
+    if Bottom() in s.last.ant:
+        yield RuleInstance(RuleId.BOT_L, Bottom(), ())
+
+
+def _imp_r(s, saturating, tags):
+    last = s.last
+    for f in _of_kind(last.succ, Implies):
+        if saturating and f.left in last.ant and f.right in last.succ:
+            continue
+        p = s.replace_component(s.length - 1, last.with_ant(f.left).with_succ(f.right))
+        yield RuleInstance(RuleId.IMP_R, f, (p,))
+
+
+def _imp_l(s, saturating, tags):
+    last = s.last
+    for f in _of_kind(last.ant, Implies):
+        if saturating and (f.right in last.ant or f.left in last.succ):
+            continue
+        p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
+        p2 = s.replace_component(s.length - 1, last.with_succ(f.left))
+        yield RuleInstance(RuleId.IMP_L, f, (p1, p2))
+
+
+def _ew(s, saturating, tags):
+    # Search never weakens; EW only appears in derivations it assembles.
+    if not saturating and s.length >= 2:
+        yield RuleInstance(RuleId.EW, None, (s.drop_last(),))
+
+
+# --- the three makers of modal rules ------------------------------------------
+
+
+def _propagation(rule: RuleId, kind, link: Polarity):
+    """A `kind` box in the second-last antecedent sends its body across a
+    last link of polarity `link` into the last antecedent."""
+
+    def instances(s, saturating, tags):
+        if _last_link(s) is not link:
+            return
+        last, second = s.last, s.components[-2]
+        for f in _of_kind(second.ant, kind):
+            if saturating and f.body in last.ant:
                 continue
-            p = s.replace_component(i, last.with_ant(f.left).with_succ(f.right))
-            out.append(RuleInstance(RuleId.IMP_R, i, f, (p,)))
-    for f in last.ant.distinct():
-        if isinstance(f, Implies):
-            if saturating and (f.right in last.ant or f.left in last.succ):
+            yield RuleInstance(rule, f, (s.replace_component(s.length - 1, last.with_ant(f.body)),))
+
+    return instances
+
+
+def _restart(rule: RuleId, kind, link: Polarity):
+    """A `kind` box in the last antecedent, across a last link of polarity
+    `link`, deletes the last component and hands its body to the one before."""
+
+    def instances(s, saturating, tags):
+        if _last_link(s) is not link:
+            return
+        shorter = s.drop_last()
+        second = shorter.last
+        for f in _of_kind(s.last.ant, kind):
+            if saturating and f.body in second.ant:
                 continue
-            p1 = s.replace_component(i, last.with_ant(f.right))
-            p2 = s.replace_component(i, last.with_succ(f.left))
-            out.append(RuleInstance(RuleId.IMP_L, i, f, (p1, p2)))
-    return out
+            absorber = replace(second, ant=second.ant.add(f.body), restarts=second.restarts + 1)
+            yield RuleInstance(rule, f, (shorter.replace_component(s.length - 2, absorber),))
+
+    return instances
 
 
-def _propagation_instances(s, v, saturating) -> list[RuleInstance]:
-    if s.length < 2:
-        return []
-    last, second = s.last, s.components[-2]
-    link = s.links[-1]
-    out = []
+def _right_box(rule: RuleId, kind, links: frozenset):
+    """A `kind` box in the last succedent, when the last link (None for a
+    single component) is in `links`, opens a component holding its body.
 
-    def emit(rule, kind):
-        for f in second.ant.distinct():
-            if isinstance(f, kind):
-                if saturating and f.body in last.ant:
-                    continue
-                p = s.replace_component(s.length - 1, last.with_ant(f.body))
-                out.append(RuleInstance(rule, s.length - 2, f, (p,)))
+    The two-premiss form adds a premiss where the body is also falsified at
+    the predecessor; when it already is, the instance adds nothing the search
+    could use.
+    """
+    two_premiss = rule in TWO_PREMISS_BOX_RULES
 
-    if v is CalculusVariant.KB:
-        if link is Polarity.FORWARD:
-            emit(RuleId.KB_BOX_L1, Box)
-    else:
-        if link is Polarity.FORWARD:
-            emit(RuleId.BOX_L1, Box)
-        else:
-            emit(RuleId.BBOX_L1, BlackBox)
-    return out
-
-
-def _restart_instances(s, v, saturating) -> list[RuleInstance]:
-    if s.length < 2:
-        return []
-    last, second = s.last, s.components[-2]
-    link = s.links[-1]
-    out = []
-
-    def emit(rule, kind):
-        for f in last.ant.distinct():
-            if isinstance(f, kind):
-                if saturating and f.body in second.ant:
-                    continue
-                out.append(RuleInstance(rule, s.length - 1, f, (_restart_premiss(s, f.body),)))
-
-    if v is CalculusVariant.KB:
-        if link is Polarity.FORWARD:
-            emit(RuleId.KB_BOX_L2, Box)
-    else:
-        if link is Polarity.BACKWARD:
-            emit(RuleId.BOX_L2, Box)
-        else:
-            emit(RuleId.BBOX_L2, BlackBox)
-    return out
-
-
-def _box_instances(s, v, saturating, tags) -> list[RuleInstance]:
-    last, i = s.last, s.length - 1
-    link = s.links[-1] if s.length > 1 else None
-    second = s.components[-2] if s.length > 1 else None
-    out = []
-
-    def extend(direction, body):
-        return s.extend(direction, _fresh_component(body, tags))
-
-    if v is CalculusVariant.KT:
-        for f in last.succ.distinct():
-            if isinstance(f, Box) and link is Polarity.BACKWARD:
-                # Two-premiss form: the body may also be falsified at the
-                # predecessor itself.  When it already is, the instance adds
-                # nothing the search could use.
+    def instances(s, saturating, tags):
+        if _last_link(s) not in links:
+            return
+        for f in _of_kind(s.last.succ, kind):
+            left = ()
+            if two_premiss:
+                second = s.components[-2]
                 if saturating and f.body in second.succ:
                     continue
-                left = s.replace_component(s.length - 2, second.with_succ(f.body))
-                out.append(RuleInstance(RuleId.BOX_R1, i, f, (left, extend(Polarity.FORWARD, f.body))))
-        for f in last.succ.distinct():
-            if isinstance(f, BlackBox) and link is Polarity.FORWARD:
-                if saturating and f.body in second.succ:
-                    continue
-                left = s.replace_component(s.length - 2, second.with_succ(f.body))
-                out.append(RuleInstance(RuleId.BBOX_R1, i, f, (left, extend(Polarity.BACKWARD, f.body))))
-        for f in last.succ.distinct():
-            if isinstance(f, Box) and link is not Polarity.BACKWARD:
-                out.append(RuleInstance(RuleId.BOX_R2, i, f, (extend(Polarity.FORWARD, f.body),)))
-        for f in last.succ.distinct():
-            if isinstance(f, BlackBox) and link is not Polarity.FORWARD:
-                out.append(RuleInstance(RuleId.BBOX_R2, i, f, (extend(Polarity.BACKWARD, f.body),)))
-    elif v is CalculusVariant.KT_STAR:
-        for f in last.succ.distinct():
-            if isinstance(f, Box):
-                out.append(RuleInstance(RuleId.BOX_R, i, f, (extend(Polarity.FORWARD, f.body),)))
-        for f in last.succ.distinct():
-            if isinstance(f, BlackBox):
-                out.append(RuleInstance(RuleId.BBOX_R, i, f, (extend(Polarity.BACKWARD, f.body),)))
-    else:
-        for f in last.succ.distinct():
-            if isinstance(f, Box):
-                out.append(RuleInstance(RuleId.KB_BOX_R, i, f, (extend(Polarity.FORWARD, f.body),)))
-    return out
+                left = (s.replace_component(s.length - 2, second.with_succ(f.body)),)
+            opened = Component(Multiset(), Multiset((f.body,)), tag=tags())
+            yield RuleInstance(rule, f, left + (s.extend(BOX_LINK[kind], opened),))
+
+    return instances
+
+
+FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
+_ANY_LINK = frozenset((None, FWD, BWD))
+
+_INSTANCES = {
+    RuleId.ID: _id,
+    RuleId.BOT_L: _bot_l,
+    RuleId.IMP_R: _imp_r,
+    RuleId.IMP_L: _imp_l,
+    RuleId.EW: _ew,
+    RuleId.BOX_L1: _propagation(RuleId.BOX_L1, Box, FWD),
+    RuleId.BBOX_L1: _propagation(RuleId.BBOX_L1, BlackBox, BWD),
+    RuleId.KB_BOX_L1: _propagation(RuleId.KB_BOX_L1, Box, FWD),
+    RuleId.BOX_L2: _restart(RuleId.BOX_L2, Box, BWD),
+    RuleId.BBOX_L2: _restart(RuleId.BBOX_L2, BlackBox, FWD),
+    RuleId.KB_BOX_L2: _restart(RuleId.KB_BOX_L2, Box, FWD),
+    RuleId.BOX_R1: _right_box(RuleId.BOX_R1, Box, frozenset((BWD,))),
+    RuleId.BBOX_R1: _right_box(RuleId.BBOX_R1, BlackBox, frozenset((FWD,))),
+    RuleId.BOX_R2: _right_box(RuleId.BOX_R2, Box, frozenset((None, FWD))),
+    RuleId.BBOX_R2: _right_box(RuleId.BBOX_R2, BlackBox, frozenset((None, BWD))),
+    RuleId.BOX_R: _right_box(RuleId.BOX_R, Box, _ANY_LINK),
+    RuleId.BBOX_R: _right_box(RuleId.BBOX_R, BlackBox, _ANY_LINK),
+    RuleId.KB_BOX_R: _right_box(RuleId.KB_BOX_R, Box, _ANY_LINK),
+}
+
+# Priority order: closure, propositional, propagation, restart, right box.
+_CLOSURE_AND_CPL = (RuleId.ID, RuleId.BOT_L, RuleId.IMP_R, RuleId.IMP_L)
+_TENSE_LEFT = (RuleId.BOX_L1, RuleId.BBOX_L1, RuleId.BOX_L2, RuleId.BBOX_L2)
+_PRIORITY = {
+    CalculusVariant.KT: _CLOSURE_AND_CPL + _TENSE_LEFT + (
+        RuleId.BOX_R1, RuleId.BBOX_R1, RuleId.BOX_R2, RuleId.BBOX_R2, RuleId.EW),
+    CalculusVariant.KT_STAR: _CLOSURE_AND_CPL + _TENSE_LEFT + (
+        RuleId.BOX_R, RuleId.BBOX_R, RuleId.EW),
+    CalculusVariant.KB: _CLOSURE_AND_CPL + (
+        RuleId.KB_BOX_L1, RuleId.KB_BOX_L2, RuleId.KB_BOX_R, RuleId.EW),
+}
+RULES_BY_VARIANT = {v: frozenset(rules) for v, rules in _PRIORITY.items()}
+_SATURATION = {v: tuple(r for r in rules if r not in RIGHT_BOX_RULES and r is not RuleId.EW)
+               for v, rules in _PRIORITY.items()}
+_BOX = {v: tuple(r for r in rules if r in RIGHT_BOX_RULES) for v, rules in _PRIORITY.items()}
+
+
+def _instances(s, rules, saturating, tags):
+    return chain.from_iterable(_INSTANCES[r](s, saturating, tags) for r in rules)
 
 
 def saturation_instance(s, v, tags=fresh_tag) -> RuleInstance | None:
     """First applicable instance from the non-box priority classes."""
     _check_variant(s, v)
-    for group in (
-        _terminal_instances(s),
-        _cpl_instances(s, True),
-        _propagation_instances(s, v, True),
-        _restart_instances(s, v, True),
-    ):
-        if group:
-            return group[0]
-    return None
+    return next(_instances(s, _SATURATION[v], True, tags), None)
 
 
 def box_instances(s, v, saturating=True, tags=fresh_tag) -> list[RuleInstance]:
     _check_variant(s, v)
-    return _box_instances(s, v, saturating, tags)
+    return list(_instances(s, _BOX[v], saturating, tags))
 
 
 def applicable_rules(s, v, saturating, tags=fresh_tag) -> list[RuleInstance]:
-    """Every rule instance whose conclusion matches s, in a fixed order.
+    """Every rule instance whose conclusion matches s, in priority order.
 
     With saturating=True the termination side conditions are imposed and EW
     is excluded; this is the enumeration backward search works from.
     """
     _check_variant(s, v)
-    out = []
-    out.extend(_terminal_instances(s))
-    out.extend(_cpl_instances(s, saturating))
-    out.extend(_propagation_instances(s, v, saturating))
-    out.extend(_restart_instances(s, v, saturating))
-    out.extend(_box_instances(s, v, saturating, tags))
-    if not saturating and s.length >= 2:
-        out.append(RuleInstance(RuleId.EW, s.length - 1, None, (s.drop_last(),)))
-    return out
+    return list(_instances(s, _PRIORITY[v], saturating, tags))
 
 
-def premisses(s, inst: RuleInstance, v) -> tuple[LinearNestedSequent, ...]:
-    if not is_valid_instance(s, inst.rule, inst.premisses, v):
-        raise NotApplicable(f"{inst.rule.value} does not apply to {s.render()}")
-    return inst.premisses
+def matching_instances(conclusion, rule: RuleId, prems, v):
+    """The instances of `rule` on `conclusion` whose premisses are `prems`.
 
-
-def _sequents_equal(a: LinearNestedSequent, b: LinearNestedSequent) -> bool:
-    return a.links == b.links and all(
-        x.ant == y.ant and x.succ == y.succ for x, y in zip(a.components, b.components)
-    )
+    Only the named rule's premisses are built.  They are compared as whole
+    sequents, in schema order; identity tags never matter here.
+    """
+    if rule not in RULES_BY_VARIANT[v]:
+        return
+    try:
+        _check_variant(conclusion, v)
+    except VariantMismatch:
+        return
+    prems = tuple(prems)
+    for inst in _INSTANCES[rule](conclusion, False, fresh_tag):
+        if inst.premisses == prems:
+            yield inst
 
 
 def is_valid_instance(conclusion, rule: RuleId, prems, v) -> bool:
-    """True iff (conclusion, rule, prems) matches some enumerated instance.
-
-    Premisses are compared componentwise as multisets, in schema order;
-    identity tags never matter here.
-    """
-    if rule not in RULES_BY_VARIANT[v]:
-        return False
-    try:
-        candidates = applicable_rules(conclusion, v, saturating=False)
-    except VariantMismatch:
-        return False
-    prems = tuple(prems)
-    for inst in candidates:
-        if inst.rule is not rule or len(inst.premisses) != len(prems):
-            continue
-        if all(_sequents_equal(p, q) for p, q in zip(inst.premisses, prems)):
-            return True
-    return False
+    """True iff (conclusion, rule, prems) is an instance of a rule of v."""
+    return next(matching_instances(conclusion, rule, prems, v), None) is not None

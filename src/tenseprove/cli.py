@@ -1,7 +1,11 @@
 """Command-line frontend: decide, prove, check, modelcheck, corpus.
 
 Exit codes for decide/prove: 0 valid, 1 invalid, 2 resource limit, 3 usage
-or parse error.  All reports are machine-readable; JSON outputs carry a
+or parse error, 4 internal error.  A crash, such as a recursion or memory
+error or a failed self-check, and a failed --certify exit 4 with one
+`internal error:` line on stderr, so no verdict code ever comes from a
+crash.  --certify re-checks the certificate as emitted: read back from its
+JSON form.  All reports are machine-readable; JSON outputs carry a
 schema-version field.
 """
 
@@ -17,8 +21,9 @@ from . import metatheory, prover, semantics
 from .calculus import CalculusVariant
 from .formula import ParseError, collapse_backward, desugar, parse, print_ascii
 from .metatheory import derivation_from_json, derivation_to_json, derivation_to_latex
-from .prover import Budget, Invalid, Valid
+from .prover import Budget, ResourceLimit, Valid
 from .semantics import KripkeModel
+from .sequent import single
 
 SCHEMA_VERSION = "1"
 DEFAULT_BUDGET_NODES = 1_000_000
@@ -32,7 +37,6 @@ class Config:
     output: str = "text"
     budget_nodes: int = DEFAULT_BUDGET_NODES
     budget_ms: int = DEFAULT_BUDGET_MS
-    seed: int = 0
     certify: bool = False
 
     def variant(self) -> CalculusVariant:
@@ -59,7 +63,6 @@ def _config_from(args) -> Config:
         output=args.output,
         budget_nodes=args.budget_nodes,
         budget_ms=ms,
-        seed=getattr(args, "seed", 0),
         certify=getattr(args, "certify", False),
     )
     if cfg.logic == "kb" and args.calculus_given and cfg.calculus == "lns":
@@ -85,12 +88,29 @@ def _decide(formula_text: str, cfg: Config):
     return prover.prove(f, cfg.variant(), cfg.budget()), f
 
 
-def _report_decide(outcome, f, cfg: Config) -> int:
-    v = cfg.variant()
+def _certify(outcome, f, v: CalculusVariant) -> bool:
+    """Whether the certificate the CLI emits, read back from its JSON form,
+    proves the verdict on f: a derivation must check and conclude exactly
+    `=> f`, a model must not force f at its root."""
+    core = desugar(f)
+    if v is CalculusVariant.KB:
+        core = collapse_backward(core)
     if isinstance(outcome, Valid):
-        if cfg.certify and not metatheory.check(outcome.derivation, v):
-            print("certification failed", file=sys.stderr)
-            return 2
+        d = derivation_from_json(json.loads(json.dumps(derivation_to_json(outcome.derivation))))
+        return bool(metatheory.check(d, v)) and d.conclusion == single((), (core,))
+    data = json.loads(json.dumps(outcome.model.to_json(outcome.root)))
+    return not semantics.forces(KripkeModel.from_json(data), data["root"], core,
+                                symmetric=(v is CalculusVariant.KB))
+
+
+def _report_decide(outcome, f, cfg: Config) -> int:
+    if isinstance(outcome, ResourceLimit):
+        print("resource limit reached", file=sys.stderr)
+        return 2
+    if cfg.certify and not _certify(outcome, f, cfg.variant()):
+        print("internal error: certification failed", file=sys.stderr)
+        return 4
+    if isinstance(outcome, Valid):
         if cfg.output == "json":
             print(json.dumps({
                 "schema": SCHEMA_VERSION,
@@ -108,32 +128,22 @@ def _report_decide(outcome, f, cfg: Config) -> int:
             print(f"derivation: {len(outcome.derivation.rules_used())} rule applications, "
                   f"height {outcome.derivation.height}")
         return 0
-    if isinstance(outcome, Invalid):
-        core = desugar(f)
-        if v is CalculusVariant.KB:
-            core = collapse_backward(core)
-        if cfg.certify and semantics.forces(outcome.model, outcome.root, core,
-                                            symmetric=(v is CalculusVariant.KB)):
-            print("certification failed", file=sys.stderr)
-            return 2
-        if cfg.output == "json":
-            print(json.dumps({
-                "schema": SCHEMA_VERSION,
-                "formula": print_ascii(f),
-                "verdict": "invalid",
-                "model": outcome.model.to_json(outcome.root),
-                "stats": outcome.stats.to_json(),
-            }, indent=None, sort_keys=True))
-        elif cfg.output == "dot":
-            print(outcome.model.to_dot(outcome.root))
-        elif cfg.output == "latex":
-            print("% invalid: countermodel found")
-        else:
-            print(f"invalid: {print_ascii(f)}")
-            print(f"countermodel: {json.dumps(outcome.model.to_json(outcome.root), sort_keys=True)}")
-        return 1
-    print("resource limit reached", file=sys.stderr)
-    return 2
+    if cfg.output == "json":
+        print(json.dumps({
+            "schema": SCHEMA_VERSION,
+            "formula": print_ascii(f),
+            "verdict": "invalid",
+            "model": outcome.model.to_json(outcome.root),
+            "stats": outcome.stats.to_json(),
+        }, indent=None, sort_keys=True))
+    elif cfg.output == "dot":
+        print(outcome.model.to_dot(outcome.root))
+    elif cfg.output == "latex":
+        print("% invalid: countermodel found")
+    else:
+        print(f"invalid: {print_ascii(f)}")
+        print(f"countermodel: {json.dumps(outcome.model.to_json(outcome.root), sort_keys=True)}")
+    return 1
 
 
 def cmd_decide(args) -> int:
@@ -186,20 +196,11 @@ def cmd_corpus(args) -> int:
             raise UsageError(f"bad expectation {expected!r} (want valid/invalid/unknown)")
         f = parse(text.strip())
         outcome = prover.prove(f, cfg.variant(), cfg.budget())
-        v = cfg.variant()
-        if isinstance(outcome, Valid):
-            got = "valid"
-            certified = bool(metatheory.check(outcome.derivation, v))
-        elif isinstance(outcome, Invalid):
-            got = "invalid"
-            core = desugar(f)
-            if v is CalculusVariant.KB:
-                core = collapse_backward(core)
-            certified = not semantics.forces(outcome.model, outcome.root, core,
-                                             symmetric=(v is CalculusVariant.KB))
+        if isinstance(outcome, ResourceLimit):
+            got, certified = "resource-limit", False
         else:
-            got = "resource-limit"
-            certified = False
+            got = "valid" if isinstance(outcome, Valid) else "invalid"
+            certified = _certify(outcome, f, cfg.variant())
         agree = expected == "unknown" or expected == got
         if not agree or not certified:
             failures += 1
@@ -217,14 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="decision procedures for tense logic and KB")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, seed=False, certify=False):
+    def common(sp, certify=False):
         sp.add_argument("--logic", choices=("kt", "kb"), default="kt")
         sp.add_argument("--calculus", choices=("lns", "lns-star"), default="lns-star")
         sp.add_argument("--output", choices=("text", "json", "dot", "latex"), default="text")
         sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET_NODES)
         sp.add_argument("--budget-ms", type=int, default=None)
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
         if certify:
             sp.add_argument("--certify", action="store_true")
 
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus", help="run a tab-separated expectation/formula file")
     sp.add_argument("corpus", help="path to corpus file, or -")
-    common(sp, seed=True, certify=True)
+    common(sp, certify=True)
     return ap
 
 
@@ -269,6 +268,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
+    except Exception as e:  # no crash may exit with a verdict code
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

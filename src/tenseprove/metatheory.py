@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import calculus
 from .calculus import (
+    BOX_LINK,
     RESTART_RULES,
     RIGHT_BOX_RULES,
     TWO_PREMISS_BOX_RULES,
@@ -106,12 +107,6 @@ def infer_variant(d: Derivation) -> CalculusVariant:
     return CalculusVariant.KT
 
 
-def _sequents_equal(a: LinearNestedSequent, b: LinearNestedSequent) -> bool:
-    return a.links == b.links and all(
-        x.ant == y.ant and x.succ == y.succ for x, y in zip(a.components, b.components)
-    )
-
-
 def _recheck(out: Derivation, v: CalculusVariant, what: str) -> Derivation:
     res = check(out, v)
     if not res:
@@ -187,6 +182,14 @@ def prefix_context(d: Derivation, comp: Component, link: Polarity) -> Derivation
 # --- generalised initial sequents --------------------------------------------
 
 
+# The full calculus's modal rules for the box of each link polarity: the
+# two-premiss and one-premiss right rules, propagation, and restart.
+_KT_MODAL_RULES = {
+    Polarity.FORWARD: (RuleId.BOX_R1, RuleId.BOX_R2, RuleId.BOX_L1, RuleId.BOX_L2),
+    Polarity.BACKWARD: (RuleId.BBOX_R1, RuleId.BBOX_R2, RuleId.BBOX_L1, RuleId.BBOX_L2),
+}
+
+
 def generalised_init(s: LinearNestedSequent, shared: Formula) -> Derivation:
     """Derivation of a sequent whose last component has `shared` on both sides."""
     last = s.last
@@ -209,44 +212,20 @@ def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
         q2 = p1.replace_component(i, p1.last.with_succ(a.left))
         impl = Derivation(p1, RuleId.IMP_L, (_gen_init(q1, a.right), _gen_init(q2, a.left)))
         return Derivation(s, RuleId.IMP_R, (impl,))
-    if isinstance(a, Box):
-        link = s.links[-1] if s.length > 1 else None
-        if link is not Polarity.BACKWARD:
-            ext = s.extend(Polarity.FORWARD, Component(Multiset(), Multiset((a.body,))))
-            prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
-            return Derivation(
-                s, RuleId.BOX_R2,
-                (Derivation(ext, RuleId.BOX_L1, (_gen_init(prop, a.body),)),),
-            )
-        second = s.components[-2]
-        lseq = s.replace_component(s.length - 2, second.with_succ(a.body))
+    if isinstance(a, (Box, BlackBox)):
+        link = BOX_LINK[type(a)]
+        two_premiss, one_premiss, propagation, restart = _KT_MODAL_RULES[link]
+        ext = s.extend(link, Component(Multiset(), Multiset((a.body,))))
+        prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
+        right = Derivation(ext, propagation, (_gen_init(prop, a.body),))
+        if s.length == 1 or s.links[-1] is link:
+            return Derivation(s, one_premiss, (right,))
+        lseq = s.replace_component(s.length - 2, s.components[-2].with_succ(a.body))
         lrestart = lseq.drop_last()
         lrestart = lrestart.replace_component(
             lrestart.length - 1, lrestart.last.with_ant(a.body))
-        left = Derivation(lseq, RuleId.BOX_L2, (_gen_init(lrestart, a.body),))
-        ext = s.extend(Polarity.FORWARD, Component(Multiset(), Multiset((a.body,))))
-        prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
-        right = Derivation(ext, RuleId.BOX_L1, (_gen_init(prop, a.body),))
-        return Derivation(s, RuleId.BOX_R1, (left, right))
-    if isinstance(a, BlackBox):
-        link = s.links[-1] if s.length > 1 else None
-        if link is not Polarity.FORWARD:
-            ext = s.extend(Polarity.BACKWARD, Component(Multiset(), Multiset((a.body,))))
-            prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
-            return Derivation(
-                s, RuleId.BBOX_R2,
-                (Derivation(ext, RuleId.BBOX_L1, (_gen_init(prop, a.body),)),),
-            )
-        second = s.components[-2]
-        lseq = s.replace_component(s.length - 2, second.with_succ(a.body))
-        lrestart = lseq.drop_last()
-        lrestart = lrestart.replace_component(
-            lrestart.length - 1, lrestart.last.with_ant(a.body))
-        left = Derivation(lseq, RuleId.BBOX_L2, (_gen_init(lrestart, a.body),))
-        ext = s.extend(Polarity.BACKWARD, Component(Multiset(), Multiset((a.body,))))
-        prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
-        right = Derivation(ext, RuleId.BBOX_L1, (_gen_init(prop, a.body),))
-        return Derivation(s, RuleId.BBOX_R1, (left, right))
+        left = Derivation(lseq, restart, (_gen_init(lrestart, a.body),))
+        return Derivation(s, two_premiss, (left, right))
     raise NoSharedFormula(f"cannot build initial derivation for {print_ascii(a)}")
 
 
@@ -375,22 +354,16 @@ def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
                 if ms.count(extra[0]) < 2 or t.count(extra[0]) < 1:
                     raise TransformError("contract_to: support mismatch")
                 out = _contract(out, i, side, extra[0])
-    if not _sequents_equal(out.conclusion, target):
+    if out.conclusion != target:
         raise TransformError("contract_to missed the target")
     return out
 
 
-def _principal_instance(d: Derivation, a: Formula):
-    """The root's rule instance with principal a, if the root matches one."""
-    for inst in calculus.applicable_rules(d.conclusion, CalculusVariant.KT, False):
-        if (
-            inst.rule is d.rule
-            and inst.principal == a
-            and len(inst.premisses) == len(d.premisses)
-            and all(_sequents_equal(p, q.conclusion) for p, q in zip(inst.premisses, d.premisses))
-        ):
-            return inst
-    return None
+def _is_principal(d: Derivation, a: Formula) -> bool:
+    """Whether the root's rule instance has principal formula a."""
+    prems = [p.conclusion for p in d.premisses]
+    return any(inst.principal == a for inst in calculus.matching_instances(
+        d.conclusion, d.rule, prems, CalculusVariant.KT))
 
 
 def _rebuild(target: LinearNestedSequent, rule: RuleId, prems) -> Derivation:
@@ -427,14 +400,12 @@ def _sl(a: Formula, d1: Derivation, pos1: int, d2: Derivation, mon: CutMonitor) 
         if d1.rule in (RuleId.ID, RuleId.BOT_L):
             return _close_terminal(target, (d2, d1))
 
-        if pos1 == last1 and d1.rule in RIGHT_BOX_RULES | {RuleId.IMP_R}:
-            inst = _principal_instance(d1, a)
-            if inst is not None:
-                if isinstance(a, Implies):
-                    return _sr_p(a, d1, d2, d2.conclusion.length - 1, mon)
-                right = d1.premisses[1] if d1.rule in TWO_PREMISS_BOX_RULES else d1.premisses[0]
-                witness = _sl(a, right, right.conclusion.length - 2, d2, mon)
-                return _sr_modal(a, d1, d2, d2.conclusion.length - 1, witness, mon)
+        if pos1 == last1 and d1.rule in RIGHT_BOX_RULES | {RuleId.IMP_R} and _is_principal(d1, a):
+            if isinstance(a, Implies):
+                return _sr_p(a, d1, d2, d2.conclusion.length - 1, mon)
+            right = d1.premisses[1] if d1.rule in TWO_PREMISS_BOX_RULES else d1.premisses[0]
+            witness = _sl(a, right, right.conclusion.length - 2, d2, mon)
+            return _sr_modal(a, d1, d2, d2.conclusion.length - 1, witness, mon)
 
         if d1.rule in RESTART_RULES:
             if pos1 < last1:
@@ -481,17 +452,15 @@ def _sr_p(a: Formula, d1: Derivation, d2: Derivation, pos2: int, mon: CutMonitor
         if d2.rule in (RuleId.ID, RuleId.BOT_L):
             return _close_terminal(target, (d1, d2))
 
-        if d2.rule is RuleId.IMP_L and pos2 == last2:
-            inst = _principal_instance(d2, a)
-            if inst is not None:
-                d3 = d1.premisses[0]
-                d4, d5 = d2.premisses
-                e1 = _sl(a, d1, d1.conclusion.length - 1, d4, mon)
-                e2 = _sl(a, d1, d1.conclusion.length - 1, d5, mon)
-                e3 = _sl(a, d3, d3.conclusion.length - 1, d2, mon)
-                f = _sl(a.left, e2, e2.conclusion.length - 1, e3, mon)
-                g = _sl(a.right, f, f.conclusion.length - 1, e1, mon)
-                return _contract_to(g, target)
+        if d2.rule is RuleId.IMP_L and pos2 == last2 and _is_principal(d2, a):
+            d3 = d1.premisses[0]
+            d4, d5 = d2.premisses
+            e1 = _sl(a, d1, d1.conclusion.length - 1, d4, mon)
+            e2 = _sl(a, d1, d1.conclusion.length - 1, d5, mon)
+            e3 = _sl(a, d3, d3.conclusion.length - 1, d2, mon)
+            f = _sl(a.left, e2, e2.conclusion.length - 1, e3, mon)
+            g = _sl(a.right, f, f.conclusion.length - 1, e1, mon)
+            return _contract_to(g, target)
 
         if d2.rule in RESTART_RULES:
             if pos2 < last2:
@@ -539,30 +508,25 @@ def _sr_modal(a: Formula, d1: Derivation, d2: Derivation, pos2: int,
         body = a.body
         target = _cut_target(d1.conclusion, d2.conclusion, pos2, a)
         last2 = d2.conclusion.length - 1
-        prop_rule = RuleId.BOX_L1 if isinstance(a, Box) else RuleId.BBOX_L1
-        restart_rule = RuleId.BOX_L2 if isinstance(a, Box) else RuleId.BBOX_L2
+        _, _, prop_rule, restart_rule = _KT_MODAL_RULES[BOX_LINK[type(a)]]
 
         if d2.rule in (RuleId.ID, RuleId.BOT_L):
             return _close_terminal(target, (d1, d2))
 
-        if d2.rule is prop_rule and pos2 == last2 - 1:
-            inst = _principal_instance(d2, a)
-            if inst is not None:
-                d5 = d2.premisses[0]
-                d6 = _sr_modal(a, d1, d5, pos2, witness, mon)
-                e = _sl(body, witness, witness.conclusion.length - 1, d6, mon)
-                return _contract_to(e, target)
+        if d2.rule is prop_rule and pos2 == last2 - 1 and _is_principal(d2, a):
+            d5 = d2.premisses[0]
+            d6 = _sr_modal(a, d1, d5, pos2, witness, mon)
+            e = _sl(body, witness, witness.conclusion.length - 1, d6, mon)
+            return _contract_to(e, target)
 
-        if d2.rule is restart_rule and pos2 == last2:
-            inst = _principal_instance(d2, a)
-            if inst is not None:
-                if d1.rule not in TWO_PREMISS_BOX_RULES:
-                    raise TransformError("one-premiss box against a principal restart")
-                d3 = d1.premisses[0]
-                d5 = d2.premisses[0]
-                d6 = _sl(a, d3, d3.conclusion.length - 1, d2, mon)
-                e = _sl(body, d6, d6.conclusion.length - 2, d5, mon)
-                return _contract_to(e, target)
+        if d2.rule is restart_rule and pos2 == last2 and _is_principal(d2, a):
+            if d1.rule not in TWO_PREMISS_BOX_RULES:
+                raise TransformError("one-premiss box against a principal restart")
+            d3 = d1.premisses[0]
+            d5 = d2.premisses[0]
+            d6 = _sl(a, d3, d3.conclusion.length - 1, d2, mon)
+            e = _sl(body, d6, d6.conclusion.length - 2, d5, mon)
+            return _contract_to(e, target)
 
         if d2.rule in RESTART_RULES:
             if pos2 < last2:
@@ -625,7 +589,7 @@ def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
     mon = monitor if monitor is not None else CutMonitor()
     out = _sl(cut_formula, d1, d1.conclusion.length - 1, d2, mon)
     expected = _cut_target(d1.conclusion, d2.conclusion, d1.conclusion.length - 1, cut_formula)
-    if not _sequents_equal(out.conclusion, expected):
+    if out.conclusion != expected:
         raise TransformError("cut concluded the wrong sequent")
     if mon.violations:
         raise TransformError(f"cut measure violated: {mon.violations[0]}")

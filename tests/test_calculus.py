@@ -12,8 +12,6 @@ from tenseprove.calculus import (
     applicable_rules,
     box_instances,
     is_valid_instance,
-    premisses,
-    NotApplicable,
 )
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, desugar
 from tenseprove.semantics import KripkeModel, falsifies
@@ -158,14 +156,13 @@ def test_example4_derivation_validates_node_by_node():
     assert check(d, KT)
 
 
-def test_premisses_rejects_forged_instance():
+def test_is_valid_instance_rejects_forged_instance():
     s = single([p], [p])
     inst = applicable_rules(s, KT, False)[0]
-    assert premisses(s, inst, KT) == inst.premisses
+    assert is_valid_instance(s, inst.rule, inst.premisses, KT)
     other = single([], [Implies(q, q)])
     bad = next(i for i in applicable_rules(other, KT, False) if i.rule is RuleId.IMP_R)
-    with pytest.raises(NotApplicable):
-        premisses(s, bad, KT)
+    assert not is_valid_instance(s, bad.rule, bad.premisses, KT)
 
 
 @given(small_sequents(max_len=2))
@@ -302,3 +299,48 @@ def _expanded(ms):
     for f in ms.distinct():
         out.extend([f] * ms.count(f))
     return out
+
+
+def _enumerating_oracle(c, rule, prems, v):
+    """The checker as it was: enumerate every instance of every rule."""
+    return any(i.rule is rule and i.premisses == tuple(prems)
+               for i in applicable_rules(c, v, False))
+
+
+def _forgeries(node):
+    """(rule, premisses) pairs near a derivation node: itself, every other
+    rule, one premiss dropped, the premisses reversed, and a formula added
+    to one premiss's last component."""
+    prems = [p.conclusion for p in node.premisses]
+    yield node.rule, prems
+    for rule in RuleId:
+        if rule is not node.rule:
+            yield rule, prems
+    for k in range(len(prems)):
+        yield node.rule, prems[:k] + prems[k + 1:]
+        fat = prems[k].replace_component(prems[k].length - 1, prems[k].last.with_ant(Atom("zz")))
+        yield node.rule, prems[:k] + [fat] + prems[k + 1:]
+    yield node.rule, prems[::-1]
+
+
+@pytest.mark.parametrize("v", [KT, KTS, KB])
+def test_rule_dispatch_agrees_with_enumerating_oracle(v):
+    from tenseprove.generate import corpus
+    from tenseprove.prover import Valid, prove
+
+    nodes = forged = 0
+    for f in corpus(2026, 200):
+        out = prove(f, v)
+        if not isinstance(out, Valid):
+            continue
+        stack = [out.derivation]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.premisses)
+            nodes += 1
+            for rule, prems in _forgeries(node):
+                want = _enumerating_oracle(node.conclusion, rule, prems, v)
+                assert is_valid_instance(node.conclusion, rule, prems, v) == want, (
+                    node.conclusion.render(), node.rule, rule)
+                forged += not want
+    assert nodes > 200 and forged > nodes

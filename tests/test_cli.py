@@ -1,6 +1,9 @@
+import io
 import json
 
+from tenseprove import cli, prover
 from tenseprove.cli import main
+from tenseprove.semantics import KripkeModel
 
 
 def run(capsys, *argv):
@@ -131,3 +134,48 @@ def test_budget_ms_env_override(capsys, monkeypatch):
     # tiny wall budget still decides a trivial formula but exists as config
     rc, out, _ = run(capsys, "decide", "p -> p")
     assert rc == 0
+
+
+def test_deep_input_is_an_internal_error(capsys, monkeypatch):
+    deep = "[F]" * 30000
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{deep}p -> {deep}p"))
+    rc, _, err = run(capsys, "decide", "-")
+    assert rc == 4 and err.startswith("internal error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_search_invariant_error_is_an_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise prover.SearchInvariantError("watchdog fired")
+
+    monkeypatch.setattr(prover, "prove", broken)
+    rc, _, err = run(capsys, "decide", "p -> p")
+    assert rc == 4 and err.strip() == "internal error: SearchInvariantError: watchdog fired"
+
+
+def test_certify_checks_the_emitted_derivation(capsys, monkeypatch):
+    emit = cli.derivation_to_json
+
+    def drop_premiss(d):
+        data = emit(d)
+        data["premisses"] = data["premisses"][1:]
+        return data
+
+    monkeypatch.setattr(cli, "derivation_to_json", drop_premiss)
+    rc, _, err = run(capsys, "decide", "--certify", "p -> p")
+    assert rc == 4 and err.startswith("internal error:")
+    rc, out, _ = run(capsys, "decide", "p -> p")
+    assert rc == 0 and out.startswith("valid")
+
+
+def test_certify_checks_the_emitted_model(capsys, monkeypatch):
+    emit = KripkeModel.to_json
+
+    def make_p_true(self, root=None):
+        data = emit(self, root)
+        data["valuation"] = {w: {"p": True} for w in data["worlds"]}
+        return data
+
+    monkeypatch.setattr(KripkeModel, "to_json", make_p_true)
+    rc, _, err = run(capsys, "decide", "--certify", "p")
+    assert rc == 4 and err.startswith("internal error:")

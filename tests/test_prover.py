@@ -168,3 +168,40 @@ def test_statistics_shape():
     st = out.stats
     assert st.nodes > 0 and st.max_length >= 2 and st.elapsed_ms >= 0
     assert set(st.to_json()) == {"nodes", "restarts", "max_length"}
+
+
+def _ph(n):
+    placed = " & ".join(f"({' | '.join(f'h{i}_{j}' for j in range(n))})" for i in range(n + 1))
+    clash = " | ".join(f"(h{i}_{j} & h{k}_{j})"
+                       for j in range(n) for i in range(n + 1) for k in range(i + 1, n + 1))
+    return f"({placed}) -> ({clash})"
+
+
+# (formula, {variant: (search nodes, restarts)}).  The first four are the
+# fan(4), chain(4), ph(2) and depth_bad(6) benchmark families; each of the
+# others tells one pair of rule classes apart: propagation after impL,
+# propagation before restart, the order of the right box rules (twice), and
+# KB propagation before restart.  The counts follow from the rule priority
+# order; a change to that order must update them on purpose.
+SEARCH_ORDER_PINS = [
+    (" | ".join([f"[F]p{i}" for i in range(4)] + [f"[P]~[F]q{i}" for i in range(4)]),
+     {KT: (866, 64), KTS: (866, 64), KB: (866, 64)}),
+    ("p -> " + "[F]<P>" * 4 + "p", {KT: (34, 4), KTS: (34, 4), KB: (34, 4)}),
+    (_ph(2), {KT: (240, 0), KTS: (240, 0), KB: (240, 0)}),
+    ("[F]" * 6 + "p -> " + "[F]" * 7 + "p", {KT: (15, 0), KTS: (15, 0), KB: (33, 3)}),
+    ("[F]p -> [F]((q -> r) -> p)", {KT: (8, 0), KTS: (8, 0), KB: (8, 0)}),
+    ("[F]p -> [F]<P>q", {KT: (11, 1), KTS: (11, 1), KB: (11, 1)}),
+    ("([F]p -> q) -> [P]((p -> p) -> r -> r)", {KT: (11, 0), KTS: (11, 0), KB: (10, 0)}),
+    ("[F](([P]q -> [F][P]r) -> [F](r -> r))", {KT: (10, 0), KTS: (9, 0), KB: (18, 1)}),
+    ("[P][P]false -> [P]q -> [P][P]q", {KT: (8, 0), KTS: (8, 0), KB: (7, 1)}),
+]
+
+
+def test_search_order_pinned():
+    for text, pins in SEARCH_ORDER_PINS:
+        for v, pin in pins.items():
+            st = prove(text, v).stats
+            assert (st.nodes, st.restarts) == pin, (text, v)
+    # Both closure rules apply at this leaf; id comes first.
+    rules = prove("p -> false -> p", KTS).derivation.rules_used()
+    assert rules == [RuleId.IMP_R, RuleId.IMP_R, RuleId.ID]
