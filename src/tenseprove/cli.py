@@ -1,8 +1,9 @@
 """Command-line frontend: decide, prove, check, modelcheck, corpus.
 
 Exit codes for decide/prove: 0 valid, 1 invalid, 2 resource limit, 3 usage
-or parse error, 4 internal error.  A crash, such as a recursion or memory
-error or a failed self-check, and a failed --certify exit 4 with one
+or parse error, 4 internal error.  A bad command line, an unreadable input
+file and malformed JSON are usage errors.  A crash, such as a recursion or
+memory error or a failed self-check, and a failed --certify exit 4 with one
 `internal error:` line on stderr, so no verdict code ever comes from a
 crash.  --certify re-checks the certificate as emitted: read back from its
 JSON form.  All reports are machine-readable; JSON outputs carry a
@@ -52,6 +53,14 @@ class UsageError(Exception):
     pass
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a UsageError (exit 3), not argparse's
+    exit 2, which is the resource-limit code."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _config_from(args) -> Config:
     ms = args.budget_ms
     if ms is None:
@@ -79,8 +88,21 @@ def _read_text(arg: str) -> str:
 def _read_file(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read {path}: {e}") from None
+
+
+def _read_json(path: str, kind: str, decode):
+    """decode(data) of the JSON in path; unreadable or malformed input is a
+    UsageError."""
+    text = _read_file(path)
+    try:
+        return decode(json.loads(text))
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise UsageError(f"malformed {kind} in {path}: {type(e).__name__}: {e}") from None
 
 
 def _decide(formula_text: str, cfg: Config):
@@ -152,12 +174,16 @@ def cmd_decide(args) -> int:
     return _report_decide(outcome, f, cfg)
 
 
-def cmd_check(args) -> int:
-    cfg = _config_from(args)
-    data = json.loads(_read_file(args.derivation))
+def _derivation_from_report(data) -> metatheory.Derivation:
+    """A derivation JSON, bare or inside a `decide --output json` report."""
     if isinstance(data, dict) and "derivation" in data:
         data = data["derivation"]
-    d = derivation_from_json(data)
+    return derivation_from_json(data)
+
+
+def cmd_check(args) -> int:
+    cfg = _config_from(args)
+    d = _read_json(args.derivation, "derivation", _derivation_from_report)
     res = metatheory.check(d, cfg.variant())
     if res:
         print("ok")
@@ -168,15 +194,18 @@ def cmd_check(args) -> int:
 
 def cmd_modelcheck(args) -> int:
     cfg = _config_from(args)
-    data = json.loads(_read_file(args.model))
-    m = KripkeModel.from_json(data)
-    world = args.world or data.get("root")
+    m, root = _read_json(args.model, "model",
+                         lambda data: (KripkeModel.from_json(data), data.get("root")))
+    world = args.world or root
     if world is None:
         raise UsageError("no world: model JSON has no root and --world not given")
     f = desugar(parse(_read_text(args.formula).strip()))
     if cfg.logic == "kb":
         f = collapse_backward(f)
-    ok = semantics.forces(m, world, f, symmetric=(cfg.logic == "kb"))
+    try:
+        ok = semantics.forces(m, world, f, symmetric=(cfg.logic == "kb"))
+    except semantics.UnknownWorld as e:
+        raise UsageError(f"world {e} is not in the model") from None
     print("forced" if ok else "not forced")
     return 0 if ok else 1
 
@@ -214,8 +243,8 @@ def cmd_corpus(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tenseprove",
-                                 description="decision procedures for tense logic and KB")
+    ap = _ArgumentParser(prog="tenseprove",
+                         description="decision procedures for tense logic and KB")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(sp, certify=False):
@@ -244,15 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("corpus", help="run a tab-separated expectation/formula file")
     sp.add_argument("corpus", help="path to corpus file, or -")
-    common(sp, certify=True)
+    common(sp)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
-    args.calculus_given = ("--calculus" in (argv if argv is not None else sys.argv[1:]))
     try:
+        args = build_parser().parse_args(argv)
+        args.calculus_given = ("--calculus" in (argv if argv is not None else sys.argv[1:]))
         if args.command in ("decide", "prove"):
             return cmd_decide(args)
         if args.command == "check":

@@ -3,13 +3,19 @@
 Surface connectives (~, &, |, <F>, <P>) are definitional sugar; ``desugar``
 rewrites them away so that everything downstream handles only the core
 connectives ->, false, [F], [P].
+
+The core nodes (Atom, Bottom, Implies, Box, BlackBox) are hash-consed: each
+constructor returns the one live node for its class and arguments, so equal
+formulas are the same object, equality is identity and hashing is O(1).  The
+canonical order (``sort_key``) is the printed text, cached on the node.  The
+surface nodes are frozen dataclasses that only the parser builds.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import re
+import weakref
 from dataclasses import dataclass
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+")
@@ -26,7 +32,7 @@ class Polarity(enum.Enum):
 
 
 class Formula:
-    """Base class; concrete nodes are the frozen dataclasses below."""
+    """Base class of the core nodes below and the surface dataclasses."""
 
     __slots__ = ()
 
@@ -34,34 +40,84 @@ class Formula:
         return print_ascii(self)
 
 
-@dataclass(frozen=True)
-class Atom(Formula):
-    name: str
-
-    def __post_init__(self):
-        if not self.name or self.name == "false" or not _ATOM_RE.fullmatch(self.name):
-            raise ValueError(f"bad atom name: {self.name!r}")
+# Every live core node, keyed by (class, *arguments). Values are held weakly,
+# so a node leaves the table when the last formula using it is dropped.
+_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_lookup = _INTERNED.get
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Bottom(Formula):
-    pass
+class _Core(Formula):
+    """A hash-consed core node: equal formulas are the same object.
+
+    Equality is identity and the hash is the default id hash, both O(1).
+    The printed text (``sort_key``) and ``modal_degree`` are cached on the
+    node the first time they are asked for.
+    """
+
+    __slots__ = ("_text", "_degree", "__weakref__")
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        node = _lookup(key)
+        if node is None:
+            node = cls._create(key, args)
+        return node
+
+    @classmethod
+    def _create(cls, key: tuple, args: tuple) -> _Core:
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, args):
+            _set(node, name, value)
+        _set(node, "_text", None)
+        _set(node, "_degree", None)
+        _INTERNED[key] = node
+        return node
+
+    def _args(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an interned formula")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an interned formula")
+
+    def __reduce__(self):
+        return (type(self), self._args())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._args()))
+        return f"{type(self).__name__}({inner})"
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Atom(_Core):
+    __slots__ = _fields = ("name",)
+
+    @classmethod
+    def _create(cls, key, args):
+        if args and (not args[0] or args[0] == "false" or not _ATOM_RE.fullmatch(args[0])):
+            raise ValueError(f"bad atom name: {args[0]!r}")
+        return super()._create(key, args)
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    body: Formula
+class Bottom(_Core):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BlackBox(Formula):
-    body: Formula
+class Implies(_Core):
+    __slots__ = _fields = ("left", "right")
+
+
+class Box(_Core):
+    __slots__ = _fields = ("body",)
+
+
+class BlackBox(_Core):
+    __slots__ = _fields = ("body",)
 
 
 # Surface-only nodes, eliminated by desugar().
@@ -174,15 +230,19 @@ def _require_core(f: Formula):
 
 
 def modal_degree(f: Formula) -> int:
-    """Maximal nesting depth of [F]/[P] in a core formula."""
-    if isinstance(f, (Atom, Bottom)):
-        return 0
-    if isinstance(f, Implies):
-        return max(modal_degree(f.left), modal_degree(f.right))
-    if isinstance(f, (Box, BlackBox)):
-        return 1 + modal_degree(f.body)
-    _require_core(f)
-    raise AssertionError
+    """Maximal nesting depth of [F]/[P] in a core formula, cached on the node."""
+    if not isinstance(f, _Core):
+        _require_core(f)
+    d = f._degree
+    if d is None:
+        if isinstance(f, Implies):
+            d = max(modal_degree(f.left), modal_degree(f.right))
+        elif isinstance(f, (Box, BlackBox)):
+            d = 1 + modal_degree(f.body)
+        else:
+            d = 0
+        _set(f, "_degree", d)
+    return d
 
 
 def complexity(f: Formula) -> int:
@@ -228,10 +288,15 @@ def strict_subformulas(f: Formula) -> frozenset[Formula]:
     return frozenset(out)
 
 
-@functools.lru_cache(maxsize=None)
 def sort_key(f: Formula) -> str:
-    """Canonical total order on formulas, used wherever determinism matters."""
-    return print_ascii(f)
+    """Canonical total order on core formulas, used wherever determinism
+    matters: the printed text, cached on the node.  It does not depend on
+    which formulas were built before, as an order by object id would."""
+    text = f._text
+    if text is None:
+        text = print_ascii(f)
+        _set(f, "_text", text)
+    return text
 
 
 # --- concrete syntax ---------------------------------------------------------

@@ -179,3 +179,63 @@ def test_certify_checks_the_emitted_model(capsys, monkeypatch):
     monkeypatch.setattr(KripkeModel, "to_json", make_p_true)
     rc, _, err = run(capsys, "decide", "--certify", "p")
     assert rc == 4 and err.startswith("internal error:")
+
+
+def test_unknown_option_value_is_a_usage_error(capsys):
+    rc, _, err = run(capsys, "decide", "--logic", "zz", "p")
+    assert rc == 3 and err.startswith("usage error:") and len(err.splitlines()) == 1
+
+
+def test_missing_formula_is_a_usage_error(capsys):
+    rc, _, err = run(capsys, "decide")
+    assert rc == 3 and err.startswith("usage error:")
+
+
+def test_help_exits_zero(capsys):
+    try:
+        main(["decide", "--help"])
+    except SystemExit as e:
+        assert e.code == 0
+    else:
+        raise AssertionError("--help did not exit")
+
+
+def test_check_missing_file_is_a_usage_error(capsys, tmp_path):
+    rc, _, err = run(capsys, "check", str(tmp_path / "missing.json"))
+    assert rc == 3 and err.startswith("usage error: cannot read")
+
+
+def test_check_malformed_json_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text("{")
+    rc, _, err = run(capsys, "check", str(path))
+    assert rc == 3 and err.startswith("usage error: malformed derivation")
+
+
+def test_check_unknown_rule_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({
+        "sequent": {"components": [{"antecedent": ["p"], "succedent": ["p"]}], "links": []},
+        "rule": "nope",
+    }))
+    rc, _, err = run(capsys, "check", str(path))
+    assert rc == 3 and err.startswith("usage error: malformed derivation")
+
+
+def test_modelcheck_unknown_world_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"worlds": ["u"], "edges": [], "root": "u"}))
+    rc, _, err = run(capsys, "modelcheck", "--world", "w9", str(path), "p")
+    assert rc == 3 and err.startswith("usage error: world w9")
+
+
+def test_corpus_missing_file_is_a_usage_error(capsys, tmp_path):
+    rc, _, err = run(capsys, "corpus", str(tmp_path / "missing.tsv"))
+    assert rc == 3 and err.startswith("usage error: cannot read")
+
+
+def test_corpus_has_no_certify_flag(capsys, tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("valid\tp -> p\n")
+    rc, _, err = run(capsys, "corpus", "--certify", str(path))
+    assert rc == 3 and err.startswith("usage error:")

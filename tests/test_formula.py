@@ -1,8 +1,14 @@
+import copy
+import gc
+import pickle
+
 import pytest
 from hypothesis import given
 
 from conftest import core_formulas, surface_formulas
+from tenseprove import formula
 from tenseprove.formula import (
+    And,
     Atom,
     BlackBox,
     BlackDiamond,
@@ -19,6 +25,7 @@ from tenseprove.formula import (
     parse,
     print_ascii,
     print_unicode,
+    sort_key,
     strict_subformulas,
 )
 
@@ -156,3 +163,60 @@ def test_atom_name_validation():
         Atom("")
     with pytest.raises(ValueError):
         Atom("a b")
+    with pytest.raises(ValueError):
+        Atom("false")
+
+
+def test_parse_returns_the_interned_node():
+    text = "[F](p -> q) -> [P]false -> p"
+    assert parse(text) is parse(text)
+    assert Implies(p, Bottom()) is Implies(Atom("p"), Bottom())
+
+
+def test_desugared_diamond_is_the_negated_box():
+    assert desugar(parse("<F>p")) is desugar(parse("~[F]~p"))
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    f = parse("[F](p -> [P]q) -> false")
+    assert copy.copy(f) is f
+    assert copy.deepcopy(f) is f
+    assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_interned_nodes_are_immutable():
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(AttributeError):
+        del p.name
+
+
+@given(core_formulas)
+def test_print_parse_roundtrip_is_identity_and_sort_key_is_the_text(f):
+    assert parse(print_ascii(f)) is f
+    assert sort_key(f) == print_ascii(f)
+
+
+def test_intern_table_forgets_dropped_formulas():
+    gc.collect()
+    before = len(formula._INTERNED)
+    kept = [Box(Implies(Atom(f"x{i}_p"), BlackBox(Atom(f"x{i}_q")))) for i in range(10_000)]
+    assert len(formula._INTERNED) >= before + 50_000
+    del kept
+    gc.collect()
+    assert len(formula._INTERNED) == before
+
+
+def test_modal_degree_is_cached_and_rejects_surface_nodes():
+    f = parse("[F](p -> [P]q)")
+    assert modal_degree(f) == modal_degree(f) == 2
+    with pytest.raises(ValueError):
+        modal_degree(Diamond(p))
+    with pytest.raises(ValueError):
+        modal_degree(Box(Not(p)))
+
+
+def test_surface_nodes_compare_structurally():
+    assert Not(Atom("p")) == Not(p) and Not(p) is not Not(p)
+    assert hash(And(p, q)) == hash(And(Atom("p"), Atom("q")))
+    assert Diamond(p) != Box(p) and Diamond(p) != Diamond(q)

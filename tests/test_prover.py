@@ -1,6 +1,9 @@
+import gc
+import json
+
 from tenseprove import semantics
 from tenseprove.calculus import CalculusVariant, RuleId
-from tenseprove.formula import Atom, BlackBox, Box, parse, desugar
+from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
 from tenseprove.generate import corpus
 from tenseprove.metatheory import check, derivation_to_json, to_ktstar
 from tenseprove.prover import (
@@ -205,3 +208,29 @@ def test_search_order_pinned():
     # Both closure rules apply at this leaf; id comes first.
     rules = prove("p -> false -> p", KTS).derivation.rules_used()
     assert rules == [RuleId.IMP_R, RuleId.IMP_R, RuleId.ID]
+
+
+def _search_record(text, v):
+    out = prove(text, v)
+    st = out.stats
+    cert = (derivation_to_json(out.derivation) if isinstance(out, Valid)
+            else out.model.to_json(out.root))
+    return type(out).__name__, st.nodes, st.restarts, st.max_length, json.dumps(cert, sort_keys=True)
+
+
+def test_search_order_does_not_depend_on_interning_history():
+    families = [
+        " | ".join([f"[F]p{i}" for i in range(3)] + [f"[P]~[F]q{i}" for i in range(3)]),
+        "p -> " + "[F]<P>" * 3 + "p",
+        _ph(2),
+    ]
+    first = {(t, v): _search_record(t, v) for t in families for v in (KT, KTS, KB)}
+    gc.collect()
+    # Rebuild every atom in reverse order, respelled copies and a large
+    # unrelated formula, and keep them alive, so object ids and the intern
+    # table differ from the first run's.
+    names = sorted({n for t in families for n in atoms(parse(t))}, reverse=True)
+    alive = [Atom(n) for n in names] + [Atom(f"zz_{n}") for n in names]
+    alive.append(desugar(parse(_ph(3))))
+    second = {(t, v): _search_record(t, v) for t in families for v in (KT, KTS, KB)}
+    assert second == first
