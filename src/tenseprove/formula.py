@@ -27,9 +27,6 @@ class Polarity(enum.Enum):
     FORWARD = "fwd"
     BACKWARD = "bwd"
 
-    def flip(self) -> Polarity:
-        return Polarity.BACKWARD if self is Polarity.FORWARD else Polarity.FORWARD
-
 
 class Formula:
     """Base class of the core nodes below and the surface dataclasses."""

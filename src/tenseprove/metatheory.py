@@ -3,7 +3,10 @@
 Everything here rebuilds immutable trees; every public transformation
 re-validates its output against the checker and raises TransformError on any
 internal construction mistake, so a bad rewrite can never leak out as a
-"certificate".
+"certificate".  Weakening and contraction are one edit walk over the
+derivation; cut elimination is one shift procedure, run as the paper's
+shift-left or shift-right lemma, whose two principal-formula hooks hold the
+only cases in which the two lemmas differ.
 """
 
 from __future__ import annotations
@@ -117,18 +120,25 @@ def _recheck(out: Derivation, v: CalculusVariant, what: str) -> Derivation:
 # --- admissible structural rules ---------------------------------------------
 
 
+def _edit(d: Derivation, pos: int, change) -> Derivation:
+    """Apply `change` to component pos of every sequent of d that still has it."""
+    conc = d.conclusion
+    newc = conc.replace_component(pos, change(conc.components[pos]))
+    # Going up, a rule that deletes the last component deletes the edited one.
+    drops = pos == conc.length - 1
+    prems = tuple(p if drops and p.conclusion.length < conc.length else _edit(p, pos, change)
+                  for p in d.premisses)
+    return Derivation(newc, d.rule, prems)
+
+
 def _weaken(d: Derivation, pos: int, add_l: Multiset, add_r: Multiset) -> Derivation:
-    c = d.conclusion.components[pos]
-    newc = d.conclusion.replace_component(
-        pos, Component(c.ant.union(add_l), c.succ.union(add_r), tag=c.tag)
-    )
-    prems = []
-    for p in d.premisses:
-        if p.conclusion.length < d.conclusion.length and pos == d.conclusion.length - 1:
-            prems.append(p)  # the weakened component is deleted going up
-        else:
-            prems.append(_weaken(p, pos, add_l, add_r))
-    return Derivation(newc, d.rule, tuple(prems))
+    return _edit(d, pos, lambda c: Component(c.ant.union(add_l), c.succ.union(add_r), tag=c.tag))
+
+
+def _contract(d: Derivation, pos: int, drop_l: Multiset, drop_r: Multiset) -> Derivation:
+    """Remove copies from one component derivation-wide; a node holding
+    fewer copies than are dropped raises KeyError."""
+    return _edit(d, pos, lambda c: Component(c.ant.minus(drop_l), c.succ.minus(drop_r), tag=c.tag))
 
 
 def weaken(d: Derivation, position: int, add_left=(), add_right=(),
@@ -140,22 +150,6 @@ def weaken(d: Derivation, position: int, add_left=(), add_right=(),
     return _recheck(out, variant or infer_variant(d), "weaken")
 
 
-def _contract(d: Derivation, pos: int, side: str, f: Formula) -> Derivation:
-    c = d.conclusion.components[pos]
-    if side == "left":
-        newc = Component(c.ant.remove_one(f), c.succ, tag=c.tag)
-    else:
-        newc = Component(c.ant, c.succ.remove_one(f), tag=c.tag)
-    newconc = d.conclusion.replace_component(pos, newc)
-    prems = []
-    for p in d.premisses:
-        if p.conclusion.length < d.conclusion.length and pos == d.conclusion.length - 1:
-            prems.append(p)
-        else:
-            prems.append(_contract(p, pos, side, f))
-    return Derivation(newconc, d.rule, tuple(prems))
-
-
 def contract(d: Derivation, position: int, side: str, f: Formula,
              variant: CalculusVariant | None = None) -> Derivation:
     """Remove one of at least two copies of f from a component, derivation-wide."""
@@ -165,18 +159,10 @@ def contract(d: Derivation, position: int, side: str, f: Formula,
     ms = c.ant if side == "left" else c.succ
     if ms.count(f) < 2:
         raise NotDuplicated(f"{print_ascii(f)} is not duplicated on the {side}")
-    out = _contract(d, position, side, f)
+    drop = Multiset((f,))
+    out = (_contract(d, position, drop, Multiset()) if side == "left"
+           else _contract(d, position, Multiset(), drop))
     return _recheck(out, variant or infer_variant(d), "contract")
-
-
-def prefix_context(d: Derivation, comp: Component, link: Polarity) -> Derivation:
-    """Prepend a fixed component to every sequent of a derivation."""
-
-    def go(n: Derivation) -> Derivation:
-        newc = LinearNestedSequent((comp,) + n.conclusion.components, (link,) + n.conclusion.links)
-        return Derivation(newc, n.rule, tuple(go(p) for p in n.premisses))
-
-    return _recheck(go(d), infer_variant(d), "prefix_context")
 
 
 # --- generalised initial sequents --------------------------------------------
@@ -245,9 +231,9 @@ def to_ktstar(d: Derivation) -> Derivation:
 class CutMonitor:
     """Tracks the lexicographic induction measure across the rewrite calls.
 
-    Each entry is (cut complexity, depth sum, phase) with phase 1 for the
-    shift-left procedure and 0 for the shift-right ones; every nested call
-    must be strictly smaller.
+    Each entry is (cut complexity, depth sum, phase) with phase 1 for a left
+    shift and 0 for a right shift; every nested call must be strictly
+    smaller.
     """
 
     def __init__(self):
@@ -289,16 +275,6 @@ def _cut_target(cl: LinearNestedSequent, cr: LinearNestedSequent, pos: int,
     return LinearNestedSequent(tuple(comps), links)
 
 
-def _leaf_rule(s: LinearNestedSequent) -> Derivation | None:
-    last = s.last
-    if Bottom() in last.ant:
-        return Derivation(s, RuleId.BOT_L)
-    for f in last.ant.distinct():
-        if isinstance(f, Atom) and f in last.succ:
-            return Derivation(s, RuleId.ID)
-    return None
-
-
 def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
     out = d
     while out.conclusion.length < target.length:
@@ -324,13 +300,13 @@ def _try_embed(d: Derivation, target: LinearNestedSequent) -> Derivation | None:
 
 
 def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
-    node = _leaf_rule(target)
-    if node:
-        return node
-    for k in range(target.length - 1, 0, -1):
-        node = _leaf_rule(target.prefix(k))
-        if node:
-            return _ew_extend(node, target)
+    """An axiom on the target or, through EW, on its longest prefix that is
+    one; else the first fallback that embeds into the target."""
+    for k in range(target.length, 0, -1):
+        s = target.prefix(k)
+        for rule in (RuleId.BOT_L, RuleId.ID):
+            if is_valid_instance(s, rule, (), CalculusVariant.KT):
+                return _ew_extend(Derivation(s, rule), target)
     for d in fallbacks:
         out = _try_embed(d, target)
         if out is not None:
@@ -339,21 +315,17 @@ def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
 
 
 def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
-    out = d
-    if out.conclusion.length != target.length:
+    """Contract d's conclusion down to target, one walk per component."""
+    if d.conclusion.length != target.length:
         raise TransformError("contract_to: length mismatch")
-    for i in range(target.length):
-        for side in ("left", "right"):
-            while True:
-                c = out.conclusion.components[i]
-                ms = c.ant if side == "left" else c.succ
-                t = target.components[i].ant if side == "left" else target.components[i].succ
-                extra = [f for f in ms.distinct() if ms.count(f) > t.count(f)]
-                if not extra:
-                    break
-                if ms.count(extra[0]) < 2 or t.count(extra[0]) < 1:
-                    raise TransformError("contract_to: support mismatch")
-                out = _contract(out, i, side, extra[0])
+    out = d
+    for i, (c, t) in enumerate(zip(d.conclusion.components, target.components)):
+        extra_l, extra_r = c.ant.diff(t.ant), c.succ.diff(t.succ)
+        if (any(f not in t.ant for f in extra_l.distinct())
+                or any(f not in t.succ for f in extra_r.distinct())):
+            raise TransformError("contract_to: support mismatch")
+        if extra_l or extra_r:
+            out = _contract(out, i, extra_l, extra_r)
     if out.conclusion != target:
         raise TransformError("contract_to missed the target")
     return out
@@ -364,10 +336,6 @@ def _is_principal(d: Derivation, a: Formula) -> bool:
     prems = [p.conclusion for p in d.premisses]
     return any(inst.principal == a for inst in calculus.matching_instances(
         d.conclusion, d.rule, prems, CalculusVariant.KT))
-
-
-def _rebuild(target: LinearNestedSequent, rule: RuleId, prems) -> Derivation:
-    return Derivation(target, rule, tuple(prems))
 
 
 def _adapt_witness(w: Derivation, old: LinearNestedSequent, new: LinearNestedSequent,
@@ -385,183 +353,107 @@ def _adapt_witness(w: Derivation, old: LinearNestedSequent, new: LinearNestedSeq
     return out
 
 
-def _sl(a: Formula, d1: Derivation, pos1: int, d2: Derivation, mon: CutMonitor) -> Derivation:
-    """Shift the cut into d1 until the cut formula is principal there.
+_RIGHT_INTRODUCTIONS = RIGHT_BOX_RULES | {RuleId.IMP_R}
 
-    d1 concludes G + (Gamma => Delta, a) + I with the occurrence at pos1;
-    d2 concludes H + (a, Sigma => Pi) with the occurrence in its last
-    component, structurally equivalent to d1's prefix up to pos1.
+
+def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor,
+           left: bool, witness: Derivation | None = None) -> Derivation:
+    """Shift the cut on `a` up into d1 (left) or into d2 (right).
+
+    d1 concludes G + (Gamma => Delta, a) + I and d2 concludes
+    H + (a, Sigma => Pi) + J, with both occurrences at component pos and the
+    prefixes up to pos structurally equivalent.  A left shift walks d1 until
+    `a` is principal there and then shifts right; a right shift, where d1
+    introduces `a` by impR or a right box rule, walks d2 until `a` is
+    principal there too and cuts on smaller formulas.  For a boxed `a`,
+    `witness` derives the merged prefix extended with an empty component
+    holding the box body; it pays for eliminating the contextual copy when
+    the cut gets principal on the left side of d2.
     """
-    mon.enter(complexity(a), d1.height + d2.height, 1)
+    mon.enter(complexity(a), d1.height + d2.height, 1 if left else 0)
     try:
-        target = _cut_target(d1.conclusion, d2.conclusion, pos1, a)
-        last1 = d1.conclusion.length - 1
+        d, other = (d1, d2) if left else (d2, d1)
+        target = _cut_target(d1.conclusion, d2.conclusion, pos, a)
 
-        if d1.rule in (RuleId.ID, RuleId.BOT_L):
-            return _close_terminal(target, (d2, d1))
+        if d.rule in (RuleId.ID, RuleId.BOT_L):
+            return _close_terminal(target, (other, d))
 
-        if pos1 == last1 and d1.rule in RIGHT_BOX_RULES | {RuleId.IMP_R} and _is_principal(d1, a):
-            if isinstance(a, Implies):
-                return _sr_p(a, d1, d2, d2.conclusion.length - 1, mon)
-            right = d1.premisses[1] if d1.rule in TWO_PREMISS_BOX_RULES else d1.premisses[0]
-            witness = _sl(a, right, right.conclusion.length - 2, d2, mon)
-            return _sr_modal(a, d1, d2, d2.conclusion.length - 1, witness, mon)
-
-        if d1.rule in RESTART_RULES:
-            if pos1 < last1:
-                sub = _sl(a, d1.premisses[0], pos1, d2, mon)
-                return _rebuild(target, d1.rule, (sub,))
-            smaller = Derivation(
-                d1.conclusion.replace_component(
-                    last1,
-                    Component(d1.conclusion.last.ant,
-                              d1.conclusion.last.succ.remove_one(a),
-                              tag=d1.conclusion.last.tag)),
-                d1.rule, d1.premisses)
-            out = _try_embed(smaller, target)
-            if out is None:
-                raise TransformError("restart case: weakening failed")
+        out = (_principal_left(a, d1, d2, pos, mon) if left
+               else _principal_right(a, d1, d2, pos, mon, witness, target))
+        if out is not None:
             return out
 
-        if d1.rule is RuleId.EW:
-            if pos1 < last1:
-                sub = _sl(a, d1.premisses[0], pos1, d2, mon)
-                return _rebuild(target, RuleId.EW, (sub,))
-            out = _try_embed(d1.premisses[0], target)
+        if pos == d.conclusion.length - 1 and (d.rule in RESTART_RULES or d.rule is RuleId.EW):
+            # The premiss has lost the component holding the cut occurrence.
+            src = d.premisses[0]
+            if d.rule is not RuleId.EW:
+                c = d.conclusion.last
+                c = (Component(c.ant, c.succ.remove_one(a), tag=c.tag) if left
+                     else Component(c.ant.remove_one(a), c.succ, tag=c.tag))
+                src = Derivation(d.conclusion.replace_component(pos, c), d.rule, d.premisses)
+            out = _try_embed(src, target)
             if out is None:
-                raise TransformError("sl ew case: weakening failed")
+                raise TransformError(f"{d.rule.value} at the cut component: weakening failed")
             return out
 
-        subs = tuple(_sl(a, p, pos1, d2, mon) for p in d1.premisses)
-        return _rebuild(target, d1.rule, subs)
+        # Context case, restart and EW below the cut component included; an
+        # EW premiss keeps the components up to pos, so its witness is unchanged.
+        prems = []
+        for p in d.premisses:
+            if left:
+                prems.append(_shift(a, p, d2, pos, mon, True))
+            else:
+                w = None if witness is None else _adapt_witness(
+                    witness, d2.conclusion, p.conclusion, pos, a)
+                prems.append(_shift(a, d1, p, pos, mon, False, w))
+        return Derivation(target, d.rule, tuple(prems))
     finally:
         mon.exit()
 
 
-def _sr_p(a: Formula, d1: Derivation, d2: Derivation, pos2: int, mon: CutMonitor) -> Derivation:
-    """Shift the cut into d2 for a non-modal cut formula.
-
-    The cut formula is principal in d1's root (an implication introduced by
-    the right rule); the occurrence in d2 sits at pos2, in the antecedent.
-    """
-    mon.enter(complexity(a), d1.height + d2.height, 0)
-    try:
-        target = _cut_target(d1.conclusion, d2.conclusion, pos2, a)
-        last2 = d2.conclusion.length - 1
-
-        if d2.rule in (RuleId.ID, RuleId.BOT_L):
-            return _close_terminal(target, (d1, d2))
-
-        if d2.rule is RuleId.IMP_L and pos2 == last2 and _is_principal(d2, a):
-            d3 = d1.premisses[0]
-            d4, d5 = d2.premisses
-            e1 = _sl(a, d1, d1.conclusion.length - 1, d4, mon)
-            e2 = _sl(a, d1, d1.conclusion.length - 1, d5, mon)
-            e3 = _sl(a, d3, d3.conclusion.length - 1, d2, mon)
-            f = _sl(a.left, e2, e2.conclusion.length - 1, e3, mon)
-            g = _sl(a.right, f, f.conclusion.length - 1, e1, mon)
-            return _contract_to(g, target)
-
-        if d2.rule in RESTART_RULES:
-            if pos2 < last2:
-                prem = d2.premisses[0]
-                sub = _sr_p(a, d1, prem, pos2, mon)
-                return _rebuild(target, d2.rule, (sub,))
-            smaller = Derivation(
-                d2.conclusion.replace_component(
-                    last2,
-                    Component(d2.conclusion.last.ant.remove_one(a),
-                              d2.conclusion.last.succ,
-                              tag=d2.conclusion.last.tag)),
-                d2.rule, d2.premisses)
-            out = _try_embed(smaller, target)
-            if out is None:
-                raise TransformError("sr_p restart case: weakening failed")
-            return out
-
-        if d2.rule is RuleId.EW:
-            if pos2 < last2:
-                sub = _sr_p(a, d1, d2.premisses[0], pos2, mon)
-                return _rebuild(target, RuleId.EW, (sub,))
-            out = _try_embed(d2.premisses[0], target)
-            if out is None:
-                raise TransformError("sr_p ew case: weakening failed")
-            return out
-
-        subs = tuple(_sr_p(a, d1, p, pos2, mon) for p in d2.premisses)
-        return _rebuild(target, d2.rule, subs)
-    finally:
-        mon.exit()
+def _principal_left(a: Formula, d1: Derivation, d2: Derivation, pos: int,
+                    mon: CutMonitor) -> Derivation | None:
+    """d1 introduces `a`: shift right, first building the witness for a box."""
+    if not (pos == d1.conclusion.length - 1 and d1.rule in _RIGHT_INTRODUCTIONS
+            and _is_principal(d1, a)):
+        return None
+    last2 = d2.conclusion.length - 1
+    if isinstance(a, Implies):
+        return _shift(a, d1, d2, last2, mon, False)
+    right = d1.premisses[-1]
+    witness = _shift(a, right, d2, right.conclusion.length - 2, mon, True)
+    return _shift(a, d1, d2, last2, mon, False, witness)
 
 
-def _sr_modal(a: Formula, d1: Derivation, d2: Derivation, pos2: int,
-              witness: Derivation, mon: CutMonitor) -> Derivation:
-    """Shift the cut into d2 for a boxed cut formula.
+def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor,
+                     witness: Derivation | None, target: LinearNestedSequent) -> Derivation | None:
+    """`a` is principal in d2 too: cut on smaller formulas, then contract."""
+    last2 = d2.conclusion.length - 1
+    if isinstance(a, Implies):
+        if not (d2.rule is RuleId.IMP_L and pos == last2 and _is_principal(d2, a)):
+            return None
+        d3 = d1.premisses[0]
+        d4, d5 = d2.premisses
+        e1 = _shift(a, d1, d4, d1.conclusion.length - 1, mon, True)
+        e2 = _shift(a, d1, d5, d1.conclusion.length - 1, mon, True)
+        e3 = _shift(a, d3, d2, d3.conclusion.length - 1, mon, True)
+        f = _shift(a.left, e2, e3, e2.conclusion.length - 1, mon, True)
+        g = _shift(a.right, f, e1, f.conclusion.length - 1, mon, True)
+        return _contract_to(g, target)
 
-    d1 ends with a right box rule introducing `a`; `witness` derives the
-    merged prefix extended with an empty component holding the box body, and
-    pays for eliminating the contextual copy when the cut gets principal on
-    the left side of d2.
-    """
-    mon.enter(complexity(a), d1.height + d2.height, 0)
-    try:
-        body = a.body
-        target = _cut_target(d1.conclusion, d2.conclusion, pos2, a)
-        last2 = d2.conclusion.length - 1
-        _, _, prop_rule, restart_rule = _KT_MODAL_RULES[BOX_LINK[type(a)]]
-
-        if d2.rule in (RuleId.ID, RuleId.BOT_L):
-            return _close_terminal(target, (d1, d2))
-
-        if d2.rule is prop_rule and pos2 == last2 - 1 and _is_principal(d2, a):
-            d5 = d2.premisses[0]
-            d6 = _sr_modal(a, d1, d5, pos2, witness, mon)
-            e = _sl(body, witness, witness.conclusion.length - 1, d6, mon)
-            return _contract_to(e, target)
-
-        if d2.rule is restart_rule and pos2 == last2 and _is_principal(d2, a):
-            if d1.rule not in TWO_PREMISS_BOX_RULES:
-                raise TransformError("one-premiss box against a principal restart")
-            d3 = d1.premisses[0]
-            d5 = d2.premisses[0]
-            d6 = _sl(a, d3, d3.conclusion.length - 1, d2, mon)
-            e = _sl(body, d6, d6.conclusion.length - 2, d5, mon)
-            return _contract_to(e, target)
-
-        if d2.rule in RESTART_RULES:
-            if pos2 < last2:
-                prem = d2.premisses[0]
-                w2 = _adapt_witness(witness, d2.conclusion, prem.conclusion, pos2, a)
-                sub = _sr_modal(a, d1, prem, pos2, w2, mon)
-                return _rebuild(target, d2.rule, (sub,))
-            smaller = Derivation(
-                d2.conclusion.replace_component(
-                    last2,
-                    Component(d2.conclusion.last.ant.remove_one(a),
-                              d2.conclusion.last.succ,
-                              tag=d2.conclusion.last.tag)),
-                d2.rule, d2.premisses)
-            out = _try_embed(smaller, target)
-            if out is None:
-                raise TransformError("sr_modal restart case: weakening failed")
-            return out
-
-        if d2.rule is RuleId.EW:
-            if pos2 < last2:
-                sub = _sr_modal(a, d1, d2.premisses[0], pos2, witness, mon)
-                return _rebuild(target, RuleId.EW, (sub,))
-            out = _try_embed(d2.premisses[0], target)
-            if out is None:
-                raise TransformError("sr_modal ew case: weakening failed")
-            return out
-
-        subs = []
-        for p in d2.premisses:
-            w2 = _adapt_witness(witness, d2.conclusion, p.conclusion, pos2, a)
-            subs.append(_sr_modal(a, d1, p, pos2, w2, mon))
-        return _rebuild(target, d2.rule, tuple(subs))
-    finally:
-        mon.exit()
+    _, _, prop_rule, restart_rule = _KT_MODAL_RULES[BOX_LINK[type(a)]]
+    if d2.rule is prop_rule and pos == last2 - 1 and _is_principal(d2, a):
+        d6 = _shift(a, d1, d2.premisses[0], pos, mon, False, witness)
+        e = _shift(a.body, witness, d6, witness.conclusion.length - 1, mon, True)
+        return _contract_to(e, target)
+    if d2.rule is restart_rule and pos == last2 and _is_principal(d2, a):
+        if d1.rule not in TWO_PREMISS_BOX_RULES:
+            raise TransformError("one-premiss box against a principal restart")
+        d3 = d1.premisses[0]
+        d6 = _shift(a, d3, d2, d3.conclusion.length - 1, mon, True)
+        e = _shift(a.body, d6, d2.premisses[0], d6.conclusion.length - 2, mon, True)
+        return _contract_to(e, target)
+    return None
 
 
 def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
@@ -587,7 +479,7 @@ def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
     if cut_formula not in d2.conclusion.last.ant:
         raise NotACutFormulaOccurrence(f"{print_ascii(cut_formula)} not in right antecedent")
     mon = monitor if monitor is not None else CutMonitor()
-    out = _sl(cut_formula, d1, d1.conclusion.length - 1, d2, mon)
+    out = _shift(cut_formula, d1, d2, d1.conclusion.length - 1, mon, True)
     expected = _cut_target(d1.conclusion, d2.conclusion, d1.conclusion.length - 1, cut_formula)
     if out.conclusion != expected:
         raise TransformError("cut concluded the wrong sequent")

@@ -49,13 +49,19 @@ class Multiset:
         return Multiset._raw(counts)
 
     def remove_one(self, f: Formula) -> Multiset:
-        if f not in self._counts:
-            raise KeyError(f"{f} not in multiset")
+        return self.minus(Multiset._raw({f: 1}))
+
+    def minus(self, other: Multiset) -> Multiset:
+        """Multiset difference; raises KeyError unless other is contained in self."""
         counts = dict(self._counts)
-        if counts[f] == 1:
-            del counts[f]
-        else:
-            counts[f] -= 1
+        for f, n in other._counts.items():
+            k = counts.get(f, 0) - n
+            if k < 0:
+                raise KeyError(f"{f} not in multiset {n} times")
+            if k:
+                counts[f] = k
+            else:
+                del counts[f]
         return Multiset._raw(counts)
 
     def union(self, other: Multiset) -> Multiset:
@@ -79,14 +85,8 @@ class Multiset:
     def count(self, f: Formula) -> int:
         return self._counts.get(f, 0)
 
-    def total(self) -> int:
-        return sum(self._counts.values())
-
     def distinct(self) -> list[Formula]:
         return sorted(self._counts, key=sort_key)
-
-    def items(self) -> list[tuple[Formula, int]]:
-        return [(f, self._counts[f]) for f in self.distinct()]
 
     def __contains__(self, f: Formula) -> bool:
         return f in self._counts

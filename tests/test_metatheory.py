@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from tenseprove.calculus import CalculusVariant, RuleId
@@ -8,6 +11,8 @@ from tenseprove.formula import (
     Implies,
     Polarity,
     complexity,
+    parse,
+    print_ascii,
 )
 from tenseprove.generate import corpus
 from tenseprove.metatheory import (
@@ -25,7 +30,6 @@ from tenseprove.metatheory import (
     derivation_to_json,
     derivation_to_latex,
     generalised_init,
-    prefix_context,
     to_ktstar,
     weaken,
 )
@@ -256,19 +260,78 @@ def test_cut_rejects_missing_occurrence():
 
 
 def test_cut_self_cut_fuzz():
-    """Cut every small provable (f => f) against (f, p => p): exercises all
-    case pairings of the shift procedures."""
+    """Cut every small provable (f => f) against (f, p => p) and against
+    itself.  The first cut's right derivation closes by id at its root; the
+    self-cut shifts right through whole prover derivations, so between them
+    the cuts reach every passive and principal case of the shift procedure,
+    EW below and at the cut component on the right included."""
     done = 0
     for f in corpus(13579, 150, max_size=6, max_degree=2):
         o1 = prove_sequent(single([f], [f]), KT)
         if not isinstance(o1, Valid):
             continue
         o2 = prove_sequent(single([f, p], [p]), KT)
-        mon = CutMonitor()
-        out = cut(o1.derivation, o2.derivation, f, mon)
-        assert check(out, KT) and not mon.violations
+        for d2 in (o2.derivation, o1.derivation):
+            mon = CutMonitor()
+            out = cut(o1.derivation, d2, f, mon)
+            assert check(out, KT) and not mon.violations
         done += 1
     assert done >= 100
+
+
+# (formula, CutMonitor.calls, SHA-256 prefix of the output's sorted JSON) for
+# cut(d, d, a).  The first list takes d = generalised_init(a => a) on the
+# first 20 formulas of corpus(1270, 100, max_size=8, max_degree=2); the second
+# takes d from the KT prover on (a => a): the first of its formulas reaches
+# every case of the shift procedure, the second tells the order of the two
+# axioms in a terminal closure apart.  The figures pin the procedure's case
+# order and output; a change to either must update them on purpose.
+CUT_OUTPUT_PINS = [
+    ("[P][P]((q -> p) -> q -> p)", 133, "7fea7154b1603558"),
+    ("[P][F]((p -> p) -> p)", 129, "3ac1db7d2f9d9d42"),
+    ("[F][F](((r -> q) -> r) -> r)", 119, "ac413d8974786e69"),
+    ("[P][F]((q -> r) -> p -> p)", 195, "1f9d029d1999e6b3"),
+    ("[P]p", 8, "755b2469a6cf95bd"),
+    ("[F](false -> [P]((r -> q) -> false))", 75, "e4910a63b74ff4e6"),
+    ("[F][F]((p -> r) -> r -> p)", 114, "bf1d7a9d65786a29"),
+    ("[F][F](r -> r) -> q", 76, "144bcc64fcda03f6"),
+    ("r", 1, "bd2054fbd37dcad5"),
+    ("[P][F]((q -> false) -> r) -> q", 200, "ae63e8c7b24aad53"),
+    ("p -> q", 14, "17203cf658c7ed6d"),
+    ("[P]r -> r", 29, "075d1233daa107f0"),
+    ("[F][P]((q -> false -> p) -> q)", 171, "29146d3112fd748c"),
+    ("[F]q -> (false -> false) -> r", 80, "522f180720758e68"),
+    ("[P][F]r", 27, "1d2384bead634d9c"),
+    ("r -> p", 14, "d67bcda6c4ba1164"),
+    ("q", 1, "a445d82912e70785"),
+    ("q -> [P]r", 25, "f2599aad9dc3f377"),
+    ("[F][F](p -> q -> q -> false)", 112, "8bf190d31631c252"),
+    ("p", 1, "aac5d9b7fda8b865"),
+]
+
+PROVER_CUT_PINS = [
+    ("[P](q -> [F]p)", 134, "1f40ebe1a186ff7d"),
+    ("[F][F]((false -> q) -> r)", 153, "6edba864512ea7b2"),
+]
+
+
+def _self_cut_record(d, a):
+    mon = CutMonitor()
+    out = cut(d, d, a, mon)
+    data = json.dumps(derivation_to_json(out), sort_keys=True).encode()
+    return mon.calls, hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_cut_output_pinned():
+    formulas = corpus(1270, 100, max_size=8, max_degree=2)[:len(CUT_OUTPUT_PINS)]
+    for a, (text, calls, digest) in zip(formulas, CUT_OUTPUT_PINS):
+        assert print_ascii(a) == text
+        d = generalised_init(single([a], [a]), a)
+        assert _self_cut_record(d, a) == (calls, digest), text
+    for text, calls, digest in PROVER_CUT_PINS:
+        a = parse(text)
+        d = prove_sequent(single([a], [a]), KT).derivation
+        assert _self_cut_record(d, a) == (calls, digest), text
 
 
 def test_cut_output_is_cut_free_and_concludes_merge():
@@ -281,13 +344,6 @@ def test_cut_output_is_cut_free_and_concludes_merge():
     assert check(out, KT)
     assert out.conclusion.components[0].ant.count(q) == 1
     assert Implies(p, p) not in out.conclusion.components[0].ant
-
-
-def test_prefix_context():
-    d = id_node([p], [p])
-    out = prefix_context(d, component([q], [r]), FWD)
-    assert check(out, KT)
-    assert out.conclusion.length == 2
 
 
 def test_derivation_json_roundtrip():

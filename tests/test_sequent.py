@@ -157,6 +157,11 @@ def test_multiset_semantics():
     assert m == Multiset([q, p, p])
     assert m.union(Multiset([q])).count(q) == 2
     assert m.diff(Multiset([p])).count(p) == 1
+    assert m.minus(Multiset([p, q])) == Multiset([p])
+    with pytest.raises(KeyError):
+        m.minus(Multiset([q, q]))
+    with pytest.raises(KeyError):
+        m.remove_one(r)
     assert Multiset([p]).subset(m)
 
 
