@@ -66,17 +66,16 @@ def _config_from(args) -> Config:
     if ms is None:
         env = os.environ.get("TENSEPROVE_BUDGET_MS")
         ms = int(env) if env else DEFAULT_BUDGET_MS
-    cfg = Config(
+    if args.logic == "kb" and args.calculus == "lns":
+        raise UsageError("--logic kb has a single rule set; --calculus lns does not apply")
+    return Config(
         logic=args.logic,
-        calculus=args.calculus,
+        calculus=args.calculus or "lns-star",
         output=args.output,
         budget_nodes=args.budget_nodes,
         budget_ms=ms,
         certify=getattr(args, "certify", False),
     )
-    if cfg.logic == "kb" and args.calculus_given and cfg.calculus == "lns":
-        raise UsageError("--logic kb has a single rule set; --calculus lns does not apply")
-    return cfg
 
 
 def _read_text(arg: str) -> str:
@@ -249,15 +248,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, certify=False):
         sp.add_argument("--logic", choices=("kt", "kb"), default="kt")
-        sp.add_argument("--calculus", choices=("lns", "lns-star"), default="lns-star")
+        sp.add_argument("--calculus", choices=("lns", "lns-star"), default=None)
         sp.add_argument("--output", choices=("text", "json", "dot", "latex"), default="text")
         sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET_NODES)
         sp.add_argument("--budget-ms", type=int, default=None)
         if certify:
             sp.add_argument("--certify", action="store_true")
 
-    for name in ("decide", "prove"):
-        sp = sub.add_parser(name, help="decide a formula (prove requires validity)")
+    for name, help_text in (("decide", "decide a formula"), ("prove", "alias of decide")):
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("formula", help="formula text, or - for stdin")
         common(sp, certify=True)
 
@@ -280,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.calculus_given = ("--calculus" in (argv if argv is not None else sys.argv[1:]))
         if args.command in ("decide", "prove"):
             return cmd_decide(args)
         if args.command == "check":

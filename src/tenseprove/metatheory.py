@@ -34,7 +34,7 @@ from .formula import (
     complexity,
     print_ascii,
 )
-from .sequent import Component, LinearNestedSequent, Multiset
+from .sequent import Component, LinearNestedSequent, Multiset, merge
 
 
 class PositionOutOfRange(Exception):
@@ -254,25 +254,11 @@ class CutMonitor:
 
 def _cut_target(cl: LinearNestedSequent, cr: LinearNestedSequent, pos: int,
                 a: Formula) -> LinearNestedSequent:
-    """Merge minus the cut occurrences: a leaves cl's succedent and cr's
-    antecedent at component pos; the longer suffix is kept as is."""
-    n = max(cl.length, cr.length)
-    comps = []
-    for i in range(n):
-        x = cl.components[i] if i < cl.length else None
-        y = cr.components[i] if i < cr.length else None
-        if i < pos:
-            comps.append(Component(x.ant.union(y.ant), x.succ.union(y.succ), tag=x.tag))
-        elif i == pos:
-            comps.append(Component(
-                x.ant.union(y.ant.remove_one(a)),
-                x.succ.remove_one(a).union(y.succ),
-                tag=x.tag,
-            ))
-        else:
-            comps.append(x if x is not None else y)
-    links = cl.links if cl.length == n else cr.links
-    return LinearNestedSequent(tuple(comps), links)
+    """The merge of cl and cr minus the cut occurrences, the copies of a in
+    cl's succedent and cr's antecedent at component pos."""
+    m = merge(cl, cr)
+    c = m.components[pos]
+    return m.replace_component(pos, Component(c.ant.remove_one(a), c.succ.remove_one(a), tag=c.tag))
 
 
 def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
@@ -338,21 +324,6 @@ def _is_principal(d: Derivation, a: Formula) -> bool:
         d.conclusion, d.rule, prems, CalculusVariant.KT))
 
 
-def _adapt_witness(w: Derivation, old: LinearNestedSequent, new: LinearNestedSequent,
-                   pos: int, boxed: Formula) -> Derivation:
-    """Weaken the shift-right witness when pushing past a rule fattens the
-    prefix below the cut component."""
-    out = w
-    for i in range(pos + 1):
-        oc, nc = old.components[i], new.components[i]
-        oa = oc.ant.remove_one(boxed) if i == pos else oc.ant
-        na = nc.ant.remove_one(boxed) if i == pos else nc.ant
-        add_l, add_r = na.diff(oa), nc.succ.diff(oc.succ)
-        if add_l or add_r:
-            out = _weaken(out, i, add_l, add_r)
-    return out
-
-
 _RIGHT_INTRODUCTIONS = RIGHT_BOX_RULES | {RuleId.IMP_R}
 
 
@@ -366,9 +337,11 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
     `a` is principal there and then shifts right; a right shift, where d1
     introduces `a` by impR or a right box rule, walks d2 until `a` is
     principal there too and cuts on smaller formulas.  For a boxed `a`,
-    `witness` derives the merged prefix extended with an empty component
-    holding the box body; it pays for eliminating the contextual copy when
-    the cut gets principal on the left side of d2.
+    `witness` derives the merged prefix where the right shift began,
+    extended with an empty component holding the box body; it pays for
+    eliminating the contextual copy when the cut gets principal on the left
+    side of d2.  The prefix only grows up d2, so the witness's context is
+    in every later target and `_contract_to` takes the surplus out.
     """
     mon.enter(complexity(a), d1.height + d2.height, 1 if left else 0)
     try:
@@ -396,17 +369,11 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
                 raise TransformError(f"{d.rule.value} at the cut component: weakening failed")
             return out
 
-        # Context case, restart and EW below the cut component included; an
-        # EW premiss keeps the components up to pos, so its witness is unchanged.
-        prems = []
-        for p in d.premisses:
-            if left:
-                prems.append(_shift(a, p, d2, pos, mon, True))
-            else:
-                w = None if witness is None else _adapt_witness(
-                    witness, d2.conclusion, p.conclusion, pos, a)
-                prems.append(_shift(a, d1, p, pos, mon, False, w))
-        return Derivation(target, d.rule, tuple(prems))
+        # Context case, restart and EW below the cut component included.
+        prems = tuple(_shift(a, p, d2, pos, mon, True) if left
+                      else _shift(a, d1, p, pos, mon, False, witness)
+                      for p in d.premisses)
+        return Derivation(target, d.rule, prems)
     finally:
         mon.exit()
 
@@ -465,7 +432,7 @@ def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
     sequents; only the full system with the two-premiss box rules supports
     the reduction.
     """
-    for d in (d1, d2):
+    for d in (d1,) if d1 is d2 else (d1, d2):
         if infer_variant(d) is not CalculusVariant.KT:
             raise ValueError("cut is defined for the full calculus only")
         res = check(d, CalculusVariant.KT)

@@ -1,10 +1,12 @@
-"""Kripke models, the forcing relation, and a bounded brute-force oracle."""
+"""Kripke models, the forcing relation, and a bounded brute-force oracle.
+
+The oracle enumerates every model with up to four worlds; for each frame it
+evaluates all valuations at once, one bit per valuation in a Python int.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, atoms, is_core
 from .sequent import LinearNestedSequent, formula_translation
@@ -119,6 +121,17 @@ def _postorder(f: Formula, seen: list, marked: set):
     seen.append(f)
 
 
+def _atom_lanes(bit: int, nv: int) -> int:
+    """The nv-bit set of valuations that have bit `bit` set, built by doubling
+    one period (2**bit clear lanes, then 2**bit set ones)."""
+    half = 1 << bit
+    out, width = ((1 << half) - 1) << half, 2 * half
+    while width < nv:
+        out |= out << width
+        width *= 2
+    return out
+
+
 def bounded_countermodel_search(
     f: Formula,
     max_worlds: int = 3,
@@ -129,8 +142,11 @@ def bounded_countermodel_search(
     falsifying f; returns the canonically first (model, world) or None.
 
     Enumeration order: ascending world count, then relation bitmask, then
-    valuation bitmask, then world index. The hit is re-verified with forces
-    before it is returned.
+    valuation bitmask, then world index. For a frame with k worlds, all
+    valuations are evaluated at once: a subformula's value at a world is an
+    int whose bit v is set when it holds there under valuation v, and bit
+    i*k + w of v makes atom i true at world w. The hit is re-verified with
+    forces before it is returned.
     """
     if not is_core(f):
         raise ValueError(f"not a core formula: {f}")
@@ -146,46 +162,39 @@ def bounded_countermodel_search(
     _postorder(f, subs, set())
 
     for k in range(1, max_worlds + 1):
-        full = (1 << k) - 1
         nv = 1 << (k * na)
-        vs = np.arange(nv, dtype=np.int64)
-        atom_masks = {}
-        for i, name in enumerate(names):
-            mask = np.zeros(nv, dtype=np.int64)
-            for w in range(k):
-                mask |= ((vs >> (i * k + w)) & 1) << w
-            atom_masks[name] = mask
-        zeros = np.zeros(nv, dtype=np.int64)
+        lanes = (1 << nv) - 1
+        atom_lanes = {name: [_atom_lanes(i * k + w, nv) for w in range(k)]
+                      for i, name in enumerate(names)}
         for r in range(1 << (k * k)):
-            succ = [0] * k
-            pred = [0] * k
-            for i in range(k):
-                for j in range(k):
-                    if r >> (i * k + j) & 1:
-                        succ[i] |= 1 << j
-                        pred[j] |= 1 << i
+            succ = [[j for j in range(k) if r >> (i * k + j) & 1] for i in range(k)]
+            pred = [[i for i in range(k) if r >> (i * k + j) & 1] for j in range(k)]
             if symmetric:
-                both = [succ[i] | pred[i] for i in range(k)]
-                succ = pred = both
-            memo: dict[Formula, np.ndarray] = {}
+                succ = pred = [s + p for s, p in zip(succ, pred)]
+            memo: dict[Formula, list[int]] = {}
             for g in subs:
                 if isinstance(g, Atom):
-                    memo[g] = atom_masks[g.name]
+                    memo[g] = atom_lanes[g.name]
                 elif isinstance(g, Bottom):
-                    memo[g] = zeros
+                    memo[g] = [0] * k
                 elif isinstance(g, Implies):
-                    memo[g] = (memo[g.left] ^ full) | memo[g.right]
+                    memo[g] = [(a ^ lanes) | b for a, b in zip(memo[g.left], memo[g.right])]
                 else:
                     body = memo[g.body]
-                    frame = succ if isinstance(g, Box) else pred
-                    acc = np.zeros(nv, dtype=np.int64)
-                    for w in range(k):
-                        acc |= ((body & frame[w]) == frame[w]).astype(np.int64) << w
-                    memo[g] = acc
+                    vals = []
+                    for frame in succ if isinstance(g, Box) else pred:
+                        acc = lanes
+                        for u in frame:
+                            acc &= body[u]
+                        vals.append(acc)
+                    memo[g] = vals
             res = memo[f]
-            bad = np.nonzero(res != full)[0]
-            if bad.size:
-                v0 = int(bad[0])
+            holds = lanes
+            for x in res:
+                holds &= x
+            bad = holds ^ lanes
+            if bad:
+                v0 = (bad & -bad).bit_length() - 1
                 worlds = tuple(f"w{i + 1}" for i in range(k))
                 edges = frozenset(
                     (worlds[i], worlds[j])
@@ -200,8 +209,7 @@ def bounded_countermodel_search(
                     for w in range(k)
                 }
                 model = KripkeModel(worlds, edges, {w: s for w, s in va.items() if s})
-                mask = int(res[v0])
-                w0 = next(worlds[w] for w in range(k) if not (mask >> w) & 1)
+                w0 = next(worlds[w] for w in range(k) if not res[w] >> v0 & 1)
                 if forces(model, w0, f, symmetric):
                     raise AssertionError("enumeration disagrees with forces")
                 return model, w0

@@ -217,22 +217,18 @@ def structurally_equivalent(a: LinearNestedSequent, b: LinearNestedSequent) -> b
 
 
 def merge(a: LinearNestedSequent, b: LinearNestedSequent) -> LinearNestedSequent:
-    """Componentwise multiset union.
+    """Componentwise multiset union, keeping the longer tail.
 
-    Defined for structurally equivalent sequents, and for the degenerate
-    clauses where one side has a single component: the longer tail is kept.
+    Defined when the shorter sequent is structurally equivalent to the
+    longer one's prefix; the shared components keep a's tags.
     """
-    if a.length == 1 or b.length == 1 or structurally_equivalent(a, b):
-        longer, n = (a, b.length) if a.length >= b.length else (b, a.length)
-        comps = []
-        for i, c in enumerate(longer.components):
-            if i < n:
-                other = (b if longer is a else a).components[i]
-                comps.append(Component(c.ant.union(other.ant), c.succ.union(other.succ), tag=c.tag))
-            else:
-                comps.append(c)
-        return LinearNestedSequent(tuple(comps), longer.links)
-    raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
+    longer, shorter = (a, b) if a.length >= b.length else (b, a)
+    n = shorter.length
+    if not structurally_equivalent(longer.prefix(n), shorter):
+        raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
+    comps = [Component(x.ant.union(y.ant), x.succ.union(y.succ), tag=x.tag)
+             for x, y in zip(a.components, b.components)]
+    return LinearNestedSequent(tuple(comps) + longer.components[n:], longer.links)
 
 
 def _disjunction(fs: list[Formula]) -> Formula:

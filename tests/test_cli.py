@@ -34,8 +34,11 @@ def test_parse_error_exit_three(capsys):
 
 
 def test_kb_forbids_full_calculus(capsys):
-    rc, _, err = run(capsys, "decide", "--logic", "kb", "--calculus", "lns", "p")
-    assert rc == 3 and "usage error" in err
+    for spelling in (["--calculus", "lns"], ["--calculus=lns"], ["--calc", "lns"]):
+        rc, _, err = run(capsys, "decide", "--logic", "kb", *spelling, "p")
+        assert rc == 3 and "usage error" in err, spelling
+    rc, _, _ = run(capsys, "decide", "--logic", "kb", "--calculus", "lns-star", "p -> [F]~[F]~p")
+    assert rc == 0
 
 
 def test_resource_limit_exit_two(capsys):

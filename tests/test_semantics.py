@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tenseprove
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, parse, desugar
 from tenseprove.semantics import (
     BudgetExceeded,
@@ -144,6 +148,57 @@ def test_bounded_search_guards():
     with pytest.raises(BudgetExceeded):
         bounded_countermodel_search(
             Implies(p, Implies(q, Implies(r, Atom("s1")))), 4, cap=1 << 20)
+
+
+# (formula, symmetric, first hit within 3 worlds as (worlds, edges, true
+# atoms per world, root), or None); pins the enumeration order.
+FIRST_HIT_PINS = [
+    ("p", False, (1, [], {}, "w1")),
+    ("[F]p -> p", False, (1, [], {}, "w1")),
+    ("[F]p -> [F][F]p", False, (2, [("w1", "w2"), ("w2", "w1")], {"w1": "p"}, "w2")),
+    ("p -> [F]<F>p", False, (2, [("w1", "w2")], {"w1": "p"}, "w1")),
+    ("<F>p & <F>q -> <F>(p & q)", False,
+     (2, [("w1", "w1"), ("w1", "w2")], {"w1": "q", "w2": "p"}, "w1")),
+    ("<P>(p & <P>q) -> <P><P>(p & q)", False,
+     (2, [("w1", "w1"), ("w2", "w1")], {"w1": "p", "w2": "q"}, "w1")),
+    ("<F><F><F>p -> <F>p | <F><F>p", False,
+     (3, [("w1", "w2"), ("w2", "w3"), ("w3", "w1")], {"w1": "p"}, "w1")),
+    ("<F>(p & [F]false) & <F>(~p & [F]false) -> q", False,
+     (3, [("w1", "w2"), ("w1", "w3")], {"w2": "p"}, "w1")),
+    ("p -> [F]<P>p", False, None),
+    ("p -> [F]<F>p", True, None),
+    ("p -> [F]p", True, (2, [("w1", "w2")], {"w1": "p"}, "w1")),
+    ("[F]p -> [F][F]p", True, (2, [("w1", "w2")], {"w1": "p"}, "w2")),
+    ("<F><F>p -> p | <F>p", True, (3, [("w1", "w2"), ("w1", "w3")], {"w2": "p"}, "w3")),
+    ("<F>p & <F>q & <F>r -> <F>(p & q) | <F>(q & r) | <F>(p & r)", True,
+     (3, [("w1", "w1"), ("w1", "w2"), ("w1", "w3")], {"w1": "r", "w2": "q", "w3": "p"}, "w1")),
+]
+
+
+@pytest.mark.parametrize("text,symmetric,want", FIRST_HIT_PINS)
+def test_bounded_search_first_hit_pinned(text, symmetric, want):
+    hit = bounded_countermodel_search(desugar(parse(text)), 3, symmetric=symmetric)
+    if want is None:
+        assert hit is None
+        return
+    m, w = hit
+    got = (len(m.worlds), sorted(m.edges),
+           {v: " ".join(sorted(a)) for v, a in m.true_atoms.items()}, w)
+    assert got == want
+
+
+def test_import_loads_only_the_standard_library():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tenseprove\n"
+        "print(' '.join({m.split('.')[0] for m in set(sys.modules) - before}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tenseprove.__file__)))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True).stdout.split()
+    assert "tenseprove" in loaded
+    assert sorted(m for m in loaded if m != "tenseprove" and m not in sys.stdlib_module_names) == []
 
 
 def test_model_json_and_dot():
