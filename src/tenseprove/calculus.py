@@ -240,16 +240,6 @@ def box_instances(s, v, saturating=True, tags=fresh_tag) -> list[RuleInstance]:
     return list(_instances(s, _BOX[v], saturating, tags))
 
 
-def applicable_rules(s, v, saturating, tags=fresh_tag) -> list[RuleInstance]:
-    """Every rule instance whose conclusion matches s, in priority order.
-
-    With saturating=True the termination side conditions are imposed and EW
-    is excluded; this is the enumeration backward search works from.
-    """
-    _check_variant(s, v)
-    return list(_instances(s, _PRIORITY[v], saturating, tags))
-
-
 def matching_instances(conclusion, rule: RuleId, prems, v):
     """The instances of `rule` on `conclusion` whose premisses are `prems`.
 

@@ -1,13 +1,20 @@
 """Command-line frontend: decide, prove, check, modelcheck, corpus.
 
+Each subcommand takes only the options it reads: decide/prove --logic
+--calculus --output --budget-nodes --budget-ms --certify; check --logic
+--calculus; modelcheck --logic --world; corpus --logic --calculus
+--budget-nodes --budget-ms.  The budget defaults are prover.Budget's;
+TENSEPROVE_BUDGET_MS, read by decide/prove/corpus only, replaces the default
+time limit, and every budget must be a positive integer.
+
 Exit codes for decide/prove: 0 valid, 1 invalid, 2 resource limit, 3 usage
-or parse error, 4 internal error.  A bad command line, an unreadable input
-file and malformed JSON are usage errors.  A crash, such as a recursion or
-memory error or a failed self-check, and a failed --certify exit 4 with one
-`internal error:` line on stderr, so no verdict code ever comes from a
-crash.  --certify re-checks the certificate as emitted: read back from its
-JSON form.  All reports are machine-readable; JSON outputs carry a
-schema-version field.
+or parse error, 4 internal error.  A bad command line or budget, an
+unreadable input file and malformed JSON are usage errors.  A crash, such
+as a recursion or memory error or a failed self-check, and a failed
+--certify exit 4 with one `internal error:` line on stderr, so no verdict
+code ever comes from a crash.  --certify re-checks the certificate as
+emitted: read back from its JSON form.  All reports are machine-readable;
+JSON outputs carry a schema-version field.
 """
 
 from __future__ import annotations
@@ -16,37 +23,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import metatheory, prover, semantics
 from .calculus import CalculusVariant
-from .formula import ParseError, collapse_backward, desugar, parse, print_ascii
+from .formula import ParseError, parse, print_ascii
 from .metatheory import derivation_from_json, derivation_to_json, derivation_to_latex
 from .prover import Budget, ResourceLimit, Valid
 from .semantics import KripkeModel
 from .sequent import single
 
 SCHEMA_VERSION = "1"
-DEFAULT_BUDGET_NODES = 1_000_000
-DEFAULT_BUDGET_MS = 30_000
-
-
-@dataclass
-class Config:
-    logic: str = "kt"
-    calculus: str = "lns-star"
-    output: str = "text"
-    budget_nodes: int = DEFAULT_BUDGET_NODES
-    budget_ms: int = DEFAULT_BUDGET_MS
-    certify: bool = False
-
-    def variant(self) -> CalculusVariant:
-        if self.logic == "kb":
-            return CalculusVariant.KB
-        return CalculusVariant.KT if self.calculus == "lns" else CalculusVariant.KT_STAR
-
-    def budget(self) -> Budget:
-        return Budget(self.budget_nodes, self.budget_ms)
 
 
 class UsageError(Exception):
@@ -61,21 +47,35 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _config_from(args) -> Config:
-    ms = args.budget_ms
-    if ms is None:
-        env = os.environ.get("TENSEPROVE_BUDGET_MS")
-        ms = int(env) if env else DEFAULT_BUDGET_MS
-    if args.logic == "kb" and args.calculus == "lns":
-        raise UsageError("--logic kb has a single rule set; --calculus lns does not apply")
-    return Config(
-        logic=args.logic,
-        calculus=args.calculus or "lns-star",
-        output=args.output,
-        budget_nodes=args.budget_nodes,
-        budget_ms=ms,
-        certify=getattr(args, "certify", False),
-    )
+def _variant(args) -> CalculusVariant:
+    if args.logic == "kb":
+        if args.calculus == "lns":
+            raise UsageError("--logic kb has a single rule set; --calculus lns does not apply")
+        return CalculusVariant.KB
+    return CalculusVariant.KT if args.calculus == "lns" else CalculusVariant.KT_STAR
+
+
+def _positive(name: str, value) -> int:
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
+    if n <= 0:
+        raise UsageError(f"{name} must be a positive integer, not {value!r}")
+    return n
+
+
+def _budget(args) -> Budget:
+    """--budget-nodes and --budget-ms, the time limit falling back to
+    TENSEPROVE_BUDGET_MS; a limit not given keeps prover.Budget's default."""
+    budget = Budget()
+    if args.budget_nodes is not None:
+        budget.max_nodes = _positive("--budget-nodes", args.budget_nodes)
+    if args.budget_ms is not None:
+        budget.max_ms = _positive("--budget-ms", args.budget_ms)
+    elif os.environ.get("TENSEPROVE_BUDGET_MS"):
+        budget.max_ms = _positive("TENSEPROVE_BUDGET_MS", os.environ["TENSEPROVE_BUDGET_MS"])
+    return budget
 
 
 def _read_text(arg: str) -> str:
@@ -104,18 +104,11 @@ def _read_json(path: str, kind: str, decode):
         raise UsageError(f"malformed {kind} in {path}: {type(e).__name__}: {e}") from None
 
 
-def _decide(formula_text: str, cfg: Config):
-    f = parse(formula_text.strip())
-    return prover.prove(f, cfg.variant(), cfg.budget()), f
-
-
 def _certify(outcome, f, v: CalculusVariant) -> bool:
     """Whether the certificate the CLI emits, read back from its JSON form,
     proves the verdict on f: a derivation must check and conclude exactly
     `=> f`, a model must not force f at its root."""
-    core = desugar(f)
-    if v is CalculusVariant.KB:
-        core = collapse_backward(core)
+    core = prover.core_formula(f, v)
     if isinstance(outcome, Valid):
         d = derivation_from_json(json.loads(json.dumps(derivation_to_json(outcome.derivation))))
         return bool(metatheory.check(d, v)) and d.conclusion == single((), (core,))
@@ -124,15 +117,9 @@ def _certify(outcome, f, v: CalculusVariant) -> bool:
                                 symmetric=(v is CalculusVariant.KB))
 
 
-def _report_decide(outcome, f, cfg: Config) -> int:
-    if isinstance(outcome, ResourceLimit):
-        print("resource limit reached", file=sys.stderr)
-        return 2
-    if cfg.certify and not _certify(outcome, f, cfg.variant()):
-        print("internal error: certification failed", file=sys.stderr)
-        return 4
+def _report_decide(outcome, f, output: str) -> int:
     if isinstance(outcome, Valid):
-        if cfg.output == "json":
+        if output == "json":
             print(json.dumps({
                 "schema": SCHEMA_VERSION,
                 "formula": print_ascii(f),
@@ -140,16 +127,16 @@ def _report_decide(outcome, f, cfg: Config) -> int:
                 "derivation": derivation_to_json(outcome.derivation),
                 "stats": outcome.stats.to_json(),
             }, indent=None, sort_keys=True))
-        elif cfg.output == "latex":
+        elif output == "latex":
             print(derivation_to_latex(outcome.derivation))
-        elif cfg.output == "dot":
+        elif output == "dot":
             print("// valid: no countermodel")
         else:
             print(f"valid: {print_ascii(f)}")
             print(f"derivation: {len(outcome.derivation.rules_used())} rule applications, "
                   f"height {outcome.derivation.height}")
         return 0
-    if cfg.output == "json":
+    if output == "json":
         print(json.dumps({
             "schema": SCHEMA_VERSION,
             "formula": print_ascii(f),
@@ -157,9 +144,9 @@ def _report_decide(outcome, f, cfg: Config) -> int:
             "model": outcome.model.to_json(outcome.root),
             "stats": outcome.stats.to_json(),
         }, indent=None, sort_keys=True))
-    elif cfg.output == "dot":
+    elif output == "dot":
         print(outcome.model.to_dot(outcome.root))
-    elif cfg.output == "latex":
+    elif output == "latex":
         print("% invalid: countermodel found")
     else:
         print(f"invalid: {print_ascii(f)}")
@@ -168,9 +155,16 @@ def _report_decide(outcome, f, cfg: Config) -> int:
 
 
 def cmd_decide(args) -> int:
-    cfg = _config_from(args)
-    outcome, f = _decide(_read_text(args.formula), cfg)
-    return _report_decide(outcome, f, cfg)
+    v, budget = _variant(args), _budget(args)
+    f = parse(_read_text(args.formula).strip())
+    outcome = prover.prove(f, v, budget)
+    if isinstance(outcome, ResourceLimit):
+        print("resource limit reached", file=sys.stderr)
+        return 2
+    if args.certify and not _certify(outcome, f, v):
+        print("internal error: certification failed", file=sys.stderr)
+        return 4
+    return _report_decide(outcome, f, args.output)
 
 
 def _derivation_from_report(data) -> metatheory.Derivation:
@@ -181,9 +175,9 @@ def _derivation_from_report(data) -> metatheory.Derivation:
 
 
 def cmd_check(args) -> int:
-    cfg = _config_from(args)
+    v = _variant(args)
     d = _read_json(args.derivation, "derivation", _derivation_from_report)
-    res = metatheory.check(d, cfg.variant())
+    res = metatheory.check(d, v)
     if res:
         print("ok")
         return 0
@@ -192,17 +186,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_modelcheck(args) -> int:
-    cfg = _config_from(args)
+    v = CalculusVariant.KB if args.logic == "kb" else CalculusVariant.KT
     m, root = _read_json(args.model, "model",
                          lambda data: (KripkeModel.from_json(data), data.get("root")))
     world = args.world or root
     if world is None:
         raise UsageError("no world: model JSON has no root and --world not given")
-    f = desugar(parse(_read_text(args.formula).strip()))
-    if cfg.logic == "kb":
-        f = collapse_backward(f)
+    f = prover.core_formula(parse(_read_text(args.formula).strip()), v)
     try:
-        ok = semantics.forces(m, world, f, symmetric=(cfg.logic == "kb"))
+        ok = semantics.forces(m, world, f, symmetric=(v is CalculusVariant.KB))
     except semantics.UnknownWorld as e:
         raise UsageError(f"world {e} is not in the model") from None
     print("forced" if ok else "not forced")
@@ -212,7 +204,7 @@ def cmd_modelcheck(args) -> int:
 def cmd_corpus(args) -> int:
     import time
 
-    cfg = _config_from(args)
+    v, budget = _variant(args), _budget(args)
     lines = [ln for ln in _read_file(args.corpus).splitlines() if ln.strip()]
     failures = 0
     rows = []
@@ -223,12 +215,12 @@ def cmd_corpus(args) -> int:
         if expected not in ("valid", "invalid", "unknown"):
             raise UsageError(f"bad expectation {expected!r} (want valid/invalid/unknown)")
         f = parse(text.strip())
-        outcome = prover.prove(f, cfg.variant(), cfg.budget())
+        outcome = prover.prove(f, v, budget)
         if isinstance(outcome, ResourceLimit):
             got, certified = "resource-limit", False
         else:
             got = "valid" if isinstance(outcome, Valid) else "invalid"
-            certified = _certify(outcome, f, cfg.variant())
+            certified = _certify(outcome, f, v)
         agree = expected == "unknown" or expected == got
         if not agree or not certified:
             failures += 1
@@ -246,33 +238,34 @@ def build_parser() -> argparse.ArgumentParser:
                          description="decision procedures for tense logic and KB")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, certify=False):
-        sp.add_argument("--logic", choices=("kt", "kb"), default="kt")
-        sp.add_argument("--calculus", choices=("lns", "lns-star"), default=None)
-        sp.add_argument("--output", choices=("text", "json", "dot", "latex"), default="text")
-        sp.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET_NODES)
-        sp.add_argument("--budget-ms", type=int, default=None)
-        if certify:
-            sp.add_argument("--certify", action="store_true")
+    options = {
+        "--logic": dict(choices=("kt", "kb"), default="kt"),
+        "--calculus": dict(choices=("lns", "lns-star"), default=None),
+        "--output": dict(choices=("text", "json", "dot", "latex"), default="text"),
+        "--budget-nodes": dict(type=int, default=None),
+        "--budget-ms": dict(type=int, default=None),
+        "--certify": dict(action="store_true"),
+        "--world": dict(default=None),
+    }
 
-    for name, help_text in (("decide", "decide a formula"), ("prove", "alias of decide")):
+    def subcommand(name, help_text, positionals, *opts):
         sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("formula", help="formula text, or - for stdin")
-        common(sp, certify=True)
+        for arg, arg_help in positionals:
+            sp.add_argument(arg, help=arg_help)
+        for opt in opts:
+            sp.add_argument(opt, **options[opt])
 
-    sp = sub.add_parser("check", help="check a derivation JSON file")
-    sp.add_argument("derivation", help="path to derivation JSON, or -")
-    common(sp)
-
-    sp = sub.add_parser("modelcheck", help="evaluate a formula in a model JSON file")
-    sp.add_argument("model", help="path to model JSON, or -")
-    sp.add_argument("formula", help="formula text")
-    sp.add_argument("--world", default=None)
-    common(sp)
-
-    sp = sub.add_parser("corpus", help="run a tab-separated expectation/formula file")
-    sp.add_argument("corpus", help="path to corpus file, or -")
-    common(sp)
+    search = ("--logic", "--calculus", "--budget-nodes", "--budget-ms")
+    for name, help_text in (("decide", "decide a formula"), ("prove", "alias of decide")):
+        subcommand(name, help_text, [("formula", "formula text, or - for stdin")],
+                   *search, "--output", "--certify")
+    subcommand("check", "check a derivation JSON file",
+               [("derivation", "path to derivation JSON, or -")], "--logic", "--calculus")
+    subcommand("modelcheck", "evaluate a formula in a model JSON file",
+               [("model", "path to model JSON, or -"), ("formula", "formula text")],
+               "--logic", "--world")
+    subcommand("corpus", "run a tab-separated expectation/formula file",
+               [("corpus", "path to corpus file, or -")], *search)
     return ap
 
 

@@ -203,22 +203,15 @@ def desugar(f: Formula) -> Formula:
 
 
 def collapse_backward(f: Formula) -> Formula:
-    """Identify the backward modalities with the forward ones (KB reading)."""
+    """Identify the backward box with the forward one in a core formula (KB
+    reading)."""
     if isinstance(f, (Atom, Bottom)):
         return f
     if isinstance(f, Implies):
         return Implies(collapse_backward(f.left), collapse_backward(f.right))
     if isinstance(f, (Box, BlackBox)):
         return Box(collapse_backward(f.body))
-    if isinstance(f, (Diamond, BlackDiamond)):
-        return Diamond(collapse_backward(f.body))
-    if isinstance(f, Not):
-        return Not(collapse_backward(f.body))
-    if isinstance(f, And):
-        return And(collapse_backward(f.left), collapse_backward(f.right))
-    if isinstance(f, Or):
-        return Or(collapse_backward(f.left), collapse_backward(f.right))
-    raise TypeError(f"not a formula: {f!r}")
+    raise TypeError(f"not a core formula: {f!r}")
 
 
 def _require_core(f: Formula):

@@ -102,12 +102,17 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
 
 
 def infer_variant(d: Derivation) -> CalculusVariant:
-    used = set(d.rules_used())
-    if used & {RuleId.KB_BOX_R, RuleId.KB_BOX_L1, RuleId.KB_BOX_L2}:
-        return CalculusVariant.KB
-    if used & {RuleId.BOX_R, RuleId.BBOX_R}:
-        return CalculusVariant.KT_STAR
-    return CalculusVariant.KT
+    """KB if d uses a KB rule, else KT* if it uses boxR or bboxR, else KT."""
+    v = CalculusVariant.KT
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.rule in (RuleId.KB_BOX_R, RuleId.KB_BOX_L1, RuleId.KB_BOX_L2):
+            return CalculusVariant.KB
+        if node.rule in (RuleId.BOX_R, RuleId.BBOX_R):
+            v = CalculusVariant.KT_STAR
+        stack.extend(node.premisses)
+    return v
 
 
 def _recheck(out: Derivation, v: CalculusVariant, what: str) -> Derivation:
@@ -141,17 +146,15 @@ def _contract(d: Derivation, pos: int, drop_l: Multiset, drop_r: Multiset) -> De
     return _edit(d, pos, lambda c: Component(c.ant.minus(drop_l), c.succ.minus(drop_r), tag=c.tag))
 
 
-def weaken(d: Derivation, position: int, add_left=(), add_right=(),
-           variant: CalculusVariant | None = None) -> Derivation:
+def weaken(d: Derivation, position: int, add_left=(), add_right=()) -> Derivation:
     """Add formulas to one component everywhere it survives in the derivation."""
     if not 0 <= position < d.conclusion.length:
         raise PositionOutOfRange(position)
     out = _weaken(d, position, Multiset(add_left), Multiset(add_right))
-    return _recheck(out, variant or infer_variant(d), "weaken")
+    return _recheck(out, infer_variant(d), "weaken")
 
 
-def contract(d: Derivation, position: int, side: str, f: Formula,
-             variant: CalculusVariant | None = None) -> Derivation:
+def contract(d: Derivation, position: int, side: str, f: Formula) -> Derivation:
     """Remove one of at least two copies of f from a component, derivation-wide."""
     if not 0 <= position < d.conclusion.length:
         raise PositionOutOfRange(position)
@@ -162,7 +165,7 @@ def contract(d: Derivation, position: int, side: str, f: Formula,
     drop = Multiset((f,))
     out = (_contract(d, position, drop, Multiset()) if side == "left"
            else _contract(d, position, Multiset(), drop))
-    return _recheck(out, variant or infer_variant(d), "contract")
+    return _recheck(out, infer_variant(d), "contract")
 
 
 # --- generalised initial sequents --------------------------------------------

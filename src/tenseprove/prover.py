@@ -45,10 +45,6 @@ class InternalModelError(SearchInvariantError):
     pass
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 class BudgetExhausted(Exception):
     def __init__(self, stats: "Statistics"):
         super().__init__(f"search budget exhausted after {stats.nodes} nodes")
@@ -137,7 +133,7 @@ class _Search:
         self.stats.nodes += 1
         self.stats.max_length = max(self.stats.max_length, s.length)
         if self.stats.nodes > self.budget.max_nodes or time.monotonic() > self.deadline:
-            raise _BudgetExceeded
+            raise BudgetExhausted(self.stats)
 
     def fresh(self) -> int:
         return next(self.tags)
@@ -244,10 +240,8 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
     t0 = time.monotonic()
     try:
         tree = eng.expand(s)
-    except _BudgetExceeded:
+    finally:
         eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
-        raise BudgetExhausted(eng.stats) from None
-    eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return tree.status, tree, eng.stats
 
 
@@ -348,13 +342,16 @@ def prove_sequent(s: LinearNestedSequent, v: CalculusVariant = CalculusVariant.K
     return Invalid(model, root, stats)
 
 
+def core_formula(f: Formula, v: CalculusVariant) -> Formula:
+    """f in the core connectives, read under v: for KB, [P] is [F]."""
+    g = desugar(f)
+    return collapse_backward(g) if v is CalculusVariant.KB else g
+
+
 def prove(f: Formula | str, v: CalculusVariant = CalculusVariant.KT_STAR,
           budget: Budget | None = None) -> SearchOutcome:
     """Decide a formula: Valid with a derivation of ( => f), Invalid with a
     countermodel falsifying it at the root, or ResourceLimit."""
-    g = parse(f) if isinstance(f, str) else f
-    g = desugar(g)
-    if v is CalculusVariant.KB:
-        g = collapse_backward(g)
+    g = core_formula(parse(f) if isinstance(f, str) else f, v)
     end = LinearNestedSequent((Component(Multiset(), Multiset((g,)), tag=0),), ())
     return prove_sequent(end, v, budget)

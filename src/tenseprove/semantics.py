@@ -142,7 +142,9 @@ def bounded_countermodel_search(
     falsifying f; returns the canonically first (model, world) or None.
 
     Enumeration order: ascending world count, then relation bitmask, then
-    valuation bitmask, then world index. For a frame with k worlds, all
+    valuation bitmask, then world index; under the symmetric reading only
+    relations without an edge (i, j), i > j, are tried, since every other
+    relation has the closure of a smaller one. For a frame with k worlds, all
     valuations are evaluated at once: a subformula's value at a world is an
     int whose bit v is set when it holds there under valuation v, and bit
     i*k + w of v makes atom i true at world w. The hit is re-verified with
@@ -166,7 +168,10 @@ def bounded_countermodel_search(
         lanes = (1 << nv) - 1
         atom_lanes = {name: [_atom_lanes(i * k + w, nv) for w in range(k)]
                       for i, name in enumerate(names)}
+        lower = sum(1 << (i * k + j) for i in range(k) for j in range(i)) if symmetric else 0
         for r in range(1 << (k * k)):
+            if r & lower:
+                continue
             succ = [[j for j in range(k) if r >> (i * k + j) & 1] for i in range(k)]
             pred = [[i for i in range(k) if r >> (i * k + j) & 1] for j in range(k)]
             if symmetric:

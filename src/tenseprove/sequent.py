@@ -12,6 +12,7 @@ from .formula import (
     Formula,
     Implies,
     Polarity,
+    core_and,
     core_or,
     parse,
     print_ascii,
@@ -203,10 +204,6 @@ class LinearNestedSequent:
         return cls(comps, links)
 
 
-def sequent(*comps: Component, links=()) -> LinearNestedSequent:
-    return LinearNestedSequent(tuple(comps), tuple(links))
-
-
 def single(ants=(), succs=(), tag: int = -1) -> LinearNestedSequent:
     return LinearNestedSequent((component(ants, succs, tag),), ())
 
@@ -245,7 +242,7 @@ def _conjunction(fs: list[Formula]) -> Formula:
         return top()
     out = fs[-1]
     for f in reversed(fs[:-1]):
-        out = Implies(Implies(f, Implies(out, Bottom())), Bottom())
+        out = core_and(f, out)
     return out
 
 

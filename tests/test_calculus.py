@@ -5,22 +5,34 @@ from hypothesis import given
 
 from conftest import small_sequents
 from tenseprove.calculus import (
+    _PRIORITY,
     RESTART_RULES,
     CalculusVariant,
     RuleId,
     VariantMismatch,
-    applicable_rules,
+    _check_variant,
+    _instances,
     box_instances,
     is_valid_instance,
 )
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, desugar
 from tenseprove.semantics import KripkeModel, falsifies
-from tenseprove.sequent import LinearNestedSequent, component, single
+from tenseprove.sequent import LinearNestedSequent, component, fresh_tag, single
 from tenseprove.metatheory import Derivation, check
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+
+
+def applicable_rules(s, v, saturating):
+    """Every rule instance whose conclusion matches s, in priority order.
+
+    With saturating=True the termination side conditions are imposed and EW
+    is excluded; this is the enumeration backward search works from.
+    """
+    _check_variant(s, v)
+    return list(_instances(s, _PRIORITY[v], saturating, fresh_tag))
 
 
 def seq(*parts):

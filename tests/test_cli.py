@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from tenseprove import cli, prover
 from tenseprove.cli import main
 from tenseprove.semantics import KripkeModel
@@ -242,3 +244,54 @@ def test_corpus_has_no_certify_flag(capsys, tmp_path):
     path.write_text("valid\tp -> p\n")
     rc, _, err = run(capsys, "corpus", "--certify", str(path))
     assert rc == 3 and err.startswith("usage error:")
+
+
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A derivation, a model and a corpus file, each accepted as it is."""
+    derivation = tmp_path / "d.json"
+    derivation.write_text(json.dumps(cli.derivation_to_json(prover.prove("p -> p").derivation)))
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({"worlds": ["u"], "edges": [], "root": "u"}))
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("valid\tp -> p\n")
+    return {"derivation": str(derivation), "model": str(model), "corpus": str(corpus)}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--output", "json", "{derivation}"),
+    ("check", "--budget-nodes", "1", "{derivation}"),
+    ("modelcheck", "--calculus", "lns", "{model}", "p"),
+    ("modelcheck", "--budget-ms", "5", "{model}", "p"),
+    ("modelcheck", "--output", "latex", "{model}", "p"),
+    ("corpus", "--output", "json", "{corpus}"),
+], ids=" ".join)
+def test_subcommand_rejects_an_option_it_does_not_read(capsys, files, argv):
+    rc, _, err = run(capsys, *(a.format(**files) for a in argv))
+    assert rc == 3 and err.startswith("usage error:")
+
+
+@pytest.mark.parametrize("argv", [("decide", "p -> p"), ("corpus", "{corpus}")], ids=" ".join)
+def test_bad_budget_environment_is_a_usage_error(capsys, monkeypatch, files, argv):
+    monkeypatch.setenv("TENSEPROVE_BUDGET_MS", "abc")
+    rc, _, err = run(capsys, *(a.format(**files) for a in argv))
+    assert rc == 3 and err.startswith("usage error: TENSEPROVE_BUDGET_MS")
+    assert len(err.splitlines()) == 1
+
+
+def test_budget_environment_is_not_read_by_check_or_modelcheck(capsys, monkeypatch, files):
+    monkeypatch.setenv("TENSEPROVE_BUDGET_MS", "abc")
+    rc, out, _ = run(capsys, "check", files["derivation"])
+    assert rc == 0 and out.strip() == "ok"
+    rc, out, _ = run(capsys, "modelcheck", files["model"], "p -> p")
+    assert rc == 0 and out.strip() == "forced"
+
+
+@pytest.mark.parametrize("option,value", [
+    ("--budget-nodes", "0"), ("--budget-nodes", "-5"), ("--budget-ms", "0"),
+])
+def test_budget_must_be_positive(capsys, option, value):
+    rc, _, err = run(capsys, "decide", option, value, "p -> p")
+    assert rc == 3 and err.startswith(f"usage error: {option} must be a positive integer")

@@ -151,7 +151,8 @@ def test_bounded_search_guards():
 
 
 # (formula, symmetric, first hit within 3 worlds as (worlds, edges, true
-# atoms per world, root), or None); pins the enumeration order.
+# atoms per world, root), or None); pins the enumeration order.  The
+# entries of FIRST_HIT_PINS_4 are searched within 4 worlds.
 FIRST_HIT_PINS = [
     ("p", False, (1, [], {}, "w1")),
     ("[F]p -> p", False, (1, [], {}, "w1")),
@@ -173,11 +174,17 @@ FIRST_HIT_PINS = [
     ("<F>p & <F>q & <F>r -> <F>(p & q) | <F>(q & r) | <F>(p & r)", True,
      (3, [("w1", "w1"), ("w1", "w2"), ("w1", "w3")], {"w1": "r", "w2": "q", "w3": "p"}, "w1")),
 ]
+FIRST_HIT_PINS_4 = [
+    ("p -> [F]~[F]~p", True, None),
+    ("p & [F]p & [F][F]p -> [F][F][F]p", True,
+     (4, [("w1", "w2"), ("w1", "w4"), ("w2", "w3")], {"w1": "p", "w2": "p", "w3": "p"}, "w3")),
+]
 
 
-@pytest.mark.parametrize("text,symmetric,want", FIRST_HIT_PINS)
+@pytest.mark.parametrize("text,symmetric,want", FIRST_HIT_PINS + FIRST_HIT_PINS_4)
 def test_bounded_search_first_hit_pinned(text, symmetric, want):
-    hit = bounded_countermodel_search(desugar(parse(text)), 3, symmetric=symmetric)
+    max_worlds = 4 if (text, symmetric, want) in FIRST_HIT_PINS_4 else 3
+    hit = bounded_countermodel_search(desugar(parse(text)), max_worlds, symmetric=symmetric)
     if want is None:
         assert hit is None
         return
