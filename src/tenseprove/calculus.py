@@ -12,7 +12,7 @@ that force progress) and checking (saturating=False, schema only), where
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity
@@ -152,13 +152,14 @@ def _restart(rule: RuleId, kind, link: Polarity):
         for f in _of_kind(s.last.ant, kind):
             if saturating and f.body in second.ant:
                 continue
-            absorber = replace(second, ant=second.ant.add(f.body), restarts=second.restarts + 1)
+            absorber = Component(second.ant.add(f.body), second.succ, second.tag,
+                                 second.restarts + 1)
             yield RuleInstance(rule, f, (shorter.replace_component(s.length - 2, absorber),))
 
     return instances
 
 
-def _right_box(rule: RuleId, kind, links: frozenset):
+def _right_box(rule: RuleId, kind, links: tuple):
     """A `kind` box in the last succedent, when the last link (None for a
     single component) is in `links`, opens a component holding its body.
 
@@ -185,7 +186,7 @@ def _right_box(rule: RuleId, kind, links: frozenset):
 
 
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
-_ANY_LINK = frozenset((None, FWD, BWD))
+_ANY_LINK = (None, FWD, BWD)
 
 _INSTANCES = {
     RuleId.ID: _id,
@@ -199,10 +200,10 @@ _INSTANCES = {
     RuleId.BOX_L2: _restart(RuleId.BOX_L2, Box, BWD),
     RuleId.BBOX_L2: _restart(RuleId.BBOX_L2, BlackBox, FWD),
     RuleId.KB_BOX_L2: _restart(RuleId.KB_BOX_L2, Box, FWD),
-    RuleId.BOX_R1: _right_box(RuleId.BOX_R1, Box, frozenset((BWD,))),
-    RuleId.BBOX_R1: _right_box(RuleId.BBOX_R1, BlackBox, frozenset((FWD,))),
-    RuleId.BOX_R2: _right_box(RuleId.BOX_R2, Box, frozenset((None, FWD))),
-    RuleId.BBOX_R2: _right_box(RuleId.BBOX_R2, BlackBox, frozenset((None, BWD))),
+    RuleId.BOX_R1: _right_box(RuleId.BOX_R1, Box, (BWD,)),
+    RuleId.BBOX_R1: _right_box(RuleId.BBOX_R1, BlackBox, (FWD,)),
+    RuleId.BOX_R2: _right_box(RuleId.BOX_R2, Box, (None, FWD)),
+    RuleId.BBOX_R2: _right_box(RuleId.BBOX_R2, BlackBox, (None, BWD)),
     RuleId.BOX_R: _right_box(RuleId.BOX_R, Box, _ANY_LINK),
     RuleId.BBOX_R: _right_box(RuleId.BBOX_R, BlackBox, _ANY_LINK),
     RuleId.KB_BOX_R: _right_box(RuleId.KB_BOX_R, Box, _ANY_LINK),
@@ -220,13 +221,16 @@ _PRIORITY = {
         RuleId.KB_BOX_L1, RuleId.KB_BOX_L2, RuleId.KB_BOX_R, RuleId.EW),
 }
 RULES_BY_VARIANT = {v: frozenset(rules) for v, rules in _PRIORITY.items()}
-_SATURATION = {v: tuple(r for r in rules if r not in RIGHT_BOX_RULES and r is not RuleId.EW)
+# The instance generators search tries, per variant, in priority order.
+_SATURATION = {v: tuple(_INSTANCES[r] for r in rules
+                        if r not in RIGHT_BOX_RULES and r is not RuleId.EW)
                for v, rules in _PRIORITY.items()}
-_BOX = {v: tuple(r for r in rules if r in RIGHT_BOX_RULES) for v, rules in _PRIORITY.items()}
+_BOX = {v: tuple(_INSTANCES[r] for r in rules if r in RIGHT_BOX_RULES)
+        for v, rules in _PRIORITY.items()}
 
 
-def _instances(s, rules, saturating, tags):
-    return chain.from_iterable(_INSTANCES[r](s, saturating, tags) for r in rules)
+def _instances(s, generators, saturating, tags):
+    return chain.from_iterable(g(s, saturating, tags) for g in generators)
 
 
 def saturation_instance(s, v, tags=fresh_tag) -> RuleInstance | None:

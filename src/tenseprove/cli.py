@@ -3,7 +3,8 @@
 Each subcommand takes only the options it reads: decide/prove --logic
 --calculus --output --budget-nodes --budget-ms --certify; check --logic
 --calculus; modelcheck --logic --world; corpus --logic --calculus
---budget-nodes --budget-ms.  The budget defaults are prover.Budget's;
+--budget-nodes --budget-ms.  An option of another subcommand is a usage
+error that names it.  The budget defaults are prover.Budget's;
 TENSEPROVE_BUDGET_MS, read by decide/prove/corpus only, replaces the default
 time limit, and every budget must be a positive integer.
 
@@ -45,6 +46,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+class _NotTaken(argparse.Action):
+    """Records an option of another subcommand, with its value if it takes
+    one, so the value is not read as a positional and the usage error names
+    the option."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        name = self.option_strings[0]
+        if name not in namespace.not_taken:
+            namespace.not_taken = namespace.not_taken + (name,)
 
 
 def _variant(args) -> CalculusVariant:
@@ -252,8 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         for arg, arg_help in positionals:
             sp.add_argument(arg, help=arg_help)
-        for opt in opts:
-            sp.add_argument(opt, **options[opt])
+        for opt, kwargs in options.items():
+            if opt in opts:
+                sp.add_argument(opt, **kwargs)
+            else:
+                nargs = 0 if kwargs.get("action") == "store_true" else None
+                sp.add_argument(opt, action=_NotTaken, nargs=nargs, help=argparse.SUPPRESS)
+        sp.set_defaults(not_taken=())
 
     search = ("--logic", "--calculus", "--budget-nodes", "--budget-ms")
     for name, help_text in (("decide", "decide a formula"), ("prove", "alias of decide")):
@@ -272,6 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.not_taken:
+            raise UsageError(f"{args.command} does not take {', '.join(args.not_taken)}")
         if args.command in ("decide", "prove"):
             return cmd_decide(args)
         if args.command == "check":

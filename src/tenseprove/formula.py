@@ -281,10 +281,28 @@ def strict_subformulas(f: Formula) -> frozenset[Formula]:
 def sort_key(f: Formula) -> str:
     """Canonical total order on core formulas, used wherever determinism
     matters: the printed text, cached on the node.  It does not depend on
-    which formulas were built before, as an order by object id would."""
+    which formulas were built before, as an order by object id would.
+
+    A node's text is composed from its children's cached text with
+    print_ascii's parentheses: only an implication that is a left side or a
+    box body gets them."""
     text = f._text
     if text is None:
-        text = print_ascii(f)
+        cls = type(f)
+        if cls is Atom:
+            text = f.name
+        elif cls is Bottom:
+            text = _ASCII["bot"]
+        elif cls is Implies:
+            left = sort_key(f.left)
+            if type(f.left) is Implies:
+                left = f"({left})"
+            text = f"{left} {_ASCII['imp']} {sort_key(f.right)}"
+        else:
+            body = sort_key(f.body)
+            if type(f.body) is Implies:
+                body = f"({body})"
+            text = _ASCII["box" if cls is Box else "bbox"] + body
         _set(f, "_text", text)
     return text
 

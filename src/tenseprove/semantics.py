@@ -30,9 +30,6 @@ class KripkeModel:
     edges: frozenset[tuple[str, str]]
     true_atoms: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def holds(self, w: str, atom: str) -> bool:
-        return atom in self.true_atoms.get(w, frozenset())
-
     def successors(self, w: str, symmetric: bool = False):
         out = {v for (u, v) in self.edges if u == w}
         if symmetric:
@@ -89,20 +86,47 @@ def forces(m: KripkeModel, w: str, f: Formula, symmetric: bool = False) -> bool:
 
     With symmetric=True both modalities quantify over the symmetric closure
     of the relation, which is how KB countermodels are checked.
+
+    Each (world, subformula) pair is evaluated at most once per call, so the
+    cost is linear in the model size times the number of distinct
+    subformulas.  Only worlds the evaluation visits are checked against
+    m.worlds; an implication's right side and a box's remaining worlds are
+    skipped once the value is known.
     """
-    if w not in m.worlds:
-        raise UnknownWorld(w)
-    if isinstance(f, Atom):
-        return m.holds(w, f.name)
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Implies):
-        return not forces(m, w, f.left, symmetric) or forces(m, w, f.right, symmetric)
-    if isinstance(f, Box):
-        return all(forces(m, v, f.body, symmetric) for v in m.successors(w, symmetric))
-    if isinstance(f, BlackBox):
-        return all(forces(m, v, f.body, symmetric) for v in m.predecessors(w, symmetric))
-    raise ValueError(f"not a core formula: {f}")
+    worlds, true_atoms = m.worlds, m.true_atoms
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = succ if symmetric else {}
+    for u, v in m.edges:
+        succ.setdefault(u, []).append(v)
+        pred.setdefault(v, []).append(u)
+    memo: dict[tuple[str, Formula], bool] = {}
+
+    def ev(w: str, f: Formula) -> bool:
+        key = (w, f)
+        val = memo.get(key)
+        if val is not None:
+            return val
+        if w not in worlds:
+            raise UnknownWorld(w)
+        cls = type(f)
+        if cls is Atom:
+            val = f.name in true_atoms.get(w, ())
+        elif cls is Bottom:
+            val = False
+        elif cls is Implies:
+            val = not ev(w, f.left) or ev(w, f.right)
+        elif cls is Box or cls is BlackBox:
+            val = True
+            for v in (succ if cls is Box else pred).get(w, ()):
+                if not ev(v, f.body):
+                    val = False
+                    break
+        else:
+            raise ValueError(f"not a core formula: {f}")
+        memo[key] = val
+        return val
+
+    return ev(w, f)
 
 
 def falsifies(m: KripkeModel, w: str, s: LinearNestedSequent, symmetric: bool = False) -> bool:

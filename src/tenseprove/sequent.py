@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .formula import (
     BlackBox,
@@ -28,7 +28,7 @@ class MergeUndefined(Exception):
 class Multiset:
     """Immutable multiset of formulas; iteration follows the canonical order."""
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts", "_hash", "_order")
 
     def __init__(self, items=()):
         counts: dict[Formula, int] = {}
@@ -36,12 +36,14 @@ class Multiset:
             counts[f] = counts.get(f, 0) + 1
         self._counts = counts
         self._hash = None
+        self._order = None
 
     @classmethod
     def _raw(cls, counts: dict) -> Multiset:
         m = object.__new__(cls)
         m._counts = counts
         m._hash = None
+        m._order = None
         return m
 
     def add(self, f: Formula, n: int = 1) -> Multiset:
@@ -86,8 +88,11 @@ class Multiset:
     def count(self, f: Formula) -> int:
         return self._counts.get(f, 0)
 
-    def distinct(self) -> list[Formula]:
-        return sorted(self._counts, key=sort_key)
+    def distinct(self) -> tuple[Formula, ...]:
+        """The distinct elements in sort_key order, sorted on first use."""
+        if self._order is None:
+            self._order = tuple(sorted(self._counts, key=sort_key))
+        return self._order
 
     def __contains__(self, f: Formula) -> bool:
         return f in self._counts
@@ -124,10 +129,10 @@ class Component:
     restarts: int = field(default=0, compare=False)
 
     def with_ant(self, f: Formula) -> Component:
-        return replace(self, ant=self.ant.add(f))
+        return Component(self.ant.add(f), self.succ, self.tag, self.restarts)
 
     def with_succ(self, f: Formula) -> Component:
-        return replace(self, succ=self.succ.add(f))
+        return Component(self.ant, self.succ.add(f), self.tag, self.restarts)
 
     def render(self, printer=print_ascii) -> str:
         left = ", ".join(printer(f) for f in self.ant.distinct())

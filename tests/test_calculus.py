@@ -5,6 +5,7 @@ from hypothesis import given
 
 from conftest import small_sequents
 from tenseprove.calculus import (
+    _INSTANCES,
     _PRIORITY,
     RESTART_RULES,
     CalculusVariant,
@@ -17,7 +18,7 @@ from tenseprove.calculus import (
 )
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, desugar
 from tenseprove.semantics import KripkeModel, falsifies
-from tenseprove.sequent import LinearNestedSequent, component, fresh_tag, single
+from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, fresh_tag, single
 from tenseprove.metatheory import Derivation, check
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
@@ -32,7 +33,7 @@ def applicable_rules(s, v, saturating):
     is excluded; this is the enumeration backward search works from.
     """
     _check_variant(s, v)
-    return list(_instances(s, _PRIORITY[v], saturating, fresh_tag))
+    return list(_instances(s, [_INSTANCES[r] for r in _PRIORITY[v]], saturating, fresh_tag))
 
 
 def seq(*parts):
@@ -64,6 +65,21 @@ def test_bbox_l2_deletes_last_component():
     assert len(insts) == 1
     prem = insts[0].premisses[0]
     assert prem.length == 1 and p in prem.components[0].ant
+
+
+@pytest.mark.parametrize("v,rule,link,box", [
+    (KT, RuleId.BOX_L2, BWD, Box),
+    (KT, RuleId.BBOX_L2, FWD, BlackBox),
+    (KB, RuleId.KB_BOX_L2, FWD, Box),
+])
+def test_restart_absorber_counts_the_restart(v, rule, link, box):
+    # The search watchdog bounds the restarts a component has absorbed.
+    before = Component(Multiset([q]), Multiset([r]), tag=4, restarts=2)
+    s = seq(before, link, component([box(p)], []))
+    inst = next(i for i in applicable_rules(s, v, True) if i.rule is rule)
+    absorber = inst.premisses[0].last
+    assert (absorber.tag, absorber.restarts) == (4, 3)
+    assert absorber.ant == Multiset([q, p]) and absorber.succ == before.succ
 
 
 def test_imp_r_premiss_keeps_principal():

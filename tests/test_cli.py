@@ -273,6 +273,20 @@ def test_subcommand_rejects_an_option_it_does_not_read(capsys, files, argv):
     assert rc == 3 and err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("check", "--output", "json", "--budget-nodes", "1", "{derivation}"),
+     "check does not take --output, --budget-nodes"),
+    (("modelcheck", "--calculus", "lns", "{model}", "p"), "modelcheck does not take --calculus"),
+    (("corpus", "--certify", "--world", "u", "{corpus}"), "corpus does not take --certify, --world"),
+    (("decide", "--world", "u", "p"), "decide does not take --world"),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else "")
+def test_usage_error_names_the_options_not_taken(capsys, files, argv, message):
+    # The value of an option the subcommand does not take is not read as
+    # its positional argument.
+    rc, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert rc == 3 and out == "" and err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [("decide", "p -> p"), ("corpus", "{corpus}")], ids=" ".join)
 def test_bad_budget_environment_is_a_usage_error(capsys, monkeypatch, files, argv):
     monkeypatch.setenv("TENSEPROVE_BUDGET_MS", "abc")

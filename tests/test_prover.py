@@ -157,6 +157,15 @@ def test_kb_certified():
                                 symmetric=True)
 
 
+def test_kb_deep_countermodel_is_certified():
+    # depth_bad(24): the symmetric reading of [F]^24 p visits about 2^24
+    # world paths unless each (world, subformula) pair is evaluated once.
+    f = desugar(parse("[F]" * 24 + "p -> " + "[F]" * 25 + "p"))
+    out = prove(f, KB)
+    assert isinstance(out, Invalid)
+    assert not semantics.forces(out.model, out.root, f, symmetric=True)
+
+
 def test_deterministic_output():
     a = prove("[F]p -> [F][F]p", KTS)
     b = prove("[F]p -> [F][F]p", KTS)

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tenseprove
-from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, parse, desugar
+from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, desugar, modal_degree, parse
 from tenseprove.semantics import (
     BudgetExceeded,
     KripkeModel,
@@ -59,6 +59,18 @@ def test_unknown_world():
     m = KripkeModel(("w",), frozenset())
     with pytest.raises(UnknownWorld):
         forces(m, "nope", p)
+    # A world outside m.worlds is an error only when the evaluation visits it.
+    dangling = KripkeModel(("w",), frozenset({("w", "x")}))
+    assert not forces(dangling, "w", p)
+    with pytest.raises(UnknownWorld):
+        forces(dangling, "w", Box(p))
+    assert forces(dangling, "w", Implies(Bottom(), Box(p)))
+
+
+def test_forces_rejects_a_surface_formula():
+    m = KripkeModel(("w",), frozenset())
+    with pytest.raises(ValueError):
+        forces(m, "w", parse("~p"))
 
 
 def test_symmetric_closure_reading():
@@ -102,6 +114,56 @@ def test_spot_check_against_naive_evaluator():
         w = rng.choice(worlds)
         sym = rng.random() < 0.3
         assert forces(m, w, f, sym) == naive_forces(m, w, f, sym)
+
+
+def _deep_core(rng, degree):
+    """A random core formula of modal degree at least `degree`: a modal spine
+    with small random formulas on either side of implications."""
+    f, d = rng.choice([p, q, Bottom()]), 0
+    while d < degree:
+        if rng.random() < 0.6:
+            f, d = rng.choice([Box, BlackBox])(f), d + 1
+        else:
+            side = _random_core(rng, 4)
+            f = Implies(f, side) if rng.random() < 0.5 else Implies(side, f)
+    return f
+
+
+def test_deep_formulas_on_larger_models_against_naive_evaluator():
+    # Here one (world, subformula) pair is reached along many paths, so an
+    # evaluator that shares those visits must still give the reference's
+    # answer, under both readings.
+    rng = random.Random(7177)
+    for n in range(300):
+        k = rng.randint(1, 6)
+        worlds = tuple(f"w{i}" for i in range(k))
+        edges = frozenset(
+            (a, b) for a in worlds for b in worlds if rng.random() < 0.4)
+        val = {
+            w: frozenset(a for a in ("p", "q") if rng.random() < 0.6) for w in worlds
+        }
+        m = KripkeModel(worlds, edges, {w: s for w, s in val.items() if s})
+        f = _deep_core(rng, rng.randint(6, 8))
+        assert modal_degree(f) >= 6
+        w = rng.choice(worlds)
+        sym = n % 2 == 1
+        assert forces(m, w, f, sym) == naive_forces(m, w, f, sym)
+
+
+def test_deep_box_on_long_symmetric_path():
+    # w0 - w1 - ... - w40 read symmetrically: the walks of exactly 40 steps
+    # from w0 end at every even-indexed world and at no odd one.  There are
+    # about 10^11 such walks, so this only finishes if each (world,
+    # subformula) pair is evaluated once.
+    worlds = tuple(f"w{i}" for i in range(41))
+    edges = frozenset(zip(worlds, worlds[1:]))
+    f = p
+    for _ in range(40):
+        f = Box(f)
+    even = {w: frozenset({"p"}) for w in worlds[::2]}
+    assert forces(KripkeModel(worlds, edges, even), "w0", f, symmetric=True)
+    del even["w40"]
+    assert not forces(KripkeModel(worlds, edges, even), "w0", f, symmetric=True)
 
 
 def _random_core(rng, size):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import small_sequents
-from tenseprove.formula import Atom, Box, Polarity, parse
+from tenseprove.formula import Atom, Box, Polarity, parse, sort_key
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
     Component,
@@ -163,6 +163,22 @@ def test_multiset_semantics():
     with pytest.raises(KeyError):
         m.remove_one(r)
     assert Multiset([p]).subset(m)
+
+
+def test_distinct_is_cached_in_sort_key_order():
+    m = Multiset([Box(q), p, parse("p -> q"), p, Box(p)])
+    first = m.distinct()
+    assert m.distinct() is first
+    assert first == tuple(sorted({p, Box(p), Box(q), parse("p -> q")}, key=sort_key))
+    assert m.add(r).distinct() == tuple(sorted(first + (r,), key=sort_key))
+
+
+def test_component_edits_keep_tag_and_restarts():
+    c = Component(Multiset([p]), Multiset([q]), tag=7, restarts=3)
+    for edited in (c.with_ant(r), c.with_succ(r)):
+        assert (edited.tag, edited.restarts) == (7, 3)
+    assert c.with_ant(r).ant == Multiset([p, r]) and c.with_ant(r).succ == c.succ
+    assert c.with_succ(r).succ == Multiset([q, r]) and c.with_succ(r).ant == c.ant
 
 
 def test_tags_ignored_by_equality():
