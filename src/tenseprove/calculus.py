@@ -77,8 +77,8 @@ def _last_link(s: LinearNestedSequent) -> Polarity | None:
     return s.links[-1] if s.links else None
 
 
-def _of_kind(ms: Multiset, kind) -> list[Formula]:
-    return [f for f in ms.distinct() if isinstance(f, kind)]
+# botL's one principal, interned for as long as this module is loaded.
+_BOTTOM = Bottom()
 
 
 # --- propositional rules and external weakening -------------------------------
@@ -86,19 +86,19 @@ def _of_kind(ms: Multiset, kind) -> list[Formula]:
 
 def _id(s, saturating, tags):
     last = s.last
-    for f in _of_kind(last.ant, Atom):
+    for f in last.ant.of_kind(Atom):
         if f in last.succ:
             yield RuleInstance(RuleId.ID, f, ())
 
 
 def _bot_l(s, saturating, tags):
-    if Bottom() in s.last.ant:
-        yield RuleInstance(RuleId.BOT_L, Bottom(), ())
+    if _BOTTOM in s.last.ant:
+        yield RuleInstance(RuleId.BOT_L, _BOTTOM, ())
 
 
 def _imp_r(s, saturating, tags):
     last = s.last
-    for f in _of_kind(last.succ, Implies):
+    for f in last.succ.of_kind(Implies):
         if saturating and f.left in last.ant and f.right in last.succ:
             continue
         p = s.replace_component(s.length - 1, last.with_ant(f.left).with_succ(f.right))
@@ -107,7 +107,7 @@ def _imp_r(s, saturating, tags):
 
 def _imp_l(s, saturating, tags):
     last = s.last
-    for f in _of_kind(last.ant, Implies):
+    for f in last.ant.of_kind(Implies):
         if saturating and (f.right in last.ant or f.left in last.succ):
             continue
         p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
@@ -132,7 +132,7 @@ def _propagation(rule: RuleId, kind, link: Polarity):
         if _last_link(s) is not link:
             return
         last, second = s.last, s.components[-2]
-        for f in _of_kind(second.ant, kind):
+        for f in second.ant.of_kind(kind):
             if saturating and f.body in last.ant:
                 continue
             yield RuleInstance(rule, f, (s.replace_component(s.length - 1, last.with_ant(f.body)),))
@@ -149,7 +149,7 @@ def _restart(rule: RuleId, kind, link: Polarity):
             return
         shorter = s.drop_last()
         second = shorter.last
-        for f in _of_kind(s.last.ant, kind):
+        for f in s.last.ant.of_kind(kind):
             if saturating and f.body in second.ant:
                 continue
             absorber = Component(second.ant.add(f.body), second.succ, second.tag,
@@ -172,7 +172,7 @@ def _right_box(rule: RuleId, kind, links: tuple):
     def instances(s, saturating, tags):
         if _last_link(s) not in links:
             return
-        for f in _of_kind(s.last.succ, kind):
+        for f in s.last.succ.of_kind(kind):
             left = ()
             if two_premiss:
                 second = s.components[-2]

@@ -90,10 +90,15 @@ class CheckResult:
 
 
 def check(d: Derivation, v: CalculusVariant) -> CheckResult:
-    """Validate every node against the rule schemas of the given variant."""
+    """Validate every node against the rule schemas of the given variant; a
+    node shared by several premisses is validated once."""
     stack = [(d, ())]
+    seen: set[int] = set()
     while stack:
         node, path = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if not is_valid_instance(node.conclusion, node.rule, [p.conclusion for p in node.premisses], v):
             return CheckResult(False, path, f"invalid {node.rule.value} at {node.conclusion.render()}")
         for i, p in enumerate(node.premisses):

@@ -1,10 +1,13 @@
 """Backward proof search with restarts, pruning, and countermodel extraction.
 
 The engine applies the rule groups in priority order (termination, CPL,
-propagation, restart) and only then branches over the right box rules.  A
-failed search tree is pruned so that only the final incarnation of each
-restarted component survives, and the surviving saturated leaves are glued
-into a Kripke countermodel.  Both kinds of output are re-verified before
+propagation, restart) and only then branches over the right box rules.
+Search is a function of the sequent's contents, and different box-choice
+orders restart into equal premisses, so each search explores a restart
+premiss once and shares the subtree at every later occurrence.  A failed
+search tree is pruned so that only the final incarnation of each restarted
+component survives, and the surviving saturated leaves are glued into a
+Kripke countermodel.  Both kinds of output are re-verified before
 they are reported: derivations against the checker, models against the
 forcing relation.
 """
@@ -24,7 +27,6 @@ from .formula import (
     Polarity,
     collapse_backward,
     desugar,
-    modal_degree,
     parse,
     strict_subformulas,
 )
@@ -47,29 +49,41 @@ class InternalModelError(SearchInvariantError):
 
 class BudgetExhausted(Exception):
     def __init__(self, stats: "Statistics"):
-        super().__init__(f"search budget exhausted after {stats.nodes} nodes")
+        super().__init__(f"search budget exhausted after {stats.expanded} expanded nodes")
         self.stats = stats
 
 
 @dataclass
 class Budget:
-    max_nodes: int = 1_000_000
+    max_nodes: int = 1_000_000  # bounds Statistics.expanded
     max_ms: int = 30_000
 
 
 @dataclass
 class Statistics:
+    """nodes, restarts and max_length measure the search tree as if every
+    shared subtree were explored again; expanded counts the expansions run,
+    and cache_hits the restart premisses found already explored."""
+
     nodes: int = 0
     restarts: int = 0
     max_length: int = 1
+    expanded: int = 0
+    cache_hits: int = 0
     elapsed_ms: int = 0
 
     def to_json(self) -> dict:
-        return {"nodes": self.nodes, "restarts": self.restarts, "max_length": self.max_length}
+        return {"nodes": self.nodes, "restarts": self.restarts, "max_length": self.max_length,
+                "expanded": self.expanded, "cache_hits": self.cache_hits}
 
 
 CLOSED = "closed"
 FAILED = "failed"
+
+# Tuples, not the public frozensets: a search node tests one rule against
+# them, and hashing an Enum member runs Python code.
+_RESTART_RULES = tuple(calculus.RESTART_RULES)
+_TWO_PREMISS_BOX_RULES = tuple(calculus.TWO_PREMISS_BOX_RULES)
 
 
 @dataclass
@@ -81,6 +95,9 @@ class SearchNode:
     status: str
     left_derivation: Derivation | None = None
     stuck: bool = False
+    # A failed restart premiss found already explored: this node has its
+    # own sequent and shares the children of `origin`, the first occurrence.
+    origin: SearchNode | None = None
 
 
 @dataclass
@@ -128,12 +145,17 @@ class _Search:
         self.deadline = time.monotonic() + budget.max_ms / 1000.0
         self.tags = itertools.count(max(c.tag for c in end.components) + 1)
         self.restart_bound = len(strict_subformulas_of(end)) + 1
+        # restart premiss -> (node, nodes, restarts, max_length of its subtree)
+        self.restarted: dict[LinearNestedSequent, tuple[SearchNode, int, int, int]] = {}
 
     def tick(self, s: LinearNestedSequent):
-        self.stats.nodes += 1
-        self.stats.max_length = max(self.stats.max_length, s.length)
-        if self.stats.nodes > self.budget.max_nodes or time.monotonic() > self.deadline:
-            raise BudgetExhausted(self.stats)
+        st = self.stats
+        st.nodes += 1
+        st.expanded += 1
+        if s.length > st.max_length:
+            st.max_length = s.length
+        if st.expanded > self.budget.max_nodes or time.monotonic() > self.deadline:
+            raise BudgetExhausted(st)
 
     def fresh(self) -> int:
         return next(self.tags)
@@ -144,11 +166,13 @@ class _Search:
         if inst is not None:
             if inst.rule in (RuleId.ID, RuleId.BOT_L):
                 return SearchNode(s, "leaf", inst, [], CLOSED)
-            if inst.rule in calculus.RESTART_RULES:
+            if inst.rule in _RESTART_RULES:
                 self.stats.restarts += 1
                 absorber = inst.premisses[0].last
                 if absorber.restarts > self.restart_bound:
                     raise SearchInvariantError("restart count exceeded the subformula bound")
+                child = self.expand_restarted(inst.premisses[0])
+                return SearchNode(s, "step", inst, [child], child.status)
             children = []
             for p in inst.premisses:
                 c = self.expand(p)
@@ -170,11 +194,39 @@ class _Search:
                 "left premiss of a two-premiss box rule could not be derived")
         return SearchNode(s, "and", None, explored, FAILED)
 
+    def expand_restarted(self, p: LinearNestedSequent) -> SearchNode:
+        """The subtree of a restart premiss, explored once per search.
+
+        Sequent equality ignores tags, so an equal premiss seen before
+        answers: a closed node is shared as it is, a failed one through a
+        node with p's own sequent (prune retags its kept part).  Either way
+        the statistics grow by the stored subtree's totals.
+        """
+        st = self.stats
+        seen = self.restarted.get(p)
+        if seen is not None:
+            node, nodes, restarts, length = seen
+            st.cache_hits += 1
+            st.nodes += nodes
+            st.restarts += restarts
+            st.max_length = max(st.max_length, length)
+            if node.status == CLOSED:
+                return node
+            return SearchNode(p, node.kind, node.applied, node.children, FAILED, origin=node)
+        nodes, restarts, outer_length = st.nodes, st.restarts, st.max_length
+        st.max_length = p.length
+        try:
+            node = self.expand(p)
+        finally:  # a budget stop must still report the whole search's maximum
+            length, st.max_length = st.max_length, max(outer_length, st.max_length)
+        self.restarted[p] = (node, st.nodes - nodes, st.restarts - restarts, length)
+        return node
+
     def expand_box(self, s: LinearNestedSequent, inst: RuleInstance) -> SearchNode:
         grown = inst.premisses[-1]
         if max_degree(grown.last) >= max_degree(s.last):
             raise SearchInvariantError("modal degree failed to drop at a box step")
-        if inst.rule in calculus.TWO_PREMISS_BOX_RULES:
+        if inst.rule in _TWO_PREMISS_BOX_RULES:
             right = self.expand(grown)
             if right.status == FAILED:
                 return SearchNode(s, "step", inst, [right], FAILED)
@@ -214,21 +266,30 @@ def strict_subformulas_of(s: LinearNestedSequent):
 
 
 def max_degree(c: Component) -> int:
-    degs = [modal_degree(f) for f in c.ant.distinct()] + [modal_degree(f) for f in c.succ.distinct()]
-    return max(degs, default=0)
+    return max(c.ant.max_degree(), c.succ.max_degree())
 
 
 def derivation_from(node: SearchNode, v: CalculusVariant) -> Derivation:
+    """The derivation of a closed tree; a subtree search shared is built
+    once and shared in the derivation too."""
     if node.status != CLOSED:
         raise SearchInvariantError("no derivation in a failed tree")
-    if node.kind == "leaf":
-        return Derivation(node.sequent, node.applied.rule)
-    rule = node.applied.rule
-    if rule in calculus.TWO_PREMISS_BOX_RULES:
-        right = derivation_from(node.children[0], v)
-        return Derivation(node.sequent, rule, (node.left_derivation, right))
-    prems = tuple(derivation_from(c, v) for c in node.children)
-    return Derivation(node.sequent, rule, prems)
+    built: dict[int, Derivation] = {}
+
+    def build(n: SearchNode) -> Derivation:
+        d = built.get(id(n))
+        if d is None:
+            rule = n.applied.rule
+            if n.kind == "leaf":
+                d = Derivation(n.sequent, rule)
+            elif rule in _TWO_PREMISS_BOX_RULES:
+                d = Derivation(n.sequent, rule, (n.left_derivation, build(n.children[0])))
+            else:
+                d = Derivation(n.sequent, rule, tuple(build(c) for c in n.children))
+            built[id(n)] = d
+        return d
+
+    return build(node)
 
 
 def search(s: LinearNestedSequent, v: CalculusVariant,
@@ -260,32 +321,76 @@ def prune(t: SearchNode) -> PrunedNode:
     """
     if t.status != FAILED:
         raise SearchInvariantError("prune expects a failed tree")
-    node, _ = _prune(t)
+    node, _ = _Pruner().prune(t)
     return node
 
 
-def _prune(n: SearchNode) -> tuple[PrunedNode, bool]:
-    """Returns the pruned subtree and whether a restart collapse is still
-    travelling down from it."""
-    if n.kind == "leaf":
-        return PrunedNode(n.sequent, None, "leaf"), False
-    if n.kind == "and":
-        pruned = [_prune(c) for c in n.children]
-        collapsed = [p for p, flag in pruned if flag]
-        if collapsed:
-            best = min(collapsed, key=lambda p: p.sequent.length)
-            return best, best.sequent.length < n.sequent.length
-        return PrunedNode(n.sequent, None, "and", [p for p, _ in pruned]), False
-    failed = next(c for c in n.children if c.status == FAILED)
-    child, flag = _prune(failed)
-    rule = n.applied.rule
-    if rule in calculus.RESTART_RULES:
-        if flag and child.sequent.length < n.sequent.length - 1:
+class _Pruner:
+    """One prune of a failed tree.  A subtree search shared is pruned once;
+    each further occurrence gets a copy of the kept part with its own tags,
+    so the pruned tree is the one a search without sharing would give, up to
+    the names of its tags."""
+
+    def __init__(self):
+        self.kept: dict[int, tuple[PrunedNode, bool]] = {}
+        self.unused_tags = itertools.count(-1, -1)  # search tags are >= 0
+
+    def prune(self, n: SearchNode) -> tuple[PrunedNode, bool]:
+        """Returns the pruned subtree and whether a restart collapse is still
+        travelling down from it."""
+        if n.kind == "leaf":
+            return PrunedNode(n.sequent, None, "leaf"), False
+        if n.kind == "and":
+            pruned = [self.prune(c) for c in n.children]
+            collapsed = [p for p, flag in pruned if flag]
+            if collapsed:
+                best = min(collapsed, key=lambda p: p.sequent.length)
+                return best, best.sequent.length < n.sequent.length
+            return PrunedNode(n.sequent, None, "and", [p for p, _ in pruned]), False
+        rule = n.applied.rule
+        if rule in _RESTART_RULES:
+            child, flag = self.restarted(n.children[0])
+            if flag and child.sequent.length < n.sequent.length - 1:
+                return child, True
+            return PrunedNode(n.sequent.prefix(n.sequent.length - 1), rule, "step", [child]), True
+        child, flag = self.prune(next(c for c in n.children if c.status == FAILED))
+        if flag:
             return child, True
-        return PrunedNode(n.sequent.prefix(n.sequent.length - 1), rule, "step", [child]), True
-    if flag:
-        return child, True
-    return PrunedNode(n.sequent, rule, "step", [child]), False
+        return PrunedNode(n.sequent, rule, "step", [child]), False
+
+    def restarted(self, n: SearchNode) -> tuple[PrunedNode, bool]:
+        """prune(n) for a restart premiss, once per explored premiss."""
+        if n.origin is not None:
+            node, flag = self.restarted(n.origin)
+            return self.retag(node, n.origin.sequent, n.sequent), flag
+        out = self.kept.get(id(n))
+        if out is None:
+            out = self.kept[id(n)] = self.prune(n)
+        return out
+
+    def retag(self, node: PrunedNode, source: LinearNestedSequent,
+              target: LinearNestedSequent) -> PrunedNode:
+        """A copy of node, pruned below source, for the occurrence target:
+        source's tags become target's, position by position, and every other
+        tag a new one, as a fresh exploration would have opened new worlds."""
+        tags = {a.tag: b.tag for a, b in zip(source.components, target.components)}
+        copies: dict[int, Component] = {}
+
+        def component(c: Component) -> Component:
+            out = copies.get(id(c))
+            if out is None:
+                tag = tags.get(c.tag)
+                if tag is None:
+                    tag = tags[c.tag] = next(self.unused_tags)
+                out = copies[id(c)] = Component(c.ant, c.succ, tag, c.restarts)
+            return out
+
+        def copy(n: PrunedNode) -> PrunedNode:
+            s = n.sequent
+            s = LinearNestedSequent(tuple(map(component, s.components)), s.links)
+            return PrunedNode(s, n.rule, n.kind, [copy(c) for c in n.children])
+
+        return copy(node)
 
 
 def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:

@@ -14,6 +14,7 @@ from .formula import (
     Polarity,
     core_and,
     core_or,
+    modal_degree,
     parse,
     print_ascii,
     sort_key,
@@ -28,22 +29,20 @@ class MergeUndefined(Exception):
 class Multiset:
     """Immutable multiset of formulas; iteration follows the canonical order."""
 
-    __slots__ = ("_counts", "_hash", "_order")
+    __slots__ = ("_counts", "_hash", "_order", "_kinds", "_degree")
 
     def __init__(self, items=()):
         counts: dict[Formula, int] = {}
         for f in items:
             counts[f] = counts.get(f, 0) + 1
         self._counts = counts
-        self._hash = None
-        self._order = None
+        self._hash = self._order = self._kinds = self._degree = None
 
     @classmethod
     def _raw(cls, counts: dict) -> Multiset:
         m = object.__new__(cls)
         m._counts = counts
-        m._hash = None
-        m._order = None
+        m._hash = m._order = m._kinds = m._degree = None
         return m
 
     def add(self, f: Formula, n: int = 1) -> Multiset:
@@ -93,6 +92,24 @@ class Multiset:
         if self._order is None:
             self._order = tuple(sorted(self._counts, key=sort_key))
         return self._order
+
+    def of_kind(self, kind: type) -> tuple[Formula, ...]:
+        """The distinct elements of class `kind`, in distinct() order; the
+        partition by class is built on first use."""
+        kinds = self._kinds
+        if kinds is None:
+            kinds = self._kinds = {}
+            for f in self.distinct():
+                t = type(f)
+                kinds[t] = kinds[t] + (f,) if t in kinds else (f,)
+        return kinds.get(kind, ())
+
+    def max_degree(self) -> int:
+        """The largest modal degree of an element (0 when empty), computed
+        on first use."""
+        if self._degree is None:
+            self._degree = max(map(modal_degree, self._counts), default=0)
+        return self._degree
 
     def __contains__(self, f: Formula) -> bool:
         return f in self._counts

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 
 from tenseprove import semantics
@@ -12,6 +13,7 @@ from tenseprove.prover import (
     Invalid,
     ResourceLimit,
     Valid,
+    core_formula,
     extract_model,
     prove,
     prove_sequent,
@@ -179,7 +181,7 @@ def test_statistics_shape():
     out = prove("[F](p -> q) -> ([F]p -> [F]q)", KTS)
     st = out.stats
     assert st.nodes > 0 and st.max_length >= 2 and st.elapsed_ms >= 0
-    assert set(st.to_json()) == {"nodes", "restarts", "max_length"}
+    assert set(st.to_json()) == {"nodes", "restarts", "max_length", "expanded", "cache_hits"}
 
 
 def _ph(n):
@@ -243,3 +245,146 @@ def test_search_order_does_not_depend_on_interning_history():
     alive.append(desugar(parse(_ph(3))))
     second = {(t, v): _search_record(t, v) for t in families for v in (KT, KTS, KB)}
     assert second == first
+
+
+def _fan(n):
+    return " | ".join([f"[F]p{i}" for i in range(n)] + [f"[P]~[F]q{i}" for i in range(n)])
+
+
+def test_restart_sharing_decides_fan_7_and_8_inside_the_default_budget():
+    # Without sharing, fan(7) expands 301,439 nodes and fan(8) would need
+    # 2,740,070, beyond Budget().max_nodes; nodes still counts them all.
+    for n, nodes, restarts, worlds, most_expanded in ((7, 301_439, 13_699, 15, 4_000),
+                                                      (8, 2_740_070, 109_600, 17, 8_000)):
+        out = prove(_fan(n), KTS, Budget())
+        assert isinstance(out, Invalid)
+        assert not semantics.forces(out.model, out.root, desugar(parse(_fan(n))))
+        st = out.stats
+        assert (st.nodes, st.restarts, len(out.model.worlds)) == (nodes, restarts, worlds)
+        assert st.expanded < most_expanded and st.cache_hits > 0
+
+
+# Both box choices at the root open a component that impL completes to the
+# same contents, so the restart premiss under the second is the one under
+# the first; the pruned tree keeps both branches, and each must give its own
+# worlds, as a search that explored the premiss twice would.
+SHARED_PREMISS_KEPT_TWICE = "[F](b -> a) -> [F](a -> b) -> [F]<P>[F]q -> [F]a | [F]b"
+
+
+def test_shared_failed_restart_premiss_kept_twice_gets_its_own_worlds():
+    kt_edges = [["w0", "w1"], ["w0", "w3"], ["w2", "w1"], ["w4", "w3"]]
+    kb_edges = [["w0", "w1"], ["w0", "w3"], ["w1", "w2"], ["w3", "w4"]]
+    for v, edges in ((KT, kt_edges), (KTS, kt_edges), (KB, kb_edges)):
+        out = prove(SHARED_PREMISS_KEPT_TWICE, v)
+        assert isinstance(out, Invalid)
+        st = out.stats
+        assert (st.nodes, st.restarts, st.expanded, st.cache_hits) == (33, 2, 30, 1)
+        assert out.model.to_json(out.root) == {
+            "worlds": ["w0", "w1", "w2", "w3", "w4"], "edges": edges, "root": "w0",
+            "valuation": {"w1": {"q": True}, "w3": {"q": True}}}
+        f = core_formula(parse(SHARED_PREMISS_KEPT_TWICE), v)
+        assert not semantics.forces(out.model, out.root, f, symmetric=(v is KB))
+
+
+_FAMILIES = {
+    "fan": _fan,
+    "chain": lambda n: "p -> " + "[F]<P>" * n + "p",
+    "chain_bad": lambda n: "p -> " + "[F]<P>" * n + "q",
+    "depth_bad": lambda n: "[F]" * n + "p -> " + "[F]" * (n + 1) + "p",
+}
+
+# (family, n, variant, verdict, nodes, restarts, max_length, first 16 hex
+# digits of the sha256 of the certificate JSON), recorded from a search that
+# explored every restart premiss anew: sharing repeated restart subtrees
+# must change none of them.
+CERTIFICATE_PINS = [
+    ("fan", 1, KT, "Invalid", 11, 1, 2, "e4f906a2c0a34077"),
+    ("fan", 1, KTS, "Invalid", 11, 1, 2, "e4f906a2c0a34077"),
+    ("fan", 1, KB, "Invalid", 11, 1, 2, "eb70a85d559e8a36"),
+    ("fan", 2, KT, "Invalid", 44, 4, 2, "7a8d6f43ad8d93ae"),
+    ("fan", 2, KTS, "Invalid", 44, 4, 2, "7a8d6f43ad8d93ae"),
+    ("fan", 2, KB, "Invalid", 44, 4, 2, "4c6c65e1f9845746"),
+    ("fan", 3, KT, "Invalid", 175, 15, 2, "744b73f5b7b285d5"),
+    ("fan", 3, KTS, "Invalid", 175, 15, 2, "744b73f5b7b285d5"),
+    ("fan", 3, KB, "Invalid", 175, 15, 2, "8bc5be068a3a5efe"),
+    ("fan", 4, KT, "Invalid", 866, 64, 2, "8bf28acdfa58d88c"),
+    ("fan", 4, KTS, "Invalid", 866, 64, 2, "8bf28acdfa58d88c"),
+    ("fan", 4, KB, "Invalid", 866, 64, 2, "a827ba001626aa0b"),
+    ("fan", 5, KT, "Invalid", 5243, 325, 2, "38dc2430fcf0ec5d"),
+    ("fan", 5, KTS, "Invalid", 5243, 325, 2, "38dc2430fcf0ec5d"),
+    ("fan", 5, KB, "Invalid", 5243, 325, 2, "6d2b94443ecb46a4"),
+    ("fan", 6, KT, "Invalid", 37216, 1956, 2, "c42191ac9769ea12"),
+    ("fan", 6, KTS, "Invalid", 37216, 1956, 2, "c42191ac9769ea12"),
+    ("fan", 6, KB, "Invalid", 37216, 1956, 2, "81602ab32cf54648"),
+    ("chain", 1, KT, "Valid", 7, 1, 2, "39e29c8fa0e664c7"),
+    ("chain", 1, KTS, "Valid", 7, 1, 2, "61b6e33f8955997a"),
+    ("chain", 1, KB, "Valid", 7, 1, 2, "7612645f683a9b9b"),
+    ("chain", 2, KT, "Valid", 14, 2, 2, "741acb7adf2562ed"),
+    ("chain", 2, KTS, "Valid", 14, 2, 2, "d27823d625667e0f"),
+    ("chain", 2, KB, "Valid", 14, 2, 2, "7df6a5e45f0e4791"),
+    ("chain", 3, KT, "Valid", 23, 3, 2, "cd20cc164b652da4"),
+    ("chain", 3, KTS, "Valid", 23, 3, 2, "10d2b9147ab60e3c"),
+    ("chain", 3, KB, "Valid", 23, 3, 2, "e287e0d48020b43d"),
+    ("chain", 4, KT, "Valid", 34, 4, 2, "8543a715dbd27082"),
+    ("chain", 4, KTS, "Valid", 34, 4, 2, "05a5f8576596e835"),
+    ("chain", 4, KB, "Valid", 34, 4, 2, "c23c9be5de2c4ffd"),
+    ("chain", 5, KT, "Valid", 47, 5, 2, "3b2872638906cb2c"),
+    ("chain", 5, KTS, "Valid", 47, 5, 2, "2b7b235981c42abd"),
+    ("chain", 5, KB, "Valid", 47, 5, 2, "3e16c8a3c4a93933"),
+    ("chain", 6, KT, "Valid", 62, 6, 2, "9b949a4a0c5ea42b"),
+    ("chain", 6, KTS, "Valid", 62, 6, 2, "5731fe822bd571df"),
+    ("chain", 6, KB, "Valid", 62, 6, 2, "1a41659a34137201"),
+    ("chain", 7, KT, "Valid", 79, 7, 2, "253e3730d6d05b93"),
+    ("chain", 7, KTS, "Valid", 79, 7, 2, "a2855309761b9a20"),
+    ("chain", 7, KB, "Valid", 79, 7, 2, "f1eefe609f3e5bad"),
+    ("chain", 8, KT, "Valid", 98, 8, 2, "cf7a55e7a2ff9a86"),
+    ("chain", 8, KTS, "Valid", 98, 8, 2, "3e61523220c14d6c"),
+    ("chain", 8, KB, "Valid", 98, 8, 2, "ae3781b847a00d34"),
+    ("chain_bad", 1, KT, "Invalid", 9, 1, 2, "3b7b04aa3b67915a"),
+    ("chain_bad", 1, KTS, "Invalid", 9, 1, 2, "3b7b04aa3b67915a"),
+    ("chain_bad", 1, KB, "Invalid", 9, 1, 2, "3b7b04aa3b67915a"),
+    ("chain_bad", 2, KT, "Invalid", 18, 2, 2, "1101382caf064a3c"),
+    ("chain_bad", 2, KTS, "Invalid", 18, 2, 2, "1101382caf064a3c"),
+    ("chain_bad", 2, KB, "Invalid", 18, 2, 2, "1101382caf064a3c"),
+    ("chain_bad", 3, KT, "Invalid", 29, 3, 2, "cad1a4e8b88c5cdd"),
+    ("chain_bad", 3, KTS, "Invalid", 29, 3, 2, "cad1a4e8b88c5cdd"),
+    ("chain_bad", 3, KB, "Invalid", 29, 3, 2, "cad1a4e8b88c5cdd"),
+    ("chain_bad", 4, KT, "Invalid", 42, 4, 2, "9ad8bbf802dcbdaf"),
+    ("chain_bad", 4, KTS, "Invalid", 42, 4, 2, "9ad8bbf802dcbdaf"),
+    ("chain_bad", 4, KB, "Invalid", 42, 4, 2, "9ad8bbf802dcbdaf"),
+    ("chain_bad", 5, KT, "Invalid", 57, 5, 2, "aeb7910708b1e0ce"),
+    ("chain_bad", 5, KTS, "Invalid", 57, 5, 2, "aeb7910708b1e0ce"),
+    ("chain_bad", 5, KB, "Invalid", 57, 5, 2, "aeb7910708b1e0ce"),
+    ("chain_bad", 6, KT, "Invalid", 74, 6, 2, "7ed96fe86fde4c0e"),
+    ("chain_bad", 6, KTS, "Invalid", 74, 6, 2, "7ed96fe86fde4c0e"),
+    ("chain_bad", 6, KB, "Invalid", 74, 6, 2, "7ed96fe86fde4c0e"),
+    ("chain_bad", 7, KT, "Invalid", 93, 7, 2, "b65432267b2f74d7"),
+    ("chain_bad", 7, KTS, "Invalid", 93, 7, 2, "b65432267b2f74d7"),
+    ("chain_bad", 7, KB, "Invalid", 93, 7, 2, "b65432267b2f74d7"),
+    ("chain_bad", 8, KT, "Invalid", 114, 8, 2, "dee6af9f6abe85be"),
+    ("chain_bad", 8, KTS, "Invalid", 114, 8, 2, "dee6af9f6abe85be"),
+    ("chain_bad", 8, KB, "Invalid", 114, 8, 2, "dee6af9f6abe85be"),
+    ("depth_bad", 2, KB, "Invalid", 10, 1, 4, "62133491743f5d10"),
+    ("depth_bad", 4, KB, "Invalid", 20, 2, 6, "f5c6a8b9d63ab3af"),
+    ("depth_bad", 6, KB, "Invalid", 33, 3, 8, "4d2e39e954aabda0"),
+    ("depth_bad", 8, KB, "Invalid", 49, 4, 10, "10944ad594dae0b3"),
+    ("depth_bad", 10, KB, "Invalid", 68, 5, 12, "37c7e48e90d5cbdc"),
+    ("depth_bad", 12, KB, "Invalid", 90, 6, 14, "e6f033a830438f59"),
+    ("depth_bad", 14, KB, "Invalid", 115, 7, 16, "aad074c7df1f4823"),
+    ("depth_bad", 16, KB, "Invalid", 143, 8, 18, "8938af4c7af302ab"),
+]
+
+
+def test_restart_sharing_keeps_verdicts_counts_and_certificates():
+    for family, n, v, verdict, nodes, restarts, max_length, digest in CERTIFICATE_PINS:
+        kind, *counts, cert = _search_record(_FAMILIES[family](n), v)
+        got = (kind, *counts, hashlib.sha256(cert.encode()).hexdigest()[:16])
+        assert got == (verdict, nodes, restarts, max_length, digest), (family, n, v)
+
+
+def test_budget_stop_inside_a_restart_subtree_reports_the_whole_search():
+    text = "p -> " + "[F]<P>" * 3 + "q"
+    for n in range(2, 29):
+        out = prove(text, KTS, Budget(max_nodes=n))
+        assert isinstance(out, ResourceLimit)
+        assert (out.stats.expanded, out.stats.nodes, out.stats.max_length) == (n + 1, n + 1, 2)
