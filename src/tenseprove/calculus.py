@@ -5,8 +5,10 @@ three makers given the box kind and the links the rule acts across.  A
 priority-ordered rule tuple per variant gives its rule set and search order.
 The generators yield RuleInstance values carrying their premisses, so the
 same code serves backward search (saturating=True, with the side conditions
-that force progress) and checking (saturating=False, schema only), where
-`matching_instances` builds the premisses of the one rule being checked.
+that force progress) and checking (saturating=False, schema only).  The
+conclusion, the rule and the principal formula fix the premisses, so given
+a principal (`only`) a generator builds that one instance: `instance` is
+how the checker and certificate replay build premisses.
 """
 
 from __future__ import annotations
@@ -80,34 +82,40 @@ def _last_link(s: LinearNestedSequent) -> Polarity | None:
 # botL's one principal, interned for as long as this module is loaded.
 _BOTTOM = Bottom()
 
+# The `only` of a generator that yields the instances of every principal.
+ANY = object()
+
 
 # --- propositional rules and external weakening -------------------------------
 
 
-def _id(s, saturating, tags):
+def _id(s, saturating, tags, only=ANY):
     last = s.last
-    for f in last.ant.of_kind(Atom):
+    for f in last.ant.of_kind(Atom) if only is ANY else (
+            (only,) if type(only) is Atom and only in last.ant else ()):
         if f in last.succ:
             yield RuleInstance(RuleId.ID, f, ())
 
 
-def _bot_l(s, saturating, tags):
-    if _BOTTOM in s.last.ant:
+def _bot_l(s, saturating, tags, only=ANY):
+    if (only is ANY or only is _BOTTOM) and _BOTTOM in s.last.ant:
         yield RuleInstance(RuleId.BOT_L, _BOTTOM, ())
 
 
-def _imp_r(s, saturating, tags):
+def _imp_r(s, saturating, tags, only=ANY):
     last = s.last
-    for f in last.succ.of_kind(Implies):
+    for f in last.succ.of_kind(Implies) if only is ANY else (
+            (only,) if type(only) is Implies and only in last.succ else ()):
         if saturating and f.left in last.ant and f.right in last.succ:
             continue
         p = s.replace_component(s.length - 1, last.with_ant(f.left).with_succ(f.right))
         yield RuleInstance(RuleId.IMP_R, f, (p,))
 
 
-def _imp_l(s, saturating, tags):
+def _imp_l(s, saturating, tags, only=ANY):
     last = s.last
-    for f in last.ant.of_kind(Implies):
+    for f in last.ant.of_kind(Implies) if only is ANY else (
+            (only,) if type(only) is Implies and only in last.ant else ()):
         if saturating and (f.right in last.ant or f.left in last.succ):
             continue
         p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
@@ -115,9 +123,10 @@ def _imp_l(s, saturating, tags):
         yield RuleInstance(RuleId.IMP_L, f, (p1, p2))
 
 
-def _ew(s, saturating, tags):
+def _ew(s, saturating, tags, only=ANY):
     # Search never weakens; EW only appears in derivations it assembles.
-    if not saturating and s.length >= 2:
+    # It has no principal formula.
+    if not saturating and s.length >= 2 and (only is ANY or only is None):
         yield RuleInstance(RuleId.EW, None, (s.drop_last(),))
 
 
@@ -128,11 +137,12 @@ def _propagation(rule: RuleId, kind, link: Polarity):
     """A `kind` box in the second-last antecedent sends its body across a
     last link of polarity `link` into the last antecedent."""
 
-    def instances(s, saturating, tags):
+    def instances(s, saturating, tags, only=ANY):
         if _last_link(s) is not link:
             return
         last, second = s.last, s.components[-2]
-        for f in second.ant.of_kind(kind):
+        for f in second.ant.of_kind(kind) if only is ANY else (
+                (only,) if type(only) is kind and only in second.ant else ()):
             if saturating and f.body in last.ant:
                 continue
             yield RuleInstance(rule, f, (s.replace_component(s.length - 1, last.with_ant(f.body)),))
@@ -144,12 +154,13 @@ def _restart(rule: RuleId, kind, link: Polarity):
     """A `kind` box in the last antecedent, across a last link of polarity
     `link`, deletes the last component and hands its body to the one before."""
 
-    def instances(s, saturating, tags):
+    def instances(s, saturating, tags, only=ANY):
         if _last_link(s) is not link:
             return
         shorter = s.drop_last()
         second = shorter.last
-        for f in s.last.ant.of_kind(kind):
+        for f in s.last.ant.of_kind(kind) if only is ANY else (
+                (only,) if type(only) is kind and only in s.last.ant else ()):
             if saturating and f.body in second.ant:
                 continue
             absorber = Component(second.ant.add(f.body), second.succ, second.tag,
@@ -169,10 +180,11 @@ def _right_box(rule: RuleId, kind, links: tuple):
     """
     two_premiss = rule in TWO_PREMISS_BOX_RULES
 
-    def instances(s, saturating, tags):
+    def instances(s, saturating, tags, only=ANY):
         if _last_link(s) not in links:
             return
-        for f in s.last.succ.of_kind(kind):
+        for f in s.last.succ.of_kind(kind) if only is ANY else (
+                (only,) if type(only) is kind and only in s.last.succ else ()):
             left = ()
             if two_premiss:
                 second = s.components[-2]
@@ -244,24 +256,22 @@ def box_instances(s, v, saturating=True, tags=fresh_tag) -> list[RuleInstance]:
     return list(_instances(s, _BOX[v], saturating, tags))
 
 
-def matching_instances(conclusion, rule: RuleId, prems, v):
-    """The instances of `rule` on `conclusion` whose premisses are `prems`.
+def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
+    """The instance of `rule` on `conclusion` with this principal formula
+    (None for ew), or with ANY the first in search order; None when there
+    is none.  Only that one instance is built, in any calculus variant."""
+    return next(_INSTANCES[rule](conclusion, False, fresh_tag, principal), None)
 
-    Only the named rule's premisses are built.  They are compared as whole
-    sequents, in schema order; identity tags never matter here.
-    """
+
+def is_valid_instance(conclusion, rule: RuleId, principal, prems, v) -> bool:
+    """True iff (conclusion, rule, prems) is the instance of a rule of v
+    with this principal formula.  The premisses are compared as whole
+    sequents, in schema order; identity tags never matter here."""
     if rule not in RULES_BY_VARIANT[v]:
-        return
+        return False
     try:
         _check_variant(conclusion, v)
     except VariantMismatch:
-        return
-    prems = tuple(prems)
-    for inst in _INSTANCES[rule](conclusion, False, fresh_tag):
-        if inst.premisses == prems:
-            yield inst
-
-
-def is_valid_instance(conclusion, rule: RuleId, prems, v) -> bool:
-    """True iff (conclusion, rule, prems) is an instance of a rule of v."""
-    return next(matching_instances(conclusion, rule, prems, v), None) is not None
+        return False
+    inst = instance(conclusion, rule, principal)
+    return inst is not None and inst.premisses == tuple(prems)

@@ -16,6 +16,11 @@ as a recursion or memory error or a failed self-check, and a failed
 code ever comes from a crash.  --certify re-checks the certificate as
 emitted: read back from its JSON form.  All reports are machine-readable;
 JSON outputs carry a schema-version field.
+
+check exits 0 when the derivation checks and 1 when a node does not, both
+on its replay from the end sequent and under the checker; a derivation
+file that is not schema-2 derivation JSON, schema 1 included, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .prover import Budget, ResourceLimit, Valid
 from .semantics import KripkeModel
 from .sequent import single
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 class UsageError(Exception):
@@ -122,7 +127,11 @@ def _certify(outcome, f, v: CalculusVariant) -> bool:
     `=> f`, a model must not force f at its root."""
     core = prover.core_formula(f, v)
     if isinstance(outcome, Valid):
-        d = derivation_from_json(json.loads(json.dumps(derivation_to_json(outcome.derivation))))
+        data = json.loads(json.dumps(derivation_to_json(outcome.derivation)))
+        try:
+            d = derivation_from_json(data)
+        except metatheory.InvalidDerivation:
+            return False
         return bool(metatheory.check(d, v)) and d.conclusion == single((), (core,))
     data = json.loads(json.dumps(outcome.model.to_json(outcome.root)))
     return not semantics.forces(KripkeModel.from_json(data), data["root"], core,
@@ -188,8 +197,12 @@ def _derivation_from_report(data) -> metatheory.Derivation:
 
 def cmd_check(args) -> int:
     v = _variant(args)
-    d = _read_json(args.derivation, "derivation", _derivation_from_report)
-    res = metatheory.check(d, v)
+    try:
+        d = _read_json(args.derivation, "derivation", _derivation_from_report)
+    except metatheory.InvalidDerivation as e:
+        res = e.result
+    else:
+        res = metatheory.check(d, v)
     if res:
         print("ok")
         return 0

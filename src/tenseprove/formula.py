@@ -48,11 +48,11 @@ class _Core(Formula):
     """A hash-consed core node: equal formulas are the same object.
 
     Equality is identity and the hash is the default id hash, both O(1).
-    The printed text (``sort_key``) and ``modal_degree`` are cached on the
-    node the first time they are asked for.
+    The printed text (``sort_key``), ``modal_degree`` and ``complexity``
+    are cached on the node the first time they are asked for.
     """
 
-    __slots__ = ("_text", "_degree", "__weakref__")
+    __slots__ = ("_text", "_degree", "_size", "__weakref__")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -71,6 +71,7 @@ class _Core(Formula):
             _set(node, name, value)
         _set(node, "_text", None)
         _set(node, "_degree", None)
+        _set(node, "_size", None)
         _INTERNED[key] = node
         return node
 
@@ -236,15 +237,20 @@ def modal_degree(f: Formula) -> int:
 
 
 def complexity(f: Formula) -> int:
-    """Number of connective nodes (->, [F], [P]) in a core formula."""
-    if isinstance(f, (Atom, Bottom)):
-        return 0
-    if isinstance(f, Implies):
-        return 1 + complexity(f.left) + complexity(f.right)
-    if isinstance(f, (Box, BlackBox)):
-        return 1 + complexity(f.body)
-    _require_core(f)
-    raise AssertionError
+    """Number of connective nodes (->, [F], [P]) in a core formula, cached
+    on the node."""
+    if not isinstance(f, _Core):
+        _require_core(f)
+    n = f._size
+    if n is None:
+        if isinstance(f, Implies):
+            n = 1 + complexity(f.left) + complexity(f.right)
+        elif isinstance(f, (Box, BlackBox)):
+            n = 1 + complexity(f.body)
+        else:
+            n = 0
+        _set(f, "_size", n)
+    return n
 
 
 def atoms(f: Formula) -> frozenset[str]:

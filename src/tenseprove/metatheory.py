@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import calculus
 from .calculus import (
     BOX_LINK,
     RESTART_RULES,
@@ -21,6 +20,7 @@ from .calculus import (
     TWO_PREMISS_BOX_RULES,
     CalculusVariant,
     RuleId,
+    instance,
     is_valid_instance,
 )
 from .formula import (
@@ -32,6 +32,7 @@ from .formula import (
     Implies,
     Polarity,
     complexity,
+    parse,
     print_ascii,
 )
 from .sequent import Component, LinearNestedSequent, Multiset, merge
@@ -63,8 +64,13 @@ class TransformError(Exception):
 
 @dataclass(frozen=True)
 class Derivation:
+    """A rule application.  The conclusion, the rule and its principal
+    formula (None for ew) fix the premisses' conclusions; `premisses` holds
+    their derivations.  A node may be the premiss of several nodes."""
+
     conclusion: LinearNestedSequent
     rule: RuleId
+    principal: Formula | None
     premisses: tuple[Derivation, ...] = ()
     height: int = field(init=False, compare=False)
 
@@ -89,9 +95,22 @@ class CheckResult:
         return self.ok
 
 
+class InvalidDerivation(Exception):
+    """A certificate whose replay fails; carries the failed CheckResult."""
+
+    def __init__(self, result: CheckResult):
+        super().__init__(result.message)
+        self.result = result
+
+
+def _node_text(rule: RuleId, principal: Formula | None) -> str:
+    return rule.value if principal is None else f"{rule.value} on {print_ascii(principal)}"
+
+
 def check(d: Derivation, v: CalculusVariant) -> CheckResult:
-    """Validate every node against the rule schemas of the given variant; a
-    node shared by several premisses is validated once."""
+    """Validate every node against the rule schemas of the given variant,
+    building the one instance its rule and principal formula name; a node
+    shared by several premisses is validated once."""
     stack = [(d, ())]
     seen: set[int] = set()
     while stack:
@@ -99,8 +118,10 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if not is_valid_instance(node.conclusion, node.rule, [p.conclusion for p in node.premisses], v):
-            return CheckResult(False, path, f"invalid {node.rule.value} at {node.conclusion.render()}")
+        if not is_valid_instance(node.conclusion, node.rule, node.principal,
+                                 [p.conclusion for p in node.premisses], v):
+            return CheckResult(False, path, f"invalid {_node_text(node.rule, node.principal)} "
+                                            f"at {node.conclusion.render()}")
         for i, p in enumerate(node.premisses):
             stack.append((p, path + (i,)))
     return CheckResult(True)
@@ -138,7 +159,7 @@ def _edit(d: Derivation, pos: int, change) -> Derivation:
     drops = pos == conc.length - 1
     prems = tuple(p if drops and p.conclusion.length < conc.length else _edit(p, pos, change)
                   for p in d.premisses)
-    return Derivation(newc, d.rule, prems)
+    return Derivation(newc, d.rule, d.principal, prems)
 
 
 def _weaken(d: Derivation, pos: int, add_l: Multiset, add_r: Multiset) -> Derivation:
@@ -197,40 +218,40 @@ def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
     i = s.length - 1
     last = s.last
     if isinstance(a, Atom):
-        return Derivation(s, RuleId.ID)
+        return Derivation(s, RuleId.ID, a)
     if isinstance(a, Bottom):
-        return Derivation(s, RuleId.BOT_L)
+        return Derivation(s, RuleId.BOT_L, a)
     if isinstance(a, Implies):
         p1 = s.replace_component(i, last.with_ant(a.left).with_succ(a.right))
         q1 = p1.replace_component(i, p1.last.with_ant(a.right))
         q2 = p1.replace_component(i, p1.last.with_succ(a.left))
-        impl = Derivation(p1, RuleId.IMP_L, (_gen_init(q1, a.right), _gen_init(q2, a.left)))
-        return Derivation(s, RuleId.IMP_R, (impl,))
+        impl = Derivation(p1, RuleId.IMP_L, a, (_gen_init(q1, a.right), _gen_init(q2, a.left)))
+        return Derivation(s, RuleId.IMP_R, a, (impl,))
     if isinstance(a, (Box, BlackBox)):
         link = BOX_LINK[type(a)]
         two_premiss, one_premiss, propagation, restart = _KT_MODAL_RULES[link]
         ext = s.extend(link, Component(Multiset(), Multiset((a.body,))))
         prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
-        right = Derivation(ext, propagation, (_gen_init(prop, a.body),))
+        right = Derivation(ext, propagation, a, (_gen_init(prop, a.body),))
         if s.length == 1 or s.links[-1] is link:
-            return Derivation(s, one_premiss, (right,))
+            return Derivation(s, one_premiss, a, (right,))
         lseq = s.replace_component(s.length - 2, s.components[-2].with_succ(a.body))
         lrestart = lseq.drop_last()
         lrestart = lrestart.replace_component(
             lrestart.length - 1, lrestart.last.with_ant(a.body))
-        left = Derivation(lseq, restart, (_gen_init(lrestart, a.body),))
-        return Derivation(s, two_premiss, (left, right))
+        left = Derivation(lseq, restart, a, (_gen_init(lrestart, a.body),))
+        return Derivation(s, two_premiss, a, (left, right))
     raise NoSharedFormula(f"cannot build initial derivation for {print_ascii(a)}")
 
 
 def to_ktstar(d: Derivation) -> Derivation:
     """Drop the left premisses of the two-premiss box rules and rename."""
     if d.rule is RuleId.BOX_R1:
-        return Derivation(d.conclusion, RuleId.BOX_R, (to_ktstar(d.premisses[1]),))
+        return Derivation(d.conclusion, RuleId.BOX_R, d.principal, (to_ktstar(d.premisses[1]),))
     if d.rule is RuleId.BBOX_R1:
-        return Derivation(d.conclusion, RuleId.BBOX_R, (to_ktstar(d.premisses[1]),))
+        return Derivation(d.conclusion, RuleId.BBOX_R, d.principal, (to_ktstar(d.premisses[1]),))
     rule = {RuleId.BOX_R2: RuleId.BOX_R, RuleId.BBOX_R2: RuleId.BBOX_R}.get(d.rule, d.rule)
-    return Derivation(d.conclusion, rule, tuple(to_ktstar(p) for p in d.premisses))
+    return Derivation(d.conclusion, rule, d.principal, tuple(to_ktstar(p) for p in d.premisses))
 
 
 # --- cut elimination ----------------------------------------------------------
@@ -272,7 +293,7 @@ def _cut_target(cl: LinearNestedSequent, cr: LinearNestedSequent, pos: int,
 def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
     out = d
     while out.conclusion.length < target.length:
-        out = Derivation(target.prefix(out.conclusion.length + 1), RuleId.EW, (out,))
+        out = Derivation(target.prefix(out.conclusion.length + 1), RuleId.EW, None, (out,))
     return out
 
 
@@ -299,8 +320,9 @@ def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
     for k in range(target.length, 0, -1):
         s = target.prefix(k)
         for rule in (RuleId.BOT_L, RuleId.ID):
-            if is_valid_instance(s, rule, (), CalculusVariant.KT):
-                return _ew_extend(Derivation(s, rule), target)
+            inst = instance(s, rule)
+            if inst is not None:
+                return _ew_extend(Derivation(s, rule, inst.principal), target)
     for d in fallbacks:
         out = _try_embed(d, target)
         if out is not None:
@@ -323,13 +345,6 @@ def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
     if out.conclusion != target:
         raise TransformError("contract_to missed the target")
     return out
-
-
-def _is_principal(d: Derivation, a: Formula) -> bool:
-    """Whether the root's rule instance has principal formula a."""
-    prems = [p.conclusion for p in d.premisses]
-    return any(inst.principal == a for inst in calculus.matching_instances(
-        d.conclusion, d.rule, prems, CalculusVariant.KT))
 
 
 _RIGHT_INTRODUCTIONS = RIGHT_BOX_RULES | {RuleId.IMP_R}
@@ -371,7 +386,8 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
                 c = d.conclusion.last
                 c = (Component(c.ant, c.succ.remove_one(a), tag=c.tag) if left
                      else Component(c.ant.remove_one(a), c.succ, tag=c.tag))
-                src = Derivation(d.conclusion.replace_component(pos, c), d.rule, d.premisses)
+                src = Derivation(d.conclusion.replace_component(pos, c), d.rule, d.principal,
+                                 d.premisses)
             out = _try_embed(src, target)
             if out is None:
                 raise TransformError(f"{d.rule.value} at the cut component: weakening failed")
@@ -381,7 +397,7 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
         prems = tuple(_shift(a, p, d2, pos, mon, True) if left
                       else _shift(a, d1, p, pos, mon, False, witness)
                       for p in d.premisses)
-        return Derivation(target, d.rule, prems)
+        return Derivation(target, d.rule, d.principal, prems)
     finally:
         mon.exit()
 
@@ -390,7 +406,7 @@ def _principal_left(a: Formula, d1: Derivation, d2: Derivation, pos: int,
                     mon: CutMonitor) -> Derivation | None:
     """d1 introduces `a`: shift right, first building the witness for a box."""
     if not (pos == d1.conclusion.length - 1 and d1.rule in _RIGHT_INTRODUCTIONS
-            and _is_principal(d1, a)):
+            and d1.principal == a):
         return None
     last2 = d2.conclusion.length - 1
     if isinstance(a, Implies):
@@ -405,7 +421,7 @@ def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: 
     """`a` is principal in d2 too: cut on smaller formulas, then contract."""
     last2 = d2.conclusion.length - 1
     if isinstance(a, Implies):
-        if not (d2.rule is RuleId.IMP_L and pos == last2 and _is_principal(d2, a)):
+        if not (d2.rule is RuleId.IMP_L and pos == last2 and d2.principal == a):
             return None
         d3 = d1.premisses[0]
         d4, d5 = d2.premisses
@@ -417,11 +433,11 @@ def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: 
         return _contract_to(g, target)
 
     _, _, prop_rule, restart_rule = _KT_MODAL_RULES[BOX_LINK[type(a)]]
-    if d2.rule is prop_rule and pos == last2 - 1 and _is_principal(d2, a):
+    if d2.rule is prop_rule and pos == last2 - 1 and d2.principal == a:
         d6 = _shift(a, d1, d2.premisses[0], pos, mon, False, witness)
         e = _shift(a.body, witness, d6, witness.conclusion.length - 1, mon, True)
         return _contract_to(e, target)
-    if d2.rule is restart_rule and pos == last2 and _is_principal(d2, a):
+    if d2.rule is restart_rule and pos == last2 and d2.principal == a:
         if d1.rule not in TWO_PREMISS_BOX_RULES:
             raise TransformError("one-premiss box against a principal restart")
         d3 = d1.premisses[0]
@@ -467,19 +483,105 @@ def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
 
 
 def derivation_to_json(d: Derivation) -> dict:
-    return {
-        "sequent": d.conclusion.to_json(),
-        "rule": d.rule.value,
-        "premisses": [derivation_to_json(p) for p in d.premisses],
-    }
+    """Schema 2: the end sequent once, then one entry per distinct node,
+    {"rule", "principal", "premisses"}, with the premisses given as indices
+    of earlier entries.  The entries come in post-order, so the root is the
+    last, and a node several premisses share is written once."""
+    index: dict[int, int] = {}
+    nodes: list[dict] = []
+    texts: dict[Formula, str] = {}
+    stack = [(d, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in index:
+            continue
+        if not ready:
+            stack.append((node, True))
+            stack.extend((p, False) for p in reversed(node.premisses))
+            continue
+        f = node.principal
+        if f is not None and f not in texts:
+            texts[f] = print_ascii(f)
+        index[id(node)] = len(nodes)
+        nodes.append({"rule": node.rule.value,
+                      "principal": None if f is None else texts[f],
+                      "premisses": [index[id(p)] for p in node.premisses]})
+    return {"sequent": d.conclusion.to_json(), "nodes": nodes}
 
 
 def derivation_from_json(data: dict) -> Derivation:
-    return Derivation(
-        LinearNestedSequent.from_json(data["sequent"]),
-        RuleId(data["rule"]),
-        tuple(derivation_from_json(p) for p in data.get("premisses", [])),
-    )
+    """Replay a schema-2 certificate from its end sequent: each node's
+    conclusion gives, with its rule and principal, the conclusions of its
+    premisses (calculus.instance, in every variant; `check` then decides
+    the variant).
+
+    A malformed certificate raises ValueError, KeyError or TypeError: a
+    schema-1 one, a missing key, an unknown rule, a premiss index that is
+    not an earlier node, or a node the root does not reach.  One that is
+    well formed but does not replay raises InvalidDerivation with the
+    premiss path of the failing node: a (rule, principal) with no instance
+    on the node's conclusion, a premiss count other than the instance's,
+    or a shared node reached with two different conclusions.
+    """
+    if "nodes" not in data and "rule" in data:
+        raise ValueError("a schema 1 derivation (a sequent at every node); "
+                         "schema 2 gives the end sequent once and a node list")
+    end = LinearNestedSequent.from_json(data["sequent"])
+    entries = data["nodes"]
+    if not entries:
+        raise ValueError("a derivation has at least one node")
+    formulas: dict[str, Formula] = {}
+    rules, principals, premisses = [], [], []
+    for i, e in enumerate(entries):
+        rules.append(RuleId(e["rule"]))
+        text = e["principal"]
+        if text is not None and text not in formulas:
+            formulas[text] = parse(text)
+        principals.append(None if text is None else formulas[text])
+        prems = tuple(e["premisses"])
+        for j in prems:
+            if type(j) is not int or not 0 <= j < i:
+                raise ValueError(f"node {i} names premiss {j!r}, which is not an earlier node")
+        premisses.append(prems)
+
+    n = len(entries)
+    conclusions: list[LinearNestedSequent | None] = [None] * n
+    conclusions[-1] = end
+    # (node, premiss position) through which each node was first reached
+    parent: list[tuple[int, int] | None] = [None] * n
+
+    def path(i: int) -> tuple[int, ...]:
+        out = []
+        while parent[i] is not None:
+            i, k = parent[i]
+            out.append(k)
+        return tuple(reversed(out))
+
+    # Every premiss index is smaller than its node's, so descending order
+    # reaches each node after all the nodes that name it.
+    for i in range(n - 1, -1, -1):
+        c = conclusions[i]
+        if c is None:
+            raise ValueError(f"node {i} is not reached from the root")
+        inst = instance(c, rules[i], principals[i])
+        if inst is None or len(inst.premisses) != len(premisses[i]):
+            what = "no instance" if inst is None else f"{len(inst.premisses)} premisses"
+            raise InvalidDerivation(CheckResult(
+                False, path(i), f"{what} of {_node_text(rules[i], principals[i])} "
+                                f"at {c.render()}"))
+        for k, (j, s) in enumerate(zip(premisses[i], inst.premisses)):
+            if conclusions[j] is None:
+                conclusions[j], parent[j] = s, (i, k)
+            elif conclusions[j] != s:
+                raise InvalidDerivation(CheckResult(
+                    False, path(i) + (k,), f"node {j} is reached as {conclusions[j].render()} "
+                                           f"and as {s.render()}"))
+
+    built: list[Derivation] = []
+    for i in range(n):
+        built.append(Derivation(conclusions[i], rules[i], principals[i],
+                                tuple(built[j] for j in premisses[i])))
+    return built[-1]
 
 
 _LATEX_SUBS = {

@@ -248,7 +248,7 @@ class _Search:
         left = inst.premisses[0]
         prefix_tree = self.expand(left.drop_last())
         if prefix_tree.status == CLOSED:
-            return Derivation(left, RuleId.EW, (derivation_from(prefix_tree, self.variant),))
+            return Derivation(left, RuleId.EW, None, (derivation_from(prefix_tree, self.variant),))
         tree = self.expand(left)
         if tree.status == CLOSED:
             return derivation_from(tree, self.variant)
@@ -279,13 +279,14 @@ def derivation_from(node: SearchNode, v: CalculusVariant) -> Derivation:
     def build(n: SearchNode) -> Derivation:
         d = built.get(id(n))
         if d is None:
-            rule = n.applied.rule
+            rule, principal = n.applied.rule, n.applied.principal
             if n.kind == "leaf":
-                d = Derivation(n.sequent, rule)
+                d = Derivation(n.sequent, rule, principal)
             elif rule in _TWO_PREMISS_BOX_RULES:
-                d = Derivation(n.sequent, rule, (n.left_derivation, build(n.children[0])))
+                d = Derivation(n.sequent, rule, principal,
+                               (n.left_derivation, build(n.children[0])))
             else:
-                d = Derivation(n.sequent, rule, tuple(build(c) for c in n.children))
+                d = Derivation(n.sequent, rule, principal, tuple(build(c) for c in n.children))
             built[id(n)] = d
         return d
 

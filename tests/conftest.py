@@ -62,3 +62,16 @@ def small_sequents(draw, max_len=3):
     links = tuple(draw(st.sampled_from([Polarity.FORWARD, Polarity.BACKWARD]))
                   for _ in range(n - 1))
     return LinearNestedSequent(comps, links)
+
+
+def schema1(data: dict) -> dict:
+    """A schema-2 certificate, decoded, written out as the schema-1 tree:
+    {"sequent", "rule", "premisses"} at every node, a shared node once per
+    occurrence.  Digests recorded over schema-1 JSON are taken over this."""
+    from tenseprove.metatheory import derivation_from_json
+
+    def tree(d):
+        return {"sequent": d.conclusion.to_json(), "rule": d.rule.value,
+                "premisses": [tree(p) for p in d.premisses]}
+
+    return tree(derivation_from_json(data))

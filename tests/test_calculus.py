@@ -5,6 +5,7 @@ from hypothesis import given
 
 from conftest import small_sequents
 from tenseprove.calculus import (
+    ANY,
     _INSTANCES,
     _PRIORITY,
     RESTART_RULES,
@@ -14,6 +15,7 @@ from tenseprove.calculus import (
     _check_variant,
     _instances,
     box_instances,
+    instance,
     is_valid_instance,
 )
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, desugar
@@ -142,9 +144,22 @@ def test_kb_rejects_backward_links():
 
 
 def test_is_valid_instance_trivia():
-    assert is_valid_instance(single([p], [p]), RuleId.ID, (), KT)
-    assert not is_valid_instance(single([p], [q]), RuleId.ID, (), KT)
-    assert not is_valid_instance(single([p], [p]), RuleId.BOX_R, (), KT)
+    assert is_valid_instance(single([p], [p]), RuleId.ID, p, (), KT)
+    assert not is_valid_instance(single([p], [q]), RuleId.ID, p, (), KT)
+    assert not is_valid_instance(single([p], [p]), RuleId.BOX_R, p, (), KT)
+    assert not is_valid_instance(single([p, q], [p, q]), RuleId.ID, r, (), KT)
+
+
+def test_instance_builds_the_named_principal_only():
+    s = single([], [Implies(p, q), Implies(q, p)])
+    inst = instance(s, RuleId.IMP_R, Implies(q, p))
+    assert inst.principal == Implies(q, p) and q in inst.premisses[0].last.ant
+    assert instance(s, RuleId.IMP_R, ANY).principal == Implies(p, q)
+    assert instance(s, RuleId.IMP_L, Implies(p, q)) is None
+    assert instance(s, RuleId.IMP_R, p) is None
+    ew = seq(component([p], []), FWD, component([q], []))
+    assert instance(ew, RuleId.EW, None).premisses == (ew.drop_last(),)
+    assert instance(ew, RuleId.EW, q) is None
 
 
 def example4_derivation():
@@ -160,12 +175,12 @@ def example4_derivation():
     s3 = single([r, notr], base)
     s4 = single([r, notr, Bottom()], base)
     s5 = single([r, notr], base + [r])
-    d = Derivation(s0, RuleId.BBOX_R2, (
-        Derivation(s1, RuleId.IMP_R, (
-            Derivation(s2, RuleId.BOX_L2, (
-                Derivation(s3, RuleId.IMP_L, (
-                    Derivation(s4, RuleId.BOT_L),
-                    Derivation(s5, RuleId.ID),
+    d = Derivation(s0, RuleId.BBOX_R2, BlackBox(x), (
+        Derivation(s1, RuleId.IMP_R, x, (
+            Derivation(s2, RuleId.BOX_L2, Box(notr), (
+                Derivation(s3, RuleId.IMP_L, notr, (
+                    Derivation(s4, RuleId.BOT_L, Bottom()),
+                    Derivation(s5, RuleId.ID, r),
                 )),
             )),
         )),
@@ -179,7 +194,7 @@ def test_example4_derivation_validates_node_by_node():
     while stack:
         n = stack.pop()
         assert is_valid_instance(
-            n.conclusion, n.rule, [c.conclusion for c in n.premisses], KT)
+            n.conclusion, n.rule, n.principal, [c.conclusion for c in n.premisses], KT)
         stack.extend(n.premisses)
     assert check(d, KT)
 
@@ -187,10 +202,10 @@ def test_example4_derivation_validates_node_by_node():
 def test_is_valid_instance_rejects_forged_instance():
     s = single([p], [p])
     inst = applicable_rules(s, KT, False)[0]
-    assert is_valid_instance(s, inst.rule, inst.premisses, KT)
+    assert is_valid_instance(s, inst.rule, inst.principal, inst.premisses, KT)
     other = single([], [Implies(q, q)])
     bad = next(i for i in applicable_rules(other, KT, False) if i.rule is RuleId.IMP_R)
-    assert not is_valid_instance(s, bad.rule, bad.premisses, KT)
+    assert not is_valid_instance(s, bad.rule, bad.principal, bad.premisses, KT)
 
 
 @given(small_sequents(max_len=2))
@@ -329,26 +344,42 @@ def _expanded(ms):
     return out
 
 
-def _enumerating_oracle(c, rule, prems, v):
-    """The checker as it was: enumerate every instance of every rule."""
-    return any(i.rule is rule and i.premisses == tuple(prems)
+def _enumerating_oracle(c, rule, principal, prems, v):
+    """The checker before principals: enumerate every instance of every
+    rule, and accept the node if one has its rule, principal and premisses."""
+    return any(i.rule is rule and i.principal == principal and i.premisses == tuple(prems)
                for i in applicable_rules(c, v, False))
 
 
 def _forgeries(node):
-    """(rule, premisses) pairs near a derivation node: itself, every other
-    rule, one premiss dropped, the premisses reversed, and a formula added
-    to one premiss's last component."""
+    """(rule, principal, premisses) triples near a derivation node: itself,
+    every other rule, one premiss dropped, the premisses reversed, and a
+    formula added to one premiss's last component."""
     prems = [p.conclusion for p in node.premisses]
-    yield node.rule, prems
+    a = node.principal
+    yield node.rule, a, prems
     for rule in RuleId:
         if rule is not node.rule:
-            yield rule, prems
+            yield rule, a, prems
     for k in range(len(prems)):
-        yield node.rule, prems[:k] + prems[k + 1:]
+        yield node.rule, a, prems[:k] + prems[k + 1:]
         fat = prems[k].replace_component(prems[k].length - 1, prems[k].last.with_ant(Atom("zz")))
-        yield node.rule, prems[:k] + [fat] + prems[k + 1:]
-    yield node.rule, prems[::-1]
+        yield node.rule, a, prems[:k] + [fat] + prems[k + 1:]
+    yield node.rule, a, prems[::-1]
+
+
+def _principal_forgeries(node):
+    """The node's rule and premisses with a principal it does not have:
+    (kind, principal) for one absent from the conclusion, one of another
+    connective, and each other formula the conclusion holds."""
+    a = node.principal
+    yield "absent", Atom("zz")
+    yield "connective", (Implies(Bottom(), Box(Atom("zz"))) if a is None
+                         else Box(a) if isinstance(a, Implies) else Implies(a, a))
+    present = {f for c in node.conclusion.components for ms in (c.ant, c.succ)
+               for f in ms.distinct()}
+    for f in sorted(present - {a}, key=str):
+        yield "present", f
 
 
 @pytest.mark.parametrize("v", [KT, KTS, KB])
@@ -357,6 +388,7 @@ def test_rule_dispatch_agrees_with_enumerating_oracle(v):
     from tenseprove.prover import Valid, prove
 
     nodes = forged = 0
+    kinds = set()
     for f in corpus(2026, 200):
         out = prove(f, v)
         if not isinstance(out, Valid):
@@ -366,9 +398,21 @@ def test_rule_dispatch_agrees_with_enumerating_oracle(v):
             node = stack.pop()
             stack.extend(node.premisses)
             nodes += 1
-            for rule, prems in _forgeries(node):
-                want = _enumerating_oracle(node.conclusion, rule, prems, v)
-                assert is_valid_instance(node.conclusion, rule, prems, v) == want, (
-                    node.conclusion.render(), node.rule, rule)
+            c = node.conclusion
+            for rule, principal, prems in _forgeries(node):
+                want = _enumerating_oracle(c, rule, principal, prems, v)
+                assert is_valid_instance(c, rule, principal, prems, v) == want, (
+                    c.render(), node.rule, rule, principal)
                 forged += not want
-    assert nodes > 200 and forged > nodes
+            prems = [p.conclusion for p in node.premisses]
+            for kind, principal in _principal_forgeries(node):
+                got = is_valid_instance(c, node.rule, principal, prems, v)
+                assert got == _enumerating_oracle(c, node.rule, principal, prems, v)
+                # Only id has another instance with the same (no) premisses:
+                # another atom on both sides of the last component.
+                assert not got or (kind == "present" and node.rule is RuleId.ID
+                                   and principal in c.last.ant and principal in c.last.succ), (
+                    c.render(), node.rule, kind, principal)
+                forged += not got
+                kinds.add(kind)
+    assert nodes > 200 and forged > nodes and kinds == {"absent", "connective", "present"}

@@ -51,7 +51,7 @@ def test_resource_limit_exit_two(capsys):
 def test_json_output_schema(capsys):
     rc, out, _ = run(capsys, "decide", "--output", "json", "[F]p -> p")
     data = json.loads(out)
-    assert data["schema"] == "1" and data["verdict"] == "invalid"
+    assert data["schema"] == "2" and data["verdict"] == "invalid"
     assert data["model"]["root"] in data["model"]["worlds"]
 
 
@@ -64,14 +64,54 @@ def test_json_then_check_roundtrip(capsys, tmp_path):
     assert rc == 0 and out.strip() == "ok"
 
 
-def test_check_rejects_tampered_derivation(capsys, tmp_path):
-    rc, out, _ = run(capsys, "decide", "--output", "json", "p -> p")
+def _mp_derivation(capsys):
+    """The derivation JSON of p -> (p -> q) -> q: nodes id q, id p,
+    impL [0, 1], impR [2], impR [3]."""
+    rc, out, _ = run(capsys, "decide", "--output", "json", "p -> (p -> q) -> q")
     d = json.loads(out)["derivation"]
-    d["premisses"][0]["sequent"]["components"][0]["antecedent"] = ["q"]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(d))
-    rc, out, _ = run(capsys, "check", str(path))
-    assert rc == 1 and "invalid derivation" in out
+    assert [n["rule"] for n in d["nodes"]] == ["id", "id", "impL", "impR", "impR"]
+    return d
+
+
+def _check(capsys, tmp_path, data):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    return run(capsys, "check", str(path))
+
+
+def test_check_rejects_tampered_derivation(capsys, tmp_path):
+    d = _mp_derivation(capsys)
+    assert _check(capsys, tmp_path, d)[:2] == (0, "ok\n")
+    # the two id nodes swap principals
+    d["nodes"][0]["principal"], d["nodes"][1]["principal"] = "p", "q"
+    rc, out, _ = _check(capsys, tmp_path, d)
+    assert rc == 1 and out.startswith("invalid derivation at premiss path [0, 0, 1]: ")
+
+
+def test_check_rejects_a_shared_node_reached_with_two_conclusions(capsys, tmp_path):
+    d = _mp_derivation(capsys)
+    d["nodes"][2]["premisses"] = [0, 0]
+    rc, out, _ = _check(capsys, tmp_path, d)
+    assert rc == 1 and out.startswith("invalid derivation at premiss path [0, 0, 1]: node 0 ")
+
+
+def test_check_rejects_a_forward_premiss_index_as_malformed(capsys, tmp_path):
+    d = _mp_derivation(capsys)
+    d["nodes"][2]["premisses"] = [0, 3]
+    rc, _, err = _check(capsys, tmp_path, d)
+    assert rc == 3 and err.startswith("usage error: malformed derivation") and "earlier" in err
+
+
+def test_check_names_schema_1_input(capsys, tmp_path):
+    """A schema-1 derivation, bare or inside a report, is a usage error
+    that says so."""
+    sequent = {"components": [{"antecedent": ["p"], "succedent": ["p"]}], "links": []}
+    bare = {"sequent": sequent, "rule": "id", "premisses": []}
+    report = {"schema": "1", "verdict": "valid", "formula": "p -> p", "derivation": bare}
+    for data in (bare, report):
+        rc, out, err = _check(capsys, tmp_path, data)
+        assert rc == 3 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith("usage error: malformed derivation") and "schema 1" in err
 
 
 def test_dot_output_for_countermodel(capsys):
@@ -163,12 +203,12 @@ def test_certify_checks_the_emitted_derivation(capsys, monkeypatch):
 
     def drop_premiss(d):
         data = emit(d)
-        data["premisses"] = data["premisses"][1:]
+        data["nodes"][-1]["premisses"] = []
         return data
 
     monkeypatch.setattr(cli, "derivation_to_json", drop_premiss)
     rc, _, err = run(capsys, "decide", "--certify", "p -> p")
-    assert rc == 4 and err.startswith("internal error:")
+    assert rc == 4 and err == "internal error: certification failed\n"
     rc, out, _ = run(capsys, "decide", "p -> p")
     assert rc == 0 and out.startswith("valid")
 
@@ -221,7 +261,7 @@ def test_check_unknown_rule_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "d.json"
     path.write_text(json.dumps({
         "sequent": {"components": [{"antecedent": ["p"], "succedent": ["p"]}], "links": []},
-        "rule": "nope",
+        "nodes": [{"rule": "nope", "principal": "p", "premisses": []}],
     }))
     rc, _, err = run(capsys, "check", str(path))
     assert rc == 3 and err.startswith("usage error: malformed derivation")

@@ -216,6 +216,14 @@ def test_modal_degree_is_cached_and_rejects_surface_nodes():
         modal_degree(Box(Not(p)))
 
 
+def test_complexity_is_cached_and_rejects_surface_nodes():
+    f = parse("[F](p -> [P]q)")
+    assert complexity(f) == complexity(f) == 3 and f._size == 3
+    for surface in (Diamond(p), Box(Not(p)), Implies(p, Not(q))):
+        with pytest.raises(ValueError):
+            complexity(surface)
+
+
 def test_surface_nodes_compare_structurally():
     assert Not(Atom("p")) == Not(p) and Not(p) is not Not(p)
     assert hash(And(p, q)) == hash(And(Atom("p"), Atom("q")))

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
+from conftest import schema1
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import (
     Atom,
     BlackBox,
+    Bottom,
     Box,
     Implies,
     Polarity,
@@ -18,6 +20,7 @@ from tenseprove.generate import corpus
 from tenseprove.metatheory import (
     CutMonitor,
     Derivation,
+    InvalidDerivation,
     NoSharedFormula,
     NotACutFormulaOccurrence,
     NotDuplicated,
@@ -51,7 +54,10 @@ def seq(*parts):
 
 
 def id_node(ants, succs):
-    return Derivation(single(ants, succs), RuleId.ID)
+    """An id node whose principal is the first antecedent atom also in the
+    succedent, or else the first antecedent formula."""
+    principal = next((f for f in ants if f in succs), ants[0])
+    return Derivation(single(ants, succs), RuleId.ID, principal)
 
 
 def test_check_id():
@@ -60,24 +66,28 @@ def test_check_id():
 
 
 def test_check_reports_first_failure_path():
-    bad = Derivation(single([], [Implies(p, p)]), RuleId.IMP_R,
+    bad = Derivation(single([], [Implies(p, p)]), RuleId.IMP_R, Implies(p, p),
                      (id_node([q], [q]),))
     res = check(bad, KT)
     assert not res and res.path == () and "impR" in res.message
     # tampered premiss under a correct root
     s = single([], [Implies(p, p)])
     prem = single([p], [Implies(p, p), p])
-    okay = Derivation(s, RuleId.IMP_R, (Derivation(prem, RuleId.ID),))
+    okay = Derivation(s, RuleId.IMP_R, Implies(p, p), (Derivation(prem, RuleId.ID, p),))
     assert check(okay, KT)
-    tampered = Derivation(s, RuleId.IMP_R, (Derivation(prem, RuleId.BOT_L),))
+    tampered = Derivation(s, RuleId.IMP_R, Implies(p, p), (Derivation(prem, RuleId.BOT_L, Bottom()),))
     res2 = check(tampered, KT)
     assert not res2 and res2.path == (0,)
+    # the right rule and premisses under a principal the conclusion lacks
+    wrong = Derivation(s, RuleId.IMP_R, Implies(q, q), (Derivation(prem, RuleId.ID, p),))
+    res3 = check(wrong, KT)
+    assert not res3 and res3.path == () and "impR on q -> q" in res3.message
 
 
 def test_height_definition():
     leaf = id_node([p], [p])
     assert leaf.height == 0
-    two = Derivation(single([p, Implies(p, p)], [p]), RuleId.IMP_L,
+    two = Derivation(single([p, Implies(p, p)], [p]), RuleId.IMP_L, Implies(p, p),
                      (id_node([p, Implies(p, p), p], [p]),
                       id_node([p, Implies(p, p)], [p, p])))
     assert two.height == 1
@@ -99,7 +109,7 @@ def restart_derivation():
     x = Atom("x")
     concl = seq(component([q], [q]), BWD, component([Box(x)], []))
     prem = single([q, x], [q])
-    return Derivation(concl, RuleId.BOX_L2, (Derivation(prem, RuleId.ID),))
+    return Derivation(concl, RuleId.BOX_L2, Box(x), (Derivation(prem, RuleId.ID, q),))
 
 
 def test_weaken_across_restart_vanishes_upstairs():
@@ -130,7 +140,7 @@ def test_weaken_height_never_grows_on_prover_output():
 
 
 def test_contract_id():
-    out = contract(Derivation(single([p, p], [p]), RuleId.ID), 0, "left", p)
+    out = contract(id_node([p, p], [p]), 0, "left", p)
     assert check(out, KT)
     assert out.conclusion.components[0].ant.count(p) == 1
 
@@ -249,7 +259,7 @@ def test_cut_boxed_principal_reduces():
 
 def test_cut_rejects_structure_mismatch():
     d1 = id_node([p], [p])
-    d2 = Derivation(seq(component([p], [p]), FWD, component([p], [p])), RuleId.ID)
+    d2 = Derivation(seq(component([p], [p]), FWD, component([p], [p])), RuleId.ID, p)
     with pytest.raises(StructuralMismatch):
         cut(d1, d2, p)
 
@@ -279,8 +289,8 @@ def test_cut_self_cut_fuzz():
     assert done >= 100
 
 
-# (formula, CutMonitor.calls, SHA-256 prefix of the output's sorted JSON) for
-# cut(d, d, a).  The first list takes d = generalised_init(a => a) on the
+# (formula, CutMonitor.calls, SHA-256 prefix of the output's sorted JSON,
+# written out as the schema-1 tree) for cut(d, d, a).  The first list takes d = generalised_init(a => a) on the
 # first 20 formulas of corpus(1270, 100, max_size=8, max_degree=2); the second
 # takes d from the KT prover on (a => a): the first of its formulas reaches
 # every case of the shift procedure, the second tells the order of the two
@@ -318,8 +328,10 @@ PROVER_CUT_PINS = [
 def _self_cut_record(d, a):
     mon = CutMonitor()
     out = cut(d, d, a, mon)
-    data = json.dumps(derivation_to_json(out), sort_keys=True).encode()
-    return mon.calls, hashlib.sha256(data).hexdigest()[:16]
+    data = derivation_to_json(out)
+    assert derivation_to_json(derivation_from_json(data)) == data
+    text = json.dumps(schema1(data), sort_keys=True).encode()
+    return mon.calls, hashlib.sha256(text).hexdigest()[:16]
 
 
 def test_cut_output_pinned():
@@ -353,6 +365,80 @@ def test_derivation_json_roundtrip():
     back = derivation_from_json(data)
     assert check(back, KT)
     assert derivation_to_json(back) == data
+    assert data["sequent"] == s.to_json() and [n["rule"] for n in data["nodes"]][-1] == "boxR1"
+    assert all(j < i for i, n in enumerate(data["nodes"]) for j in n["premisses"])
+
+
+# A KB formula whose search shares a closed restart subtree: its derivation
+# has 54 distinct nodes and 56 as a tree.
+SHARED_SUBTREE_KB = ("[P](((([F](p -> p) -> [F][P][F](p -> q)) -> p) -> p) -> [F]false) -> "
+                     "[P][P][F]([F][F]p -> [F]([P](q -> q) -> [P]q))")
+
+
+def _tree_size(tree: dict) -> int:
+    return 1 + sum(_tree_size(t) for t in tree["premisses"])
+
+
+def test_derivation_json_writes_a_shared_node_once():
+    d = prove(SHARED_SUBTREE_KB, CalculusVariant.KB).derivation
+    data = derivation_to_json(d)
+    assert len(data["nodes"]) == 54 and _tree_size(schema1(data)) == 56
+    back = derivation_from_json(json.loads(json.dumps(data)))
+    assert check(back, CalculusVariant.KB) and derivation_to_json(back) == data
+
+
+def _mp_certificate():
+    """The schema-2 JSON of ( => p -> (p -> q) -> q): nodes id q, id p,
+    impL [0, 1], impR [2], impR [3]."""
+    data = derivation_to_json(prove("p -> (p -> q) -> q", KT).derivation)
+    assert [n["rule"] for n in data["nodes"]] == ["id", "id", "impL", "impR", "impR"]
+    return data
+
+
+def _replay_failure(data):
+    with pytest.raises(InvalidDerivation) as e:
+        derivation_from_json(data)
+    return e.value.result
+
+
+def test_replay_rejects_a_node_without_its_instance():
+    data = _mp_certificate()
+    data["nodes"][2]["principal"] = "q -> p"  # absent from the conclusion
+    res = _replay_failure(data)
+    assert not res and res.path == (0, 0) and "no instance of impL on q -> p" in res.message
+    data = _mp_certificate()
+    data["nodes"][0]["principal"], data["nodes"][1]["principal"] = "p", "q"
+    assert _replay_failure(data).path == (0, 0, 1)  # the higher index replays first
+    data = _mp_certificate()
+    data["nodes"][2]["premisses"] = [0]
+    res = _replay_failure(data)
+    assert res.path == (0, 0) and "2 premisses of impL" in res.message
+
+
+def test_replay_rejects_a_shared_node_with_two_conclusions():
+    data = _mp_certificate()
+    data["nodes"][2]["premisses"] = [0, 0]
+    res = _replay_failure(data)
+    assert res.path == (0, 0, 1) and "node 0 is reached as" in res.message
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda nodes: nodes[2].update(premisses=[0, 3]), "not an earlier node"),
+    (lambda nodes: nodes[2].update(premisses=[0, -1]), "not an earlier node"),
+    (lambda nodes: nodes[3].update(premisses=[1]), "node 2 is not reached"),
+    (lambda nodes: nodes.clear(), "at least one node"),
+])
+def test_replay_rejects_a_malformed_node_list(edit, message):
+    data = _mp_certificate()
+    edit(data["nodes"])
+    with pytest.raises(ValueError, match=message):
+        derivation_from_json(data)
+
+
+def test_replay_names_a_schema_1_derivation():
+    tree = schema1(_mp_certificate())
+    with pytest.raises(ValueError, match="schema 1"):
+        derivation_from_json(tree)
 
 
 def test_latex_output_mentions_rules():

@@ -2,11 +2,12 @@ import gc
 import hashlib
 import json
 
+from conftest import schema1
 from tenseprove import semantics
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
 from tenseprove.generate import corpus
-from tenseprove.metatheory import check, derivation_to_json, to_ktstar
+from tenseprove.metatheory import check, derivation_from_json, derivation_to_json, to_ktstar
 from tenseprove.prover import (
     FAILED,
     Budget,
@@ -224,8 +225,12 @@ def test_search_order_pinned():
 def _search_record(text, v):
     out = prove(text, v)
     st = out.stats
-    cert = (derivation_to_json(out.derivation) if isinstance(out, Valid)
-            else out.model.to_json(out.root))
+    if isinstance(out, Valid):
+        data = derivation_to_json(out.derivation)
+        assert derivation_to_json(derivation_from_json(data)) == data
+        cert = schema1(data)
+    else:
+        cert = out.model.to_json(out.root)
     return type(out).__name__, st.nodes, st.restarts, st.max_length, json.dumps(cert, sort_keys=True)
 
 
@@ -294,7 +299,8 @@ _FAMILIES = {
 }
 
 # (family, n, variant, verdict, nodes, restarts, max_length, first 16 hex
-# digits of the sha256 of the certificate JSON), recorded from a search that
+# digits of the sha256 of the certificate JSON, a derivation written out as
+# the schema-1 tree), recorded from a search that
 # explored every restart premiss anew: sharing repeated restart subtrees
 # must change none of them.
 CERTIFICATE_PINS = [
