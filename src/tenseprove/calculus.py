@@ -9,13 +9,19 @@ that force progress) and checking (saturating=False, schema only).  The
 conclusion, the rule and the principal formula fix the premisses, so given
 a principal (`only`) a generator builds that one instance: `instance` is
 how the checker and certificate replay build premisses.
+
+ImpL keeps its principal formula, so it is invertible and any order of its
+instances is complete; the order only sets the size of the tree.  In search
+an instance with a premiss that is an axiom (closed by id or botL) goes
+first, found in the same pass over the antecedent's implications.  On the
+pigeonhole formulas ph(n) this takes ph(2) from 240 search nodes to 70 and
+ph(3) from 15,782 to 376, and ph(4) decides in 2,412.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 
 from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity
 from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag
@@ -113,14 +119,33 @@ def _imp_r(s, saturating, tags, only=ANY):
 
 
 def _imp_l(s, saturating, tags, only=ANY):
+    """In search, an instance one of whose premisses is an axiom comes
+    first: its right side is bottom or an atom of the last succedent
+    (premiss 1 closes by botL or id), or its left side is an atom of the
+    last antecedent (premiss 2 closes by id).  The others follow in
+    sort_key order."""
     last = s.last
-    for f in last.ant.of_kind(Implies) if only is ANY else (
-            (only,) if type(only) is Implies and only in last.ant else ()):
-        if saturating and (f.right in last.ant or f.left in last.succ):
-            continue
-        p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
-        p2 = s.replace_component(s.length - 1, last.with_succ(f.left))
-        yield RuleInstance(RuleId.IMP_L, f, (p1, p2))
+    ant, succ = last.ant, last.succ
+    later = []
+    for f in ant.of_kind(Implies) if only is ANY else (
+            (only,) if type(only) is Implies and only in ant else ()):
+        if saturating:
+            left, right = f.left, f.right
+            if right in ant or left in succ:
+                continue
+            if not (right is _BOTTOM or type(right) is Atom and right in succ
+                    or type(left) is Atom and left in ant):
+                later.append(f)
+                continue
+        yield _imp_l_instance(s, last, f)
+    for f in later:
+        yield _imp_l_instance(s, last, f)
+
+
+def _imp_l_instance(s, last, f):
+    p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
+    p2 = s.replace_component(s.length - 1, last.with_succ(f.left))
+    return RuleInstance(RuleId.IMP_L, f, (p1, p2))
 
 
 def _ew(s, saturating, tags, only=ANY):
@@ -241,19 +266,18 @@ _BOX = {v: tuple(_INSTANCES[r] for r in rules if r in RIGHT_BOX_RULES)
         for v, rules in _PRIORITY.items()}
 
 
-def _instances(s, generators, saturating, tags):
-    return chain.from_iterable(g(s, saturating, tags) for g in generators)
-
-
 def saturation_instance(s, v, tags=fresh_tag) -> RuleInstance | None:
     """First applicable instance from the non-box priority classes."""
     _check_variant(s, v)
-    return next(_instances(s, _SATURATION[v], True, tags), None)
+    for g in _SATURATION[v]:
+        for inst in g(s, True, tags):
+            return inst
+    return None
 
 
 def box_instances(s, v, saturating=True, tags=fresh_tag) -> list[RuleInstance]:
     _check_variant(s, v)
-    return list(_instances(s, _BOX[v], saturating, tags))
+    return [inst for g in _BOX[v] for inst in g(s, saturating, tags)]
 
 
 def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:

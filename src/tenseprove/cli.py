@@ -154,7 +154,7 @@ def _report_decide(outcome, f, output: str) -> int:
             print("// valid: no countermodel")
         else:
             print(f"valid: {print_ascii(f)}")
-            print(f"derivation: {len(outcome.derivation.rules_used())} rule applications, "
+            print(f"derivation: {outcome.derivation.rule_applications()} rule applications, "
                   f"height {outcome.derivation.height}")
         return 0
     if output == "json":

@@ -84,6 +84,25 @@ class Derivation:
             out.extend(p.rules_used())
         return out
 
+    def rule_applications(self) -> int:
+        """len(self.rules_used()) in one walk over the distinct nodes: each
+        node's tree size is computed once, and a shared node adds it at
+        every occurrence."""
+        size: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            d = stack[-1]
+            if id(d) in size:
+                stack.pop()
+                continue
+            todo = [p for p in d.premisses if id(p) not in size]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                size[id(d)] = 1 + sum(size[id(p)] for p in d.premisses)
+        return size[id(self)]
+
 
 @dataclass
 class CheckResult:

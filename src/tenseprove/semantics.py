@@ -30,18 +30,6 @@ class KripkeModel:
     edges: frozenset[tuple[str, str]]
     true_atoms: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def successors(self, w: str, symmetric: bool = False):
-        out = {v for (u, v) in self.edges if u == w}
-        if symmetric:
-            out |= {u for (u, v) in self.edges if v == w}
-        return out
-
-    def predecessors(self, w: str, symmetric: bool = False):
-        out = {u for (u, v) in self.edges if v == w}
-        if symmetric:
-            out |= {v for (u, v) in self.edges if u == w}
-        return out
-
     def to_json(self, root: str | None = None) -> dict:
         data = {
             "worlds": list(self.worlds),

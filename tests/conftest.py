@@ -75,3 +75,11 @@ def schema1(data: dict) -> dict:
                 "premisses": [tree(p) for p in d.premisses]}
 
     return tree(derivation_from_json(data))
+
+
+def successors(model, w: str) -> set:
+    return {v for (u, v) in model.edges if u == w}
+
+
+def predecessors(model, w: str) -> set:
+    return {u for (u, v) in model.edges if v == w}

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import predecessors, successors
 from tenseprove import metatheory, semantics
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import (
@@ -108,7 +109,7 @@ def test_criterion_04_fan_countermodel():
     ok = isinstance(out, Invalid)
     if ok:
         m, root = out.model, out.root
-        ok = (len(m.successors(root)) >= 2 and len(m.predecessors(root)) >= 1
+        ok = (len(successors(m, root)) >= 2 and len(predecessors(m, root)) >= 1
               and semantics.falsifies(m, root, single([], [Box(p), Box(q), BlackBox(r)])))
     # variant that forces a restart before the predecessor world works out
     s2 = single([], [Box(p), Box(q), BlackBox(desugar(parse("~[F]r2")))])

@@ -13,12 +13,13 @@ from tenseprove.calculus import (
     RuleId,
     VariantMismatch,
     _check_variant,
-    _instances,
     box_instances,
     instance,
     is_valid_instance,
+    saturation_instance,
 )
-from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, desugar
+from tenseprove.formula import (
+    Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key)
 from tenseprove.semantics import KripkeModel, falsifies
 from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, fresh_tag, single
 from tenseprove.metatheory import Derivation, check
@@ -35,7 +36,7 @@ def applicable_rules(s, v, saturating):
     is excluded; this is the enumeration backward search works from.
     """
     _check_variant(s, v)
-    return list(_instances(s, [_INSTANCES[r] for r in _PRIORITY[v]], saturating, fresh_tag))
+    return [inst for r in _PRIORITY[v] for inst in _INSTANCES[r](s, saturating, fresh_tag)]
 
 
 def seq(*parts):
@@ -160,6 +161,28 @@ def test_instance_builds_the_named_principal_only():
     ew = seq(component([p], []), FWD, component([q], []))
     assert instance(ew, RuleId.EW, None).premisses == (ew.drop_last(),)
     assert instance(ew, RuleId.EW, q) is None
+
+
+@pytest.mark.parametrize("closing, ant, succ", [
+    (Implies(r, q), [r], []),                # premiss 2 closes by id
+    (Implies(r, q), [], [q]),                # premiss 1 closes by id
+    (Implies(r, Bottom()), [], []),          # premiss 1 closes by botL
+])
+def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant, succ):
+    first = Implies(p, Atom("s"))            # first in sort_key order; closes neither premiss
+    assert sort_key(first) < sort_key(closing)
+    c = single([first, closing] + ant, succ)
+    for v in (KT, KTS, KB):
+        inst = saturation_instance(c, v)
+        assert (inst.rule, inst.principal) == (RuleId.IMP_L, closing)
+        assert is_valid_instance(c, RuleId.IMP_L, closing, inst.premisses, v)
+    # Checking mode is unchanged: each principal names its schema instance,
+    # and the first in sort_key order is still the first instance.
+    for f in (first, closing):
+        built = instance(c, RuleId.IMP_L, f)
+        assert built.premisses == (c.replace_component(0, c.last.with_ant(f.right)),
+                                   c.replace_component(0, c.last.with_succ(f.left)))
+    assert instance(c, RuleId.IMP_L, ANY).principal == first
 
 
 def example4_derivation():

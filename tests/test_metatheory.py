@@ -387,6 +387,17 @@ def test_derivation_json_writes_a_shared_node_once():
     assert check(back, CalculusVariant.KB) and derivation_to_json(back) == data
 
 
+def test_rule_applications_counts_a_shared_node_at_every_occurrence():
+    d = prove(SHARED_SUBTREE_KB, CalculusVariant.KB).derivation
+    assert d.rule_applications() == len(d.rules_used()) == 56
+    # Each level uses the one below twice: 5 distinct nodes, 31 in the tree.
+    f = Implies(p, p)
+    d = id_node([p], [p])
+    for _ in range(4):
+        d = Derivation(single([p, f], [p]), RuleId.IMP_L, f, (d, d))
+    assert d.rule_applications() == len(d.rules_used()) == 31
+
+
 def _mp_certificate():
     """The schema-2 JSON of ( => p -> (p -> q) -> q): nodes id q, id p,
     impL [0, 1], impR [2], impR [3]."""

@@ -2,7 +2,7 @@ import gc
 import hashlib
 import json
 
-from conftest import schema1
+from conftest import predecessors, schema1, successors
 from tenseprove import semantics
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
@@ -87,8 +87,8 @@ def test_prune_keeps_restarted_branch():
 def test_extract_model_fan():
     status, tree, _ = search(fan_sequent(), KTS)
     model, root = extract_model(prune(tree), KTS)
-    assert len(model.successors(root)) == 2
-    assert len(model.predecessors(root)) == 1
+    assert len(successors(model, root)) == 2
+    assert len(predecessors(model, root)) == 1
     assert semantics.falsifies(model, root, tree.sequent)
 
 
@@ -104,7 +104,7 @@ def test_extract_model_after_restart_covers_end_sequent():
     status, tree, _ = search(s, KTS)
     model, root = extract_model(prune(tree), KTS)
     assert semantics.falsifies(model, root, tree.sequent)
-    assert len(model.successors(root)) >= 2 and len(model.predecessors(root)) >= 1
+    assert len(successors(model, root)) >= 2 and len(predecessors(model, root)) >= 1
 
 
 def test_example4_sequent_uses_restart_rules():
@@ -139,6 +139,20 @@ def test_certification_on_seeded_corpus():
         else:
             assert isinstance(out, Invalid)
             assert not semantics.forces(out.model, out.root, f)
+
+
+def test_verdicts_agree_with_the_small_model_oracle():
+    # Implication-heavy formulas, so that impL often has several instances
+    # to order; 119 of the 600 runs are Valid.
+    for f in corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6):
+        for v in (KTS, KB):
+            g = core_formula(f, v)
+            out = prove(g, v)
+            if isinstance(out, Valid):
+                assert semantics.bounded_countermodel_search(g, 3, symmetric=(v is KB)) is None
+            else:
+                assert isinstance(out, Invalid)
+                assert semantics.falsifies(out.model, out.root, single([], [g]), v is KB)
 
 
 def test_variant_agreement_and_transfer():
@@ -194,21 +208,24 @@ def _ph(n):
 
 # (formula, {variant: (search nodes, restarts)}).  The first four are the
 # fan(4), chain(4), ph(2) and depth_bad(6) benchmark families; each of the
-# others tells one pair of rule classes apart: propagation after impL,
+# next five tells one pair of rule classes apart: propagation after impL,
 # propagation before restart, the order of the right box rules (twice), and
-# KB propagation before restart.  The counts follow from the rule priority
-# order; a change to that order must update them on purpose.
+# KB propagation before restart.  ph(3) pins the order of impL instances:
+# one with an axiom premiss first (15,782 nodes in sort_key order).  The
+# counts follow from the rule priority order; a change to that order must
+# update them on purpose.
 SEARCH_ORDER_PINS = [
     (" | ".join([f"[F]p{i}" for i in range(4)] + [f"[P]~[F]q{i}" for i in range(4)]),
      {KT: (866, 64), KTS: (866, 64), KB: (866, 64)}),
     ("p -> " + "[F]<P>" * 4 + "p", {KT: (34, 4), KTS: (34, 4), KB: (34, 4)}),
-    (_ph(2), {KT: (240, 0), KTS: (240, 0), KB: (240, 0)}),
+    (_ph(2), {KT: (70, 0), KTS: (70, 0), KB: (70, 0)}),
     ("[F]" * 6 + "p -> " + "[F]" * 7 + "p", {KT: (15, 0), KTS: (15, 0), KB: (33, 3)}),
     ("[F]p -> [F]((q -> r) -> p)", {KT: (8, 0), KTS: (8, 0), KB: (8, 0)}),
     ("[F]p -> [F]<P>q", {KT: (11, 1), KTS: (11, 1), KB: (11, 1)}),
     ("([F]p -> q) -> [P]((p -> p) -> r -> r)", {KT: (11, 0), KTS: (11, 0), KB: (10, 0)}),
     ("[F](([P]q -> [F][P]r) -> [F](r -> r))", {KT: (10, 0), KTS: (9, 0), KB: (18, 1)}),
     ("[P][P]false -> [P]q -> [P][P]q", {KT: (8, 0), KTS: (8, 0), KB: (7, 1)}),
+    (_ph(3), {KTS: (376, 0)}),
 ]
 
 
@@ -220,6 +237,14 @@ def test_search_order_pinned():
     # Both closure rules apply at this leaf; id comes first.
     rules = prove("p -> false -> p", KTS).derivation.rules_used()
     assert rules == [RuleId.IMP_R, RuleId.IMP_R, RuleId.ID]
+
+
+def test_pigeonhole_4_decides_inside_the_default_budget():
+    # In sort_key order of impL instances, ph(4) ran into the 30 s limit.
+    # prove has checked the derivation before it returns Valid.
+    out = prove(_ph(4), KTS, Budget())
+    assert isinstance(out, Valid)
+    assert (out.stats.nodes, out.stats.restarts, out.derivation.height) == (2412, 0, 172)
 
 
 def _search_record(text, v):
