@@ -77,7 +77,7 @@ class RuleInstance:
 
 
 def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
-    if v is CalculusVariant.KB and any(link is Polarity.BACKWARD for link in s.links):
+    if v is CalculusVariant.KB and Polarity.BACKWARD in s.links:
         raise VariantMismatch("KB sequents use forward links only")
 
 

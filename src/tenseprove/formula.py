@@ -37,9 +37,10 @@ class Formula:
         return print_ascii(self)
 
 
-# Every live core node, keyed by (class, *arguments). Values are held weakly,
-# so a node leaves the table when the last formula using it is dropped.
-_INTERNED: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# Every live core node, keyed by (class, *arguments), held by a weak
+# reference, so a node leaves the table when the last formula using it is
+# dropped.  A plain dict keeps the hit path in C: one get and one ref call.
+_INTERNED: dict[tuple, weakref.ref] = {}
 _lookup = _INTERNED.get
 _set = object.__setattr__
 
@@ -57,7 +58,8 @@ class _Core(Formula):
 
     def __new__(cls, *args):
         key = (cls, *args)
-        node = _lookup(key)
+        ref = _lookup(key)
+        node = ref() if ref is not None else None
         if node is None:
             node = cls._create(key, args)
         return node
@@ -72,7 +74,15 @@ class _Core(Formula):
         _set(node, "_text", None)
         _set(node, "_degree", None)
         _set(node, "_size", None)
-        _INTERNED[key] = node
+
+        # The table is bound here, not looked up as a global, so a node
+        # that dies at interpreter exit still finds it.  A dead node's key
+        # may already hold a newer node's ref, which must stay.
+        def forget(ref, key=key, table=_INTERNED):
+            if table.get(key) is ref:
+                del table[key]
+
+        _INTERNED[key] = weakref.ref(node, forget)
         return node
 
     def _args(self) -> tuple:
@@ -180,16 +190,17 @@ def desugar(f: Formula) -> Formula:
     """Rewrite ~, &, |, <F>, <P> into the core connectives.
 
     Idempotent on core formulas: diamonds become negated boxes, conjunction
-    and disjunction become implications.
+    and disjunction become implications.  A core node whose children come
+    back unchanged is returned itself.
     """
     if isinstance(f, (Atom, Bottom)):
         return f
     if isinstance(f, Implies):
-        return Implies(desugar(f.left), desugar(f.right))
-    if isinstance(f, Box):
-        return Box(desugar(f.body))
-    if isinstance(f, BlackBox):
-        return BlackBox(desugar(f.body))
+        left, right = desugar(f.left), desugar(f.right)
+        return f if left is f.left and right is f.right else Implies(left, right)
+    if isinstance(f, (Box, BlackBox)):
+        body = desugar(f.body)
+        return f if body is f.body else type(f)(body)
     if isinstance(f, Not):
         return neg(desugar(f.body))
     if isinstance(f, And):
@@ -205,12 +216,16 @@ def desugar(f: Formula) -> Formula:
 
 def collapse_backward(f: Formula) -> Formula:
     """Identify the backward box with the forward one in a core formula (KB
-    reading)."""
+    reading); a node with nothing to change is returned itself."""
     if isinstance(f, (Atom, Bottom)):
         return f
     if isinstance(f, Implies):
-        return Implies(collapse_backward(f.left), collapse_backward(f.right))
-    if isinstance(f, (Box, BlackBox)):
+        left, right = collapse_backward(f.left), collapse_backward(f.right)
+        return f if left is f.left and right is f.right else Implies(left, right)
+    if isinstance(f, Box):
+        body = collapse_backward(f.body)
+        return f if body is f.body else Box(body)
+    if isinstance(f, BlackBox):
         return Box(collapse_backward(f.body))
     raise TypeError(f"not a core formula: {f!r}")
 
@@ -480,7 +495,10 @@ def _pp(f: Formula, level: int, sym: dict) -> str:
 
 
 def print_ascii(f: Formula) -> str:
-    """Render in the input syntax; parse(print_ascii(f)) == f."""
+    """Render in the input syntax; parse(print_ascii(f)) == f.  A core node
+    whose text sort_key has cached returns that text."""
+    if isinstance(f, _Core) and f._text is not None:
+        return f._text
     return _pp(f, 0, _ASCII)
 
 

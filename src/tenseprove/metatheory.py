@@ -170,32 +170,41 @@ def _recheck(out: Derivation, v: CalculusVariant, what: str) -> Derivation:
 # --- admissible structural rules ---------------------------------------------
 
 
-def _edit(d: Derivation, pos: int, change) -> Derivation:
-    """Apply `change` to component pos of every sequent of d that still has it."""
+def _edit(d: Derivation, changes: dict) -> Derivation:
+    """Apply changes[i] to component i of every sequent of d that still has
+    it, in one walk."""
+    if not changes:
+        return d
     conc = d.conclusion
-    newc = conc.replace_component(pos, change(conc.components[pos]))
-    # Going up, a rule that deletes the last component deletes the edited one.
-    drops = pos == conc.length - 1
-    prems = tuple(p if drops and p.conclusion.length < conc.length else _edit(p, pos, change)
-                  for p in d.premisses)
-    return Derivation(newc, d.rule, d.principal, prems)
+    comps = list(conc.components)
+    for i, change in changes.items():
+        comps[i] = change(comps[i])
+    n = conc.length
+    prems = []
+    for p in d.premisses:
+        up = changes
+        if p.conclusion.length < n:
+            # A rule that deletes the last component deletes its change.
+            up = {i: change for i, change in changes.items() if i < n - 1}
+        prems.append(_edit(p, up))
+    return Derivation(LinearNestedSequent(tuple(comps), conc.links), d.rule, d.principal,
+                      tuple(prems))
 
 
-def _weaken(d: Derivation, pos: int, add_l: Multiset, add_r: Multiset) -> Derivation:
-    return _edit(d, pos, lambda c: Component(c.ant.union(add_l), c.succ.union(add_r), tag=c.tag))
+def _adder(add_l: Multiset, add_r: Multiset):
+    return lambda c: Component(c.ant.union(add_l), c.succ.union(add_r), tag=c.tag)
 
 
-def _contract(d: Derivation, pos: int, drop_l: Multiset, drop_r: Multiset) -> Derivation:
-    """Remove copies from one component derivation-wide; a node holding
-    fewer copies than are dropped raises KeyError."""
-    return _edit(d, pos, lambda c: Component(c.ant.minus(drop_l), c.succ.minus(drop_r), tag=c.tag))
+def _dropper(drop_l: Multiset, drop_r: Multiset):
+    """Removes copies from a component; one holding fewer raises KeyError."""
+    return lambda c: Component(c.ant.minus(drop_l), c.succ.minus(drop_r), tag=c.tag)
 
 
 def weaken(d: Derivation, position: int, add_left=(), add_right=()) -> Derivation:
     """Add formulas to one component everywhere it survives in the derivation."""
     if not 0 <= position < d.conclusion.length:
         raise PositionOutOfRange(position)
-    out = _weaken(d, position, Multiset(add_left), Multiset(add_right))
+    out = _edit(d, {position: _adder(Multiset(add_left), Multiset(add_right))})
     return _recheck(out, infer_variant(d), "weaken")
 
 
@@ -207,9 +216,8 @@ def contract(d: Derivation, position: int, side: str, f: Formula) -> Derivation:
     ms = c.ant if side == "left" else c.succ
     if ms.count(f) < 2:
         raise NotDuplicated(f"{print_ascii(f)} is not duplicated on the {side}")
-    drop = Multiset((f,))
-    out = (_contract(d, position, drop, Multiset()) if side == "left"
-           else _contract(d, position, Multiset(), drop))
+    drop, empty = Multiset((f,)), Multiset()
+    out = _edit(d, {position: _dropper(drop, empty) if side == "left" else _dropper(empty, drop)})
     return _recheck(out, infer_variant(d), "contract")
 
 
@@ -320,17 +328,14 @@ def _try_embed(d: Derivation, target: LinearNestedSequent) -> Derivation | None:
     n = d.conclusion.length
     if n > target.length or d.conclusion.links != target.links[: n - 1]:
         return None
-    for i in range(n):
-        ci, ti = d.conclusion.components[i], target.components[i]
+    changes = {}
+    for i, (ci, ti) in enumerate(zip(d.conclusion.components, target.components)):
         if not (ci.ant.subset(ti.ant) and ci.succ.subset(ti.succ)):
             return None
-    out = d
-    for i in range(n):
-        ci, ti = out.conclusion.components[i], target.components[i]
         add_l, add_r = ti.ant.diff(ci.ant), ti.succ.diff(ci.succ)
         if add_l or add_r:
-            out = _weaken(out, i, add_l, add_r)
-    return _ew_extend(out, target)
+            changes[i] = _adder(add_l, add_r)
+    return _ew_extend(_edit(d, changes), target)
 
 
 def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
@@ -350,17 +355,20 @@ def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
 
 
 def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
-    """Contract d's conclusion down to target, one walk per component."""
+    """Contract d's conclusion down to target: every component drops its
+    surplus over the target's, each dropped formula keeping a copy there,
+    and all components change in one edit walk over d."""
     if d.conclusion.length != target.length:
         raise TransformError("contract_to: length mismatch")
-    out = d
+    changes = {}
     for i, (c, t) in enumerate(zip(d.conclusion.components, target.components)):
         extra_l, extra_r = c.ant.diff(t.ant), c.succ.diff(t.succ)
         if (any(f not in t.ant for f in extra_l.distinct())
                 or any(f not in t.succ for f in extra_r.distinct())):
             raise TransformError("contract_to: support mismatch")
         if extra_l or extra_r:
-            out = _contract(out, i, extra_l, extra_r)
+            changes[i] = _dropper(extra_l, extra_r)
+    out = _edit(d, changes)
     if out.conclusion != target:
         raise TransformError("contract_to missed the target")
     return out
@@ -388,15 +396,23 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
     mon.enter(complexity(a), d1.height + d2.height, 1 if left else 0)
     try:
         d, other = (d1, d2) if left else (d2, d1)
+        if left:
+            # Before the terminal case, which it never meets: a terminal d1
+            # introduces nothing.
+            out = _principal_left(a, d1, d2, pos, mon)
+            if out is not None:
+                return out
+        # Built after the left principal case, whose shift right returns
+        # its own result and never reads this target.
         target = _cut_target(d1.conclusion, d2.conclusion, pos, a)
 
         if d.rule in (RuleId.ID, RuleId.BOT_L):
             return _close_terminal(target, (other, d))
 
-        out = (_principal_left(a, d1, d2, pos, mon) if left
-               else _principal_right(a, d1, d2, pos, mon, witness, target))
-        if out is not None:
-            return out
+        if not left:
+            out = _principal_right(a, d1, d2, pos, mon, witness, target)
+            if out is not None:
+                return out
 
         if pos == d.conclusion.length - 1 and (d.rule in RESTART_RULES or d.rule is RuleId.EW):
             # The premiss has lost the component holding the cut occurrence.

@@ -51,10 +51,19 @@ class Multiset:
         return Multiset._raw(counts)
 
     def remove_one(self, f: Formula) -> Multiset:
-        return self.minus(Multiset._raw({f: 1}))
+        """One copy fewer of f; raises KeyError if f is absent."""
+        counts = dict(self._counts)
+        k = counts[f] - 1
+        if k:
+            counts[f] = k
+        else:
+            del counts[f]
+        return Multiset._raw(counts)
 
     def minus(self, other: Multiset) -> Multiset:
         """Multiset difference; raises KeyError unless other is contained in self."""
+        if not other._counts:
+            return self
         counts = dict(self._counts)
         for f, n in other._counts.items():
             k = counts.get(f, 0) - n
@@ -67,6 +76,11 @@ class Multiset:
         return Multiset._raw(counts)
 
     def union(self, other: Multiset) -> Multiset:
+        # Values are immutable, so an empty operand gives back the other.
+        if not other._counts:
+            return self
+        if not self._counts:
+            return other
         counts = dict(self._counts)
         for f, n in other._counts.items():
             counts[f] = counts.get(f, 0) + n
@@ -230,20 +244,16 @@ def single(ants=(), succs=(), tag: int = -1) -> LinearNestedSequent:
     return LinearNestedSequent((component(ants, succs, tag),), ())
 
 
-def structurally_equivalent(a: LinearNestedSequent, b: LinearNestedSequent) -> bool:
-    """Same length and pointwise-equal link polarities; contents are ignored."""
-    return a.links == b.links
-
-
 def merge(a: LinearNestedSequent, b: LinearNestedSequent) -> LinearNestedSequent:
     """Componentwise multiset union, keeping the longer tail.
 
-    Defined when the shorter sequent is structurally equivalent to the
-    longer one's prefix; the shared components keep a's tags.
+    Defined when the shorter sequent's links equal the longer one's first
+    links (the two are structurally equivalent up to the shorter length);
+    the shared components keep a's tags.
     """
     longer, shorter = (a, b) if a.length >= b.length else (b, a)
     n = shorter.length
-    if not structurally_equivalent(longer.prefix(n), shorter):
+    if shorter.links != longer.links[: n - 1]:
         raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
     comps = [Component(x.ant.union(y.ant), x.succ.union(y.succ), tag=x.tag)
              for x, y in zip(a.components, b.components)]

@@ -197,6 +197,18 @@ def test_print_parse_roundtrip_is_identity_and_sort_key_is_the_text(f):
     assert sort_key(f) == print_ascii(f)
 
 
+@given(core_formulas)
+def test_print_ascii_returns_the_cached_text_as_rendered(f):
+    sort_key(f)
+    assert print_ascii(f) == formula._pp(f, 0, formula._ASCII)
+
+
+def test_print_ascii_renders_a_core_node_over_surface_children():
+    f = parse("(p | q) -> ~r")
+    assert isinstance(f, Implies) and f._text is None
+    assert print_ascii(f) == formula._pp(f, 0, formula._ASCII) == "p | q -> ~r"
+
+
 def test_intern_table_forgets_dropped_formulas():
     gc.collect()
     before = len(formula._INTERNED)

@@ -346,6 +346,39 @@ def test_cut_output_pinned():
         assert _self_cut_record(d, a) == (calls, digest), text
 
 
+# Over all 100 formulas of corpus(1270, 100, max_size=8, max_degree=2):
+# the total CutMonitor.calls of cut(d, d, a), d = generalised_init(a => a),
+# and the SHA-256 of the JSON list of per-formula records.  A record is the
+# name of the exception raised, or [monitor calls, SHA-256 of the schema-1
+# JSON of the cut output, SHA-256 of the schema-1 JSON of the weaken,
+# contract and to_ktstar chain on it].
+CUT_CORPUS_PIN = (7031, "3ad33be8544bf66759923914be0b84816dd604c2bfb1ed290c34e23ed3a82f19")
+
+
+def _schema1_digest(d) -> str:
+    text = json.dumps(schema1(derivation_to_json(d)), sort_keys=True).encode()
+    return hashlib.sha256(text).hexdigest()
+
+
+def _transform_record(a) -> list:
+    try:
+        d = generalised_init(single([a], [a]), a)
+        mon = CutMonitor()
+        c = cut(d, d, a, mon)
+        k = contract(weaken(weaken(c, 0, [a], [a]), 0, [a], []), 0, "left", a)
+        t = to_ktstar(k)
+    except Exception as e:
+        return [type(e).__name__]
+    return [mon.calls, _schema1_digest(c), _schema1_digest(t)]
+
+
+def test_cut_corpus_pinned():
+    records = [_transform_record(a) for a in corpus(1270, 100, max_size=8, max_degree=2)]
+    calls = sum(rec[0] for rec in records if len(rec) == 3)
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert (calls, digest) == CUT_CORPUS_PIN
+
+
 def test_cut_output_is_cut_free_and_concludes_merge():
     # cut-freeness is by construction: the rule vocabulary has no cut, so it
     # is enough that the output checks and concludes the merge minus the cut

@@ -15,7 +15,6 @@ from tenseprove.sequent import (
     formula_translation,
     merge,
     single,
-    structurally_equivalent,
 )
 
 p, q, r, s, t, u = (Atom(x) for x in "pqrstu")
@@ -69,21 +68,15 @@ def test_translation_backward_link_embeds_blackbox():
     assert "[F]" not in str(tau)
 
 
-def test_structural_equivalence_ignores_contents():
+def test_merge_ignores_contents():
     a = seq(component(), FWD, component())
     b = seq(component([p], [q]), FWD, component([r], [s]))
-    assert structurally_equivalent(a, b)
-
-
-def test_structural_equivalence_polarity_mismatch():
-    a = seq(component(), FWD, component())
-    b = seq(component(), BWD, component())
-    assert not structurally_equivalent(a, b)
+    assert merge(a, b).links == (FWD,)
 
 
 @given(small_sequents())
-def test_structural_equivalence_reflexive(s0):
-    assert structurally_equivalent(s0, s0)
+def test_merge_defined_on_a_sequent_and_itself(s0):
+    assert merge(s0, s0).links == s0.links
 
 
 def test_merge_singles():
@@ -106,6 +99,14 @@ def test_merge_undefined_on_polarity_mismatch():
     b = seq(component(), BWD, component())
     with pytest.raises(MergeUndefined):
         merge(a, b)
+
+
+def test_merge_undefined_on_a_longer_sequent_with_other_first_links():
+    a = seq(component(), FWD, component())
+    b = seq(component(), BWD, component(), FWD, component())
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(MergeUndefined):
+            merge(x, y)
 
 
 @given(small_sequents(max_len=2), small_sequents(max_len=2))
@@ -163,6 +164,17 @@ def test_multiset_semantics():
     with pytest.raises(KeyError):
         m.remove_one(r)
     assert Multiset([p]).subset(m)
+
+
+def test_multiset_edits_at_the_edges():
+    m, empty = Multiset([p, p, q]), Multiset()
+    with pytest.raises(KeyError):
+        m.remove_one(r)
+    with pytest.raises(KeyError):
+        empty.remove_one(p)
+    assert m.remove_one(q) == Multiset([p, p]) and m == Multiset([p, p, q])
+    assert m.union(empty) == empty.union(m) == m
+    assert m.minus(empty) == m and empty.minus(empty) == empty
 
 
 def test_distinct_is_cached_in_sort_key_order():
