@@ -74,6 +74,16 @@ def test_merge_ignores_contents():
     assert merge(a, b).links == (FWD,)
 
 
+def test_structural_equivalence_polarity_mismatch():
+    # Same length and contents, links differing only at the second position:
+    # not structurally equivalent, so merge is undefined either way round.
+    a = seq(component([p], [q]), FWD, component(), FWD, component([r], []))
+    b = seq(component([p], [q]), FWD, component(), BWD, component([r], []))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(MergeUndefined):
+            merge(x, y)
+
+
 @given(small_sequents())
 def test_merge_defined_on_a_sequent_and_itself(s0):
     assert merge(s0, s0).links == s0.links
