@@ -275,9 +275,10 @@ def saturation_instance(s, v, tags=fresh_tag) -> RuleInstance | None:
     return None
 
 
-def box_instances(s, v, saturating=True, tags=fresh_tag) -> list[RuleInstance]:
+def box_instances(s, v, tags=fresh_tag) -> list[RuleInstance]:
+    """Every right box instance search may choose, in priority order."""
     _check_variant(s, v)
-    return [inst for g in _BOX[v] for inst in g(s, saturating, tags)]
+    return [inst for g in _BOX[v] for inst in g(s, True, tags)]
 
 
 def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:

@@ -78,16 +78,10 @@ class Derivation:
         h = 0 if not self.premisses else 1 + max(p.height for p in self.premisses)
         object.__setattr__(self, "height", h)
 
-    def rules_used(self) -> list[RuleId]:
-        out = [self.rule]
-        for p in self.premisses:
-            out.extend(p.rules_used())
-        return out
-
     def rule_applications(self) -> int:
-        """len(self.rules_used()) in one walk over the distinct nodes: each
-        node's tree size is computed once, and a shared node adds it at
-        every occurrence."""
+        """The number of nodes written out as a tree, in one walk over
+        the distinct nodes: each node's tree size is computed once, and a
+        shared node adds it at every occurrence."""
         size: dict[int, int] = {}
         stack = [self]
         while stack:
@@ -149,9 +143,12 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
 def infer_variant(d: Derivation) -> CalculusVariant:
     """KB if d uses a KB rule, else KT* if it uses boxR or bboxR, else KT."""
     v = CalculusVariant.KT
-    stack = [d]
+    stack, seen = [d], set()
     while stack:
         node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
         if node.rule in (RuleId.KB_BOX_R, RuleId.KB_BOX_L1, RuleId.KB_BOX_L2):
             return CalculusVariant.KB
         if node.rule in (RuleId.BOX_R, RuleId.BBOX_R):
@@ -170,11 +167,18 @@ def _recheck(out: Derivation, v: CalculusVariant, what: str) -> Derivation:
 # --- admissible structural rules ---------------------------------------------
 
 
-def _edit(d: Derivation, changes: dict) -> Derivation:
+def _edit(d: Derivation, changes: dict, memo: dict | None = None) -> Derivation:
     """Apply changes[i] to component i of every sequent of d that still has
-    it, in one walk."""
+    it, in one walk; a shared node is edited once for each set of changes
+    that reaches it, so the output shares what d shares."""
     if not changes:
         return d
+    if memo is None:
+        memo = {}
+    key = (id(d), tuple(changes))
+    out = memo.get(key)
+    if out is not None:
+        return out
     conc = d.conclusion
     comps = list(conc.components)
     for i, change in changes.items():
@@ -186,9 +190,10 @@ def _edit(d: Derivation, changes: dict) -> Derivation:
         if p.conclusion.length < n:
             # A rule that deletes the last component deletes its change.
             up = {i: change for i, change in changes.items() if i < n - 1}
-        prems.append(_edit(p, up))
-    return Derivation(LinearNestedSequent(tuple(comps), conc.links), d.rule, d.principal,
-                      tuple(prems))
+        prems.append(_edit(p, up, memo))
+    out = memo[key] = Derivation(LinearNestedSequent(tuple(comps), conc.links), d.rule,
+                                 d.principal, tuple(prems))
+    return out
 
 
 def _adder(add_l: Multiset, add_r: Multiset):

@@ -2,6 +2,9 @@
 
 The engine applies the rule groups in priority order (termination, CPL,
 propagation, restart) and only then branches over the right box rules.
+A closed subtree is built as a Derivation when search returns from it, so
+a closed search ends in its derivation; a failed one ends in a tree of
+SearchNodes, in which a failed step keeps only its failed premiss.
 Search is a function of the sequent's contents, and different box-choice
 orders restart into equal premisses, so each search explores a restart
 premiss once and shares the subtree at every later occurrence.  A failed
@@ -88,12 +91,14 @@ _TWO_PREMISS_BOX_RULES = tuple(calculus.TWO_PREMISS_BOX_RULES)
 
 @dataclass
 class SearchNode:
+    """A failed node of the search tree: a saturated leaf, a step that keeps
+    only its failed premiss, or an and-node over every box choice, all of
+    which failed.  A closed subtree is the Derivation search built for it."""
+
     sequent: LinearNestedSequent
     kind: str  # "leaf" | "step" | "and"
     applied: RuleInstance | None
     children: list[SearchNode]
-    status: str
-    left_derivation: Derivation | None = None
     stuck: bool = False
     # A failed restart premiss found already explored: this node has its
     # own sequent and shares the children of `origin`, the first occurrence.
@@ -146,7 +151,8 @@ class _Search:
         self.tags = itertools.count(max(c.tag for c in end.components) + 1)
         self.restart_bound = len(strict_subformulas_of(end)) + 1
         # restart premiss -> (node, nodes, restarts, max_length of its subtree)
-        self.restarted: dict[LinearNestedSequent, tuple[SearchNode, int, int, int]] = {}
+        self.restarted: dict[LinearNestedSequent,
+                             tuple[Derivation | SearchNode, int, int, int]] = {}
 
     def tick(self, s: LinearNestedSequent):
         st = self.stats
@@ -160,45 +166,44 @@ class _Search:
     def fresh(self) -> int:
         return next(self.tags)
 
-    def expand(self, s: LinearNestedSequent) -> SearchNode:
+    def expand(self, s: LinearNestedSequent) -> Derivation | SearchNode:
         self.tick(s)
         inst = calculus.saturation_instance(s, self.variant, self.fresh)
         if inst is not None:
             if inst.rule in (RuleId.ID, RuleId.BOT_L):
-                return SearchNode(s, "leaf", inst, [], CLOSED)
+                return Derivation(s, inst.rule, inst.principal)
             if inst.rule in _RESTART_RULES:
                 self.stats.restarts += 1
                 absorber = inst.premisses[0].last
                 if absorber.restarts > self.restart_bound:
                     raise SearchInvariantError("restart count exceeded the subformula bound")
-                child = self.expand_restarted(inst.premisses[0])
-                return SearchNode(s, "step", inst, [child], child.status)
-            children = []
+                return _step(s, inst, self.expand_restarted(inst.premisses[0]))
+            prems = []
             for p in inst.premisses:
                 c = self.expand(p)
-                children.append(c)
-                if c.status == FAILED:
-                    return SearchNode(s, "step", inst, children, FAILED)
-            return SearchNode(s, "step", inst, children, CLOSED)
-        choices = calculus.box_instances(s, self.variant, True, self.fresh)
+                if isinstance(c, SearchNode):
+                    return SearchNode(s, "step", inst, [c])
+                prems.append(c)
+            return Derivation(s, inst.rule, inst.principal, tuple(prems))
+        choices = calculus.box_instances(s, self.variant, self.fresh)
         if not choices:
-            return SearchNode(s, "leaf", None, [], FAILED)
+            return SearchNode(s, "leaf", None, [])
         explored = []
         for inst in choices:
             node = self.expand_box(s, inst)
-            if node.status == CLOSED:
+            if not isinstance(node, SearchNode):
                 return node
             explored.append(node)
         if any(n.stuck for n in explored):
             raise SearchInvariantError(
                 "left premiss of a two-premiss box rule could not be derived")
-        return SearchNode(s, "and", None, explored, FAILED)
+        return SearchNode(s, "and", None, explored)
 
-    def expand_restarted(self, p: LinearNestedSequent) -> SearchNode:
+    def expand_restarted(self, p: LinearNestedSequent) -> Derivation | SearchNode:
         """The subtree of a restart premiss, explored once per search.
 
         Sequent equality ignores tags, so an equal premiss seen before
-        answers: a closed node is shared as it is, a failed one through a
+        answers: a derivation is shared as it is, a failed node through a
         node with p's own sequent (prune retags its kept part).  Either way
         the statistics grow by the stored subtree's totals.
         """
@@ -210,9 +215,9 @@ class _Search:
             st.nodes += nodes
             st.restarts += restarts
             st.max_length = max(st.max_length, length)
-            if node.status == CLOSED:
+            if not isinstance(node, SearchNode):
                 return node
-            return SearchNode(p, node.kind, node.applied, node.children, FAILED, origin=node)
+            return SearchNode(p, node.kind, node.applied, node.children, origin=node)
         nodes, restarts, outer_length = st.nodes, st.restarts, st.max_length
         st.max_length = p.length
         try:
@@ -222,20 +227,19 @@ class _Search:
         self.restarted[p] = (node, st.nodes - nodes, st.restarts - restarts, length)
         return node
 
-    def expand_box(self, s: LinearNestedSequent, inst: RuleInstance) -> SearchNode:
+    def expand_box(self, s: LinearNestedSequent, inst: RuleInstance) -> Derivation | SearchNode:
         grown = inst.premisses[-1]
         if max_degree(grown.last) >= max_degree(s.last):
             raise SearchInvariantError("modal degree failed to drop at a box step")
         if inst.rule in _TWO_PREMISS_BOX_RULES:
             right = self.expand(grown)
-            if right.status == FAILED:
-                return SearchNode(s, "step", inst, [right], FAILED)
+            if isinstance(right, SearchNode):
+                return SearchNode(s, "step", inst, [right])
             left = self.derive_left(inst)
             if left is None:
-                return SearchNode(s, "step", inst, [right], FAILED, stuck=True)
-            return SearchNode(s, "step", inst, [right], CLOSED, left_derivation=left)
-        child = self.expand(inst.premisses[0])
-        return SearchNode(s, "step", inst, [child], child.status)
+                return SearchNode(s, "step", inst, [], stuck=True)
+            return Derivation(s, inst.rule, inst.principal, (left, right))
+        return _step(s, inst, self.expand(inst.premisses[0]))
 
     def derive_left(self, inst: RuleInstance) -> Derivation | None:
         """Derivation of the left premiss of boxR1/bboxR1.
@@ -246,13 +250,19 @@ class _Search:
         terminates).
         """
         left = inst.premisses[0]
-        prefix_tree = self.expand(left.drop_last())
-        if prefix_tree.status == CLOSED:
-            return Derivation(left, RuleId.EW, None, (derivation_from(prefix_tree, self.variant),))
+        prefix = self.expand(left.drop_last())
+        if not isinstance(prefix, SearchNode):
+            return Derivation(left, RuleId.EW, None, (prefix,))
         tree = self.expand(left)
-        if tree.status == CLOSED:
-            return derivation_from(tree, self.variant)
-        return None
+        return None if isinstance(tree, SearchNode) else tree
+
+
+def _step(s: LinearNestedSequent, inst: RuleInstance,
+          premiss: Derivation | SearchNode) -> Derivation | SearchNode:
+    """The node of a one-premiss step, given its premiss's search result."""
+    if isinstance(premiss, SearchNode):
+        return SearchNode(s, "step", inst, [premiss])
+    return Derivation(s, inst.rule, inst.principal, (premiss,))
 
 
 def strict_subformulas_of(s: LinearNestedSequent):
@@ -269,33 +279,17 @@ def max_degree(c: Component) -> int:
     return max(c.ant.max_degree(), c.succ.max_degree())
 
 
-def derivation_from(node: SearchNode, v: CalculusVariant) -> Derivation:
-    """The derivation of a closed tree; a subtree search shared is built
-    once and shared in the derivation too."""
-    if node.status != CLOSED:
+def derivation_from(tree: Derivation | SearchNode, v: CalculusVariant) -> Derivation:
+    """The derivation a closed search built; a failed tree has none."""
+    if isinstance(tree, SearchNode):
         raise SearchInvariantError("no derivation in a failed tree")
-    built: dict[int, Derivation] = {}
-
-    def build(n: SearchNode) -> Derivation:
-        d = built.get(id(n))
-        if d is None:
-            rule, principal = n.applied.rule, n.applied.principal
-            if n.kind == "leaf":
-                d = Derivation(n.sequent, rule, principal)
-            elif rule in _TWO_PREMISS_BOX_RULES:
-                d = Derivation(n.sequent, rule, principal,
-                               (n.left_derivation, build(n.children[0])))
-            else:
-                d = Derivation(n.sequent, rule, principal, tuple(build(c) for c in n.children))
-            built[id(n)] = d
-        return d
-
-    return build(node)
+    return tree
 
 
 def search(s: LinearNestedSequent, v: CalculusVariant,
-           budget: Budget | None = None) -> tuple[str, SearchNode, Statistics]:
-    """Run the strategy on s; returns (status, explored tree, statistics)."""
+           budget: Budget | None = None) -> tuple[str, Derivation | SearchNode, Statistics]:
+    """Run the strategy on s; returns (status, tree, statistics): CLOSED with
+    the derivation, or FAILED with the explored failed tree."""
     budget = budget or Budget()
     s = _retag(s)
     eng = _Search(v, budget, s)
@@ -304,7 +298,7 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
         tree = eng.expand(s)
     finally:
         eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return tree.status, tree, eng.stats
+    return (FAILED if isinstance(tree, SearchNode) else CLOSED), tree, eng.stats
 
 
 def _retag(s: LinearNestedSequent) -> LinearNestedSequent:
@@ -320,7 +314,7 @@ def prune(t: SearchNode) -> PrunedNode:
     of whose choices collapsed this way keeps only the collapsed branch,
     since the restarted re-exploration subsumes the longer siblings.
     """
-    if t.status != FAILED:
+    if not isinstance(t, SearchNode):
         raise SearchInvariantError("prune expects a failed tree")
     node, _ = _Pruner().prune(t)
     return node
@@ -354,7 +348,7 @@ class _Pruner:
             if flag and child.sequent.length < n.sequent.length - 1:
                 return child, True
             return PrunedNode(n.sequent.prefix(n.sequent.length - 1), rule, "step", [child]), True
-        child, flag = self.prune(next(c for c in n.children if c.status == FAILED))
+        child, flag = self.prune(n.children[0])
         if flag:
             return child, True
         return PrunedNode(n.sequent, rule, "step", [child]), False
@@ -435,11 +429,10 @@ def prove_sequent(s: LinearNestedSequent, v: CalculusVariant = CalculusVariant.K
     except BudgetExhausted as e:
         return ResourceLimit(e.stats)
     if status == CLOSED:
-        d = derivation_from(tree, v)
-        res = metatheory.check(d, v)
+        res = metatheory.check(tree, v)
         if not res:
             raise SearchInvariantError(f"emitted derivation failed the checker: {res.message}")
-        return Valid(d, stats)
+        return Valid(tree, stats)
     pruned = prune(tree)
     model, root = extract_model(pruned, v)
     if not semantics.falsifies(model, root, tree.sequent, symmetric=(v is CalculusVariant.KB)):

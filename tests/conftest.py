@@ -77,6 +77,14 @@ def schema1(data: dict) -> dict:
     return tree(derivation_from_json(data))
 
 
+def rules_of(d) -> set:
+    """The rules of a derivation's distinct nodes."""
+    from tenseprove.calculus import RuleId
+    from tenseprove.metatheory import derivation_to_json
+
+    return {RuleId(n["rule"]) for n in derivation_to_json(d)["nodes"]}
+
+
 def successors(model, w: str) -> set:
     return {v for (u, v) in model.edges if u == w}
 

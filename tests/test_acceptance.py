@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from conftest import predecessors, successors
+from conftest import predecessors, rules_of, successors
 from tenseprove import metatheory, semantics
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import (
@@ -90,7 +90,7 @@ def test_criterion_02_historical_counterexample():
     dt = time.monotonic() - t0
     ok = isinstance(out, Valid) and check(out.derivation, KT) and dt < 1.0
     # cut-freeness is by construction: the rule vocabulary has no cut
-    ok = ok and all(isinstance(x, RuleId) for x in out.derivation.rules_used())
+    ok = ok and all(isinstance(x, RuleId) for x in rules_of(out.derivation))
     report(2, ok, f"valid cut-free in {dt*1000:.0f} ms")
 
 
@@ -98,7 +98,7 @@ def test_criterion_03_fan_plus_restart_sequent_is_valid():
     s = single([], [Box(p), Box(q), desugar(parse("r -> [P]~[F]~r"))])
     out = prove_sequent(s, KT)
     ok = isinstance(out, Valid)
-    used = set(out.derivation.rules_used()) if ok else set()
+    used = rules_of(out.derivation) if ok else set()
     ok = ok and RuleId.BBOX_R2 in used and RuleId.BOX_L2 in used
     report(3, ok, f"rules {sorted(x.value for x in used)}")
 

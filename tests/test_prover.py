@@ -2,19 +2,29 @@ import gc
 import hashlib
 import json
 
-from conftest import predecessors, schema1, successors
+import pytest
+
+from conftest import predecessors, rules_of, schema1, successors
 from tenseprove import semantics
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
 from tenseprove.generate import corpus
-from tenseprove.metatheory import check, derivation_from_json, derivation_to_json, to_ktstar
+from tenseprove.metatheory import (
+    Derivation,
+    check,
+    derivation_from_json,
+    derivation_to_json,
+    to_ktstar,
+)
 from tenseprove.prover import (
     FAILED,
     Budget,
     Invalid,
     ResourceLimit,
+    SearchInvariantError,
     Valid,
     core_formula,
+    derivation_from,
     extract_model,
     prove,
     prove_sequent,
@@ -54,8 +64,26 @@ def test_search_and_node_has_three_children():
 
 def test_search_closes_id_immediately():
     status, tree, stats = search(single([p], [p]), KTS)
-    assert status == "closed" and tree.kind == "leaf"
+    assert status == "closed" and isinstance(tree, Derivation)
+    assert tree.rule is RuleId.ID and tree.premisses == ()
     assert stats.nodes == 1
+
+
+def test_derivation_from_a_failed_tree_raises():
+    status, tree, _ = search(fan_sequent(), KTS)
+    assert status == FAILED
+    with pytest.raises(SearchInvariantError):
+        derivation_from(tree, KTS)
+
+
+def test_deep_kb_derivation_builds_without_recursion():
+    # [F]^200 p -> [F]^200 p.  Search builds the derivation as it returns;
+    # rebuilt from the search tree by a second, recursive walk, it raised
+    # RecursionError.
+    text = " -> ".join(["[F]" * 200 + "p"] * 2)
+    out = prove(text, KB)
+    assert isinstance(out, Valid)
+    assert (out.derivation.rule_applications(), out.derivation.height) == (15552, 15551)
 
 
 def test_search_restart_branch():
@@ -111,7 +139,7 @@ def test_example4_sequent_uses_restart_rules():
     s = single([r], [Box(p), Box(q), desugar(parse("[P]~[F]~r"))])
     out = prove_sequent(s, KT)
     assert isinstance(out, Valid)
-    used = set(out.derivation.rules_used())
+    used = rules_of(out.derivation)
     assert RuleId.BBOX_R2 in used and RuleId.BOX_L2 in used
 
 
@@ -127,7 +155,7 @@ def test_kt_left_premiss_machinery():
     out = prove(f, KT)
     assert isinstance(out, Valid)
     assert check(out.derivation, KT)
-    used = set(out.derivation.rules_used())
+    used = rules_of(out.derivation)
     assert RuleId.BOX_R1 in used and RuleId.EW in used
 
 
@@ -235,8 +263,8 @@ def test_search_order_pinned():
             st = prove(text, v).stats
             assert (st.nodes, st.restarts) == pin, (text, v)
     # Both closure rules apply at this leaf; id comes first.
-    rules = prove("p -> false -> p", KTS).derivation.rules_used()
-    assert rules == [RuleId.IMP_R, RuleId.IMP_R, RuleId.ID]
+    nodes = derivation_to_json(prove("p -> false -> p", KTS).derivation)["nodes"]
+    assert [n["rule"] for n in nodes] == ["id", "impR", "impR"]
 
 
 def test_pigeonhole_4_decides_inside_the_default_budget():
