@@ -21,19 +21,26 @@ ph(3) from 15,782 to 376, and ph(4) decides in 2,412.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity
-from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag
+from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, fresh_tag, slot_setters
 
+
+# The members of both enums are singletons compared by identity, so they
+# hash by identity too: Enum.__hash__ runs Python code, and search and the
+# checker test a rule against the frozensets below at every node.
 
 class CalculusVariant(enum.Enum):
+    __hash__ = object.__hash__
+
     KT = "kt"
     KT_STAR = "kt-star"
     KB = "kb"
 
 
 class RuleId(enum.Enum):
+    __hash__ = object.__hash__
+
     ID = "id"
     BOT_L = "botL"
     IMP_R = "impR"
@@ -69,11 +76,26 @@ class VariantMismatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RuleInstance:
-    rule: RuleId
-    principal: Formula | None
-    premisses: tuple[LinearNestedSequent, ...]
+class RuleInstance(ReadOnly):
+    __slots__ = _fields = ("rule", "principal", "premisses")
+
+    def __init__(self, rule: RuleId, principal: Formula | None,
+                 premisses: tuple[LinearNestedSequent, ...]):
+        _set_rule(self, rule)
+        _set_principal(self, principal)
+        _set_premisses(self, premisses)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RuleInstance:
+            return NotImplemented
+        return ((self.rule, self.principal, self.premisses)
+                == (other.rule, other.principal, other.premisses))
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.principal, self.premisses))
+
+
+_set_rule, _set_principal, _set_premisses = slot_setters(RuleInstance)
 
 
 def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
@@ -114,7 +136,8 @@ def _imp_r(s, saturating, tags, only=ANY):
             (only,) if type(only) is Implies and only in last.succ else ()):
         if saturating and f.left in last.ant and f.right in last.succ:
             continue
-        p = s.replace_component(s.length - 1, last.with_ant(f.left).with_succ(f.right))
+        p = s.replace_component(s.length - 1, Component(
+            last.ant.add(f.left), last.succ.add(f.right), last.tag, last.restarts))
         yield RuleInstance(RuleId.IMP_R, f, (p,))
 
 

@@ -11,7 +11,7 @@ only cases in which the two lemmas differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calculus import (
     BOX_LINK,
@@ -35,7 +35,7 @@ from .formula import (
     parse,
     print_ascii,
 )
-from .sequent import Component, LinearNestedSequent, Multiset, merge
+from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, merge, slot_setters
 
 
 class PositionOutOfRange(Exception):
@@ -62,21 +62,35 @@ class TransformError(Exception):
     """A transformation produced something the checker rejects; always a bug."""
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(ReadOnly):
     """A rule application.  The conclusion, the rule and its principal
     formula (None for ew) fix the premisses' conclusions; `premisses` holds
-    their derivations.  A node may be the premiss of several nodes."""
+    their derivations.  A node may be the premiss of several nodes.
 
-    conclusion: LinearNestedSequent
-    rule: RuleId
-    principal: Formula | None
-    premisses: tuple[Derivation, ...] = ()
-    height: int = field(init=False, compare=False)
+    Like the sequents and rule instances, a node is a read-only slotted
+    value: search and the checker build several per step, and building
+    them is a large share of each step.  `height` is computed here;
+    equality and hash leave it out."""
 
-    def __post_init__(self):
-        h = 0 if not self.premisses else 1 + max(p.height for p in self.premisses)
-        object.__setattr__(self, "height", h)
+    __slots__ = ("conclusion", "rule", "principal", "premisses", "height")
+    _fields = __slots__[:4]
+
+    def __init__(self, conclusion: LinearNestedSequent, rule: RuleId,
+                 principal: Formula | None, premisses: tuple[Derivation, ...] = ()):
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_principal(self, principal)
+        _set_premisses(self, premisses)
+        _set_height(self, 1 + max([p.height for p in premisses]) if premisses else 0)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Derivation:
+            return NotImplemented
+        return ((self.conclusion, self.rule, self.principal, self.premisses)
+                == (other.conclusion, other.rule, other.principal, other.premisses))
+
+    def __hash__(self) -> int:
+        return hash((self.conclusion, self.rule, self.principal, self.premisses))
 
     def rule_applications(self) -> int:
         """The number of nodes written out as a tree, in one walk over
@@ -96,6 +110,10 @@ class Derivation:
                 stack.pop()
                 size[id(d)] = 1 + sum(size[id(p)] for p in d.premisses)
         return size[id(self)]
+
+
+(_set_conclusion, _set_rule, _set_principal, _set_premisses,
+ _set_height) = slot_setters(Derivation)
 
 
 @dataclass
@@ -123,20 +141,27 @@ def _node_text(rule: RuleId, principal: Formula | None) -> str:
 def check(d: Derivation, v: CalculusVariant) -> CheckResult:
     """Validate every node against the rule schemas of the given variant,
     building the one instance its rule and principal formula name; a node
-    shared by several premisses is validated once."""
-    stack = [(d, ())]
+    shared by several premisses is validated once.  Each stacked node keeps
+    a link (premiss position, parent's link) to the node that reached it,
+    so the premiss path is built only for a node that fails."""
+    stack: list[tuple[Derivation, tuple | None]] = [(d, None)]
     seen: set[int] = set()
     while stack:
-        node, path = stack.pop()
+        node, link = stack.pop()
         if id(node) in seen:
             continue
         seen.add(id(node))
         if not is_valid_instance(node.conclusion, node.rule, node.principal,
                                  [p.conclusion for p in node.premisses], v):
-            return CheckResult(False, path, f"invalid {_node_text(node.rule, node.principal)} "
-                                            f"at {node.conclusion.render()}")
+            path = []
+            while link is not None:
+                i, link = link
+                path.append(i)
+            return CheckResult(False, tuple(reversed(path)),
+                               f"invalid {_node_text(node.rule, node.principal)} "
+                               f"at {node.conclusion.render()}")
         for i, p in enumerate(node.premisses):
-            stack.append((p, path + (i,)))
+            stack.append((p, (i, link)))
     return CheckResult(True)
 
 
@@ -254,7 +279,8 @@ def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
     if isinstance(a, Bottom):
         return Derivation(s, RuleId.BOT_L, a)
     if isinstance(a, Implies):
-        p1 = s.replace_component(i, last.with_ant(a.left).with_succ(a.right))
+        p1 = s.replace_component(i, Component(last.ant.add(a.left), last.succ.add(a.right),
+                                              last.tag, last.restarts))
         q1 = p1.replace_component(i, p1.last.with_ant(a.right))
         q2 = p1.replace_component(i, p1.last.with_succ(a.left))
         impl = Derivation(p1, RuleId.IMP_L, a, (_gen_init(q1, a.right), _gen_init(q2, a.left)))

@@ -20,10 +20,10 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import calculus, metatheory, semantics
-from .calculus import CalculusVariant, RuleId, RuleInstance
+from .calculus import RESTART_RULES, TWO_PREMISS_BOX_RULES, CalculusVariant, RuleId, RuleInstance
 from .formula import (
     Atom,
     Formula,
@@ -82,11 +82,6 @@ class Statistics:
 
 CLOSED = "closed"
 FAILED = "failed"
-
-# Tuples, not the public frozensets: a search node tests one rule against
-# them, and hashing an Enum member runs Python code.
-_RESTART_RULES = tuple(calculus.RESTART_RULES)
-_TWO_PREMISS_BOX_RULES = tuple(calculus.TWO_PREMISS_BOX_RULES)
 
 
 @dataclass
@@ -172,7 +167,7 @@ class _Search:
         if inst is not None:
             if inst.rule in (RuleId.ID, RuleId.BOT_L):
                 return Derivation(s, inst.rule, inst.principal)
-            if inst.rule in _RESTART_RULES:
+            if inst.rule in RESTART_RULES:
                 self.stats.restarts += 1
                 absorber = inst.premisses[0].last
                 if absorber.restarts > self.restart_bound:
@@ -231,7 +226,7 @@ class _Search:
         grown = inst.premisses[-1]
         if max_degree(grown.last) >= max_degree(s.last):
             raise SearchInvariantError("modal degree failed to drop at a box step")
-        if inst.rule in _TWO_PREMISS_BOX_RULES:
+        if inst.rule in TWO_PREMISS_BOX_RULES:
             right = self.expand(grown)
             if isinstance(right, SearchNode):
                 return SearchNode(s, "step", inst, [right])
@@ -302,7 +297,7 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
 
 
 def _retag(s: LinearNestedSequent) -> LinearNestedSequent:
-    comps = tuple(replace(c, tag=i) for i, c in enumerate(s.components))
+    comps = tuple(Component(c.ant, c.succ, i, c.restarts) for i, c in enumerate(s.components))
     return LinearNestedSequent(comps, s.links)
 
 
@@ -343,7 +338,7 @@ class _Pruner:
                 return best, best.sequent.length < n.sequent.length
             return PrunedNode(n.sequent, None, "and", [p for p, _ in pruned]), False
         rule = n.applied.rule
-        if rule in _RESTART_RULES:
+        if rule in RESTART_RULES:
             child, flag = self.restarted(n.children[0])
             if flag and child.sequent.length < n.sequent.length - 1:
                 return child, True

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 from .formula import (
     BlackBox,
@@ -150,14 +149,56 @@ def fresh_tag() -> int:
     return next(_tags)
 
 
-@dataclass(frozen=True)
-class Component:
-    """One antecedent/succedent pair; the tag identifies a world across rules."""
+class ReadOnly:
+    """Base of the slotted value types built at every search, check and
+    transform step: `__init__` writes each field once through its slot's
+    setter (see `slot_setters`), and the fields are read-only after that,
+    as in a frozen dataclass.  `_fields` are the constructor's arguments in
+    order; `repr` shows every slot, in the dataclass form."""
 
-    ant: Multiset
-    succ: Multiset
-    tag: int = field(default=-1, compare=False)
-    restarts: int = field(default=0, compare=False)
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({inner})"
+
+
+def slot_setters(cls: type) -> tuple:
+    """The `__set__` of each of cls's slot descriptors, in `__slots__` order:
+    they write a field past the `__setattr__` guard, without the attribute
+    lookup `object.__setattr__` makes."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+
+class Component(ReadOnly):
+    """One antecedent/succedent pair; the tag identifies a world across rules.
+    Equality and hash ignore the tag and the restart count."""
+
+    __slots__ = _fields = ("ant", "succ", "tag", "restarts")
+
+    def __init__(self, ant: Multiset, succ: Multiset, tag: int = -1, restarts: int = 0):
+        _set_ant(self, ant)
+        _set_succ(self, succ)
+        _set_tag(self, tag)
+        _set_restarts(self, restarts)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Component:
+            return NotImplemented
+        return (self.ant, self.succ) == (other.ant, other.succ)
+
+    def __hash__(self) -> int:
+        return hash((self.ant, self.succ))
 
     def with_ant(self, f: Formula) -> Component:
         return Component(self.ant.add(f), self.succ, self.tag, self.restarts)
@@ -171,6 +212,9 @@ class Component:
         return f"{left} => {right}".strip()
 
 
+_set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
+
+
 def component(ants=(), succs=(), tag: int = -1) -> Component:
     return Component(Multiset(ants), Multiset(succs), tag=tag)
 
@@ -178,16 +222,24 @@ def component(ants=(), succs=(), tag: int = -1) -> Component:
 _LINK_TEXT = {Polarity.FORWARD: "/F/", Polarity.BACKWARD: "\\P\\"}
 
 
-@dataclass(frozen=True)
-class LinearNestedSequent:
-    components: tuple[Component, ...]
-    links: tuple[Polarity, ...]
+class LinearNestedSequent(ReadOnly):
+    __slots__ = _fields = ("components", "links")
 
-    def __post_init__(self):
-        if not self.components:
+    def __init__(self, components: tuple[Component, ...], links: tuple[Polarity, ...]):
+        if not components:
             raise ValueError("a linear nested sequent needs at least one component")
-        if len(self.links) != len(self.components) - 1:
+        if len(links) != len(components) - 1:
             raise ValueError("link count must be component count - 1")
+        _set_components(self, components)
+        _set_links(self, links)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LinearNestedSequent:
+            return NotImplemented
+        return (self.components, self.links) == (other.components, other.links)
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.links))
 
     @property
     def length(self) -> int:
@@ -238,6 +290,9 @@ class LinearNestedSequent:
         )
         links = tuple(Polarity(v) for v in data.get("links", []))
         return cls(comps, links)
+
+
+_set_components, _set_links = slot_setters(LinearNestedSequent)
 
 
 def single(ants=(), succs=(), tag: int = -1) -> LinearNestedSequent:

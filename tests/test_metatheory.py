@@ -84,6 +84,23 @@ def test_check_reports_first_failure_path():
     assert not res3 and res3.path == () and "impR on q -> q" in res3.message
 
 
+def test_check_reports_the_path_of_a_deep_failure():
+    d = prove(parse("(p -> q) -> (p -> q)"), KT).derivation
+    mid = d.premisses[0]
+    impl = mid.premisses[0]
+    assert [d.rule, mid.rule, impl.rule] == [RuleId.IMP_R, RuleId.IMP_R, RuleId.IMP_L]
+    # the second premiss of impL, three levels down, gets a botL it cannot have
+    bad_leaf = Derivation(impl.premisses[1].conclusion, RuleId.BOT_L, Bottom())
+
+    def rebuilt(node, prems):
+        return Derivation(node.conclusion, node.rule, node.principal, prems)
+
+    bad = rebuilt(d, (rebuilt(mid, (rebuilt(impl, (impl.premisses[0], bad_leaf)),)),))
+    assert check(d, KT)
+    res = check(bad, KT)
+    assert not res and res.path == (0, 0, 1) and "invalid botL" in res.message
+
+
 def test_height_definition():
     leaf = id_node([p], [p])
     assert leaf.height == 0

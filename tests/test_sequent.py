@@ -1,10 +1,14 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
 
 from conftest import small_sequents
-from tenseprove.formula import Atom, Box, Polarity, parse, sort_key
+from tenseprove.calculus import RuleId, RuleInstance
+from tenseprove.formula import Atom, Box, Implies, Polarity, parse, sort_key
+from tenseprove.metatheory import Derivation
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
     Component,
@@ -205,5 +209,53 @@ def test_component_edits_keep_tag_and_restarts():
 
 def test_tags_ignored_by_equality():
     a = Component(Multiset([p]), Multiset(), tag=1)
-    b = Component(Multiset([p]), Multiset(), tag=2)
+    b = Component(Multiset([p]), Multiset(), tag=2, restarts=5)
     assert a == b
+    assert hash(a) == hash(b)
+
+
+def _values():
+    """One value of each read-only slotted type, with the names of its fields."""
+    c = Component(Multiset([p]), Multiset([q, q]), tag=7, restarts=3)
+    s2 = LinearNestedSequent((c, component([q], [Box(p)])), (FWD,))
+    imp = Implies(p, p)
+    leaf = Derivation(single([p], [imp, p]), RuleId.ID, p)
+    values = [
+        (c, ("ant", "succ", "tag", "restarts")),
+        (s2, ("components", "links")),
+        (RuleInstance(RuleId.IMP_R, imp, (leaf.conclusion,)), ("rule", "principal", "premisses")),
+        (Derivation(single([], [imp]), RuleId.IMP_R, imp, (leaf,)),
+         ("conclusion", "rule", "principal", "premisses", "height")),
+    ]
+    return [pytest.param(v, fields, id=type(v).__name__) for v, fields in values]
+
+
+@pytest.mark.parametrize("value, fields", _values())
+def test_value_fields_are_read_only(value, fields):
+    for name in fields:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("value, fields", _values())
+def test_value_copies_and_pickles_equal(value, fields):
+    for out in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(out) is type(value) and out == value and hash(out) == hash(value)
+        assert all(getattr(out, n) == getattr(value, n) for n in fields)
+        if isinstance(value, Component):
+            assert (out.tag, out.restarts) == (7, 3)
+
+
+def test_value_repr_is_the_dataclass_form():
+    assert repr(Component(Multiset([p]), Multiset(), tag=2)) == (
+        "Component(ant=Multiset(['p']), succ=Multiset([]), tag=2, restarts=0)")
+    d = Derivation(single([p], [p]), RuleId.ID, p)
+    assert repr(d).startswith("Derivation(conclusion=LinearNestedSequent(components=(")
+    assert repr(d).endswith(", rule=<RuleId.ID: 'id'>, principal=Atom(name='p'), "
+                            "premisses=(), height=0)")
