@@ -2,17 +2,16 @@
 
 The engine applies the rule groups in priority order (termination, CPL,
 propagation, restart) and only then branches over the right box rules.
-A closed subtree is built as a Derivation when search returns from it, so
-a closed search ends in its derivation; a failed one ends in a tree of
-SearchNodes, in which a failed step keeps only its failed premiss.
-Search is a function of the sequent's contents, and different box-choice
-orders restart into equal premisses, so each search explores a restart
-premiss once and shares the subtree at every later occurrence.  A failed
-search tree is pruned so that only the final incarnation of each restarted
-component survives, and the surviving saturated leaves are glued into a
-Kripke countermodel.  Both kinds of output are re-verified before
-they are reported: derivations against the checker, models against the
-forcing relation.
+Search builds its output as it returns from each subtree: a closed subtree
+as a Derivation, a failed one as its pruned tree, in which a failed step
+keeps only its failed premiss and only the final incarnation of each
+restarted component survives.  Search is a function of the sequent's
+contents, and different box-choice orders restart into equal premisses, so
+each search explores a restart premiss once and shares its result at every
+later occurrence.  The saturated leaves of a failed search's pruned tree are
+glued into a Kripke countermodel.  Both kinds of output are re-verified
+before they are reported: derivations against the checker, models against
+the forcing relation.
 """
 
 from __future__ import annotations
@@ -85,23 +84,11 @@ FAILED = "failed"
 
 
 @dataclass
-class SearchNode:
-    """A failed node of the search tree: a saturated leaf, a step that keeps
-    only its failed premiss, or an and-node over every box choice, all of
-    which failed.  A closed subtree is the Derivation search built for it."""
-
-    sequent: LinearNestedSequent
-    kind: str  # "leaf" | "step" | "and"
-    applied: RuleInstance | None
-    children: list[SearchNode]
-    stuck: bool = False
-    # A failed restart premiss found already explored: this node has its
-    # own sequent and shares the children of `origin`, the first occurrence.
-    origin: SearchNode | None = None
-
-
-@dataclass
 class PrunedNode:
+    """A node of a failed search's pruned tree: a saturated leaf, a step
+    that keeps only its failed premiss, or an and-node over every box
+    choice, all of which failed."""
+
     sequent: LinearNestedSequent
     rule: RuleId | None
     kind: str  # "leaf" | "step" | "and"
@@ -114,6 +101,13 @@ class PrunedNode:
         for c in self.children:
             out.extend(c.leaves())
         return out
+
+
+# What search returns from a failed subtree: its pruned tree, and whether a
+# restart collapse is still travelling down from it.  A restart deletes the
+# last component of its conclusion, and that deletion cascades down through
+# the rules that acted inside it.
+Failure = tuple[PrunedNode, bool]
 
 
 @dataclass
@@ -144,10 +138,12 @@ class _Search:
         self.stats = Statistics()
         self.deadline = time.monotonic() + budget.max_ms / 1000.0
         self.tags = itertools.count(max(c.tag for c in end.components) + 1)
+        self.unused_tags = itertools.count(-1, -1)  # for retag; search tags are >= 0
         self.restart_bound = len(strict_subformulas_of(end)) + 1
-        # restart premiss -> (node, nodes, restarts, max_length of its subtree)
-        self.restarted: dict[LinearNestedSequent,
-                             tuple[Derivation | SearchNode, int, int, int]] = {}
+        # restart premiss -> (result, the premiss first explored, and the
+        # nodes, restarts and max_length of its subtree)
+        self.restarted: dict[LinearNestedSequent, tuple[
+            Derivation | Failure, LinearNestedSequent, int, int, int]] = {}
 
     def tick(self, s: LinearNestedSequent):
         st = self.stats
@@ -161,7 +157,7 @@ class _Search:
     def fresh(self) -> int:
         return next(self.tags)
 
-    def expand(self, s: LinearNestedSequent) -> Derivation | SearchNode:
+    def expand(self, s: LinearNestedSequent) -> Derivation | Failure:
         self.tick(s)
         inst = calculus.saturation_instance(s, self.variant, self.fresh)
         if inst is not None:
@@ -172,197 +168,75 @@ class _Search:
                 absorber = inst.premisses[0].last
                 if absorber.restarts > self.restart_bound:
                     raise SearchInvariantError("restart count exceeded the subformula bound")
-                return _step(s, inst, self.expand_restarted(inst.premisses[0]))
+                out = self.expand_restarted(inst.premisses[0])
+                if not isinstance(out, tuple):
+                    return Derivation(s, inst.rule, inst.principal, (out,))
+                child, collapsing = out
+                if collapsing and child.sequent.length < s.length - 1:
+                    return out
+                return PrunedNode(s.prefix(s.length - 1), inst.rule, "step", [child]), True
             prems = []
             for p in inst.premisses:
                 c = self.expand(p)
-                if isinstance(c, SearchNode):
-                    return SearchNode(s, "step", inst, [c])
+                if isinstance(c, tuple):
+                    return _failed_step(s, inst.rule, c)
                 prems.append(c)
             return Derivation(s, inst.rule, inst.principal, tuple(prems))
         choices = calculus.box_instances(s, self.variant, self.fresh)
         if not choices:
-            return SearchNode(s, "leaf", None, [])
+            return PrunedNode(s, None, "leaf"), False
         explored = []
         for inst in choices:
-            node = self.expand_box(s, inst)
-            if not isinstance(node, SearchNode):
-                return node
-            explored.append(node)
-        if any(n.stuck for n in explored):
+            out = self.expand_box(s, inst)
+            if out is not None and not isinstance(out, tuple):
+                return out
+            explored.append(out)
+        if any(out is None for out in explored):
             raise SearchInvariantError(
                 "left premiss of a two-premiss box rule could not be derived")
-        return SearchNode(s, "and", None, explored)
+        # A choice that collapsed is kept alone: the restarted
+        # re-exploration subsumes the longer siblings.
+        collapsed = [child for child, collapsing in explored if collapsing]
+        if collapsed:
+            best = min(collapsed, key=lambda child: child.sequent.length)
+            return best, best.sequent.length < s.length
+        return PrunedNode(s, None, "and", [child for child, _ in explored]), False
 
-    def expand_restarted(self, p: LinearNestedSequent) -> Derivation | SearchNode:
-        """The subtree of a restart premiss, explored once per search.
+    def expand_restarted(self, p: LinearNestedSequent) -> Derivation | Failure:
+        """The result of a restart premiss, explored once per search.
 
         Sequent equality ignores tags, so an equal premiss seen before
-        answers: a derivation is shared as it is, a failed node through a
-        node with p's own sequent (prune retags its kept part).  Either way
-        the statistics grow by the stored subtree's totals.
+        answers: a derivation is shared as it is, a pruned tree through a
+        copy with p's own tags.  Either way the statistics grow by the stored
+        subtree's totals.
         """
         st = self.stats
         seen = self.restarted.get(p)
         if seen is not None:
-            node, nodes, restarts, length = seen
+            out, first, nodes, restarts, length = seen
             st.cache_hits += 1
             st.nodes += nodes
             st.restarts += restarts
             st.max_length = max(st.max_length, length)
-            if not isinstance(node, SearchNode):
-                return node
-            return SearchNode(p, node.kind, node.applied, node.children, origin=node)
+            if not isinstance(out, tuple):
+                return out
+            return self.retag(out[0], first, p), out[1]
         nodes, restarts, outer_length = st.nodes, st.restarts, st.max_length
         st.max_length = p.length
         try:
-            node = self.expand(p)
+            out = self.expand(p)
         finally:  # a budget stop must still report the whole search's maximum
             length, st.max_length = st.max_length, max(outer_length, st.max_length)
-        self.restarted[p] = (node, st.nodes - nodes, st.restarts - restarts, length)
-        return node
-
-    def expand_box(self, s: LinearNestedSequent, inst: RuleInstance) -> Derivation | SearchNode:
-        grown = inst.premisses[-1]
-        if max_degree(grown.last) >= max_degree(s.last):
-            raise SearchInvariantError("modal degree failed to drop at a box step")
-        if inst.rule in TWO_PREMISS_BOX_RULES:
-            right = self.expand(grown)
-            if isinstance(right, SearchNode):
-                return SearchNode(s, "step", inst, [right])
-            left = self.derive_left(inst)
-            if left is None:
-                return SearchNode(s, "step", inst, [], stuck=True)
-            return Derivation(s, inst.rule, inst.principal, (left, right))
-        return _step(s, inst, self.expand(inst.premisses[0]))
-
-    def derive_left(self, inst: RuleInstance) -> Derivation | None:
-        """Derivation of the left premiss of boxR1/bboxR1.
-
-        The left premiss weakens the conclusion, so when the conclusion's
-        prefix is provable on its own the premiss follows by EW; otherwise
-        search the premiss directly (its box instance is fulfilled, so this
-        terminates).
-        """
-        left = inst.premisses[0]
-        prefix = self.expand(left.drop_last())
-        if not isinstance(prefix, SearchNode):
-            return Derivation(left, RuleId.EW, None, (prefix,))
-        tree = self.expand(left)
-        return None if isinstance(tree, SearchNode) else tree
-
-
-def _step(s: LinearNestedSequent, inst: RuleInstance,
-          premiss: Derivation | SearchNode) -> Derivation | SearchNode:
-    """The node of a one-premiss step, given its premiss's search result."""
-    if isinstance(premiss, SearchNode):
-        return SearchNode(s, "step", inst, [premiss])
-    return Derivation(s, inst.rule, inst.principal, (premiss,))
-
-
-def strict_subformulas_of(s: LinearNestedSequent):
-    out = set()
-    for c in s.components:
-        for ms in (c.ant, c.succ):
-            for f in ms.distinct():
-                out.add(f)
-                out |= strict_subformulas(f)
-    return out
-
-
-def max_degree(c: Component) -> int:
-    return max(c.ant.max_degree(), c.succ.max_degree())
-
-
-def derivation_from(tree: Derivation | SearchNode, v: CalculusVariant) -> Derivation:
-    """The derivation a closed search built; a failed tree has none."""
-    if isinstance(tree, SearchNode):
-        raise SearchInvariantError("no derivation in a failed tree")
-    return tree
-
-
-def search(s: LinearNestedSequent, v: CalculusVariant,
-           budget: Budget | None = None) -> tuple[str, Derivation | SearchNode, Statistics]:
-    """Run the strategy on s; returns (status, tree, statistics): CLOSED with
-    the derivation, or FAILED with the explored failed tree."""
-    budget = budget or Budget()
-    s = _retag(s)
-    eng = _Search(v, budget, s)
-    t0 = time.monotonic()
-    try:
-        tree = eng.expand(s)
-    finally:
-        eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return (FAILED if isinstance(tree, SearchNode) else CLOSED), tree, eng.stats
-
-
-def _retag(s: LinearNestedSequent) -> LinearNestedSequent:
-    comps = tuple(Component(c.ant, c.succ, i, c.restarts) for i, c in enumerate(s.components))
-    return LinearNestedSequent(comps, s.links)
-
-
-def prune(t: SearchNode) -> PrunedNode:
-    """Keep only the parts of a failed tree that build the countermodel.
-
-    A restart deletes the last component of its conclusion and that deletion
-    cascades downward through the rules that acted inside it; an and-node one
-    of whose choices collapsed this way keeps only the collapsed branch,
-    since the restarted re-exploration subsumes the longer siblings.
-    """
-    if not isinstance(t, SearchNode):
-        raise SearchInvariantError("prune expects a failed tree")
-    node, _ = _Pruner().prune(t)
-    return node
-
-
-class _Pruner:
-    """One prune of a failed tree.  A subtree search shared is pruned once;
-    each further occurrence gets a copy of the kept part with its own tags,
-    so the pruned tree is the one a search without sharing would give, up to
-    the names of its tags."""
-
-    def __init__(self):
-        self.kept: dict[int, tuple[PrunedNode, bool]] = {}
-        self.unused_tags = itertools.count(-1, -1)  # search tags are >= 0
-
-    def prune(self, n: SearchNode) -> tuple[PrunedNode, bool]:
-        """Returns the pruned subtree and whether a restart collapse is still
-        travelling down from it."""
-        if n.kind == "leaf":
-            return PrunedNode(n.sequent, None, "leaf"), False
-        if n.kind == "and":
-            pruned = [self.prune(c) for c in n.children]
-            collapsed = [p for p, flag in pruned if flag]
-            if collapsed:
-                best = min(collapsed, key=lambda p: p.sequent.length)
-                return best, best.sequent.length < n.sequent.length
-            return PrunedNode(n.sequent, None, "and", [p for p, _ in pruned]), False
-        rule = n.applied.rule
-        if rule in RESTART_RULES:
-            child, flag = self.restarted(n.children[0])
-            if flag and child.sequent.length < n.sequent.length - 1:
-                return child, True
-            return PrunedNode(n.sequent.prefix(n.sequent.length - 1), rule, "step", [child]), True
-        child, flag = self.prune(n.children[0])
-        if flag:
-            return child, True
-        return PrunedNode(n.sequent, rule, "step", [child]), False
-
-    def restarted(self, n: SearchNode) -> tuple[PrunedNode, bool]:
-        """prune(n) for a restart premiss, once per explored premiss."""
-        if n.origin is not None:
-            node, flag = self.restarted(n.origin)
-            return self.retag(node, n.origin.sequent, n.sequent), flag
-        out = self.kept.get(id(n))
-        if out is None:
-            out = self.kept[id(n)] = self.prune(n)
+        self.restarted[p] = (out, p, st.nodes - nodes, st.restarts - restarts, length)
         return out
 
     def retag(self, node: PrunedNode, source: LinearNestedSequent,
               target: LinearNestedSequent) -> PrunedNode:
         """A copy of node, pruned below source, for the occurrence target:
         source's tags become target's, position by position, and every other
-        tag a new one, as a fresh exploration would have opened new worlds."""
+        tag a new one, as a fresh exploration would have opened new worlds.
+        So the pruned tree is the one a search without sharing would give,
+        up to the names of its tags."""
         tags = {a.tag: b.tag for a, b in zip(source.components, target.components)}
         copies: dict[int, Component] = {}
 
@@ -381,6 +255,102 @@ class _Pruner:
             return PrunedNode(s, n.rule, n.kind, [copy(c) for c in n.children])
 
         return copy(node)
+
+    def expand_box(self, s: LinearNestedSequent,
+                   inst: RuleInstance) -> Derivation | Failure | None:
+        """The result of one box choice; None when its right premiss closes
+        and its left premiss (boxR1/bboxR1) cannot be derived."""
+        grown = inst.premisses[-1]
+        if max_degree(grown.last) >= max_degree(s.last):
+            raise SearchInvariantError("modal degree failed to drop at a box step")
+        if inst.rule in TWO_PREMISS_BOX_RULES:
+            right = self.expand(grown)
+            if isinstance(right, tuple):
+                return _failed_step(s, inst.rule, right)
+            left = self.derive_left(inst)
+            if left is None:
+                return None
+            return Derivation(s, inst.rule, inst.principal, (left, right))
+        out = self.expand(inst.premisses[0])
+        if isinstance(out, tuple):
+            return _failed_step(s, inst.rule, out)
+        return Derivation(s, inst.rule, inst.principal, (out,))
+
+    def derive_left(self, inst: RuleInstance) -> Derivation | None:
+        """Derivation of the left premiss of boxR1/bboxR1.
+
+        The left premiss weakens the conclusion, so when the conclusion's
+        prefix is provable on its own the premiss follows by EW; otherwise
+        search the premiss directly (its box instance is fulfilled, so this
+        terminates).
+        """
+        left = inst.premisses[0]
+        prefix = self.expand(left.drop_last())
+        if not isinstance(prefix, tuple):
+            return Derivation(left, RuleId.EW, None, (prefix,))
+        tree = self.expand(left)
+        return None if isinstance(tree, tuple) else tree
+
+
+def _failed_step(s: LinearNestedSequent, rule: RuleId, premiss: Failure) -> Failure:
+    """A step whose premiss failed: it keeps only that premiss, or passes
+    on a collapse travelling down from it."""
+    child, collapsing = premiss
+    if collapsing:
+        return premiss
+    return PrunedNode(s, rule, "step", [child]), False
+
+
+def strict_subformulas_of(s: LinearNestedSequent):
+    out = set()
+    for c in s.components:
+        for ms in (c.ant, c.succ):
+            for f in ms.distinct():
+                out.add(f)
+                out |= strict_subformulas(f)
+    return out
+
+
+def max_degree(c: Component) -> int:
+    return max(c.ant.max_degree(), c.succ.max_degree())
+
+
+def derivation_from(tree: Derivation | PrunedNode, v: CalculusVariant) -> Derivation:
+    """The derivation a closed search built; a failed tree has none."""
+    if isinstance(tree, PrunedNode):
+        raise SearchInvariantError("no derivation in a failed tree")
+    return tree
+
+
+def search(s: LinearNestedSequent, v: CalculusVariant,
+           budget: Budget | None = None) -> tuple[str, Derivation | PrunedNode, Statistics]:
+    """Run the strategy on s; returns (status, tree, statistics): CLOSED with
+    the derivation, or FAILED with the pruned tree."""
+    budget = budget or Budget()
+    s = _retag(s)
+    eng = _Search(v, budget, s)
+    t0 = time.monotonic()
+    try:
+        tree = eng.expand(s)
+    finally:
+        eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
+    if isinstance(tree, tuple):
+        return FAILED, tree[0], eng.stats
+    return CLOSED, tree, eng.stats
+
+
+def _retag(s: LinearNestedSequent) -> LinearNestedSequent:
+    comps = tuple(Component(c.ant, c.succ, i, c.restarts) for i, c in enumerate(s.components))
+    return LinearNestedSequent(comps, s.links)
+
+
+def prune(t: PrunedNode) -> PrunedNode:
+    """The tree a failed search returned, as it is: search already pruned
+    each subtree as it returned from it, so only the parts that build the
+    countermodel are left."""
+    if not isinstance(t, PrunedNode):
+        raise SearchInvariantError("prune expects a failed tree")
+    return t
 
 
 def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:
@@ -428,11 +398,9 @@ def prove_sequent(s: LinearNestedSequent, v: CalculusVariant = CalculusVariant.K
         if not res:
             raise SearchInvariantError(f"emitted derivation failed the checker: {res.message}")
         return Valid(tree, stats)
-    pruned = prune(tree)
-    model, root = extract_model(pruned, v)
-    if not semantics.falsifies(model, root, tree.sequent, symmetric=(v is CalculusVariant.KB)):
-        raise InternalModelError(
-            f"extracted model does not falsify {tree.sequent.render()} at {root}")
+    model, root = extract_model(tree, v)
+    if not semantics.falsifies(model, root, s, symmetric=(v is CalculusVariant.KB)):
+        raise InternalModelError(f"extracted model does not falsify {s.render()} at {root}")
     return Invalid(model, root, stats)
 
 

@@ -44,9 +44,9 @@ class Multiset:
         m._hash = m._order = m._kinds = m._degree = None
         return m
 
-    def add(self, f: Formula, n: int = 1) -> Multiset:
+    def add(self, f: Formula) -> Multiset:
         counts = dict(self._counts)
-        counts[f] = counts.get(f, 0) + n
+        counts[f] = counts.get(f, 0) + 1
         return Multiset._raw(counts)
 
     def remove_one(self, f: Formula) -> Multiset:
@@ -206,9 +206,9 @@ class Component(ReadOnly):
     def with_succ(self, f: Formula) -> Component:
         return Component(self.ant, self.succ.add(f), self.tag, self.restarts)
 
-    def render(self, printer=print_ascii) -> str:
-        left = ", ".join(printer(f) for f in self.ant.distinct())
-        right = ", ".join(printer(f) for f in self.succ.distinct())
+    def render(self) -> str:
+        left = ", ".join(map(print_ascii, self.ant.distinct()))
+        right = ", ".join(map(print_ascii, self.succ.distinct()))
         return f"{left} => {right}".strip()
 
 
@@ -263,11 +263,11 @@ class LinearNestedSequent(ReadOnly):
     def prefix(self, k: int) -> LinearNestedSequent:
         return LinearNestedSequent(self.components[:k], self.links[: k - 1])
 
-    def render(self, printer=print_ascii) -> str:
-        parts = [self.components[0].render(printer)]
+    def render(self) -> str:
+        parts = [self.components[0].render()]
         for link, c in zip(self.links, self.components[1:]):
             parts.append(_LINK_TEXT[link])
-            parts.append(c.render(printer))
+            parts.append(c.render())
         return " ".join(parts)
 
     def to_json(self) -> dict:

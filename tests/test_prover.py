@@ -183,6 +183,24 @@ def test_verdicts_agree_with_the_small_model_oracle():
                 assert semantics.falsifies(out.model, out.root, single([], [g]), v is KB)
 
 
+def test_failed_search_returns_its_pruned_tree():
+    # Search prunes a failed subtree as it returns from it, so prune has
+    # nothing left to do and the model comes straight from the search tree.
+    failed = 0
+    for f in corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6):
+        for v in (KTS, KB):
+            end = single([], [core_formula(f, v)])
+            status, tree, _ = search(end, v)
+            if status != FAILED:
+                continue
+            failed += 1
+            assert prune(tree) is tree
+            assert tree.sequent == end
+            model, root = extract_model(tree, v)
+            assert semantics.falsifies(model, root, end, symmetric=(v is KB))
+    assert failed > 0
+
+
 def test_variant_agreement_and_transfer():
     for f in corpus(555, 80):
         a = prove(f, KTS)
