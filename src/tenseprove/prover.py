@@ -8,10 +8,11 @@ keeps only its failed premiss and only the final incarnation of each
 restarted component survives.  Search is a function of the sequent's
 contents, and different box-choice orders restart into equal premisses, so
 each search explores a restart premiss once and shares its result at every
-later occurrence.  The saturated leaves of a failed search's pruned tree are
-glued into a Kripke countermodel.  Both kinds of output are re-verified
-before they are reported: derivations against the checker, models against
-the forcing relation.
+later occurrence: a derivation as it is, a pruned tree through a view that
+renames its tags.  The saturated leaves of a failed search's pruned tree are
+glued into a Kripke countermodel, reading each leaf's tags through the views
+above it.  Both kinds of output are re-verified before they are reported:
+derivations against the checker, models against the forcing relation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import itertools
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import calculus, metatheory, semantics
 from .calculus import RESTART_RULES, TWO_PREMISS_BOX_RULES, CalculusVariant, RuleId, RuleInstance
@@ -34,7 +35,7 @@ from .formula import (
 )
 from .metatheory import Derivation
 from .semantics import KripkeModel
-from .sequent import Component, LinearNestedSequent, Multiset
+from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_setters
 
 
 # search depth tracks derivation height, which can exceed the interpreter default
@@ -83,24 +84,54 @@ CLOSED = "closed"
 FAILED = "failed"
 
 
-@dataclass
-class PrunedNode:
+class PrunedNode(ReadOnly):
     """A node of a failed search's pruned tree: a saturated leaf, a step
     that keeps only its failed premiss, or an and-node over every box
-    choice, all of which failed."""
+    choice, all of which failed.
 
-    sequent: LinearNestedSequent
-    rule: RuleId | None
-    kind: str  # "leaf" | "step" | "and"
-    children: list[PrunedNode] = field(default_factory=list)
+    A read-only slotted value, like a Derivation: a subtree may be shared
+    by several views, so it must not change once built.  Equality is
+    identity."""
 
-    def leaves(self) -> list[PrunedNode]:
-        if self.kind == "leaf":
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+    __slots__ = _fields = ("sequent", "rule", "kind", "children")
+
+    def __init__(self, sequent: LinearNestedSequent, rule: RuleId | None,
+                 kind: str, children: tuple[PrunedNode, ...] = ()):
+        _set_sequent(self, sequent)
+        _set_rule(self, rule)
+        _set_kind(self, kind)  # "leaf" | "step" | "and"
+        _set_children(self, children)
+
+
+_set_sequent, _set_rule, _set_kind, _set_children = slot_setters(PrunedNode)
+
+
+class PrunedView(PrunedNode):
+    """A later occurrence of a failed restart premiss, sharing the pruned
+    tree of the first by reference.
+
+    `shared` was explored from the premiss `source` and is read here as if
+    explored from the equal premiss `target`: source's tags stand for
+    target's worlds, position by position, and every other tag for a world
+    of this occurrence's own, as a fresh exploration would have opened.
+    `extract_model` applies that renaming as it walks.  The sequent, rule,
+    kind and children are the shared node's, so the sequent carries
+    source's tags."""
+
+    __slots__ = _fields = ("shared", "source", "target")
+
+    def __init__(self, shared: PrunedNode, source: LinearNestedSequent,
+                 target: LinearNestedSequent):
+        _set_sequent(self, shared.sequent)
+        _set_rule(self, shared.rule)
+        _set_kind(self, shared.kind)
+        _set_children(self, shared.children)
+        _set_shared(self, shared)
+        _set_source(self, source)
+        _set_target(self, target)
+
+
+_set_shared, _set_source, _set_target = slot_setters(PrunedView)
 
 
 # What search returns from a failed subtree: its pruned tree, and whether a
@@ -138,7 +169,6 @@ class _Search:
         self.stats = Statistics()
         self.deadline = time.monotonic() + budget.max_ms / 1000.0
         self.tags = itertools.count(max(c.tag for c in end.components) + 1)
-        self.unused_tags = itertools.count(-1, -1)  # for retag; search tags are >= 0
         self.restart_bound = len(strict_subformulas_of(end)) + 1
         # restart premiss -> (result, the premiss first explored, and the
         # nodes, restarts and max_length of its subtree)
@@ -174,7 +204,7 @@ class _Search:
                 child, collapsing = out
                 if collapsing and child.sequent.length < s.length - 1:
                     return out
-                return PrunedNode(s.prefix(s.length - 1), inst.rule, "step", [child]), True
+                return PrunedNode(s.prefix(s.length - 1), inst.rule, "step", (child,)), True
             prems = []
             for p in inst.premisses:
                 c = self.expand(p)
@@ -200,15 +230,16 @@ class _Search:
         if collapsed:
             best = min(collapsed, key=lambda child: child.sequent.length)
             return best, best.sequent.length < s.length
-        return PrunedNode(s, None, "and", [child for child, _ in explored]), False
+        return PrunedNode(s, None, "and", tuple([child for child, _ in explored])), False
 
     def expand_restarted(self, p: LinearNestedSequent) -> Derivation | Failure:
         """The result of a restart premiss, explored once per search.
 
         Sequent equality ignores tags, so an equal premiss seen before
         answers: a derivation is shared as it is, a pruned tree through a
-        copy with p's own tags.  Either way the statistics grow by the stored
-        subtree's totals.
+        view that reads it with p's tags, so models and counts are those of
+        a search that explores every premiss anew.  Either way the
+        statistics grow by the stored subtree's totals.
         """
         st = self.stats
         seen = self.restarted.get(p)
@@ -220,7 +251,7 @@ class _Search:
             st.max_length = max(st.max_length, length)
             if not isinstance(out, tuple):
                 return out
-            return self.retag(out[0], first, p), out[1]
+            return PrunedView(out[0], first, p), out[1]
         nodes, restarts, outer_length = st.nodes, st.restarts, st.max_length
         st.max_length = p.length
         try:
@@ -229,32 +260,6 @@ class _Search:
             length, st.max_length = st.max_length, max(outer_length, st.max_length)
         self.restarted[p] = (out, p, st.nodes - nodes, st.restarts - restarts, length)
         return out
-
-    def retag(self, node: PrunedNode, source: LinearNestedSequent,
-              target: LinearNestedSequent) -> PrunedNode:
-        """A copy of node, pruned below source, for the occurrence target:
-        source's tags become target's, position by position, and every other
-        tag a new one, as a fresh exploration would have opened new worlds.
-        So the pruned tree is the one a search without sharing would give,
-        up to the names of its tags."""
-        tags = {a.tag: b.tag for a, b in zip(source.components, target.components)}
-        copies: dict[int, Component] = {}
-
-        def component(c: Component) -> Component:
-            out = copies.get(id(c))
-            if out is None:
-                tag = tags.get(c.tag)
-                if tag is None:
-                    tag = tags[c.tag] = next(self.unused_tags)
-                out = copies[id(c)] = Component(c.ant, c.succ, tag, c.restarts)
-            return out
-
-        def copy(n: PrunedNode) -> PrunedNode:
-            s = n.sequent
-            s = LinearNestedSequent(tuple(map(component, s.components)), s.links)
-            return PrunedNode(s, n.rule, n.kind, [copy(c) for c in n.children])
-
-        return copy(node)
 
     def expand_box(self, s: LinearNestedSequent,
                    inst: RuleInstance) -> Derivation | Failure | None:
@@ -298,7 +303,7 @@ def _failed_step(s: LinearNestedSequent, rule: RuleId, premiss: Failure) -> Fail
     child, collapsing = premiss
     if collapsing:
         return premiss
-    return PrunedNode(s, rule, "step", [child]), False
+    return PrunedNode(s, rule, "step", (child,)), False
 
 
 def strict_subformulas_of(s: LinearNestedSequent):
@@ -355,35 +360,71 @@ def prune(t: PrunedNode) -> PrunedNode:
 
 def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:
     """Glue the surviving saturated leaves into a model, keyed by component
-    identity tags; antecedent atoms become true, everything else false."""
+    identity tags; antecedent atoms become true, everything else false.
+
+    One walk over the kept tree, with an explicit stack.  Each tag is read
+    through the renamings of the views above it, the root's included, and a
+    tag that a view's source does not map names a new world for that
+    occurrence of the view.  Worlds are numbered in the order the walk
+    first meets them: the root's components, then each leaf's, left to
+    right."""
     names: dict[int, str] = {}
+    fresh = itertools.count(-1, -1)  # the worlds views open; search tags are >= 0
 
-    def name(tag: int) -> str:
-        if tag not in names:
-            names[tag] = f"w{len(names)}"
-        return names[tag]
+    def world(tag: int, renaming: dict[int, int] | None) -> int:
+        if renaming is None:
+            return tag
+        w = renaming.get(tag)
+        if w is None:
+            w = renaming[tag] = next(fresh)
+        return w
 
+    def names_of(s: LinearNestedSequent, renaming: dict[int, int] | None) -> list[str]:
+        out = []
+        for c in s.components:
+            w = c.tag if renaming is None else world(c.tag, renaming)
+            n = names.get(w)
+            if n is None:
+                n = names[w] = f"w{len(names)}"
+            out.append(n)
+        return out
+
+    def unwrap(node: PrunedNode, renaming: dict[int, int] | None):
+        while node.__class__ is PrunedView:
+            renaming = {a.tag: world(b.tag, renaming)
+                        for a, b in zip(node.source.components, node.target.components)}
+            node = node.shared
+        return node, renaming
+
+    t, renaming = unwrap(t, None)
+    root = names_of(t.sequent, renaming)[0]
     edges: set[tuple[str, str]] = set()
     trues: dict[str, set[str]] = {}
-    for comp in t.sequent.components:
-        name(comp.tag)
-    leaves = t.leaves()
-    if not leaves:
-        raise InternalModelError("pruned tree has no open leaves")
-    for leaf in leaves:
-        s = leaf.sequent
-        for comp in s.components:
-            w = name(comp.tag)
+    stack = [(t, renaming)]
+    while stack:
+        node, renaming = stack.pop()
+        while True:
+            if node.__class__ is PrunedView:
+                node, renaming = unwrap(node, renaming)
+            if node.kind != "step":
+                break
+            node = node.children[0]
+        if node.kind == "and":
+            stack.extend([(c, renaming) for c in reversed(node.children)])
+            continue
+        s = node.sequent
+        ws = names_of(s, renaming)
+        for w, comp in zip(ws, s.components):
             for f in comp.ant.distinct():
                 if isinstance(f, Atom):
                     trues.setdefault(w, set()).add(f.name)
         for i, link in enumerate(s.links):
-            a, b = name(s.components[i].tag), name(s.components[i + 1].tag)
+            a, b = ws[i], ws[i + 1]
             edges.add((a, b) if link is Polarity.FORWARD else (b, a))
     worlds = tuple(sorted(names.values(), key=lambda w: int(w[1:])))
     model = KripkeModel(worlds, frozenset(edges),
                         {w: frozenset(s) for w, s in trues.items()})
-    return model, name(t.sequent.components[0].tag)
+    return model, root
 
 
 def prove_sequent(s: LinearNestedSequent, v: CalculusVariant = CalculusVariant.KT_STAR,

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import predecessors, rules_of, schema1, successors
 from tenseprove import semantics
-from tenseprove.calculus import CalculusVariant, RuleId
+from tenseprove.calculus import RESTART_RULES, CalculusVariant, RuleId
 from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
 from tenseprove.generate import corpus
 from tenseprove.metatheory import (
@@ -20,6 +20,7 @@ from tenseprove.prover import (
     FAILED,
     Budget,
     Invalid,
+    PrunedView,
     ResourceLimit,
     SearchInvariantError,
     Valid,
@@ -31,7 +32,7 @@ from tenseprove.prover import (
     prune,
     search,
 )
-from tenseprove.sequent import single
+from tenseprove.sequent import Component, LinearNestedSequent, single
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -110,6 +111,21 @@ def test_prune_keeps_restarted_branch():
     # the restart collapses the and-node to the shorter branch
     assert t.kind == "step" and t.rule is RuleId.BOX_L2
     assert t.sequent.length == 1
+
+
+def test_a_view_at_the_root_is_a_failed_tree():
+    status, tree, _ = search(fan_sequent(), KTS)
+    source = tree.sequent
+    target = LinearNestedSequent(
+        tuple(Component(c.ant, c.succ, c.tag + 100, c.restarts) for c in source.components),
+        source.links)
+    view = PrunedView(tree, source, target)
+    assert prune(view) is view
+    with pytest.raises(SearchInvariantError):
+        derivation_from(view, KTS)
+    model, root = extract_model(view, KTS)
+    expected, expected_root = extract_model(tree, KTS)
+    assert model.to_json(root) == expected.to_json(expected_root)
 
 
 def test_extract_model_fan():
@@ -362,6 +378,62 @@ def test_shared_failed_restart_premiss_kept_twice_gets_its_own_worlds():
         assert not semantics.forces(out.model, out.root, f, symmetric=(v is KB))
 
 
+def test_shared_failed_restart_premiss_is_kept_by_reference():
+    # The second occurrence of the repeated premiss is a view on the first
+    # occurrence's pruned tree, not a copy of it; the model keeps the
+    # worlds pinned above.
+    for v in (KT, KTS, KB):
+        g = core_formula(parse(SHARED_PREMISS_KEPT_TWICE), v)
+        status, tree, _ = search(single([], [g]), v)
+        assert status == FAILED
+        restarts, stack = [], [tree]
+        while stack:
+            node = stack.pop()
+            if node.rule in RESTART_RULES:
+                restarts.append(node)
+            stack.extend(reversed(node.children))
+        first, second = (n.children[0] for n in restarts)
+        assert isinstance(second, PrunedView) and second.shared is first
+        assert second.source == second.target
+        assert (second.sequent, second.kind, second.children) == (
+            first.sequent, first.kind, first.children)
+        model, root = extract_model(tree, v)
+        out = prove(SHARED_PREMISS_KEPT_TWICE, v)
+        assert model.to_json(root) == out.model.to_json(out.root)
+
+
+# SHARED_PREMISS_KEPT_TWICE's pattern nested three deep: the kept tree holds
+# views on trees that hold views, so a leaf's tags are read through two
+# renamings.  (variant, worlds, first 16 hex digits of the sha256 of the
+# model JSON), recorded from a search that copied each later occurrence's
+# pruned tree with fresh tags.
+NESTED_SHARED_PREMISSES = (
+    "[F](b -> a) -> [F](a -> b) -> [F]<P>([F](b -> a) -> [F](a -> b) -> [F]<P><F>("
+    "[F](b -> a) -> [F](a -> b) -> [F]<P>[F]q -> [F]a | [F]b) -> [F]a | [F]b) -> [F]a | [F]b")
+NESTED_SHARED_PINS = [
+    (KT, 23, "93c388455bf9a625"),
+    (KTS, 23, "955b78c78f2d6c4e"),
+    (KB, 51, "46a4f73f7d23f7e1"),
+]
+
+
+def test_nested_views_read_tags_through_every_renaming():
+    for v, worlds, digest in NESTED_SHARED_PINS:
+        out = prove(NESTED_SHARED_PREMISSES, v)
+        assert isinstance(out, Invalid) and len(out.model.worlds) == worlds
+        model = json.dumps(out.model.to_json(out.root), sort_keys=True)
+        assert hashlib.sha256(model.encode()).hexdigest()[:16] == digest
+        g = core_formula(parse(NESTED_SHARED_PREMISSES), v)
+        _, tree, _ = search(single([], [g]), v)
+        nesting, stack = 0, [(tree, 0)]
+        while stack:
+            node, depth = stack.pop()
+            depth += isinstance(node, PrunedView)
+            nesting = max(nesting, depth)
+            stack.extend((c, depth) for c in node.children)
+        assert nesting == 2
+
+
 _FAMILIES = {
     "fan": _fan,
     "chain": lambda n: "p -> " + "[F]<P>" * n + "p",
@@ -393,6 +465,9 @@ CERTIFICATE_PINS = [
     ("fan", 6, KT, "Invalid", 37216, 1956, 2, "c42191ac9769ea12"),
     ("fan", 6, KTS, "Invalid", 37216, 1956, 2, "c42191ac9769ea12"),
     ("fan", 6, KB, "Invalid", 37216, 1956, 2, "81602ab32cf54648"),
+    ("fan", 7, KT, "Invalid", 301439, 13699, 2, "457a2844206d24ca"),
+    ("fan", 7, KTS, "Invalid", 301439, 13699, 2, "457a2844206d24ca"),
+    ("fan", 7, KB, "Invalid", 301439, 13699, 2, "d9cbd0b2bc20d879"),
     ("chain", 1, KT, "Valid", 7, 1, 2, "39e29c8fa0e664c7"),
     ("chain", 1, KTS, "Valid", 7, 1, 2, "61b6e33f8955997a"),
     ("chain", 1, KB, "Valid", 7, 1, 2, "7612645f683a9b9b"),
