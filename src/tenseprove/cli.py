@@ -20,7 +20,8 @@ JSON outputs carry a schema-version field.
 check exits 0 when the derivation checks and 1 when a node does not, both
 on its replay from the end sequent and under the checker; a derivation
 file that is not schema-2 derivation JSON, schema 1 included, is a usage
-error.
+error.  check and modelcheck each read a bare derivation or model file, or
+the derivation or model inside a `decide --output json` report.
 """
 
 from __future__ import annotations
@@ -112,11 +113,15 @@ def _read_file(path: str) -> str:
 
 
 def _read_json(path: str, kind: str, decode):
-    """decode(data) of the JSON in path; unreadable or malformed input is a
-    UsageError."""
+    """decode(data) of the JSON in path, or of its `kind` field when path
+    holds a `decide --output json` report; unreadable or malformed input is
+    a UsageError."""
     text = _read_file(path)
     try:
-        return decode(json.loads(text))
+        data = json.loads(text)
+        if isinstance(data, dict) and kind in data:
+            data = data[kind]
+        return decode(data)
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise UsageError(f"malformed {kind} in {path}: {type(e).__name__}: {e}") from None
 
@@ -188,17 +193,10 @@ def cmd_decide(args) -> int:
     return _report_decide(outcome, f, args.output)
 
 
-def _derivation_from_report(data) -> metatheory.Derivation:
-    """A derivation JSON, bare or inside a `decide --output json` report."""
-    if isinstance(data, dict) and "derivation" in data:
-        data = data["derivation"]
-    return derivation_from_json(data)
-
-
 def cmd_check(args) -> int:
     v = _variant(args)
     try:
-        d = _read_json(args.derivation, "derivation", _derivation_from_report)
+        d = _read_json(args.derivation, "derivation", derivation_from_json)
     except metatheory.InvalidDerivation as e:
         res = e.result
     else:

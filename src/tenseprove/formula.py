@@ -4,11 +4,11 @@ Surface connectives (~, &, |, <F>, <P>) are definitional sugar; ``desugar``
 rewrites them away so that everything downstream handles only the core
 connectives ->, false, [F], [P].
 
-The core nodes (Atom, Bottom, Implies, Box, BlackBox) are hash-consed: each
-constructor returns the one live node for its class and arguments, so equal
-formulas are the same object, equality is identity and hashing is O(1).  The
-canonical order (``sort_key``) is the printed text, cached on the node.  The
-surface nodes are frozen dataclasses that only the parser builds.
+Every node, core or surface, is hash-consed: each constructor returns the
+one live node for its class and arguments, so equal formulas are the same
+object, equality is identity and hashing is O(1).  One precedence table
+drives both printers; the ASCII text is cached on the node and is also the
+canonical order (``sort_key``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import re
 import weakref
-from dataclasses import dataclass
 
 _ATOM_RE = re.compile(r"[A-Za-z0-9_]+")
 
@@ -28,28 +27,19 @@ class Polarity(enum.Enum):
     BACKWARD = "bwd"
 
 
-class Formula:
-    """Base class of the core nodes below and the surface dataclasses."""
-
-    __slots__ = ()
-
-    def __str__(self) -> str:
-        return print_ascii(self)
-
-
-# Every live core node, keyed by (class, *arguments), held by a weak
-# reference, so a node leaves the table when the last formula using it is
-# dropped.  A plain dict keeps the hit path in C: one get and one ref call.
+# Every live node, keyed by (class, *arguments), held by a weak reference,
+# so a node leaves the table when the last formula using it is dropped.  A
+# plain dict keeps the hit path in C: one get and one ref call.
 _INTERNED: dict[tuple, weakref.ref] = {}
 _lookup = _INTERNED.get
 _set = object.__setattr__
 
 
-class _Core(Formula):
-    """A hash-consed core node: equal formulas are the same object.
+class Formula:
+    """A hash-consed formula node: equal formulas are the same object.
 
     Equality is identity and the hash is the default id hash, both O(1).
-    The printed text (``sort_key``), ``modal_degree`` and ``complexity``
+    The printed text (``print_ascii``), ``modal_degree`` and ``complexity``
     are cached on the node the first time they are asked for.
     """
 
@@ -65,7 +55,7 @@ class _Core(Formula):
         return node
 
     @classmethod
-    def _create(cls, key: tuple, args: tuple) -> _Core:
+    def _create(cls, key: tuple, args: tuple) -> Formula:
         if len(args) != len(cls._fields):
             raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
         node = object.__new__(cls)
@@ -101,8 +91,11 @@ class _Core(Formula):
         inner = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._args()))
         return f"{type(self).__name__}({inner})"
 
+    def __str__(self) -> str:
+        return print_ascii(self)
 
-class Atom(_Core):
+
+class Atom(Formula):
     __slots__ = _fields = ("name",)
 
     @classmethod
@@ -112,50 +105,43 @@ class Atom(_Core):
         return super()._create(key, args)
 
 
-class Bottom(_Core):
+class Bottom(Formula):
     __slots__ = ()
 
 
-class Implies(_Core):
+class Implies(Formula):
     __slots__ = _fields = ("left", "right")
 
 
-class Box(_Core):
+class Box(Formula):
     __slots__ = _fields = ("body",)
 
 
-class BlackBox(_Core):
+class BlackBox(Formula):
     __slots__ = _fields = ("body",)
 
 
 # Surface-only nodes, eliminated by desugar().
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class BlackDiamond(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    body: Formula
+    __slots__ = _fields = ("body",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = _fields = ("left", "right")
 
 
 def neg(f: Formula) -> Formula:
@@ -230,23 +216,18 @@ def collapse_backward(f: Formula) -> Formula:
     raise TypeError(f"not a core formula: {f!r}")
 
 
-def _require_core(f: Formula):
-    if not is_core(f):
-        raise ValueError(f"not a core formula: {f}")
-
-
 def modal_degree(f: Formula) -> int:
     """Maximal nesting depth of [F]/[P] in a core formula, cached on the node."""
-    if not isinstance(f, _Core):
-        _require_core(f)
     d = f._degree
     if d is None:
         if isinstance(f, Implies):
             d = max(modal_degree(f.left), modal_degree(f.right))
         elif isinstance(f, (Box, BlackBox)):
             d = 1 + modal_degree(f.body)
-        else:
+        elif isinstance(f, (Atom, Bottom)):
             d = 0
+        else:
+            raise ValueError(f"not a core formula: {f}")
         _set(f, "_degree", d)
     return d
 
@@ -254,16 +235,16 @@ def modal_degree(f: Formula) -> int:
 def complexity(f: Formula) -> int:
     """Number of connective nodes (->, [F], [P]) in a core formula, cached
     on the node."""
-    if not isinstance(f, _Core):
-        _require_core(f)
     n = f._size
     if n is None:
         if isinstance(f, Implies):
             n = 1 + complexity(f.left) + complexity(f.right)
         elif isinstance(f, (Box, BlackBox)):
             n = 1 + complexity(f.body)
-        else:
+        elif isinstance(f, (Atom, Bottom)):
             n = 0
+        else:
+            raise ValueError(f"not a core formula: {f}")
         _set(f, "_size", n)
     return n
 
@@ -297,35 +278,6 @@ def strict_subformulas(f: Formula) -> frozenset[Formula]:
 
     walk(f)
     return frozenset(out)
-
-
-def sort_key(f: Formula) -> str:
-    """Canonical total order on core formulas, used wherever determinism
-    matters: the printed text, cached on the node.  It does not depend on
-    which formulas were built before, as an order by object id would.
-
-    A node's text is composed from its children's cached text with
-    print_ascii's parentheses: only an implication that is a left side or a
-    box body gets them."""
-    text = f._text
-    if text is None:
-        cls = type(f)
-        if cls is Atom:
-            text = f.name
-        elif cls is Bottom:
-            text = _ASCII["bot"]
-        elif cls is Implies:
-            left = sort_key(f.left)
-            if type(f.left) is Implies:
-                left = f"({left})"
-            text = f"{left} {_ASCII['imp']} {sort_key(f.right)}"
-        else:
-            body = sort_key(f.body)
-            if type(f.body) is Implies:
-                body = f"({body})"
-            text = _ASCII["box" if cls is Box else "bbox"] + body
-        _set(f, "_text", text)
-    return text
 
 
 # --- concrete syntax ---------------------------------------------------------
@@ -465,42 +417,71 @@ def _parse_atomish(s: _Scanner) -> Formula:
     raise s.error(_ATOMISH_EXPECTED)
 
 
-# Precedence levels: -> is 0, | is 1, & is 2, prefix operators 3, atoms 4.
+# The printers' table: each connective's ASCII and Unicode symbol, its
+# precedence, and the precedence each operand needs to go without
+# parentheses.  -> is right associative, | and & left associative; prefix
+# operators bind tightest, and an atom or false never needs parentheses.
+_SYNTAX = {
+    Atom: (None, None, 4, ()),
+    Bottom: ("false", "⊥", 4, ()),
+    Implies: ("->", "→", 0, (1, 0)),
+    Or: ("|", "∨", 1, (1, 2)),
+    And: ("&", "∧", 2, (2, 3)),
+    Not: ("~", "¬", 3, (3,)),
+    Box: ("[F]", "□", 3, (3,)),
+    Diamond: ("<F>", "◇", 3, (3,)),
+    BlackBox: ("[P]", "■", 3, (3,)),
+    BlackDiamond: ("<P>", "◆", 3, (3,)),
+}
+_ASCII, _UNICODE = 0, 1  # the symbol columns
 
-_ASCII = {"bot": "false", "imp": "->", "or": "|", "and": "&", "not": "~",
-          "box": "[F]", "dia": "<F>", "bbox": "[P]", "bdia": "<P>"}
-_UNICODE = {"bot": "⊥", "imp": "→", "or": "∨", "and": "∧", "not": "¬",
-            "box": "□", "dia": "◇", "bbox": "■", "bdia": "◆"}
+
+def _render(f: Formula, column: int, text_of, store) -> str:
+    """f's text with the symbols of `column`.  A node's text is
+    text_of(node) when that is not None; otherwise it is composed from its
+    operands' texts, each parenthesised when it binds more loosely than its
+    place needs, and passed to store.  One frame per level of f."""
+    text = text_of(f)
+    if text is None:
+        row = _SYNTAX[type(f)]
+        symbol, needs = row[column], row[3]
+        if len(needs) == 2:
+            left, right = f.left, f.right
+            ltext = _render(left, column, text_of, store)
+            rtext = _render(right, column, text_of, store)
+            if _SYNTAX[type(left)][2] < needs[0]:
+                ltext = f"({ltext})"
+            if _SYNTAX[type(right)][2] < needs[1]:
+                rtext = f"({rtext})"
+            text = f"{ltext} {symbol} {rtext}"
+        elif needs:
+            body = f.body
+            text = _render(body, column, text_of, store)
+            text = symbol + (f"({text})" if _SYNTAX[type(body)][2] < needs[0] else text)
+        else:
+            text = f.name if symbol is None else symbol
+        store(f, text)
+    return text
 
 
-def _pp(f: Formula, level: int, sym: dict) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Bottom):
-        return sym["bot"]
-    if isinstance(f, Implies):
-        own = 0
-        s = f"{_pp(f.left, 1, sym)} {sym['imp']} {_pp(f.right, 0, sym)}"
-    elif isinstance(f, Or):
-        own = 1
-        s = f"{_pp(f.left, 1, sym)} {sym['or']} {_pp(f.right, 2, sym)}"
-    elif isinstance(f, And):
-        own = 2
-        s = f"{_pp(f.left, 2, sym)} {sym['and']} {_pp(f.right, 3, sym)}"
-    else:
-        own = 3
-        op = {Not: "not", Box: "box", Diamond: "dia", BlackBox: "bbox", BlackDiamond: "bdia"}[type(f)]
-        s = f"{sym[op]}{_pp(f.body, 3, sym)}"
-    return f"({s})" if own < level else s
+_cached_text, _cache_text = Formula._text.__get__, Formula._text.__set__
 
 
 def print_ascii(f: Formula) -> str:
-    """Render in the input syntax; parse(print_ascii(f)) == f.  A core node
-    whose text sort_key has cached returns that text."""
-    if isinstance(f, _Core) and f._text is not None:
-        return f._text
-    return _pp(f, 0, _ASCII)
+    """Render in the input syntax; parse(print_ascii(f)) is f.  The text is
+    cached on the node, so a node's text is composed from its operands'
+    cached text.  It is also the canonical total order, ``sort_key``, used
+    wherever determinism matters: unlike an order by object id, it does not
+    depend on which formulas were built before."""
+    text = f._text
+    if text is None:
+        text = _render(f, _ASCII, _cached_text, _cache_text)
+    return text
+
+
+sort_key = print_ascii
 
 
 def print_unicode(f: Formula) -> str:
-    return _pp(f, 0, _UNICODE)
+    texts: dict[Formula, str] = {}
+    return _render(f, _UNICODE, texts.get, texts.__setitem__)

@@ -302,14 +302,28 @@ def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
     raise NoSharedFormula(f"cannot build initial derivation for {print_ascii(a)}")
 
 
+_KTSTAR_RULE = {RuleId.BOX_R1: RuleId.BOX_R, RuleId.BOX_R2: RuleId.BOX_R,
+                RuleId.BBOX_R1: RuleId.BBOX_R, RuleId.BBOX_R2: RuleId.BBOX_R}
+
+
 def to_ktstar(d: Derivation) -> Derivation:
-    """Drop the left premisses of the two-premiss box rules and rename."""
-    if d.rule is RuleId.BOX_R1:
-        return Derivation(d.conclusion, RuleId.BOX_R, d.principal, (to_ktstar(d.premisses[1]),))
-    if d.rule is RuleId.BBOX_R1:
-        return Derivation(d.conclusion, RuleId.BBOX_R, d.principal, (to_ktstar(d.premisses[1]),))
-    rule = {RuleId.BOX_R2: RuleId.BOX_R, RuleId.BBOX_R2: RuleId.BBOX_R}.get(d.rule, d.rule)
-    return Derivation(d.conclusion, rule, d.principal, tuple(to_ktstar(p) for p in d.premisses))
+    """Drop the left premisses of the two-premiss box rules and rename; a
+    shared node is translated once, so the output shares what d shares.
+    The walk takes one frame per level of d."""
+    return _to_ktstar(d, {})
+
+
+def _to_ktstar(d: Derivation, memo: dict) -> Derivation:
+    out = memo.get(id(d))
+    if out is not None:
+        return out
+    kept = d.premisses[1:] if d.rule is RuleId.BOX_R1 or d.rule is RuleId.BBOX_R1 else d.premisses
+    prems = []
+    for p in kept:
+        prems.append(_to_ktstar(p, memo))
+    out = memo[id(d)] = Derivation(d.conclusion, _KTSTAR_RULE.get(d.rule, d.rule), d.principal,
+                                   tuple(prems))
+    return out
 
 
 # --- cut elimination ----------------------------------------------------------

@@ -334,15 +334,16 @@ def _conjunction(fs: list[Formula]) -> Formula:
 
 
 def formula_translation(s: LinearNestedSequent) -> Formula:
-    """Read a sequent as one core formula, with /F/ as [F] and \\P\\ as [P]."""
-
-    def tau(i: int) -> Formula:
+    """Read a sequent as one core formula, with /F/ as [F] and \\P\\ as [P].
+    Built from the last component back to the first, so a long sequent needs
+    no deep recursion."""
+    f = None
+    for i in range(s.length - 1, -1, -1):
         c = s.components[i]
         head = _conjunction(c.ant.distinct())
         succ = _disjunction(c.succ.distinct())
-        if i == s.length - 1:
-            return Implies(head, succ)
-        op = Box if s.links[i] is Polarity.FORWARD else BlackBox
-        return Implies(head, core_or(succ, op(tau(i + 1))))
-
-    return tau(0)
+        if f is not None:
+            op = Box if s.links[i] is Polarity.FORWARD else BlackBox
+            succ = core_or(succ, op(f))
+        f = Implies(head, succ)
+    return f

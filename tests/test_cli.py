@@ -267,6 +267,17 @@ def test_check_unknown_rule_is_a_usage_error(capsys, tmp_path):
     assert rc == 3 and err.startswith("usage error: malformed derivation")
 
 
+def test_modelcheck_reads_the_model_inside_a_decide_report(capsys, tmp_path):
+    rc, out, _ = run(capsys, "decide", "--output", "json", "p -> [F]p")
+    assert rc == 1
+    path = tmp_path / "r.json"
+    path.write_text(out)
+    rc, out, err = run(capsys, "modelcheck", str(path), "p -> [F]p")
+    assert (rc, out, err) == (1, "not forced\n", "")
+    rc, out, _ = run(capsys, "modelcheck", str(path), "p")
+    assert (rc, out) == (0, "forced\n")
+
+
 def test_modelcheck_unknown_world_is_a_usage_error(capsys, tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"worlds": ["u"], "edges": [], "root": "u"}))

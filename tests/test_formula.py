@@ -1,6 +1,9 @@
 import copy
 import gc
+import hashlib
 import pickle
+import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -17,6 +20,7 @@ from tenseprove.formula import (
     Diamond,
     Implies,
     Not,
+    Or,
     ParseError,
     complexity,
     desugar,
@@ -30,6 +34,23 @@ from tenseprove.formula import (
 )
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+
+
+def seeded_surface_formula(rng: random.Random, n: int):
+    """A random surface formula of at most about n nodes over p, q, r."""
+    if n <= 1 or rng.random() < 0.3:
+        return rng.choice([p, q, r, Bottom()])
+    kind = rng.randrange(9)
+    if kind < 2:
+        return Implies(seeded_surface_formula(rng, n // 2), seeded_surface_formula(rng, n // 2))
+    if kind == 2:
+        return Not(seeded_surface_formula(rng, n - 1))
+    if kind == 3:
+        return And(seeded_surface_formula(rng, n // 2), seeded_surface_formula(rng, n // 2))
+    if kind == 4:
+        return Or(seeded_surface_formula(rng, n // 2), seeded_surface_formula(rng, n // 2))
+    ctor = [Box, BlackBox, Diamond, BlackDiamond][kind - 5]
+    return ctor(seeded_surface_formula(rng, n - 1))
 
 
 def test_parse_tense_shape():
@@ -99,29 +120,9 @@ def test_desugar_idempotent_and_core(f):
 
 
 def test_desugar_idempotent_on_seeded_surface_sample():
-    import random
-
     rng = random.Random(31)
-
-    def grow(n):
-        if n <= 1 or rng.random() < 0.3:
-            return rng.choice([p, q, r, Bottom()])
-        kind = rng.randrange(9)
-        if kind < 2:
-            return Implies(grow(n // 2), grow(n // 2))
-        if kind == 2:
-            return Not(grow(n - 1))
-        if kind == 3:
-            from tenseprove.formula import And
-            return And(grow(n // 2), grow(n // 2))
-        if kind == 4:
-            from tenseprove.formula import Or
-            return Or(grow(n // 2), grow(n // 2))
-        ctor = [Box, BlackBox, Diamond, BlackDiamond][kind - 5]
-        return ctor(grow(n - 1))
-
     for _ in range(1000):
-        f = grow(8)
+        f = seeded_surface_formula(rng, 8)
         d = desugar(f)
         assert is_core(d) and desugar(d) == d
 
@@ -178,10 +179,10 @@ def test_desugared_diamond_is_the_negated_box():
 
 
 def test_copy_and_pickle_return_the_interned_node():
-    f = parse("[F](p -> [P]q) -> false")
-    assert copy.copy(f) is f
-    assert copy.deepcopy(f) is f
-    assert pickle.loads(pickle.dumps(f)) is f
+    for f in (parse("[F](p -> [P]q) -> false"), parse("<F>~(p & q) | <P>r")):
+        assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
 
 
 def test_interned_nodes_are_immutable():
@@ -197,22 +198,59 @@ def test_print_parse_roundtrip_is_identity_and_sort_key_is_the_text(f):
     assert sort_key(f) == print_ascii(f)
 
 
-@given(core_formulas)
-def test_print_ascii_returns_the_cached_text_as_rendered(f):
-    sort_key(f)
-    assert print_ascii(f) == formula._pp(f, 0, formula._ASCII)
+def test_print_ascii_returns_the_cached_text_as_rendered():
+    for text in ("(p -> q) -> [F](q -> r) -> r", "[P]([F]p -> false) -> [P][F]false",
+                 "(p -> false) -> false"):
+        f = parse(text)
+        sort_key(f.left)
+        assert print_ascii(f) == text and f._text is print_ascii(f) is sort_key(f)
 
 
 def test_print_ascii_renders_a_core_node_over_surface_children():
     f = parse("(p | q) -> ~r")
-    assert isinstance(f, Implies) and f._text is None
-    assert print_ascii(f) == formula._pp(f, 0, formula._ASCII) == "p | q -> ~r"
+    assert isinstance(f, Implies)
+    assert print_ascii(f) == sort_key(f) == "p | q -> ~r"
+    assert print_unicode(f) == "p ∨ q → ¬r"
+    g = parse("~(p & q) | <P>(p | q) & (r -> p) | [F]false")
+    assert print_ascii(g) == "~(p & q) | <P>(p | q) & (r -> p) | [F]false"
+    assert print_unicode(g) == "¬(p ∧ q) ∨ ◆(p ∨ q) ∧ (r → p) ∨ □⊥"
+
+
+def test_printers_take_one_frame_per_level():
+    f = p
+    for i in range(1500):
+        f = Box(f) if i % 2 else Not(f)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        ascii_text, unicode_text = print_ascii(f), print_unicode(f)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert ascii_text == "[F]~" * 750 + "p" and unicode_text == "□¬" * 750 + "p"
+
+
+# sha256 of the texts of 2,000 seeded surface formulas, one a line:
+# print_ascii, print_unicode, and sort_key of the desugared formula.
+PRINTED_TEXT_PINS = {
+    "ascii": "745fd716272fc567237ea5a121ecb21d8933566ff0b9b86b6faa6698426b52b0",
+    "unicode": "7c820c911ae75129438088e34f9b234061cd212e8e82dcb257a106a992a48dd7",
+    "sort_key": "ca567da966a76f72a112b36f64874748c0975888b6f9d294fc513cf22e12addd",
+}
+
+
+def test_printed_texts_match_the_pinned_digests():
+    rng = random.Random(17)
+    sample = [seeded_surface_formula(rng, 16) for _ in range(2000)]
+    for name, show in (("ascii", print_ascii), ("unicode", print_unicode),
+                       ("sort_key", lambda f: sort_key(desugar(f)))):
+        text = "\n".join(map(show, sample))
+        assert hashlib.sha256(text.encode()).hexdigest() == PRINTED_TEXT_PINS[name], name
 
 
 def test_intern_table_forgets_dropped_formulas():
     gc.collect()
     before = len(formula._INTERNED)
-    kept = [Box(Implies(Atom(f"x{i}_p"), BlackBox(Atom(f"x{i}_q")))) for i in range(10_000)]
+    kept = [Diamond(Implies(Atom(f"x{i}_p"), Not(Atom(f"x{i}_q")))) for i in range(10_000)]
     assert len(formula._INTERNED) >= before + 50_000
     del kept
     gc.collect()
@@ -237,6 +275,8 @@ def test_complexity_is_cached_and_rejects_surface_nodes():
 
 
 def test_surface_nodes_compare_structurally():
-    assert Not(Atom("p")) == Not(p) and Not(p) is not Not(p)
+    assert Not(Atom("p")) == Not(p) and Not(p) is Not(p)
     assert hash(And(p, q)) == hash(And(Atom("p"), Atom("q")))
     assert Diamond(p) != Box(p) and Diamond(p) != Diamond(q)
+    assert repr(Or(Not(p), BlackDiamond(q))) == (
+        "Or(left=Not(body=Atom(name='p')), right=BlackDiamond(body=Atom(name='q')))")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -241,6 +242,26 @@ def test_to_ktstar_on_two_hundred_prover_derivations():
             if done >= 200:
                 break
     assert done >= 200
+
+
+def test_to_ktstar_keeps_a_shared_node_shared():
+    f = corpus(4242, 300, atoms=("p", "q"), max_size=40, max_degree=5)[156]
+    d = prove(f, KT).derivation
+    star = to_ktstar(d)
+    assert len(derivation_to_json(star)["nodes"]) <= len(derivation_to_json(d)["nodes"])
+    assert check(star, KTS)
+
+
+def test_to_ktstar_takes_one_frame_per_level():
+    d = prove("[F]" * 700 + "p -> " + "[F]" * 700 + "p", KT).derivation
+    assert d.height == 1401
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(2000)
+    try:
+        star = to_ktstar(d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert star.height == d.height and check(star, KTS)
 
 
 def test_cut_id_id():

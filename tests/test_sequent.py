@@ -7,7 +7,7 @@ from hypothesis import given
 
 from conftest import small_sequents
 from tenseprove.calculus import RuleId, RuleInstance
-from tenseprove.formula import Atom, Box, Implies, Polarity, parse, sort_key
+from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, sort_key
 from tenseprove.metatheory import Derivation
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
@@ -70,6 +70,18 @@ def test_translation_backward_link_embeds_blackbox():
     tau = formula_translation(s2)
     assert "[P]" in str(tau)
     assert "[F]" not in str(tau)
+
+
+def test_translation_of_a_long_sequent_needs_no_deep_recursion():
+    n = 25_000
+    links = tuple(FWD if i % 2 == 0 else BWD for i in range(n - 1))
+    f = formula_translation(LinearNestedSequent((component([p], [q]),) * n, links))
+    for link in links:
+        assert f.left is p and f.right.left is Implies(q, Bottom())
+        inner = f.right.right
+        assert type(inner) is (Box if link is FWD else BlackBox)
+        f = inner.body
+    assert f is Implies(p, q)
 
 
 def test_merge_ignores_contents():
