@@ -21,7 +21,8 @@ check exits 0 when the derivation checks and 1 when a node does not, both
 on its replay from the end sequent and under the checker; a derivation
 file that is not schema-2 derivation JSON, schema 1 included, is a usage
 error.  check and modelcheck each read a bare derivation or model file, or
-the derivation or model inside a `decide --output json` report.
+the derivation or model inside a `decide --output json` report; a report
+that carries the other kind of certificate is a usage error that says so.
 """
 
 from __future__ import annotations
@@ -112,13 +113,23 @@ def _read_file(path: str) -> str:
         raise UsageError(f"cannot read {path}: {e}") from None
 
 
+# What the report of each verdict carries.
+_CERTIFICATE_OF = {"valid": "derivation", "invalid": "model"}
+
+
 def _read_json(path: str, kind: str, decode):
     """decode(data) of the JSON in path, or of its `kind` field when path
-    holds a `decide --output json` report; unreadable or malformed input is
-    a UsageError."""
+    holds a `decide --output json` report; unreadable or malformed input,
+    and the report of a verdict whose certificate is not a `kind`, are
+    UsageErrors."""
     text = _read_file(path)
     try:
         data = json.loads(text)
+        if isinstance(data, dict) and kind not in data and data.get("verdict") in _CERTIFICATE_OF:
+            verdict = data["verdict"]
+            raise UsageError(f"{path} is {'an' if verdict == 'invalid' else 'a'} {verdict} "
+                             f"verdict's report: it carries a {_CERTIFICATE_OF[verdict]}, "
+                             f"not a {kind}")
         if isinstance(data, dict) and kind in data:
             data = data[kind]
         return decode(data)

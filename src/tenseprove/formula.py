@@ -21,7 +21,11 @@ _ATOM_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Polarity(enum.Enum):
-    """Direction of a structural link: FORWARD goes with [F], BACKWARD with [P]."""
+    """Direction of a structural link: FORWARD goes with [F], BACKWARD with [P].
+    The two members are singletons, so they hash by identity, in C: search
+    looks up its rules by the last link at every node."""
+
+    __hash__ = object.__hash__
 
     FORWARD = "fwd"
     BACKWARD = "bwd"
@@ -262,21 +266,22 @@ def atoms(f: Formula) -> frozenset[str]:
 
 
 def strict_subformulas(f: Formula) -> frozenset[Formula]:
+    """The proper subformulas of a core formula, found with an explicit
+    stack, so a deep formula needs no deep recursion."""
     out: set[Formula] = set()
-
-    def walk(g: Formula):
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, Implies):
             kids = (g.left, g.right)
         elif isinstance(g, (Box, BlackBox)):
             kids = (g.body,)
         else:
-            kids = ()
+            continue
         for k in kids:
             if k not in out:
                 out.add(k)
-                walk(k)
-
-    walk(f)
+                stack.append(k)
     return frozenset(out)
 
 

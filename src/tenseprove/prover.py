@@ -2,6 +2,10 @@
 
 The engine applies the rule groups in priority order (termination, CPL,
 propagation, restart) and only then branches over the right box rules.
+A node that only grows its parent's last component (the premisses of impR,
+impL and propagation) starts its check of those groups from the parent's
+scan state, the principals each rule could still take there, so its work
+follows what the step added (see calculus).
 Search builds its output as it returns from each subtree: a closed subtree
 as a Derivation, a failed one as its pruned tree, in which a failed step
 keeps only its failed premiss and only the final incarnation of each
@@ -169,7 +173,8 @@ class _Search:
         self.stats = Statistics()
         self.deadline = time.monotonic() + budget.max_ms / 1000.0
         self.tags = itertools.count(max(c.tag for c in end.components) + 1)
-        self.restart_bound = len(strict_subformulas_of(end)) + 1
+        self.end = end
+        self.restart_bound = None  # computed at the first restart
         # restart premiss -> (result, the premiss first explored, and the
         # nodes, restarts and max_length of its subtree)
         self.restarted: dict[LinearNestedSequent, tuple[
@@ -187,15 +192,22 @@ class _Search:
     def fresh(self) -> int:
         return next(self.tags)
 
-    def expand(self, s: LinearNestedSequent) -> Derivation | Failure:
+    def expand(self, s: LinearNestedSequent, state: list | None = None) -> Derivation | Failure:
+        """Search from s; `state` is s's scan state, carried over from its
+        parent's when s only grows the parent's last component, or None
+        for a fresh one."""
         self.tick(s)
-        inst = calculus.saturation_instance(s, self.variant, self.fresh)
+        if state is None:
+            state = []
+        inst = calculus.saturation_instance(s, self.variant, self.fresh, state)
         if inst is not None:
             if inst.rule in (RuleId.ID, RuleId.BOT_L):
                 return Derivation(s, inst.rule, inst.principal)
             if inst.rule in RESTART_RULES:
                 self.stats.restarts += 1
                 absorber = inst.premisses[0].last
+                if self.restart_bound is None:
+                    self.restart_bound = len(strict_subformulas_of(self.end)) + 1
                 if absorber.restarts > self.restart_bound:
                     raise SearchInvariantError("restart count exceeded the subformula bound")
                 out = self.expand_restarted(inst.premisses[0])
@@ -205,9 +217,10 @@ class _Search:
                 if collapsing and child.sequent.length < s.length - 1:
                     return out
                 return PrunedNode(s.prefix(s.length - 1), inst.rule, "step", (child,)), True
+            # impR, impL or propagation: each premiss only grows the last component.
             prems = []
-            for p in inst.premisses:
-                c = self.expand(p)
+            for i, p in enumerate(inst.premisses):
+                c = self.expand(p, calculus.premiss_state(state, self.variant, s, inst, i))
                 if isinstance(c, tuple):
                     return _failed_step(s, inst.rule, c)
                 prems.append(c)

@@ -1,4 +1,8 @@
+import sys
+from contextlib import contextmanager
+
 import hypothesis
+import pytest
 from hypothesis import strategies as st
 
 from tenseprove.formula import (
@@ -91,3 +95,19 @@ def successors(model, w: str) -> set:
 
 def predecessors(model, w: str) -> set:
     return {u for (u, v) in model.edges if v == w}
+
+
+@contextmanager
+def fails_fast_on_recursion(limit=None):
+    """Run the block, under the recursion limit `limit` when one is given.
+    A RecursionError fails the test with one line: left to propagate, its
+    traceback of thousands of frames takes pytest minutes to format."""
+    old = sys.getrecursionlimit()
+    if limit is not None:
+        sys.setrecursionlimit(limit)
+    try:
+        yield
+    except RecursionError as e:
+        raise pytest.fail.Exception(f"RecursionError: {e}", pytrace=False) from None
+    finally:
+        sys.setrecursionlimit(old)

@@ -4,15 +4,18 @@ import pytest
 from hypothesis import given
 
 from conftest import small_sequents
+from tenseprove import calculus, prover
 from tenseprove.calculus import (
     ANY,
     _INSTANCES,
     _PRIORITY,
     RESTART_RULES,
+    RIGHT_BOX_RULES,
     CalculusVariant,
     RuleId,
     VariantMismatch,
     _check_variant,
+    _last_link,
     box_instances,
     instance,
     is_valid_instance,
@@ -22,6 +25,7 @@ from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key)
 from tenseprove.semantics import KripkeModel, falsifies
 from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, fresh_tag, single
+from tenseprove.generate import corpus
 from tenseprove.metatheory import Derivation, check
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
@@ -183,6 +187,45 @@ def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant
         assert built.premisses == (c.replace_component(0, c.last.with_ant(f.right)),
                                    c.replace_component(0, c.last.with_succ(f.left)))
     assert instance(c, RuleId.IMP_L, ANY).principal == first
+
+
+def _fresh_principals(s, v, rule):
+    """The principals the saturating generator of `rule` takes in s, in
+    sort_key order: what a scan state holds for the rule."""
+    return tuple(sorted({i.principal for i in _INSTANCES[rule](s, True, fresh_tag)}, key=sort_key))
+
+
+def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
+    """At every node search expands on a corpus, under each variant, the
+    scan picks the first non-box instance the saturating generators yield,
+    and a scan state carried over from the parent holds, for each rule,
+    the principals a fresh scan finds."""
+    incremental = calculus.saturation_instance
+    counts = {"nodes": 0, "carried": 0}
+
+    def checked(s, v, tags=fresh_tag, state=None):
+        carried = bool(state)
+        inst = incremental(s, v, tags, state)
+        expected = next((i for i in applicable_rules(s, v, True)
+                         if i.rule not in RIGHT_BOX_RULES), None)
+        assert inst == expected, s.render()
+        scans = calculus._SCANS[v][_last_link(s)]
+        assert state == [_fresh_principals(s, v, scan.rule)
+                         for scan in scans[:len(state)]], s.render()
+        counts["nodes"] += 1
+        counts["carried"] += carried
+        return inst
+
+    monkeypatch.setattr(calculus, "saturation_instance", checked)
+    formulas = (corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6)
+                + corpus(4242, 100, atoms=("p", "q"), max_size=40, max_degree=5))
+    for f in formulas:
+        for v in (KT, KTS, KB):
+            try:
+                prover.prove(f, v)
+            except prover.SearchInvariantError:
+                assert v is KT  # the known KT crashes; the nodes before them are checked
+    assert counts["nodes"] > 23_000 and counts["carried"] > 14_000, counts
 
 
 def example4_derivation():

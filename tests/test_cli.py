@@ -360,3 +360,25 @@ def test_budget_environment_is_not_read_by_check_or_modelcheck(capsys, monkeypat
 def test_budget_must_be_positive(capsys, option, value):
     rc, _, err = run(capsys, "decide", option, value, "p -> p")
     assert rc == 3 and err.startswith(f"usage error: {option} must be a positive integer")
+
+
+def test_modelcheck_of_a_valid_verdicts_report_says_it_carries_a_derivation(capsys, tmp_path):
+    rc, out, _ = run(capsys, "decide", "--output", "json", "p -> p")
+    assert rc == 0
+    path = tmp_path / "r.json"
+    path.write_text(out)
+    rc, _, err = run(capsys, "modelcheck", str(path), "p")
+    assert rc == 3
+    assert err == (f"usage error: {path} is a valid verdict's report: "
+                   "it carries a derivation, not a model\n")
+
+
+def test_check_of_an_invalid_verdicts_report_says_it_carries_a_model(capsys, tmp_path):
+    rc, out, _ = run(capsys, "decide", "--output", "json", "p -> q")
+    assert rc == 1
+    path = tmp_path / "r.json"
+    path.write_text(out)
+    rc, _, err = run(capsys, "check", str(path))
+    assert rc == 3
+    assert err == (f"usage error: {path} is an invalid verdict's report: "
+                   "it carries a model, not a derivation\n")

@@ -3,12 +3,11 @@ import gc
 import hashlib
 import pickle
 import random
-import sys
 
 import pytest
 from hypothesis import given
 
-from conftest import core_formulas, surface_formulas
+from conftest import core_formulas, fails_fast_on_recursion, surface_formulas
 from tenseprove import formula
 from tenseprove.formula import (
     And,
@@ -220,12 +219,8 @@ def test_printers_take_one_frame_per_level():
     f = p
     for i in range(1500):
         f = Box(f) if i % 2 else Not(f)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(2000)
-    try:
+    with fails_fast_on_recursion(2000):
         ascii_text, unicode_text = print_ascii(f), print_unicode(f)
-    finally:
-        sys.setrecursionlimit(limit)
     assert ascii_text == "[F]~" * 750 + "p" and unicode_text == "□¬" * 750 + "p"
 
 

@@ -1,10 +1,9 @@
 import hashlib
 import json
-import sys
 
 import pytest
 
-from conftest import rules_of, schema1
+from conftest import fails_fast_on_recursion, rules_of, schema1
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import (
     Atom,
@@ -255,12 +254,8 @@ def test_to_ktstar_keeps_a_shared_node_shared():
 def test_to_ktstar_takes_one_frame_per_level():
     d = prove("[F]" * 700 + "p -> " + "[F]" * 700 + "p", KT).derivation
     assert d.height == 1401
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(2000)
-    try:
+    with fails_fast_on_recursion(2000):
         star = to_ktstar(d)
-    finally:
-        sys.setrecursionlimit(limit)
     assert star.height == d.height and check(star, KTS)
 
 

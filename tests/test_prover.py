@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import predecessors, rules_of, schema1, successors
+from conftest import fails_fast_on_recursion, predecessors, rules_of, schema1, successors
 from tenseprove import semantics
 from tenseprove.calculus import RESTART_RULES, CalculusVariant, RuleId
 from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
@@ -82,7 +82,8 @@ def test_deep_kb_derivation_builds_without_recursion():
     # rebuilt from the search tree by a second, recursive walk, it raised
     # RecursionError.
     text = " -> ".join(["[F]" * 200 + "p"] * 2)
-    out = prove(text, KB)
+    with fails_fast_on_recursion():
+        out = prove(text, KB)
     assert isinstance(out, Valid)
     assert (out.derivation.rule_applications(), out.derivation.height) == (15552, 15551)
 

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given
 
-from conftest import small_sequents
+from conftest import fails_fast_on_recursion, small_sequents
 from tenseprove.calculus import RuleId, RuleInstance
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, sort_key
 from tenseprove.metatheory import Derivation
@@ -75,7 +75,8 @@ def test_translation_backward_link_embeds_blackbox():
 def test_translation_of_a_long_sequent_needs_no_deep_recursion():
     n = 25_000
     links = tuple(FWD if i % 2 == 0 else BWD for i in range(n - 1))
-    f = formula_translation(LinearNestedSequent((component([p], [q]),) * n, links))
+    with fails_fast_on_recursion():
+        f = formula_translation(LinearNestedSequent((component([p], [q]),) * n, links))
     for link in links:
         assert f.left is p and f.right.left is Implies(q, Bottom())
         inner = f.right.right
