@@ -1,16 +1,19 @@
 """Inference rules of the three linear nested sequent calculi.
 
-One table holds an instance generator per rule; the modal ones come from
-three makers given the box kind and the links the rule acts across.  A
-priority-ordered rule tuple per variant gives its rule set and search order.
-The generators yield RuleInstance values carrying their premisses.  In
-schema mode (saturating=False) they apply the rule schema only: the
-conclusion, the rule and the principal formula fix the premisses, so given
-a principal (`only`) a generator builds that one instance, and `instance`
-is how the checker, certificate replay and cut build premisses.  In
-saturating mode they also apply the side conditions that force progress;
-`box_instances` lists the right box choices that way, and for the other
-rules that mode is the reference the tests compare search's scan with.
+One table holds one entry per rule; ew, which has no principal formula, is
+a case of `instance`.  An entry says where the rule finds its principal
+and of which kind it is, the last links the rule acts across, the side
+condition that forces progress in backward search (`select`), the instance
+on a principal (`build`) and search's choice among principals (`pick`).
+The modal entries come from three makers given the box kind and the links.
+A priority-ordered rule tuple per variant gives its rule set and search
+order.
+
+`instance` applies a rule's schema only: the conclusion, the rule and the
+principal formula fix the premisses, and it is how the checker, certificate
+replay and cut build premisses.  Id's side condition, an atom on both
+sides, is also its schema.  `box_instances` lists the right box choices
+search may make, the instances each entry's `select` keeps.
 
 Search finds its saturation instance (id, botL, impR, impL, propagation,
 restart) by a scan that starts from the parent's.  Every rule keeps its
@@ -119,93 +122,11 @@ def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
         raise VariantMismatch("KB sequents use forward links only")
 
 
-def _last_link(s: LinearNestedSequent) -> Polarity | None:
-    return s.links[-1] if s.links else None
-
-
 # botL's one principal, interned for as long as this module is loaded.
 _BOTTOM = Bottom()
 
-# The `only` of a generator that yields the instances of every principal.
+# The principal of `instance` that asks for the first candidate.
 ANY = object()
-
-
-# --- propositional rules and external weakening -------------------------------
-
-
-def _id(s, saturating, tags, only=ANY):
-    last = s.last
-    for f in last.ant.of_kind(Atom) if only is ANY else (
-            (only,) if type(only) is Atom and only in last.ant else ()):
-        if f in last.succ:
-            yield RuleInstance(RuleId.ID, f, ())
-
-
-def _bot_l(s, saturating, tags, only=ANY):
-    if (only is ANY or only is _BOTTOM) and _BOTTOM in s.last.ant:
-        yield RuleInstance(RuleId.BOT_L, _BOTTOM, ())
-
-
-def _imp_r(s, saturating, tags, only=ANY):
-    last = s.last
-    for f in last.succ.of_kind(Implies) if only is ANY else (
-            (only,) if type(only) is Implies and only in last.succ else ()):
-        if saturating and f.left in last.ant and f.right in last.succ:
-            continue
-        yield _imp_r_instance(s, f)
-
-
-def _imp_r_instance(s, f):
-    last = s.last
-    p = s.replace_component(s.length - 1, Component(
-        last.ant.add(f.left), last.succ.add(f.right), last.tag, last.restarts))
-    return RuleInstance(RuleId.IMP_R, f, (p,))
-
-
-def _imp_l(s, saturating, tags, only=ANY):
-    """In search, an instance one of whose premisses is an axiom comes
-    first: its right side is bottom or an atom of the last succedent
-    (premiss 1 closes by botL or id), or its left side is an atom of the
-    last antecedent (premiss 2 closes by id).  The others follow in
-    sort_key order."""
-    last = s.last
-    ant, succ = last.ant, last.succ
-    later = []
-    for f in ant.of_kind(Implies) if only is ANY else (
-            (only,) if type(only) is Implies and only in ant else ()):
-        if saturating:
-            left, right = f.left, f.right
-            if right in ant or left in succ:
-                continue
-            if not _has_axiom_premiss(f, ant, succ):
-                later.append(f)
-                continue
-        yield _imp_l_instance(s, f)
-    for f in later:
-        yield _imp_l_instance(s, f)
-
-
-def _has_axiom_premiss(f, ant, succ):
-    right, left = f.right, f.left
-    return (right is _BOTTOM or type(right) is Atom and right in succ
-            or type(left) is Atom and left in ant)
-
-
-def _imp_l_instance(s, f):
-    last = s.last
-    p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
-    p2 = s.replace_component(s.length - 1, last.with_succ(f.left))
-    return RuleInstance(RuleId.IMP_L, f, (p1, p2))
-
-
-def _ew(s, saturating, tags, only=ANY):
-    # Search never weakens; EW only appears in derivations it assembles.
-    # It has no principal formula.
-    if not saturating and s.length >= 2 and (only is ANY or only is None):
-        yield RuleInstance(RuleId.EW, None, (s.drop_last(),))
-
-
-# --- search's scan of the saturation rules ------------------------------------
 
 # Where a rule's candidate principals sit: the last antecedent, the last
 # succedent, or the second-last antecedent.
@@ -219,27 +140,32 @@ def _first(principals, last):
 def _axiom_premiss_first(principals, last):
     """impL's choice, made again at each node because the last component
     it reads grows: the first principal with an axiom premiss, else the
-    first."""
+    first.  A principal has one when its right side is bottom or an atom
+    of the last succedent (premiss 1 closes by botL or id), or its left
+    side is an atom of the last antecedent (premiss 2 closes by id)."""
     ant, succ = last.ant, last.succ
     for f in principals:
-        if _has_axiom_premiss(f, ant, succ):
+        right, left = f.right, f.left
+        if (right is _BOTTOM or type(right) is Atom and right in succ
+                or type(left) is Atom and left in ant):
             return f
     return principals[0]
 
 
-class _Scan:
-    """How search scans one saturation rule, `rule`.  Its candidates are
-    the distinct `kind` formulas at `where`, and it acts across a last link
-    `link` (ANY: whatever it is).  `select(fs, last, prev)` keeps, in order,
-    the candidates fs that the rule, side condition included, may take as
-    its principal in a sequent with this last and second-last component
-    (prev is None for a single one); `build(s, f)` is the instance on f,
-    and `pick(principals, last)` chooses among the principals."""
+class _Rule:
+    """One rule, `rule`.  Its candidate principals are the distinct `kind`
+    formulas at `where`, and it acts across the last links in `links`
+    (None for a single component).  `select(fs, last, prev)` keeps, in
+    order, the candidates fs that the rule, side condition included, may
+    take as its principal in a sequent with this last and second-last
+    component (prev is None for a single one); `build(s, f, tags)` is the
+    instance on f, and `pick(principals, last)` is search's choice among
+    the principals."""
 
-    __slots__ = ("rule", "where", "kind", "link", "select", "build", "pick")
+    __slots__ = ("rule", "where", "kind", "links", "select", "build", "pick")
 
-    def __init__(self, rule, where, kind, link, select, build, pick=_first):
-        self.rule, self.where, self.kind, self.link = rule, where, kind, link
+    def __init__(self, rule, where, kind, links, select, build, pick=_first):
+        self.rule, self.where, self.kind, self.links = rule, where, kind, links
         self.select, self.build, self.pick = select, build, pick
 
     def joined(self, principals, f, last, prev) -> tuple:
@@ -251,7 +177,7 @@ class _Scan:
         return principals
 
 
-# The side conditions, as the `select` of each scan.
+# The side conditions, as the `select` of each rule.
 
 def _on_both_sides(fs, last, prev):
     succ = last.succ
@@ -282,68 +208,59 @@ def _body_not_in_prev(fs, last, prev):
     return tuple([f for f in fs if f.body not in ant])
 
 
-_PROPOSITIONAL_SCANS = (
-    _Scan(RuleId.ID, _ANT, Atom, ANY, _on_both_sides,
-          lambda s, f: RuleInstance(RuleId.ID, f, ())),
-    _Scan(RuleId.BOT_L, _ANT, Bottom, ANY, _all,
-          lambda s, f: RuleInstance(RuleId.BOT_L, f, ())),
-    _Scan(RuleId.IMP_R, _SUCC, Implies, ANY, _imp_r_open, _imp_r_instance),
-    _Scan(RuleId.IMP_L, _ANT, Implies, ANY, _imp_l_open, _imp_l_instance, _axiom_premiss_first),
-)
+def _body_not_in_prev_succ(fs, last, prev):
+    succ = prev.succ
+    return tuple([f for f in fs if f.body not in succ])
 
 
-# --- the three makers of modal rules ------------------------------------------
+# --- the premisses of the propositional rules and the three modal makers ------
 
 
-def _propagation(rule: RuleId, kind, link: Polarity):
+def _axiom(rule: RuleId):
+    return lambda s, f, tags: RuleInstance(rule, f, ())
+
+
+def _imp_r_instance(s, f, tags):
+    last = s.last
+    p = s.replace_component(s.length - 1, Component(
+        last.ant.add(f.left), last.succ.add(f.right), last.tag, last.restarts))
+    return RuleInstance(RuleId.IMP_R, f, (p,))
+
+
+def _imp_l_instance(s, f, tags):
+    last = s.last
+    p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
+    p2 = s.replace_component(s.length - 1, last.with_succ(f.left))
+    return RuleInstance(RuleId.IMP_L, f, (p1, p2))
+
+
+def _propagation(rule: RuleId, kind, link: Polarity) -> _Rule:
     """A `kind` box in the second-last antecedent sends its body across a
-    last link of polarity `link` into the last antecedent.  Returns the
-    instance generator and search's scan of the rule."""
+    last link of polarity `link` into the last antecedent."""
 
-    def build(s, f):
+    def build(s, f, tags):
         return RuleInstance(rule, f, (s.replace_component(s.length - 1, s.last.with_ant(f.body)),))
 
-    def instances(s, saturating, tags, only=ANY):
-        if _last_link(s) is not link:
-            return
-        last, second = s.last, s.components[-2]
-        for f in second.ant.of_kind(kind) if only is ANY else (
-                (only,) if type(only) is kind and only in second.ant else ()):
-            if saturating and f.body in last.ant:
-                continue
-            yield build(s, f)
-
-    return instances, _Scan(rule, _PREV_ANT, kind, link, _body_not_in_last, build)
+    return _Rule(rule, _PREV_ANT, kind, (link,), _body_not_in_last, build)
 
 
-def _restart(rule: RuleId, kind, link: Polarity):
+def _restart(rule: RuleId, kind, link: Polarity) -> _Rule:
     """A `kind` box in the last antecedent, across a last link of polarity
-    `link`, deletes the last component and hands its body to the one before.
-    Returns the instance generator and search's scan of the rule."""
+    `link`, deletes the last component and hands its body to the one before."""
 
-    def build(s, f):
+    def build(s, f, tags):
         shorter = s.drop_last()
         second = shorter.last
         absorber = Component(second.ant.add(f.body), second.succ, second.tag,
                              second.restarts + 1)
         return RuleInstance(rule, f, (shorter.replace_component(s.length - 2, absorber),))
 
-    def instances(s, saturating, tags, only=ANY):
-        if _last_link(s) is not link:
-            return
-        second = s.components[-2]
-        for f in s.last.ant.of_kind(kind) if only is ANY else (
-                (only,) if type(only) is kind and only in s.last.ant else ()):
-            if saturating and f.body in second.ant:
-                continue
-            yield build(s, f)
-
-    return instances, _Scan(rule, _ANT, kind, link, _body_not_in_prev, build)
+    return _Rule(rule, _ANT, kind, (link,), _body_not_in_prev, build)
 
 
-def _right_box(rule: RuleId, kind, links: tuple):
-    """A `kind` box in the last succedent, when the last link (None for a
-    single component) is in `links`, opens a component holding its body.
+def _right_box(rule: RuleId, kind, links: tuple) -> _Rule:
+    """A `kind` box in the last succedent, when the last link is in
+    `links`, opens a component holding its body.
 
     The two-premiss form adds a premiss where the body is also falsified at
     the predecessor; when it already is, the instance adds nothing the search
@@ -351,50 +268,41 @@ def _right_box(rule: RuleId, kind, links: tuple):
     """
     two_premiss = rule in TWO_PREMISS_BOX_RULES
 
-    def instances(s, saturating, tags, only=ANY):
-        if _last_link(s) not in links:
-            return
-        for f in s.last.succ.of_kind(kind) if only is ANY else (
-                (only,) if type(only) is kind and only in s.last.succ else ()):
-            left = ()
-            if two_premiss:
-                second = s.components[-2]
-                if saturating and f.body in second.succ:
-                    continue
-                left = (s.replace_component(s.length - 2, second.with_succ(f.body)),)
-            opened = Component(Multiset(), Multiset((f.body,)), tag=tags())
-            yield RuleInstance(rule, f, left + (s.extend(BOX_LINK[kind], opened),))
+    def build(s, f, tags):
+        left = ()
+        if two_premiss:
+            second = s.components[-2]
+            left = (s.replace_component(s.length - 2, second.with_succ(f.body)),)
+        opened = Component(Multiset(), Multiset((f.body,)), tag=tags())
+        return RuleInstance(rule, f, left + (s.extend(BOX_LINK[kind], opened),))
 
-    return instances
+    return _Rule(rule, _SUCC, kind, links,
+                 _body_not_in_prev_succ if two_premiss else _all, build)
 
 
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
 _ANY_LINK = (None, FWD, BWD)
 
-_TENSE_LEFT_RULES = {
-    RuleId.BOX_L1: _propagation(RuleId.BOX_L1, Box, FWD),
-    RuleId.BBOX_L1: _propagation(RuleId.BBOX_L1, BlackBox, BWD),
-    RuleId.KB_BOX_L1: _propagation(RuleId.KB_BOX_L1, Box, FWD),
-    RuleId.BOX_L2: _restart(RuleId.BOX_L2, Box, BWD),
-    RuleId.BBOX_L2: _restart(RuleId.BBOX_L2, BlackBox, FWD),
-    RuleId.KB_BOX_L2: _restart(RuleId.KB_BOX_L2, Box, FWD),
-}
-
-_INSTANCES = {
-    RuleId.ID: _id,
-    RuleId.BOT_L: _bot_l,
-    RuleId.IMP_R: _imp_r,
-    RuleId.IMP_L: _imp_l,
-    RuleId.EW: _ew,
-    **{rule: instances for rule, (instances, _) in _TENSE_LEFT_RULES.items()},
-    RuleId.BOX_R1: _right_box(RuleId.BOX_R1, Box, (BWD,)),
-    RuleId.BBOX_R1: _right_box(RuleId.BBOX_R1, BlackBox, (FWD,)),
-    RuleId.BOX_R2: _right_box(RuleId.BOX_R2, Box, (None, FWD)),
-    RuleId.BBOX_R2: _right_box(RuleId.BBOX_R2, BlackBox, (None, BWD)),
-    RuleId.BOX_R: _right_box(RuleId.BOX_R, Box, _ANY_LINK),
-    RuleId.BBOX_R: _right_box(RuleId.BBOX_R, BlackBox, _ANY_LINK),
-    RuleId.KB_BOX_R: _right_box(RuleId.KB_BOX_R, Box, _ANY_LINK),
-}
+_RULES = {e.rule: e for e in (
+    _Rule(RuleId.ID, _ANT, Atom, _ANY_LINK, _on_both_sides, _axiom(RuleId.ID)),
+    _Rule(RuleId.BOT_L, _ANT, Bottom, _ANY_LINK, _all, _axiom(RuleId.BOT_L)),
+    _Rule(RuleId.IMP_R, _SUCC, Implies, _ANY_LINK, _imp_r_open, _imp_r_instance),
+    _Rule(RuleId.IMP_L, _ANT, Implies, _ANY_LINK, _imp_l_open, _imp_l_instance,
+          _axiom_premiss_first),
+    _propagation(RuleId.BOX_L1, Box, FWD),
+    _propagation(RuleId.BBOX_L1, BlackBox, BWD),
+    _propagation(RuleId.KB_BOX_L1, Box, FWD),
+    _restart(RuleId.BOX_L2, Box, BWD),
+    _restart(RuleId.BBOX_L2, BlackBox, FWD),
+    _restart(RuleId.KB_BOX_L2, Box, FWD),
+    _right_box(RuleId.BOX_R1, Box, (BWD,)),
+    _right_box(RuleId.BBOX_R1, BlackBox, (FWD,)),
+    _right_box(RuleId.BOX_R2, Box, (None, FWD)),
+    _right_box(RuleId.BBOX_R2, BlackBox, (None, BWD)),
+    _right_box(RuleId.BOX_R, Box, _ANY_LINK),
+    _right_box(RuleId.BBOX_R, BlackBox, _ANY_LINK),
+    _right_box(RuleId.KB_BOX_R, Box, _ANY_LINK),
+)}
 
 # Priority order: closure, propositional, propagation, restart, right box.
 _CLOSURE_AND_CPL = (RuleId.ID, RuleId.BOT_L, RuleId.IMP_R, RuleId.IMP_L)
@@ -408,15 +316,19 @@ _PRIORITY = {
         RuleId.KB_BOX_L1, RuleId.KB_BOX_L2, RuleId.KB_BOX_R, RuleId.EW),
 }
 RULES_BY_VARIANT = {v: frozenset(rules) for v, rules in _PRIORITY.items()}
-# The scans of the saturation rules search tries, per variant and last link
-# (None for a single component), in priority order.
-_SCANS_BY_RULE = {scan.rule: scan for scan in _PROPOSITIONAL_SCANS + tuple(
-    scan for _, scan in _TENSE_LEFT_RULES.values())}
-_SCANS = {v: {link: tuple(_SCANS_BY_RULE[r] for r in rules
-                          if r in _SCANS_BY_RULE and _SCANS_BY_RULE[r].link in (ANY, link))
-              for link in _ANY_LINK}
+
+
+def _acting(rules, link, right_box: bool) -> tuple:
+    return tuple(_RULES[r] for r in rules if r in _RULES
+                 and (r in RIGHT_BOX_RULES) is right_box and link in _RULES[r].links)
+
+
+# The rules search tries, per variant and last link (None for a single
+# component), in priority order: the saturation rules it scans, and the
+# right box rules it chooses among.
+_SCANS = {v: {link: _acting(rules, link, False) for link in _ANY_LINK}
           for v, rules in _PRIORITY.items()}
-_BOX = {v: tuple(_INSTANCES[r] for r in rules if r in RIGHT_BOX_RULES)
+_BOX = {v: {link: _acting(rules, link, True) for link in _ANY_LINK}
         for v, rules in _PRIORITY.items()}
 
 # What each premiss of a rule that only grows the last component adds to
@@ -445,22 +357,22 @@ def _carry_plan(scans, rule):
                             and (scan.where is where or scan.rule is RuleId.ID))
                 for kind in {scan.kind for scan in scans}}
 
-    return (scans.index(_SCANS_BY_RULE[rule]),
+    return (scans.index(_RULES[rule]),
             tuple(tuple((part, joins(where)) for where, part in adds) for adds in _GROWTH[rule]))
 
 
 _CARRY = {v: {link: {rule: _carry_plan(scans, rule) for rule in _GROWTH
-                     if _SCANS_BY_RULE[rule] in scans}
+                     if _RULES[rule] in scans}
               for link, scans in by_link.items()}
           for v, by_link in _SCANS.items()}
 
 
 def saturation_instance(s, v, tags=fresh_tag, state=None) -> RuleInstance | None:
-    """First applicable instance from the non-box priority classes, the
-    first that the saturating generators would yield.  `state` is s's scan
-    state; the scan reads the principals it holds and appends those it
-    computes.  No saturation rule opens a component, so `tags` is never
-    called."""
+    """Search's instance of the first saturation rule, in priority order,
+    whose `select` keeps a principal, on the principal its `pick` chooses;
+    None when there is none.  `state` is s's scan state; the scan reads the
+    principals it holds and appends those it computes.  No saturation rule
+    opens a component, so `tags` is never called."""
     links = s.links
     scans = _SCANS[v][links[-1] if links else None]
     last = s.last
@@ -468,7 +380,7 @@ def saturation_instance(s, v, tags=fresh_tag, state=None) -> RuleInstance | None
         for i, principals in enumerate(state):
             if principals:
                 scan = scans[i]
-                return scan.build(s, scan.pick(principals, last))
+                return scan.build(s, scan.pick(principals, last), tags)
     else:
         _check_variant(s, v)
         if state is None:
@@ -481,7 +393,7 @@ def saturation_instance(s, v, tags=fresh_tag, state=None) -> RuleInstance | None
             principals = scan.select(principals, last, prev)
         state.append(principals)
         if principals:
-            return scan.build(s, scan.pick(principals, last))
+            return scan.build(s, scan.pick(principals, last), tags)
     return None
 
 
@@ -514,16 +426,42 @@ def premiss_state(state, v, s, inst, i) -> list:
 
 
 def box_instances(s, v, tags=fresh_tag) -> list[RuleInstance]:
-    """Every right box instance search may choose, in priority order."""
+    """Every right box instance search may choose, in priority order: on
+    each box of the last succedent that the rule's `select` keeps."""
     _check_variant(s, v)
-    return [inst for g in _BOX[v] for inst in g(s, True, tags)]
+    links = s.links
+    last = s.last
+    prev = s.components[-2] if links else None
+    return [e.build(s, f, tags) for e in _BOX[v][links[-1] if links else None]
+            for f in e.select(last.succ.of_kind(e.kind), last, prev)]
 
 
 def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
     """The instance of `rule` on `conclusion` with this principal formula
-    (None for ew), or with ANY the first in search order; None when there
-    is none.  Only that one instance is built, in any calculus variant."""
-    return next(_INSTANCES[rule](conclusion, False, fresh_tag, principal), None)
+    (None for ew), or with ANY the one on the first candidate in sort_key
+    order; None when there is none.  Only that one instance is built, in
+    any calculus variant."""
+    s, links = conclusion, conclusion.links
+    if rule is RuleId.EW:
+        # Search never weakens; ew only appears in derivations it assembles.
+        if links and (principal is ANY or principal is None):
+            return RuleInstance(RuleId.EW, None, (s.drop_last(),))
+        return None
+    e = _RULES[rule]
+    if (links[-1] if links else None) not in e.links:
+        return None
+    last = s.last
+    prev = s.components[-2] if links else None
+    place = (last.ant, last.succ, prev and prev.ant)[e.where]
+    if principal is ANY:
+        fs = place.of_kind(e.kind)
+    elif type(principal) is e.kind and principal in place:
+        fs = (principal,)
+    else:
+        return None
+    if rule is RuleId.ID:  # its side condition is its schema
+        fs = e.select(fs, last, prev)
+    return e.build(s, fs[0], fresh_tag) if fs else None
 
 
 def is_valid_instance(conclusion, rule: RuleId, principal, prems, v) -> bool:

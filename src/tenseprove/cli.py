@@ -219,10 +219,19 @@ def cmd_check(args) -> int:
     return 1
 
 
+def _decode_model(data) -> tuple[KripkeModel, str | None]:
+    """The model and root world of a model's JSON form."""
+    worlds, root = data["worlds"], data.get("root")
+    if not isinstance(worlds, list) or not all(isinstance(w, str) for w in worlds):
+        raise TypeError("worlds must be a list of strings")
+    if root is not None and not isinstance(root, str):
+        raise TypeError("root must be a string")
+    return KripkeModel.from_json(data), root
+
+
 def cmd_modelcheck(args) -> int:
     v = CalculusVariant.KB if args.logic == "kb" else CalculusVariant.KT
-    m, root = _read_json(args.model, "model",
-                         lambda data: (KripkeModel.from_json(data), data.get("root")))
+    m, root = _read_json(args.model, "model", _decode_model)
     world = args.world or root
     if world is None:
         raise UsageError("no world: model JSON has no root and --world not given")

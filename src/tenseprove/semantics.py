@@ -81,40 +81,43 @@ def forces(m: KripkeModel, w: str, f: Formula, symmetric: bool = False) -> bool:
     m.worlds; an implication's right side and a box's remaining worlds are
     skipped once the value is known.
     """
-    worlds, true_atoms = m.worlds, m.true_atoms
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = succ if symmetric else {}
     for u, v in m.edges:
         succ.setdefault(u, []).append(v)
         pred.setdefault(v, []).append(u)
-    memo: dict[tuple[str, Formula], bool] = {}
+    return _forced(w, f, (m.worlds, m.true_atoms, succ, pred, {}))
 
-    def ev(w: str, f: Formula) -> bool:
-        key = (w, f)
-        val = memo.get(key)
-        if val is not None:
-            return val
-        if w not in worlds:
-            raise UnknownWorld(w)
-        cls = type(f)
-        if cls is Atom:
-            val = f.name in true_atoms.get(w, ())
-        elif cls is Bottom:
-            val = False
-        elif cls is Implies:
-            val = not ev(w, f.left) or ev(w, f.right)
-        elif cls is Box or cls is BlackBox:
-            val = True
-            for v in (succ if cls is Box else pred).get(w, ()):
-                if not ev(v, f.body):
-                    val = False
-                    break
-        else:
-            raise ValueError(f"not a core formula: {f}")
-        memo[key] = val
+
+def _forced(w: str, f: Formula, ctx: tuple) -> bool:
+    """forces' evaluation; ctx holds the model's worlds, true atoms,
+    successor and predecessor lists, and the (world, formula) memo.  A
+    module function and not a closure, which would reach itself through
+    its own cell and leave a reference cycle behind every call."""
+    worlds, true_atoms, succ, pred, memo = ctx
+    key = (w, f)
+    val = memo.get(key)
+    if val is not None:
         return val
-
-    return ev(w, f)
+    if w not in worlds:
+        raise UnknownWorld(w)
+    cls = type(f)
+    if cls is Atom:
+        val = f.name in true_atoms.get(w, ())
+    elif cls is Bottom:
+        val = False
+    elif cls is Implies:
+        val = not _forced(w, f.left, ctx) or _forced(w, f.right, ctx)
+    elif cls is Box or cls is BlackBox:
+        val = True
+        for v in (succ if cls is Box else pred).get(w, ()):
+            if not _forced(v, f.body, ctx):
+                val = False
+                break
+    else:
+        raise ValueError(f"not a core formula: {f}")
+    memo[key] = val
+    return val
 
 
 def falsifies(m: KripkeModel, w: str, s: LinearNestedSequent, symmetric: bool = False) -> bool:

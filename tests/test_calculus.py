@@ -7,15 +7,13 @@ from conftest import small_sequents
 from tenseprove import calculus, prover
 from tenseprove.calculus import (
     ANY,
-    _INSTANCES,
     _PRIORITY,
+    _RULES,
     RESTART_RULES,
-    RIGHT_BOX_RULES,
     CalculusVariant,
     RuleId,
     VariantMismatch,
     _check_variant,
-    _last_link,
     box_instances,
     instance,
     is_valid_instance,
@@ -34,13 +32,30 @@ p, q, r = Atom("p"), Atom("q"), Atom("r")
 
 
 def applicable_rules(s, v, saturating):
-    """Every rule instance whose conclusion matches s, in priority order.
+    """Every rule instance whose conclusion matches s, in priority order and
+    within a rule by the principal's sort_key: `instance` on each formula
+    of s.
 
-    With saturating=True the termination side conditions are imposed and EW
-    is excluded; this is the enumeration backward search works from.
+    With saturating=True only the principals each rule's side condition
+    (its `select`) keeps are taken, and EW is excluded; this is the
+    enumeration backward search works from.
     """
     _check_variant(s, v)
-    return [inst for r in _PRIORITY[v] for inst in _INSTANCES[r](s, saturating, fresh_tag)]
+    last = s.last
+    prev = s.components[-2] if s.links else None
+    formulas = sorted({f for c in s.components for ms in (c.ant, c.succ) for f in ms.distinct()},
+                      key=sort_key)
+    out = []
+    for r in _PRIORITY[v]:
+        if r is RuleId.EW:
+            if not saturating and s.length >= 2:
+                out.append(instance(s, r, None))
+            continue
+        for f in formulas:
+            inst = instance(s, r, f)
+            if inst is not None and (not saturating or _RULES[r].select((f,), last, prev)):
+                out.append(inst)
+    return out
 
 
 def seq(*parts):
@@ -130,6 +145,20 @@ def test_side_conditions_block_reapplication():
     # restart blocked when the absorber already has the body
     s4 = seq(component([p], []), BWD, component([Box(p)], []))
     assert all(i.rule is not RuleId.BOX_L2 for i in applicable_rules(s4, KT, True))
+    # two-premiss box rules blocked when the body is already in the
+    # second-last succedent, offered when it is not
+    for rule, link, box in ((RuleId.BOX_R1, BWD, Box), (RuleId.BBOX_R1, FWD, BlackBox)):
+        for before, offered in (([p], False), ([q], True)):
+            s5 = seq(component([], before), link, component([], [box(p)]))
+            assert [i.rule for i in box_instances(s5, KT)] == ([rule] if offered else [])
+    # KB propagation and restart blocked when the body is already in place
+    for rule, blocked, open_ in (
+            (RuleId.KB_BOX_L1, seq(component([Box(p)], []), FWD, component([p], [])),
+             seq(component([Box(p)], []), FWD, component())),
+            (RuleId.KB_BOX_L2, seq(component([p], []), FWD, component([Box(p)], [])),
+             seq(component(), FWD, component([Box(p)], [])))):
+        assert saturation_instance(blocked, KB) is None
+        assert saturation_instance(open_, KB).rule is rule
 
 
 def test_variant_availability():
@@ -189,29 +218,34 @@ def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant
     assert instance(c, RuleId.IMP_L, ANY).principal == first
 
 
-def _fresh_principals(s, v, rule):
-    """The principals the saturating generator of `rule` takes in s, in
-    sort_key order: what a scan state holds for the rule."""
-    return tuple(sorted({i.principal for i in _INSTANCES[rule](s, True, fresh_tag)}, key=sort_key))
+def _fresh_principals(s, scan):
+    """What a scan state holds for `scan`'s rule in s: every candidate at
+    the rule's place that its `select` keeps, in sort_key order."""
+    last = s.last
+    prev = s.components[-2] if s.links else None
+    place = (last.ant, last.succ, prev and prev.ant)[scan.where]
+    return tuple(f for f in sorted(place.distinct(), key=sort_key)
+                 if type(f) is scan.kind and scan.select((f,), last, prev))
 
 
 def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
     """At every node search expands on a corpus, under each variant, the
-    scan picks the first non-box instance the saturating generators yield,
-    and a scan state carried over from the parent holds, for each rule,
-    the principals a fresh scan finds."""
+    scan takes the instance its first rule with a principal builds on the
+    principal the rule picks, and a scan state carried over from the
+    parent holds, for each rule, the principals a fresh select over every
+    candidate keeps."""
     incremental = calculus.saturation_instance
     counts = {"nodes": 0, "carried": 0}
 
     def checked(s, v, tags=fresh_tag, state=None):
         carried = bool(state)
         inst = incremental(s, v, tags, state)
-        expected = next((i for i in applicable_rules(s, v, True)
-                         if i.rule not in RIGHT_BOX_RULES), None)
+        scans = calculus._SCANS[v][s.links[-1] if s.links else None]
+        fresh = [_fresh_principals(s, scan) for scan in scans]
+        expected = next((scan.build(s, scan.pick(principals, s.last), tags)
+                         for scan, principals in zip(scans, fresh) if principals), None)
         assert inst == expected, s.render()
-        scans = calculus._SCANS[v][_last_link(s)]
-        assert state == [_fresh_principals(s, v, scan.rule)
-                         for scan in scans[:len(state)]], s.render()
+        assert state == fresh[:len(state)], s.render()
         counts["nodes"] += 1
         counts["carried"] += carried
         return inst

@@ -285,6 +285,18 @@ def test_modelcheck_unknown_world_is_a_usage_error(capsys, tmp_path):
     assert rc == 3 and err.startswith("usage error: world w9")
 
 
+@pytest.mark.parametrize("model, message", [
+    ({"worlds": ["a"], "valuation": {"a": {"p": True}}, "root": ["a"]}, "root must be a string"),
+    ({"worlds": "ab", "root": "a"}, "worlds must be a list of strings"),
+])
+def test_modelcheck_malformed_root_or_worlds_is_a_usage_error(capsys, tmp_path, model, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    rc, out, err = run(capsys, "modelcheck", str(path), "p")
+    assert (rc, out) == (3, "")
+    assert err == f"usage error: malformed model in {path}: TypeError: {message}\n"
+
+
 def test_corpus_missing_file_is_a_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, "corpus", str(tmp_path / "missing.tsv"))
     assert rc == 3 and err.startswith("usage error: cannot read")

@@ -541,3 +541,18 @@ def test_budget_stop_inside_a_restart_subtree_reports_the_whole_search():
         out = prove(text, KTS, Budget(max_nodes=n))
         assert isinstance(out, ResourceLimit)
         assert (out.stats.expanded, out.stats.nodes, out.stats.max_length) == (n + 1, n + 1, 2)
+
+
+def test_deciding_an_invalid_formula_leaves_no_cyclic_garbage():
+    # A self-recursive closure reaches itself through its cell, so each
+    # call of one left a reference cycle that only the collector frees.
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for v in (KT, KTS, KB):
+            assert isinstance(prove("p -> [F]p", v), Invalid)
+            assert gc.collect() == 0, v
+    finally:
+        if was_enabled:
+            gc.enable()
