@@ -2,30 +2,35 @@
 
 One table holds one entry per rule; ew, which has no principal formula, is
 a case of `instance`.  An entry says where the rule finds its principal
-and of which kind it is, the last links the rule acts across, the side
-condition that forces progress in backward search (`select`), the instance
-on a principal (`build`) and search's choice among principals (`pick`).
-The modal entries come from three makers given the box kind and the links.
-A priority-ordered rule tuple per variant gives its rule set and search
+and of which kind it is, the last links the rule acts across and the
+premisses of its instance on a principal (`premisses`), and for backward
+search the side condition that forces progress (`open`), search's choice
+among the principals it leaves (`pick`) and what each premiss adds
+(`grow`).  The
+modal entries come from three makers given the box kind and the links.  A
+priority-ordered rule tuple per variant gives its rule set and search
 order.
 
 `instance` applies a rule's schema only: the conclusion, the rule and the
 principal formula fix the premisses, and it is how the checker, certificate
 replay and cut build premisses.  Id's side condition, an atom on both
-sides, is also its schema.  `box_instances` lists the right box choices
-search may make, the instances each entry's `select` keeps.
+sides, is also its schema.
 
-Search finds its saturation instance (id, botL, impR, impL, propagation,
-restart) by a scan that starts from the parent's.  Every rule keeps its
-principal formula and backward search only adds formulas, so a side
-condition that blocks a candidate at a node blocks it at every node above.
-A node's scan state is a list holding, for each rule its scan reached in
-priority order, the principals the rule may take there, in sort_key order.
-A premiss that only grows the last component (impR, impL, propagation)
-gets its parent's lists, less what the added formulas block, plus each
-added formula that is a new principal (`premiss_state`); other premisses
-start from an empty state.  So a node's work follows what changed, not the
-size of its last component.
+Search reads the side conditions as bit operations.  The calculus has the
+subformula property: backward search only adds subformulas of the end
+sequent, so a search numbers that set once, in sort_key order (`Closure`),
+and a set of its formulas is a Python int with bit i for formula i.  Each
+side of a component has four masks: its members, the implications whose
+left part is a member, those whose right part is a member, and the boxes
+whose body is a member.  A rule's `open` is one bit expression over the
+last and second-last components' masks, the principals the rule may take
+there (impR: the succedent's implications, less those whose left part is
+in the antecedent and right part in the succedent), and its lowest set bit
+is the first of them in sort_key order.  A premiss's masks are its
+conclusion's ORed with what the rule adds to it (`grow`), so no node
+rescans a component and search sorts nothing.  `saturation_instance` and
+`box_instances` number the closure of the sequent they are given and scan
+it from scratch.
 
 ImpL keeps its principal formula, so it is invertible and any order of its
 instances is complete; the order only sets the size of the tree.  In search
@@ -37,11 +42,10 @@ and ph(3) from 15,782 to 376, and ph(4) decides in 2,412.
 
 from __future__ import annotations
 
-import bisect
 import enum
-from operator import attrgetter
 
-from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key
+from .formula import (
+    Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, strict_subformulas)
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, fresh_tag, slot_setters
 
 
@@ -132,133 +136,220 @@ ANY = object()
 # succedent, or the second-last antecedent.
 _ANT, _SUCC, _PREV_ANT = 0, 1, 2
 
+# The masks of one side of a component, in this order: its members, the
+# implications whose left part is a member, those whose right part is a
+# member, and the boxes whose body is a member.  A component's masks are
+# the pair (antecedent side, succedent side), and a sequent's are a chain
+# from its last component (see Closure.masks): rules act on the last two
+# components, so a premiss shares all the chain below them.
+_MEMBERS, _LEFTS, _RIGHTS, _BODIES = range(4)
+_EMPTY_SIDE = (0, 0, 0, 0)
 
-def _first(principals, last):
-    return principals[0]
+
+class Closure:
+    """The subformulas of a sequent, numbered in sort_key order: every
+    formula a backward search from the sequent can meet.
+
+    `formulas[i]` is formula i and `bits[f]` is 1 << i for formula f;
+    `kinds[t]` is the mask of the formulas of class t; `bot_right`,
+    `atom_right` and `atom_left` are the implications whose right part is
+    bottom, whose right part is an atom, and whose left part is an atom."""
+
+    __slots__ = ("formulas", "bits", "kinds", "_lefts", "_rights", "_bodies",
+                 "bot_right", "atom_right", "atom_left")
+
+    def __init__(self, s: LinearNestedSequent):
+        found: set[Formula] = set()
+        for c in s.components:
+            for ms in (c.ant, c.succ):
+                for f in ms.distinct():
+                    if f not in found:
+                        found.add(f)
+                        found |= strict_subformulas(f)
+        self.formulas = order = sorted(found, key=sort_key)
+        self.bits = bits = dict(zip(order, map((1).__lshift__, range(len(order)))))
+        # The implications whose left or right part is each formula, and the
+        # boxes whose body is each formula, for the formulas that have any.
+        self._lefts = lefts = {}
+        self._rights = rights = {}
+        self._bodies = bodies = {}
+        imp = box = black_box = bot_right = atom_right = atom_left = 0
+        for f, b in bits.items():
+            t = f.__class__
+            if t is Implies:
+                imp |= b
+                left, right = f.left, f.right
+                lefts[left] = lefts.get(left, 0) | b
+                rights[right] = rights.get(right, 0) | b
+                if right is _BOTTOM:
+                    bot_right |= b
+                elif right.__class__ is Atom:
+                    atom_right |= b
+                if left.__class__ is Atom:
+                    atom_left |= b
+            elif t is Box or t is BlackBox:
+                if t is Box:
+                    box |= b
+                else:
+                    black_box |= b
+                bodies[f.body] = bodies.get(f.body, 0) | b
+        bottom = bits.get(_BOTTOM, 0)
+        self.kinds = {Implies: imp, Box: box, BlackBox: black_box, Bottom: bottom,
+                      Atom: (1 << len(order)) - 1 & ~(imp | box | black_box | bottom)}
+        self.bot_right, self.atom_right, self.atom_left = bot_right, atom_right, atom_left
+
+    def join(self, side: tuple, f: Formula) -> tuple:
+        """The masks of a side after f joins it."""
+        return (side[0] | self.bits[f], side[1] | self._lefts.get(f, 0),
+                side[2] | self._rights.get(f, 0), side[3] | self._bodies.get(f, 0))
+
+    def masks(self, s: LinearNestedSequent) -> tuple:
+        """The masks of the components of s, a sequent over these formulas,
+        read from its formulas, as a chain from the last component: (its
+        masks, the chain of the components before it), ending in None."""
+        out = None
+        for c in s.components:
+            out = ((self._side(c.ant), self._side(c.succ)), out)
+        return out
+
+    def _side(self, ms: Multiset) -> tuple:
+        side = _EMPTY_SIDE
+        for f in ms.distinct():
+            side = self.join(side, f)
+        return side
 
 
-def _axiom_premiss_first(principals, last):
+def _axiom_premiss(k, principals, last):
     """impL's choice, made again at each node because the last component
-    it reads grows: the first principal with an axiom premiss, else the
-    first.  A principal has one when its right side is bottom or an atom
-    of the last succedent (premiss 1 closes by botL or id), or its left
-    side is an atom of the last antecedent (premiss 2 closes by id)."""
-    ant, succ = last.ant, last.succ
-    for f in principals:
-        right, left = f.right, f.left
-        if (right is _BOTTOM or type(right) is Atom and right in succ
-                or type(left) is Atom and left in ant):
-            return f
-    return principals[0]
+    it reads grows: the principals with an axiom premiss, else all.  A
+    principal has one when its right side is bottom or an atom of the last
+    succedent (premiss 1 closes by botL or id), or its left side is an
+    atom of the last antecedent (premiss 2 closes by id)."""
+    ant, succ = last
+    return principals & (k.bot_right | k.atom_right & succ[_RIGHTS]
+                         | k.atom_left & ant[_LEFTS]) or principals
 
 
-class _Rule:
-    """One rule, `rule`.  Its candidate principals are the distinct `kind`
-    formulas at `where`, and it acts across the last links in `links`
-    (None for a single component).  `select(fs, last, prev)` keeps, in
-    order, the candidates fs that the rule, side condition included, may
-    take as its principal in a sequent with this last and second-last
-    component (prev is None for a single one); `build(s, f, tags)` is the
-    instance on f, and `pick(principals, last)` is search's choice among
-    the principals."""
+class Rule:
+    """One rule's entry, for `rule`.  Its candidate principals are the
+    distinct `kind` formulas at `where`, and it acts across the last links
+    in `links` (None for a single component).  `premisses(s, f, tags)` are
+    the premisses of its instance on f, in schema order; `tags()` gives the
+    tag of a component it opens.
 
-    __slots__ = ("rule", "where", "kind", "links", "select", "build", "pick")
+    For search, `open(kind_mask, last, prev)` is the mask of the candidates
+    the rule, side condition included, may take as its principal, given
+    the masks of the last and second-last component (prev is None for a
+    single one); `pick(closure, principals, last)` narrows that mask to
+    search's choice, whose lowest bit it takes (None: all of it); and
+    `grow(closure, masks, f)` gives the masks of each premiss from the
+    conclusion's."""
 
-    def __init__(self, rule, where, kind, links, select, build, pick=_first):
+    __slots__ = ("rule", "where", "kind", "links", "open", "premisses", "grow", "pick")
+
+    def __init__(self, rule, where, kind, links, open, premisses, grow=None, pick=None):
         self.rule, self.where, self.kind, self.links = rule, where, kind, links
-        self.select, self.build, self.pick = select, build, pick
-
-    def joined(self, principals, f, last, prev) -> tuple:
-        """principals with f, a formula a premiss added to its last
-        component, when f is a candidate the rule may take."""
-        if f in (last.ant if self.where is _ANT else last.succ) and self.select((f,), last, prev):
-            i = bisect.bisect(principals, sort_key(f), key=sort_key)
-            principals = principals[:i] + (f,) + principals[i:]
-        return principals
+        self.open, self.premisses, self.grow, self.pick = open, premisses, grow, pick
 
 
-# The side conditions, as the `select` of each rule.
+# The side conditions, as the `open` of each rule.
 
-def _on_both_sides(fs, last, prev):
-    succ = last.succ
-    return tuple([f for f in fs if f in succ])
-
-
-def _all(fs, last, prev):
-    return tuple(fs)
+def _on_both_sides(kind, last, prev):
+    return last[0][_MEMBERS] & last[1][_MEMBERS] & kind
 
 
-def _imp_r_open(fs, last, prev):
-    ant, succ = last.ant, last.succ
-    return tuple([f for f in fs if f.left not in ant or f.right not in succ])
+def _in_ant(kind, last, prev):
+    return last[0][_MEMBERS] & kind
 
 
-def _imp_l_open(fs, last, prev):
-    ant, succ = last.ant, last.succ
-    return tuple([f for f in fs if f.right not in ant and f.left not in succ])
+def _in_succ(kind, last, prev):
+    return last[1][_MEMBERS] & kind
 
 
-def _body_not_in_last(fs, last, prev):
-    ant = last.ant
-    return tuple([f for f in fs if f.body not in ant])
+def _imp_r_open(kind, last, prev):
+    ant, succ = last
+    return succ[_MEMBERS] & kind & ~(ant[_LEFTS] & succ[_RIGHTS])
 
 
-def _body_not_in_prev(fs, last, prev):
-    ant = prev.ant
-    return tuple([f for f in fs if f.body not in ant])
+def _imp_l_open(kind, last, prev):
+    ant, succ = last
+    return ant[_MEMBERS] & kind & ~(ant[_RIGHTS] | succ[_LEFTS])
 
 
-def _body_not_in_prev_succ(fs, last, prev):
-    succ = prev.succ
-    return tuple([f for f in fs if f.body not in succ])
+def _body_not_in_last(kind, last, prev):
+    return prev[0][_MEMBERS] & kind & ~last[0][_BODIES]
 
 
-# --- the premisses of the propositional rules and the three modal makers ------
+def _body_not_in_prev(kind, last, prev):
+    return last[0][_MEMBERS] & kind & ~prev[0][_BODIES]
 
 
-def _axiom(rule: RuleId):
-    return lambda s, f, tags: RuleInstance(rule, f, ())
+def _body_not_in_prev_succ(kind, last, prev):
+    return last[1][_MEMBERS] & kind & ~prev[1][_BODIES]
 
 
-def _imp_r_instance(s, f, tags):
+# --- the propositional rules and the three modal makers ----------------------
+
+
+def _axiom(s, f, tags):
+    return ()
+
+
+def _imp_r_premisses(s, f, tags):
     last = s.last
-    p = s.replace_component(s.length - 1, Component(
-        last.ant.add(f.left), last.succ.add(f.right), last.tag, last.restarts))
-    return RuleInstance(RuleId.IMP_R, f, (p,))
+    return (s.replace_component(s.length - 1, Component(
+        last.ant.add(f.left), last.succ.add(f.right), last.tag, last.restarts)),)
 
 
-def _imp_l_instance(s, f, tags):
+def _imp_r_masks(k, masks, f):
+    (ant, succ), before = masks
+    return (((k.join(ant, f.left), k.join(succ, f.right)), before),)
+
+
+def _imp_l_premisses(s, f, tags):
     last = s.last
-    p1 = s.replace_component(s.length - 1, last.with_ant(f.right))
-    p2 = s.replace_component(s.length - 1, last.with_succ(f.left))
-    return RuleInstance(RuleId.IMP_L, f, (p1, p2))
+    return (s.replace_component(s.length - 1, last.with_ant(f.right)),
+            s.replace_component(s.length - 1, last.with_succ(f.left)))
 
 
-def _propagation(rule: RuleId, kind, link: Polarity) -> _Rule:
+def _imp_l_masks(k, masks, f):
+    (ant, succ), before = masks
+    return ((k.join(ant, f.right), succ), before), ((ant, k.join(succ, f.left)), before)
+
+
+def _propagation(rule: RuleId, kind, link: Polarity) -> Rule:
     """A `kind` box in the second-last antecedent sends its body across a
     last link of polarity `link` into the last antecedent."""
 
-    def build(s, f, tags):
-        return RuleInstance(rule, f, (s.replace_component(s.length - 1, s.last.with_ant(f.body)),))
+    def premisses(s, f, tags):
+        return (s.replace_component(s.length - 1, s.last.with_ant(f.body)),)
 
-    return _Rule(rule, _PREV_ANT, kind, (link,), _body_not_in_last, build)
+    def grow(k, masks, f):
+        (ant, succ), before = masks
+        return (((k.join(ant, f.body), succ), before),)
+
+    return Rule(rule, _PREV_ANT, kind, (link,), _body_not_in_last, premisses, grow)
 
 
-def _restart(rule: RuleId, kind, link: Polarity) -> _Rule:
+def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
     """A `kind` box in the last antecedent, across a last link of polarity
     `link`, deletes the last component and hands its body to the one before."""
 
-    def build(s, f, tags):
+    def premisses(s, f, tags):
         shorter = s.drop_last()
         second = shorter.last
         absorber = Component(second.ant.add(f.body), second.succ, second.tag,
                              second.restarts + 1)
-        return RuleInstance(rule, f, (shorter.replace_component(s.length - 2, absorber),))
+        return (shorter.replace_component(s.length - 2, absorber),)
 
-    return _Rule(rule, _ANT, kind, (link,), _body_not_in_prev, build)
+    def grow(k, masks, f):
+        (ant, succ), before = masks[1]
+        return (((k.join(ant, f.body), succ), before),)
+
+    return Rule(rule, _ANT, kind, (link,), _body_not_in_prev, premisses, grow)
 
 
-def _right_box(rule: RuleId, kind, links: tuple) -> _Rule:
+def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
     """A `kind` box in the last succedent, when the last link is in
     `links`, opens a component holding its body.
 
@@ -267,28 +358,36 @@ def _right_box(rule: RuleId, kind, links: tuple) -> _Rule:
     could use.
     """
     two_premiss = rule in TWO_PREMISS_BOX_RULES
+    link = BOX_LINK[kind]
 
-    def build(s, f, tags):
+    def premisses(s, f, tags):
         left = ()
         if two_premiss:
             second = s.components[-2]
             left = (s.replace_component(s.length - 2, second.with_succ(f.body)),)
         opened = Component(Multiset(), Multiset((f.body,)), tag=tags())
-        return RuleInstance(rule, f, left + (s.extend(BOX_LINK[kind], opened),))
+        return left + (s.extend(link, opened),)
 
-    return _Rule(rule, _SUCC, kind, links,
-                 _body_not_in_prev_succ if two_premiss else _all, build)
+    def grow(k, masks, f):
+        opened = (((_EMPTY_SIDE, k.join(_EMPTY_SIDE, f.body)), masks),)
+        if not two_premiss:
+            return opened
+        last, ((ant, succ), before) = masks
+        return ((last, ((ant, k.join(succ, f.body)), before)),) + opened
+
+    return Rule(rule, _SUCC, kind, links,
+                _body_not_in_prev_succ if two_premiss else _in_succ, premisses, grow)
 
 
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
 _ANY_LINK = (None, FWD, BWD)
 
 _RULES = {e.rule: e for e in (
-    _Rule(RuleId.ID, _ANT, Atom, _ANY_LINK, _on_both_sides, _axiom(RuleId.ID)),
-    _Rule(RuleId.BOT_L, _ANT, Bottom, _ANY_LINK, _all, _axiom(RuleId.BOT_L)),
-    _Rule(RuleId.IMP_R, _SUCC, Implies, _ANY_LINK, _imp_r_open, _imp_r_instance),
-    _Rule(RuleId.IMP_L, _ANT, Implies, _ANY_LINK, _imp_l_open, _imp_l_instance,
-          _axiom_premiss_first),
+    Rule(RuleId.ID, _ANT, Atom, _ANY_LINK, _on_both_sides, _axiom),
+    Rule(RuleId.BOT_L, _ANT, Bottom, _ANY_LINK, _in_ant, _axiom),
+    Rule(RuleId.IMP_R, _SUCC, Implies, _ANY_LINK, _imp_r_open, _imp_r_premisses, _imp_r_masks),
+    Rule(RuleId.IMP_L, _ANT, Implies, _ANY_LINK, _imp_l_open, _imp_l_premisses, _imp_l_masks,
+         _axiom_premiss),
     _propagation(RuleId.BOX_L1, Box, FWD),
     _propagation(RuleId.BBOX_L1, BlackBox, BWD),
     _propagation(RuleId.KB_BOX_L1, Box, FWD),
@@ -331,109 +430,68 @@ _SCANS = {v: {link: _acting(rules, link, False) for link in _ANY_LINK}
 _BOX = {v: {link: _acting(rules, link, True) for link in _ANY_LINK}
         for v, rules in _PRIORITY.items()}
 
-# What each premiss of a rule that only grows the last component adds to
-# it: parts of the principal, each at a place.
-_LEFT, _RIGHT, _BODY = attrgetter("left"), attrgetter("right"), attrgetter("body")
-_GROWTH = {
-    RuleId.IMP_R: (((_ANT, _LEFT), (_SUCC, _RIGHT)),),
-    RuleId.IMP_L: (((_ANT, _RIGHT),), ((_SUCC, _LEFT),)),
-    RuleId.BOX_L1: (((_ANT, _BODY),),),
-    RuleId.BBOX_L1: (((_ANT, _BODY),),),
-    RuleId.KB_BOX_L1: (((_ANT, _BODY),),),
-}
+
+def start(s: LinearNestedSequent, v: CalculusVariant) -> Closure:
+    """The closure a search under v from s reads; raises VariantMismatch
+    when s is not a sequent of v.  Search only opens links of the box kinds
+    v has, so no later node needs the check."""
+    _check_variant(s, v)
+    return Closure(s)
 
 
-def _carry_plan(scans, rule):
-    """How premiss_state carries a state over `rule`'s premisses: the
-    rule's position in scans, the first whose principals growth may block,
-    and per premiss, each part of the principal it adds, with the positions
-    by kind of the rules that part may join as a principal.  These are the
-    rules whose candidates of that kind sit at the part's place, and id
-    for an atom added to the succedent, which may be one of its antecedent
-    atoms."""
-
-    def joins(where):
-        return {kind: tuple(k for k, scan in enumerate(scans) if scan.kind is kind
-                            and (scan.where is where or scan.rule is RuleId.ID))
-                for kind in {scan.kind for scan in scans}}
-
-    return (scans.index(_RULES[rule]),
-            tuple(tuple((part, joins(where)) for where, part in adds) for adds in _GROWTH[rule]))
-
-
-_CARRY = {v: {link: {rule: _carry_plan(scans, rule) for rule in _GROWTH
-                     if _RULES[rule] in scans}
-              for link, scans in by_link.items()}
-          for v, by_link in _SCANS.items()}
-
-
-def saturation_instance(s, v, tags=fresh_tag, state=None) -> RuleInstance | None:
-    """Search's instance of the first saturation rule, in priority order,
-    whose `select` keeps a principal, on the principal its `pick` chooses;
-    None when there is none.  `state` is s's scan state; the scan reads the
-    principals it holds and appends those it computes.  No saturation rule
-    opens a component, so `tags` is never called."""
+def scan(k: Closure, v, s, masks) -> tuple[Rule, Formula] | None:
+    """Search's step at s, whose components have these masks over the
+    closure k: the entry of the first saturation rule, in priority order,
+    that may take a principal, and the principal its `pick` chooses; None
+    when there is none."""
     links = s.links
-    scans = _SCANS[v][links[-1] if links else None]
-    last = s.last
-    if state:  # carried over from a parent that was checked
-        for i, principals in enumerate(state):
-            if principals:
-                scan = scans[i]
-                return scan.build(s, scan.pick(principals, last), tags)
-    else:
-        _check_variant(s, v)
-        if state is None:
-            state = []
-    prev = s.components[-2] if links else None
-    sources = (last.ant, last.succ, prev and prev.ant)
-    for scan in scans[len(state):]:
-        principals = sources[scan.where].of_kind(scan.kind)
+    last, before = masks
+    prev = before[0] if links else None
+    kinds = k.kinds
+    for e in _SCANS[v][links[-1] if links else None]:
+        principals = e.open(kinds[e.kind], last, prev)
         if principals:
-            principals = scan.select(principals, last, prev)
-        state.append(principals)
-        if principals:
-            return scan.build(s, scan.pick(principals, last), tags)
+            if e.pick is not None:
+                principals = e.pick(k, principals, last)
+            return e, k.formulas[(principals & -principals).bit_length() - 1]
     return None
 
 
-def premiss_state(state, v, s, inst, i) -> list:
-    """The scan state of premiss i of inst, an instance on s of impR, impL
-    or a propagation rule; `state` is s's.  These rules only grow the last
-    component, and growth never lifts a side condition: the one condition
-    it can meet is id's, an atom on both sides.  So the premiss's
-    principals for each rule s's scan reached are s's that the rule may
-    still take, and each formula the premiss adds that it may now take.
-    The last premiss's state is s's list, updated in place, so s's state
-    must not be read after it is asked for."""
+def box_choices(k: Closure, v, s, masks) -> list[tuple[Rule, Formula]]:
+    """Every right box step search may choose at s, whose components have
+    these masks over the closure k, as (entry, principal): in priority
+    order, and within a rule in sort_key order, on each box the rule's
+    `open` keeps."""
     links = s.links
-    link = links[-1] if links else None
-    scans = _SCANS[v][link]
-    first, premisses = _CARRY[v][link][inst.rule]
-    new = inst.premisses[i].last
-    prev = s.components[-2] if links else None
-    out = state if i == len(premisses) - 1 else state.copy()
-    # s's scan found no principals for the rules before inst's.
-    for k in range(first, len(out)):
-        if out[k]:
-            out[k] = scans[k].select(out[k], new, prev)
-    for part, joins in premisses[i]:
-        f = part(inst.principal)
-        for k in joins.get(type(f), ()):
-            if k < len(out) and f not in out[k]:
-                out[k] = scans[k].joined(out[k], f, new, prev)
+    last, before = masks
+    prev = before[0] if links else None
+    out = []
+    for e in _BOX[v][links[-1] if links else None]:
+        principals = e.open(k.kinds[e.kind], last, prev)
+        while principals:
+            low = principals & -principals
+            out.append((e, k.formulas[low.bit_length() - 1]))
+            principals ^= low
     return out
 
 
+def saturation_instance(s, v, tags=fresh_tag) -> RuleInstance | None:
+    """The instance of `scan`'s step at s, from scratch: over the closure
+    of s."""
+    k = start(s, v)
+    step = scan(k, v, s, k.masks(s))
+    if step is None:
+        return None
+    e, f = step
+    return RuleInstance(e.rule, f, e.premisses(s, f, tags))
+
+
 def box_instances(s, v, tags=fresh_tag) -> list[RuleInstance]:
-    """Every right box instance search may choose, in priority order: on
-    each box of the last succedent that the rule's `select` keeps."""
-    _check_variant(s, v)
-    links = s.links
-    last = s.last
-    prev = s.components[-2] if links else None
-    return [e.build(s, f, tags) for e in _BOX[v][links[-1] if links else None]
-            for f in e.select(last.succ.of_kind(e.kind), last, prev)]
+    """The instances of `box_choices` at s, from scratch: over the closure
+    of s."""
+    k = start(s, v)
+    return [RuleInstance(e.rule, f, e.premisses(s, f, tags))
+            for e, f in box_choices(k, v, s, k.masks(s))]
 
 
 def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
@@ -460,8 +518,9 @@ def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
     else:
         return None
     if rule is RuleId.ID:  # its side condition is its schema
-        fs = e.select(fs, last, prev)
-    return e.build(s, fs[0], fresh_tag) if fs else None
+        succ = last.succ
+        fs = [f for f in fs if f in succ]
+    return RuleInstance(rule, fs[0], e.premisses(s, fs[0], fresh_tag)) if fs else None
 
 
 def is_valid_instance(conclusion, rule: RuleId, principal, prems, v) -> bool:

@@ -2,10 +2,10 @@
 
 The engine applies the rule groups in priority order (termination, CPL,
 propagation, restart) and only then branches over the right box rules.
-A node that only grows its parent's last component (the premisses of impR,
-impL and propagation) starts its check of those groups from the parent's
-scan state, the principals each rule could still take there, so its work
-follows what the step added (see calculus).
+A search numbers the end sequent's subformulas once and carries, beside
+each node's components, their masks over that numbering: each rule's side
+condition is a few bit operations on them, and a premiss's masks are its
+conclusion's with the added formulas ORed in (see calculus).
 Search builds its output as it returns from each subtree: a closed subtree
 as a Derivation, a failed one as its pruned tree, in which a failed step
 keeps only its failed premiss and only the final incarnation of each
@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass
 
 from . import calculus, metatheory, semantics
-from .calculus import RESTART_RULES, TWO_PREMISS_BOX_RULES, CalculusVariant, RuleId, RuleInstance
+from .calculus import RESTART_RULES, TWO_PREMISS_BOX_RULES, CalculusVariant, RuleId
 from .formula import (
     Atom,
     Formula,
@@ -35,7 +35,6 @@ from .formula import (
     collapse_backward,
     desugar,
     parse,
-    strict_subformulas,
 )
 from .metatheory import Derivation
 from .semantics import KripkeModel
@@ -83,6 +82,11 @@ class Statistics:
         return {"nodes": self.nodes, "restarts": self.restarts, "max_length": self.max_length,
                 "expanded": self.expanded, "cache_hits": self.cache_hits}
 
+
+# Reading an enum member costs a descriptor call (about 0.1 us on CPython
+# 3.11), so the members search reads at every node are bound once.
+_AXIOMS = frozenset((RuleId.ID, RuleId.BOT_L))
+_EW = RuleId.EW
 
 CLOSED = "closed"
 FAILED = "failed"
@@ -172,9 +176,11 @@ class _Search:
         self.budget = budget
         self.stats = Statistics()
         self.deadline = time.monotonic() + budget.max_ms / 1000.0
-        self.tags = itertools.count(max(c.tag for c in end.components) + 1)
-        self.end = end
-        self.restart_bound = None  # computed at the first restart
+        self.tags = itertools.count(end.length)  # end is retagged 0, 1, ...
+        self.closure = calculus.start(end, variant)
+        # Each restart adds to its absorber's antecedent a subformula of the
+        # end sequent it lacked, so none absorbs more than there are.
+        self.restart_bound = len(self.closure.formulas) + 1
         # restart premiss -> (result, the premiss first explored, and the
         # nodes, restarts and max_length of its subtree)
         self.restarted: dict[LinearNestedSequent, tuple[
@@ -192,48 +198,43 @@ class _Search:
     def fresh(self) -> int:
         return next(self.tags)
 
-    def expand(self, s: LinearNestedSequent, state: list | None = None) -> Derivation | Failure:
-        """Search from s; `state` is s's scan state, carried over from its
-        parent's when s only grows the parent's last component, or None
-        for a fresh one."""
+    def expand(self, s: LinearNestedSequent, masks: tuple) -> Derivation | Failure:
+        """Search from s, whose components have these masks over the end
+        sequent's closure (see calculus)."""
         self.tick(s)
-        if state is None:
-            state = []
-        inst = calculus.saturation_instance(s, self.variant, self.fresh, state)
-        if inst is not None:
-            if inst.rule in (RuleId.ID, RuleId.BOT_L):
-                return Derivation(s, inst.rule, inst.principal)
-            if inst.rule in RESTART_RULES:
+        step = calculus.scan(self.closure, self.variant, s, masks)
+        if step is not None:
+            e, f = step
+            if e.rule in _AXIOMS:
+                return Derivation(s, e.rule, f)
+            prems = e.premisses(s, f, self.fresh)
+            if e.rule in RESTART_RULES:
                 self.stats.restarts += 1
-                absorber = inst.premisses[0].last
-                if self.restart_bound is None:
-                    self.restart_bound = len(strict_subformulas_of(self.end)) + 1
-                if absorber.restarts > self.restart_bound:
+                if prems[0].last.restarts > self.restart_bound:
                     raise SearchInvariantError("restart count exceeded the subformula bound")
-                out = self.expand_restarted(inst.premisses[0])
+                out = self.expand_restarted(prems[0], e, f, masks)
                 if not isinstance(out, tuple):
-                    return Derivation(s, inst.rule, inst.principal, (out,))
+                    return Derivation(s, e.rule, f, (out,))
                 child, collapsing = out
                 if collapsing and child.sequent.length < s.length - 1:
                     return out
-                return PrunedNode(s.prefix(s.length - 1), inst.rule, "step", (child,)), True
+                return PrunedNode(s.prefix(s.length - 1), e.rule, "step", (child,)), True
             # impR, impL or propagation: each premiss only grows the last component.
-            prems = []
-            for i, p in enumerate(inst.premisses):
-                c = self.expand(p, calculus.premiss_state(state, self.variant, s, inst, i))
-                if isinstance(c, tuple):
-                    return _failed_step(s, inst.rule, c)
-                prems.append(c)
-            return Derivation(s, inst.rule, inst.principal, tuple(prems))
-        choices = calculus.box_instances(s, self.variant, self.fresh)
-        if not choices:
-            return PrunedNode(s, None, "leaf"), False
+            derived = []
+            for p, m in zip(prems, e.grow(self.closure, masks, f)):
+                out = self.expand(p, m)
+                if isinstance(out, tuple):
+                    return _failed_step(s, e.rule, out)
+                derived.append(out)
+            return Derivation(s, e.rule, f, tuple(derived))
         explored = []
-        for inst in choices:
-            out = self.expand_box(s, inst)
+        for e, f in calculus.box_choices(self.closure, self.variant, s, masks):
+            out = self.expand_box(s, e, f, masks)
             if out is not None and not isinstance(out, tuple):
                 return out
             explored.append(out)
+        if not explored:
+            return PrunedNode(s, None, "leaf"), False
         if any(out is None for out in explored):
             raise SearchInvariantError(
                 "left premiss of a two-premiss box rule could not be derived")
@@ -245,8 +246,10 @@ class _Search:
             return best, best.sequent.length < s.length
         return PrunedNode(s, None, "and", tuple([child for child, _ in explored])), False
 
-    def expand_restarted(self, p: LinearNestedSequent) -> Derivation | Failure:
-        """The result of a restart premiss, explored once per search.
+    def expand_restarted(self, p: LinearNestedSequent, e: calculus.Rule, f: Formula,
+                         masks: tuple) -> Derivation | Failure:
+        """The result of p, the premiss of the restart step (e, f) at a node
+        with these masks, explored once per search.
 
         Sequent equality ignores tags, so an equal premiss seen before
         answers: a derivation is shared as it is, a pruned tree through a
@@ -268,45 +271,44 @@ class _Search:
         nodes, restarts, outer_length = st.nodes, st.restarts, st.max_length
         st.max_length = p.length
         try:
-            out = self.expand(p)
+            out = self.expand(p, e.grow(self.closure, masks, f)[0])
         finally:  # a budget stop must still report the whole search's maximum
             length, st.max_length = st.max_length, max(outer_length, st.max_length)
         self.restarted[p] = (out, p, st.nodes - nodes, st.restarts - restarts, length)
         return out
 
-    def expand_box(self, s: LinearNestedSequent,
-                   inst: RuleInstance) -> Derivation | Failure | None:
-        """The result of one box choice; None when its right premiss closes
-        and its left premiss (boxR1/bboxR1) cannot be derived."""
-        grown = inst.premisses[-1]
-        if max_degree(grown.last) >= max_degree(s.last):
+    def expand_box(self, s: LinearNestedSequent, e: calculus.Rule, f: Formula,
+                   masks: tuple) -> Derivation | Failure | None:
+        """The result of the box choice (e, f) at s, whose components have
+        these masks; None when its right premiss closes and its left
+        premiss (boxR1/bboxR1) cannot be derived."""
+        prems = e.premisses(s, f, self.fresh)
+        if max_degree(prems[-1].last) >= max_degree(s.last):
             raise SearchInvariantError("modal degree failed to drop at a box step")
-        if inst.rule in TWO_PREMISS_BOX_RULES:
-            right = self.expand(grown)
-            if isinstance(right, tuple):
-                return _failed_step(s, inst.rule, right)
-            left = self.derive_left(inst)
-            if left is None:
-                return None
-            return Derivation(s, inst.rule, inst.principal, (left, right))
-        out = self.expand(inst.premisses[0])
+        grown = e.grow(self.closure, masks, f)
+        out = self.expand(prems[-1], grown[-1])  # the premiss that opens a component
         if isinstance(out, tuple):
-            return _failed_step(s, inst.rule, out)
-        return Derivation(s, inst.rule, inst.principal, (out,))
+            return _failed_step(s, e.rule, out)
+        if e.rule not in TWO_PREMISS_BOX_RULES:
+            return Derivation(s, e.rule, f, (out,))
+        left = self.derive_left(prems[0], grown[0])
+        if left is None:
+            return None
+        return Derivation(s, e.rule, f, (left, out))
 
-    def derive_left(self, inst: RuleInstance) -> Derivation | None:
-        """Derivation of the left premiss of boxR1/bboxR1.
+    def derive_left(self, left: LinearNestedSequent, masks: tuple) -> Derivation | None:
+        """Derivation of the left premiss of boxR1/bboxR1, whose components
+        have these masks.
 
         The left premiss weakens the conclusion, so when the conclusion's
         prefix is provable on its own the premiss follows by EW; otherwise
         search the premiss directly (its box instance is fulfilled, so this
         terminates).
         """
-        left = inst.premisses[0]
-        prefix = self.expand(left.drop_last())
+        prefix = self.expand(left.drop_last(), masks[1])
         if not isinstance(prefix, tuple):
-            return Derivation(left, RuleId.EW, None, (prefix,))
-        tree = self.expand(left)
+            return Derivation(left, _EW, None, (prefix,))
+        tree = self.expand(left, masks)
         return None if isinstance(tree, tuple) else tree
 
 
@@ -317,16 +319,6 @@ def _failed_step(s: LinearNestedSequent, rule: RuleId, premiss: Failure) -> Fail
     if collapsing:
         return premiss
     return PrunedNode(s, rule, "step", (child,)), False
-
-
-def strict_subformulas_of(s: LinearNestedSequent):
-    out = set()
-    for c in s.components:
-        for ms in (c.ant, c.succ):
-            for f in ms.distinct():
-                out.add(f)
-                out |= strict_subformulas(f)
-    return out
 
 
 def max_degree(c: Component) -> int:
@@ -349,7 +341,7 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
     eng = _Search(v, budget, s)
     t0 = time.monotonic()
     try:
-        tree = eng.expand(s)
+        tree = eng.expand(s, eng.closure.masks(s))
     finally:
         eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
     if isinstance(tree, tuple):

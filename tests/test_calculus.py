@@ -13,7 +13,6 @@ from tenseprove.calculus import (
     CalculusVariant,
     RuleId,
     VariantMismatch,
-    _check_variant,
     box_instances,
     instance,
     is_valid_instance,
@@ -22,7 +21,7 @@ from tenseprove.calculus import (
 from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key)
 from tenseprove.semantics import KripkeModel, falsifies
-from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, fresh_tag, single
+from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, single
 from tenseprove.generate import corpus
 from tenseprove.metatheory import Derivation, check
 
@@ -37,23 +36,24 @@ def applicable_rules(s, v, saturating):
     of s.
 
     With saturating=True only the principals each rule's side condition
-    (its `select`) keeps are taken, and EW is excluded; this is the
-    enumeration backward search works from.
+    (the mask its `open` gives) keeps are taken, and EW is excluded; this is
+    the enumeration backward search works from.
     """
-    _check_variant(s, v)
-    last = s.last
-    prev = s.components[-2] if s.links else None
-    formulas = sorted({f for c in s.components for ms in (c.ant, c.succ) for f in ms.distinct()},
-                      key=sort_key)
+    k = calculus.start(s, v)
+    masks = k.masks(s)
+    last, before = masks
+    prev = before[0] if s.links else None
     out = []
     for r in _PRIORITY[v]:
         if r is RuleId.EW:
             if not saturating and s.length >= 2:
                 out.append(instance(s, r, None))
             continue
-        for f in formulas:
+        e = _RULES[r]
+        for f in k.formulas:
             inst = instance(s, r, f)
-            if inst is not None and (not saturating or _RULES[r].select((f,), last, prev)):
+            if inst is not None and (not saturating
+                                     or k.bits[f] & e.open(k.kinds[e.kind], last, prev)):
                 out.append(inst)
     return out
 
@@ -218,39 +218,83 @@ def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant
     assert instance(c, RuleId.IMP_L, ANY).principal == first
 
 
-def _fresh_principals(s, scan):
-    """What a scan state holds for `scan`'s rule in s: every candidate at
-    the rule's place that its `select` keeps, in sort_key order."""
+# Each rule's side condition read from the multisets, as the rule states
+# it: the reference the bit scan is checked against.
+_BODY_NOT_IN_LAST = lambda f, last, prev: f.body not in last.ant  # noqa: E731
+_BODY_NOT_IN_PREV = lambda f, last, prev: f.body not in prev.ant  # noqa: E731
+_BODY_NOT_IN_PREV_SUCC = lambda f, last, prev: f.body not in prev.succ  # noqa: E731
+_ANYWAY = lambda f, last, prev: True  # noqa: E731
+_REFERENCE_SIDE_CONDITION = {
+    RuleId.ID: lambda f, last, prev: f in last.succ,
+    RuleId.BOT_L: _ANYWAY,
+    RuleId.IMP_R: lambda f, last, prev: f.left not in last.ant or f.right not in last.succ,
+    RuleId.IMP_L: lambda f, last, prev: f.right not in last.ant and f.left not in last.succ,
+    RuleId.BOX_L1: _BODY_NOT_IN_LAST, RuleId.BBOX_L1: _BODY_NOT_IN_LAST,
+    RuleId.KB_BOX_L1: _BODY_NOT_IN_LAST,
+    RuleId.BOX_L2: _BODY_NOT_IN_PREV, RuleId.BBOX_L2: _BODY_NOT_IN_PREV,
+    RuleId.KB_BOX_L2: _BODY_NOT_IN_PREV,
+    RuleId.BOX_R1: _BODY_NOT_IN_PREV_SUCC, RuleId.BBOX_R1: _BODY_NOT_IN_PREV_SUCC,
+    RuleId.BOX_R2: _ANYWAY, RuleId.BBOX_R2: _ANYWAY, RuleId.BOX_R: _ANYWAY,
+    RuleId.BBOX_R: _ANYWAY, RuleId.KB_BOX_R: _ANYWAY,
+}
+
+
+def _fresh_principals(s, e):
+    """The principals rule entry e may take in s, read from its multisets:
+    every candidate at the rule's place that the reference side condition
+    keeps, in sort_key order."""
     last = s.last
     prev = s.components[-2] if s.links else None
-    place = (last.ant, last.succ, prev and prev.ant)[scan.where]
+    place = (last.ant, last.succ, prev and prev.ant)[e.where]
+    keeps = _REFERENCE_SIDE_CONDITION[e.rule]
     return tuple(f for f in sorted(place.distinct(), key=sort_key)
-                 if type(f) is scan.kind and scan.select((f,), last, prev))
+                 if type(f) is e.kind and keeps(f, last, prev))
+
+
+def _reference_pick(rule, principals, last):
+    """Search's choice among the principals: for impL the first with an
+    axiom premiss (its right side bottom or an atom of the succedent, or
+    its left side an atom of the antecedent), else the first."""
+    if rule is RuleId.IMP_L:
+        for f in principals:
+            if (f.right == Bottom() or type(f.right) is Atom and f.right in last.succ
+                    or type(f.left) is Atom and f.left in last.ant):
+                return f
+    return principals[0]
 
 
 def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
     """At every node search expands on a corpus, under each variant, the
-    scan takes the instance its first rule with a principal builds on the
-    principal the rule picks, and a scan state carried over from the
-    parent holds, for each rule, the principals a fresh select over every
-    candidate keeps."""
-    incremental = calculus.saturation_instance
-    counts = {"nodes": 0, "carried": 0}
+    masks carried from the parent equal those read from the node's
+    components, the scan takes the rule and principal the multiset
+    reference (`_fresh_principals`, `_reference_pick`) gives, and the box
+    choices are the reference's, in order."""
+    scan, box_choices = calculus.scan, calculus.box_choices
+    counts = {"nodes": 0, "box": 0}
 
-    def checked(s, v, tags=fresh_tag, state=None):
-        carried = bool(state)
-        inst = incremental(s, v, tags, state)
-        scans = calculus._SCANS[v][s.links[-1] if s.links else None]
-        fresh = [_fresh_principals(s, scan) for scan in scans]
-        expected = next((scan.build(s, scan.pick(principals, s.last), tags)
-                         for scan, principals in zip(scans, fresh) if principals), None)
-        assert inst == expected, s.render()
-        assert state == fresh[:len(state)], s.render()
+    def link(s):
+        return s.links[-1] if s.links else None
+
+    def checked_scan(k, v, s, masks):
+        assert masks == k.masks(s), s.render()
+        step = scan(k, v, s, masks)
+        entries = calculus._SCANS[v][link(s)]
+        expected = next(((e.rule, _reference_pick(e.rule, fs, s.last))
+                         for e, fs in ((e, _fresh_principals(s, e)) for e in entries) if fs), None)
+        assert (step and (step[0].rule, step[1])) == expected, s.render()
         counts["nodes"] += 1
-        counts["carried"] += carried
-        return inst
+        return step
 
-    monkeypatch.setattr(calculus, "saturation_instance", checked)
+    def checked_box_choices(k, v, s, masks):
+        steps = box_choices(k, v, s, masks)
+        assert [(e.rule, f) for e, f in steps] == [
+            (e.rule, f) for e in calculus._BOX[v][link(s)] for f in _fresh_principals(s, e)
+        ], s.render()
+        counts["box"] += 1
+        return steps
+
+    monkeypatch.setattr(calculus, "scan", checked_scan)
+    monkeypatch.setattr(calculus, "box_choices", checked_box_choices)
     formulas = (corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6)
                 + corpus(4242, 100, atoms=("p", "q"), max_size=40, max_degree=5))
     for f in formulas:
@@ -259,7 +303,7 @@ def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
                 prover.prove(f, v)
             except prover.SearchInvariantError:
                 assert v is KT  # the known KT crashes; the nodes before them are checked
-    assert counts["nodes"] > 23_000 and counts["carried"] > 14_000, counts
+    assert counts["nodes"] > 23_000 and counts["box"] > 7_000, counts
 
 
 def example4_derivation():

@@ -1,10 +1,15 @@
+import contextlib
 import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import surface_formulas
 from tenseprove import cli, prover
 from tenseprove.cli import main
+from tenseprove.formula import print_ascii
 from tenseprove.semantics import KripkeModel
 
 
@@ -394,3 +399,29 @@ def test_check_of_an_invalid_verdicts_report_says_it_carries_a_model(capsys, tmp
     assert rc == 3
     assert err == (f"usage error: {path} is an invalid verdict's report: "
                    "it carries a model, not a derivation\n")
+
+
+def _main_with(stdin: str, *argv) -> tuple[int, str]:
+    """cli.main on argv with this standard input; the exit code and what it
+    printed.  Hypothesis examples cannot share pytest's capture fixtures."""
+    out, saved = io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return rc, out.getvalue()
+
+
+@given(surface_formulas, st.sampled_from([(), ("--logic", "kb")]))
+def test_certified_json_verdicts_replay_through_check_and_modelcheck(f, logic):
+    # A verdict exit code only ever comes with a certificate that the CLI's
+    # own check (a derivation) or modelcheck (a countermodel) accepts.
+    text = print_ascii(f)
+    rc, report = _main_with("", "decide", "--certify", "--output", "json", *logic, text)
+    assert rc in (0, 1), text
+    if rc == 0:
+        assert _main_with(report, "check", *logic, "-") == (0, "ok\n"), text
+    else:
+        assert _main_with(report, "modelcheck", *logic, "-", text) == (1, "not forced\n"), text

@@ -276,7 +276,9 @@ def _ph(n):
 # KB propagation before restart.  ph(3) pins the order of impL instances:
 # one with an axiom premiss first (15,782 nodes in sort_key order).  The
 # counts follow from the rule priority order; a change to that order must
-# update them on purpose.
+# update them on purpose.  fan(8), chain(16) and imp_bad(40) close over 79,
+# 67 and 81 subformulas, so search's masks over them are wider than one
+# 64-bit machine word.
 SEARCH_ORDER_PINS = [
     (" | ".join([f"[F]p{i}" for i in range(4)] + [f"[P]~[F]q{i}" for i in range(4)]),
      {KT: (866, 64), KTS: (866, 64), KB: (866, 64)}),
@@ -289,6 +291,10 @@ SEARCH_ORDER_PINS = [
     ("[F](([P]q -> [F][P]r) -> [F](r -> r))", {KT: (10, 0), KTS: (9, 0), KB: (18, 1)}),
     ("[P][P]false -> [P]q -> [P][P]q", {KT: (8, 0), KTS: (8, 0), KB: (7, 1)}),
     (_ph(3), {KTS: (376, 0)}),
+    (" | ".join([f"[F]p{i}" for i in range(8)] + [f"[P]~[F]q{i}" for i in range(8)]),
+     {KT: (2740070, 109600), KTS: (2740070, 109600), KB: (2740070, 109600)}),
+    ("p -> " + "[F]<P>" * 16 + "p", {KT: (322, 16), KTS: (322, 16), KB: (322, 16)}),
+    (" -> ".join([f"p{i}" for i in range(40)] + ["q"]), {KT: (41, 0), KTS: (41, 0), KB: (41, 0)}),
 ]
 
 
