@@ -1,4 +1,5 @@
-"""Inference rules of the three linear nested sequent calculi.
+"""Inference rules of the three linear nested sequent calculi, as search
+builds premisses with them.
 
 One table holds one entry per rule; ew, which has no principal formula, is
 a case of `instance`.  An entry says where the rule finds its principal
@@ -6,15 +7,15 @@ and of which kind it is, the last links the rule acts across and the
 premisses of its instance on a principal (`premisses`), and for backward
 search the side condition that forces progress (`open`), search's choice
 among the principals it leaves (`pick`) and what each premiss adds
-(`grow`).  The
-modal entries come from three makers given the box kind and the links.  A
-priority-ordered rule tuple per variant gives its rule set and search
-order.
+(`grow`).  The modal entries come from three makers given the box kind
+and the links.  A priority-ordered rule tuple per variant gives its rule
+set and search order.
 
 `instance` applies a rule's schema only: the conclusion, the rule and the
-principal formula fix the premisses, and it is how the checker, certificate
-replay and cut build premisses.  Id's side condition, an atom on both
-sides, is also its schema.
+principal formula fix the premisses, and it is how certificate replay and
+the terminal case of cut build premisses.  Id's side condition, an atom on
+both sides, is also its schema.  Nothing here is trusted: `kernel` checks
+every derivation against rules it writes out itself.
 
 Search reads the side conditions as bit operations.  The calculus has the
 subformula property: backward search only adds subformulas of the end
@@ -28,9 +29,7 @@ there (impR: the succedent's implications, less those whose left part is
 in the antecedent and right part in the succedent), and its lowest set bit
 is the first of them in sort_key order.  A premiss's masks are its
 conclusion's ORed with what the rule adds to it (`grow`), so no node
-rescans a component and search sorts nothing.  `saturation_instance` and
-`box_instances` number the closure of the sequent they are given and scan
-it from scratch.
+rescans a component and search sorts nothing.
 
 ImpL keeps its principal formula, so it is invertible and any order of its
 instances is complete; the order only sets the size of the tree.  In search
@@ -42,46 +41,10 @@ and ph(3) from 15,782 to 376, and ph(4) decides in 2,412.
 
 from __future__ import annotations
 
-import enum
-
 from .formula import (
     Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, strict_subformulas)
+from .kernel import CalculusVariant, RuleId
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, fresh_tag, slot_setters
-
-
-# The members of both enums are singletons compared by identity, so they
-# hash by identity too: Enum.__hash__ runs Python code, and search and the
-# checker test a rule against the frozensets below at every node.
-
-class CalculusVariant(enum.Enum):
-    __hash__ = object.__hash__
-
-    KT = "kt"
-    KT_STAR = "kt-star"
-    KB = "kb"
-
-
-class RuleId(enum.Enum):
-    __hash__ = object.__hash__
-
-    ID = "id"
-    BOT_L = "botL"
-    IMP_R = "impR"
-    IMP_L = "impL"
-    BOX_R1 = "boxR1"
-    BBOX_R1 = "bboxR1"
-    BOX_R2 = "boxR2"
-    BBOX_R2 = "bboxR2"
-    BOX_L1 = "boxL1"
-    BBOX_L1 = "bboxL1"
-    BOX_L2 = "boxL2"
-    BBOX_L2 = "bboxL2"
-    EW = "ew"
-    BOX_R = "boxR"
-    BBOX_R = "bboxR"
-    KB_BOX_R = "kb.boxR"
-    KB_BOX_L1 = "kb.boxL1"
-    KB_BOX_L2 = "kb.boxL2"
 
 
 RESTART_RULES = frozenset((RuleId.BOX_L2, RuleId.BBOX_L2, RuleId.KB_BOX_L2))
@@ -162,7 +125,7 @@ class Closure:
         found: set[Formula] = set()
         for c in s.components:
             for ms in (c.ant, c.succ):
-                for f in ms.distinct():
+                for f in ms.members():
                     if f not in found:
                         found.add(f)
                         found |= strict_subformulas(f)
@@ -214,7 +177,7 @@ class Closure:
 
     def _side(self, ms: Multiset) -> tuple:
         side = _EMPTY_SIDE
-        for f in ms.distinct():
+        for f in ms.members():
             side = self.join(side, f)
         return side
 
@@ -414,7 +377,6 @@ _PRIORITY = {
     CalculusVariant.KB: _CLOSURE_AND_CPL + (
         RuleId.KB_BOX_L1, RuleId.KB_BOX_L2, RuleId.KB_BOX_R, RuleId.EW),
 }
-RULES_BY_VARIANT = {v: frozenset(rules) for v, rules in _PRIORITY.items()}
 
 
 def _acting(rules, link, right_box: bool) -> tuple:
@@ -475,25 +437,6 @@ def box_choices(k: Closure, v, s, masks) -> list[tuple[Rule, Formula]]:
     return out
 
 
-def saturation_instance(s, v, tags=fresh_tag) -> RuleInstance | None:
-    """The instance of `scan`'s step at s, from scratch: over the closure
-    of s."""
-    k = start(s, v)
-    step = scan(k, v, s, k.masks(s))
-    if step is None:
-        return None
-    e, f = step
-    return RuleInstance(e.rule, f, e.premisses(s, f, tags))
-
-
-def box_instances(s, v, tags=fresh_tag) -> list[RuleInstance]:
-    """The instances of `box_choices` at s, from scratch: over the closure
-    of s."""
-    k = start(s, v)
-    return [RuleInstance(e.rule, f, e.premisses(s, f, tags))
-            for e, f in box_choices(k, v, s, k.masks(s))]
-
-
 def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
     """The instance of `rule` on `conclusion` with this principal formula
     (None for ew), or with ANY the one on the first candidate in sort_key
@@ -512,7 +455,7 @@ def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
     prev = s.components[-2] if links else None
     place = (last.ant, last.succ, prev and prev.ant)[e.where]
     if principal is ANY:
-        fs = place.of_kind(e.kind)
+        fs = [f for f in place.distinct() if type(f) is e.kind]
     elif type(principal) is e.kind and principal in place:
         fs = (principal,)
     else:
@@ -521,17 +464,3 @@ def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
         succ = last.succ
         fs = [f for f in fs if f in succ]
     return RuleInstance(rule, fs[0], e.premisses(s, fs[0], fresh_tag)) if fs else None
-
-
-def is_valid_instance(conclusion, rule: RuleId, principal, prems, v) -> bool:
-    """True iff (conclusion, rule, prems) is the instance of a rule of v
-    with this principal formula.  The premisses are compared as whole
-    sequents, in schema order; identity tags never matter here."""
-    if rule not in RULES_BY_VARIANT[v]:
-        return False
-    try:
-        _check_variant(conclusion, v)
-    except VariantMismatch:
-        return False
-    inst = instance(conclusion, rule, principal)
-    return inst is not None and inst.premisses == tuple(prems)

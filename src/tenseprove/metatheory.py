@@ -1,4 +1,7 @@
-"""Derivation objects, the trusted checker, and executable proof transformations.
+"""Derivation objects, the checker, and executable proof transformations.
+
+The checker walks a derivation's distinct nodes and asks the kernel about
+each; it trusts nothing else, the rule table search uses included.
 
 Everything here rebuilds immutable trees; every public transformation
 re-validates its output against the checker and raises TransformError on any
@@ -21,7 +24,6 @@ from .calculus import (
     CalculusVariant,
     RuleId,
     instance,
-    is_valid_instance,
 )
 from .formula import (
     Atom,
@@ -35,6 +37,7 @@ from .formula import (
     parse,
     print_ascii,
 )
+from .kernel import is_instance
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, merge, slot_setters
 
 
@@ -68,7 +71,7 @@ class Derivation(ReadOnly):
     their derivations.  A node may be the premiss of several nodes.
 
     Like the sequents and rule instances, a node is a read-only slotted
-    value: search and the checker build several per step, and building
+    value: search and the transforms build several per step, and building
     them is a large share of each step.  `height` is computed here;
     equality and hash leave it out."""
 
@@ -139,8 +142,8 @@ def _node_text(rule: RuleId, principal: Formula | None) -> str:
 
 
 def check(d: Derivation, v: CalculusVariant) -> CheckResult:
-    """Validate every node against the rule schemas of the given variant,
-    building the one instance its rule and principal formula name; a node
+    """Validate every node against the rules of the given variant, in the
+    kernel, which compares the node's premisses with its conclusion; a node
     shared by several premisses is validated once.  Each stacked node keeps
     a link (premiss position, parent's link) to the node that reached it,
     so the premiss path is built only for a node that fails."""
@@ -151,8 +154,9 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if not is_valid_instance(node.conclusion, node.rule, node.principal,
-                                 [p.conclusion for p in node.premisses], v):
+        prems = node.premisses
+        if not is_instance(node.conclusion, node.rule, node.principal,
+                           [p.conclusion for p in prems], v):
             path = []
             while link is not None:
                 i, link = link
@@ -160,7 +164,7 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
             return CheckResult(False, tuple(reversed(path)),
                                f"invalid {_node_text(node.rule, node.principal)} "
                                f"at {node.conclusion.render()}")
-        for i, p in enumerate(node.premisses):
+        for i, p in enumerate(prems):
             stack.append((p, (i, link)))
     return CheckResult(True)
 
@@ -408,8 +412,8 @@ def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
     changes = {}
     for i, (c, t) in enumerate(zip(d.conclusion.components, target.components)):
         extra_l, extra_r = c.ant.diff(t.ant), c.succ.diff(t.succ)
-        if (any(f not in t.ant for f in extra_l.distinct())
-                or any(f not in t.succ for f in extra_r.distinct())):
+        if (any(f not in t.ant for f in extra_l.members())
+                or any(f not in t.succ for f in extra_r.members())):
             raise TransformError("contract_to: support mismatch")
         if extra_l or extra_r:
             changes[i] = _dropper(extra_l, extra_r)

@@ -87,6 +87,7 @@ class Statistics:
 # 3.11), so the members search reads at every node are bound once.
 _AXIOMS = frozenset((RuleId.ID, RuleId.BOT_L))
 _EW = RuleId.EW
+_NOTHING = Multiset()
 
 CLOSED = "closed"
 FAILED = "failed"
@@ -283,7 +284,10 @@ class _Search:
         these masks; None when its right premiss closes and its left
         premiss (boxR1/bboxR1) cannot be derived."""
         prems = e.premisses(s, f, self.fresh)
-        if max_degree(prems[-1].last) >= max_degree(s.last):
+        # The opened component holds only the body, whose modal degree is
+        # below that of f, a formula of the conclusion's last component.
+        opened = prems[-1].last
+        if opened.ant or not opened.succ.is_plus(_NOTHING, f.body) or f not in s.last.succ:
             raise SearchInvariantError("modal degree failed to drop at a box step")
         grown = e.grow(self.closure, masks, f)
         out = self.expand(prems[-1], grown[-1])  # the premiss that opens a component
@@ -319,10 +323,6 @@ def _failed_step(s: LinearNestedSequent, rule: RuleId, premiss: Failure) -> Fail
     if collapsing:
         return premiss
     return PrunedNode(s, rule, "step", (child,)), False
-
-
-def max_degree(c: Component) -> int:
-    return max(c.ant.max_degree(), c.succ.max_degree())
 
 
 def derivation_from(tree: Derivation | PrunedNode, v: CalculusVariant) -> Derivation:
@@ -420,7 +420,7 @@ def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:
         s = node.sequent
         ws = names_of(s, renaming)
         for w, comp in zip(ws, s.components):
-            for f in comp.ant.distinct():
+            for f in comp.ant.members():
                 if isinstance(f, Atom):
                     trues.setdefault(w, set()).add(f.name)
         for i, link in enumerate(s.links):

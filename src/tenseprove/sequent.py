@@ -13,7 +13,6 @@ from .formula import (
     Polarity,
     core_and,
     core_or,
-    modal_degree,
     parse,
     print_ascii,
     sort_key,
@@ -26,22 +25,22 @@ class MergeUndefined(Exception):
 
 
 class Multiset:
-    """Immutable multiset of formulas; iteration follows the canonical order."""
+    """Immutable multiset of formulas."""
 
-    __slots__ = ("_counts", "_hash", "_order", "_kinds", "_degree")
+    __slots__ = ("_counts", "_hash", "_order")
 
     def __init__(self, items=()):
         counts: dict[Formula, int] = {}
         for f in items:
             counts[f] = counts.get(f, 0) + 1
         self._counts = counts
-        self._hash = self._order = self._kinds = self._degree = None
+        self._hash = self._order = None
 
     @classmethod
     def _raw(cls, counts: dict) -> Multiset:
         m = object.__new__(cls)
         m._counts = counts
-        m._hash = m._order = m._kinds = m._degree = None
+        m._hash = m._order = None
         return m
 
     def add(self, f: Formula) -> Multiset:
@@ -100,29 +99,22 @@ class Multiset:
     def count(self, f: Formula) -> int:
         return self._counts.get(f, 0)
 
+    def is_plus(self, base: Multiset, f: Formula) -> bool:
+        """True iff this multiset is base with one more copy of f; no
+        multiset is built."""
+        counts = base._counts.copy()
+        counts[f] = counts.get(f, 0) + 1
+        return counts == self._counts
+
+    def members(self):
+        """The distinct elements, in no particular order."""
+        return self._counts.keys()
+
     def distinct(self) -> tuple[Formula, ...]:
         """The distinct elements in sort_key order, sorted on first use."""
         if self._order is None:
             self._order = tuple(sorted(self._counts, key=sort_key))
         return self._order
-
-    def of_kind(self, kind: type) -> tuple[Formula, ...]:
-        """The distinct elements of class `kind`, in distinct() order; the
-        partition by class is built on first use."""
-        kinds = self._kinds
-        if kinds is None:
-            kinds = self._kinds = {}
-            for f in self.distinct():
-                t = type(f)
-                kinds[t] = kinds[t] + (f,) if t in kinds else (f,)
-        return kinds.get(kind, ())
-
-    def max_degree(self) -> int:
-        """The largest modal degree of an element (0 when empty), computed
-        on first use."""
-        if self._degree is None:
-            self._degree = max(map(modal_degree, self._counts), default=0)
-        return self._degree
 
     def __contains__(self, f: Formula) -> bool:
         return f in self._counts
@@ -150,7 +142,7 @@ def fresh_tag() -> int:
 
 
 class ReadOnly:
-    """Base of the slotted value types built at every search, check and
+    """Base of the slotted value types built at every search, replay and
     transform step: `__init__` writes each field once through its slot's
     setter (see `slot_setters`), and the fields are read-only after that,
     as in a frozen dataclass.  `_fields` are the constructor's arguments in

@@ -13,17 +13,16 @@ from tenseprove.calculus import (
     CalculusVariant,
     RuleId,
     VariantMismatch,
-    box_instances,
     instance,
-    is_valid_instance,
-    saturation_instance,
 )
 from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key)
 from tenseprove.semantics import KripkeModel, falsifies
 from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, single
 from tenseprove.generate import corpus
+from tenseprove.kernel import is_instance
 from tenseprove.metatheory import Derivation, check
+from tenseprove.sequent import fresh_tag
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
@@ -58,6 +57,14 @@ def applicable_rules(s, v, saturating):
     return out
 
 
+def first_steps(s, v):
+    """Search's saturation step at s, (entry, principal) or None, and its
+    right box steps, over the closure of s."""
+    k = calculus.start(s, v)
+    masks = k.masks(s)
+    return calculus.scan(k, v, s, masks), calculus.box_choices(k, v, s, masks)
+
+
 def seq(*parts):
     comps = [parts[0]]
     links = []
@@ -71,9 +78,9 @@ def test_saturated_sequent_offers_the_three_box_instances():
     # r => [F]p, [F]q, [P]X with X the expanded negated box
     x = desugar(parse("~[F]~r"))
     s = single([r], [Box(p), Box(q), BlackBox(x)])
-    insts = box_instances(s, KT)
-    assert [i.rule for i in insts] == [RuleId.BOX_R2, RuleId.BOX_R2, RuleId.BBOX_R2]
-    assert [i.principal for i in insts] == [Box(p), Box(q), BlackBox(x)]
+    _, steps = first_steps(s, KT)
+    assert [e.rule for e, _ in steps] == [RuleId.BOX_R2, RuleId.BOX_R2, RuleId.BBOX_R2]
+    assert [f for _, f in steps] == [Box(p), Box(q), BlackBox(x)]
 
 
 def test_id_instance():
@@ -150,15 +157,15 @@ def test_side_conditions_block_reapplication():
     for rule, link, box in ((RuleId.BOX_R1, BWD, Box), (RuleId.BBOX_R1, FWD, BlackBox)):
         for before, offered in (([p], False), ([q], True)):
             s5 = seq(component([], before), link, component([], [box(p)]))
-            assert [i.rule for i in box_instances(s5, KT)] == ([rule] if offered else [])
+            assert [e.rule for e, _ in first_steps(s5, KT)[1]] == ([rule] if offered else [])
     # KB propagation and restart blocked when the body is already in place
     for rule, blocked, open_ in (
             (RuleId.KB_BOX_L1, seq(component([Box(p)], []), FWD, component([p], [])),
              seq(component([Box(p)], []), FWD, component())),
             (RuleId.KB_BOX_L2, seq(component([p], []), FWD, component([Box(p)], [])),
              seq(component(), FWD, component([Box(p)], [])))):
-        assert saturation_instance(blocked, KB) is None
-        assert saturation_instance(open_, KB).rule is rule
+        assert first_steps(blocked, KB)[0] is None
+        assert first_steps(open_, KB)[0][0].rule is rule
 
 
 def test_variant_availability():
@@ -178,10 +185,10 @@ def test_kb_rejects_backward_links():
 
 
 def test_is_valid_instance_trivia():
-    assert is_valid_instance(single([p], [p]), RuleId.ID, p, (), KT)
-    assert not is_valid_instance(single([p], [q]), RuleId.ID, p, (), KT)
-    assert not is_valid_instance(single([p], [p]), RuleId.BOX_R, p, (), KT)
-    assert not is_valid_instance(single([p, q], [p, q]), RuleId.ID, r, (), KT)
+    assert is_instance(single([p], [p]), RuleId.ID, p, (), KT)
+    assert not is_instance(single([p], [q]), RuleId.ID, p, (), KT)
+    assert not is_instance(single([p], [p]), RuleId.BOX_R, p, (), KT)
+    assert not is_instance(single([p, q], [p, q]), RuleId.ID, r, (), KT)
 
 
 def test_instance_builds_the_named_principal_only():
@@ -206,9 +213,9 @@ def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant
     assert sort_key(first) < sort_key(closing)
     c = single([first, closing] + ant, succ)
     for v in (KT, KTS, KB):
-        inst = saturation_instance(c, v)
-        assert (inst.rule, inst.principal) == (RuleId.IMP_L, closing)
-        assert is_valid_instance(c, RuleId.IMP_L, closing, inst.premisses, v)
+        e, f = first_steps(c, v)[0]
+        assert (e.rule, f) == (RuleId.IMP_L, closing)
+        assert is_instance(c, RuleId.IMP_L, closing, e.premisses(c, f, fresh_tag), v)
     # Checking mode is unchanged: each principal names its schema instance,
     # and the first in sort_key order is still the first instance.
     for f in (first, closing):
@@ -337,7 +344,7 @@ def test_example4_derivation_validates_node_by_node():
     stack = [d]
     while stack:
         n = stack.pop()
-        assert is_valid_instance(
+        assert is_instance(
             n.conclusion, n.rule, n.principal, [c.conclusion for c in n.premisses], KT)
         stack.extend(n.premisses)
     assert check(d, KT)
@@ -346,10 +353,10 @@ def test_example4_derivation_validates_node_by_node():
 def test_is_valid_instance_rejects_forged_instance():
     s = single([p], [p])
     inst = applicable_rules(s, KT, False)[0]
-    assert is_valid_instance(s, inst.rule, inst.principal, inst.premisses, KT)
+    assert is_instance(s, inst.rule, inst.principal, inst.premisses, KT)
     other = single([], [Implies(q, q)])
     bad = next(i for i in applicable_rules(other, KT, False) if i.rule is RuleId.IMP_R)
-    assert not is_valid_instance(s, bad.rule, bad.principal, bad.premisses, KT)
+    assert not is_instance(s, bad.rule, bad.principal, bad.premisses, KT)
 
 
 @given(small_sequents(max_len=2))
@@ -545,12 +552,12 @@ def test_rule_dispatch_agrees_with_enumerating_oracle(v):
             c = node.conclusion
             for rule, principal, prems in _forgeries(node):
                 want = _enumerating_oracle(c, rule, principal, prems, v)
-                assert is_valid_instance(c, rule, principal, prems, v) == want, (
+                assert is_instance(c, rule, principal, prems, v) == want, (
                     c.render(), node.rule, rule, principal)
                 forged += not want
             prems = [p.conclusion for p in node.premisses]
             for kind, principal in _principal_forgeries(node):
-                got = is_valid_instance(c, node.rule, principal, prems, v)
+                got = is_instance(c, node.rule, principal, prems, v)
                 assert got == _enumerating_oracle(c, node.rule, principal, prems, v)
                 # Only id has another instance with the same (no) premisses:
                 # another atom on both sides of the last component.
