@@ -182,6 +182,9 @@ def test_kb_rejects_backward_links():
     s = seq(component(), BWD, component())
     with pytest.raises(VariantMismatch):
         applicable_rules(s, KB, True)
+    closed = seq(component(), BWD, component([p], [p]))
+    assert is_instance(closed, RuleId.ID, p, (), KT)
+    assert not is_instance(closed, RuleId.ID, p, (), KB)
 
 
 def test_is_valid_instance_trivia():
@@ -504,8 +507,9 @@ def _enumerating_oracle(c, rule, principal, prems, v):
 
 def _forgeries(node):
     """(rule, principal, premisses) triples near a derivation node: itself,
-    every other rule, one premiss dropped, the premisses reversed, and a
-    formula added to one premiss's last component."""
+    every other rule, one premiss dropped, the premisses reversed, a
+    formula added to one premiss's last component, and one premiss's first
+    link reversed."""
     prems = [p.conclusion for p in node.premisses]
     a = node.principal
     yield node.rule, a, prems
@@ -516,6 +520,11 @@ def _forgeries(node):
         yield node.rule, a, prems[:k] + prems[k + 1:]
         fat = prems[k].replace_component(prems[k].length - 1, prems[k].last.with_ant(Atom("zz")))
         yield node.rule, a, prems[:k] + [fat] + prems[k + 1:]
+        links = prems[k].links
+        if links:
+            turned = LinearNestedSequent(prems[k].components,
+                                         ((BWD if links[0] is FWD else FWD),) + links[1:])
+            yield node.rule, a, prems[:k] + [turned] + prems[k + 1:]
     yield node.rule, a, prems[::-1]
 
 
