@@ -208,5 +208,5 @@ def is_instance(conclusion, rule: RuleId, principal, premisses, v: CalculusVaria
         return False
     comps = conclusion.components
     last = comps[-1]
-    place = last.ant if where is _ANT else last.succ if where is _SUCC else comps[-2].ant
+    place = last.ant if where == _ANT else last.succ if where == _SUCC else comps[-2].ant
     return principal in place and premisses_of(conclusion, principal, premisses)
