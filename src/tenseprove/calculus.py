@@ -12,8 +12,8 @@ and the links.  A priority-ordered rule tuple per variant gives its rule
 set and search order.
 
 `instance` applies a rule's schema only: the conclusion, the rule and the
-principal formula fix the premisses, and it is how certificate replay and
-the terminal case of cut build premisses.  Id's side condition, an atom on
+principal formula fix the premisses, and it is how certificate replay
+builds premisses.  Id's side condition, an atom on
 both sides, is also its schema.  Nothing here is trusted: `kernel` checks
 every derivation against rules it writes out itself.
 

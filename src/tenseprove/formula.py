@@ -43,11 +43,11 @@ class Formula:
     """A hash-consed formula node: equal formulas are the same object.
 
     Equality is identity and the hash is the default id hash, both O(1).
-    The printed text (``print_ascii``), ``modal_degree`` and ``complexity``
-    are cached on the node the first time they are asked for.
+    The printed text (``print_ascii``) and ``complexity`` are cached on the
+    node the first time they are asked for.
     """
 
-    __slots__ = ("_text", "_degree", "_size", "__weakref__")
+    __slots__ = ("_text", "_size", "__weakref__")
     _fields: tuple[str, ...] = ()
 
     def __new__(cls, *args):
@@ -66,7 +66,6 @@ class Formula:
         for name, value in zip(cls._fields, args):
             _set(node, name, value)
         _set(node, "_text", None)
-        _set(node, "_degree", None)
         _set(node, "_size", None)
 
         # The table is bound here, not looked up as a global, so a node
@@ -221,18 +220,26 @@ def collapse_backward(f: Formula) -> Formula:
 
 
 def modal_degree(f: Formula) -> int:
-    """Maximal nesting depth of [F]/[P] in a core formula, cached on the node."""
-    d = f._degree
-    if d is None:
-        if isinstance(f, Implies):
-            d = max(modal_degree(f.left), modal_degree(f.right))
-        elif isinstance(f, (Box, BlackBox)):
-            d = 1 + modal_degree(f.body)
-        elif isinstance(f, (Atom, Bottom)):
-            d = 0
+    """Maximal nesting depth of [F]/[P] in a core formula, found with an
+    explicit stack; a subformula is visited once per box depth it occurs at."""
+    d = 0
+    stack = [(f, 0)]
+    seen: set[tuple[Formula, int]] = set()
+    while stack:
+        g, k = stack.pop()
+        if isinstance(g, Implies):
+            kids = ((g.left, k), (g.right, k))
+        elif isinstance(g, (Box, BlackBox)):
+            kids = ((g.body, k + 1),)
+        elif isinstance(g, (Atom, Bottom)):
+            d = max(d, k)
+            continue
         else:
-            raise ValueError(f"not a core formula: {f}")
-        _set(f, "_degree", d)
+            raise ValueError(f"not a core formula: {g}")
+        for kid in kids:
+            if kid not in seen:
+                seen.add(kid)
+                stack.append(kid)
     return d
 
 

@@ -36,9 +36,10 @@ from .formula import (
     complexity,
     parse,
     print_ascii,
+    sort_key,
 )
 from .kernel import is_instance
-from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, merge, slot_setters
+from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, _merge, slot_setters
 
 
 class PositionOutOfRange(Exception):
@@ -244,6 +245,8 @@ def weaken(d: Derivation, position: int, add_left=(), add_right=()) -> Derivatio
 
 def contract(d: Derivation, position: int, side: str, f: Formula) -> Derivation:
     """Remove one of at least two copies of f from a component, derivation-wide."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', not {side!r}")
     if not 0 <= position < d.conclusion.length:
         raise PositionOutOfRange(position)
     c = d.conclusion.components[position]
@@ -360,10 +363,9 @@ class CutMonitor:
 def _cut_target(cl: LinearNestedSequent, cr: LinearNestedSequent, pos: int,
                 a: Formula) -> LinearNestedSequent:
     """The merge of cl and cr minus the cut occurrences, the copies of a in
-    cl's succedent and cr's antecedent at component pos."""
-    m = merge(cl, cr)
-    c = m.components[pos]
-    return m.replace_component(pos, Component(c.ant.remove_one(a), c.succ.remove_one(a), tag=c.tag))
+    cl's succedent and cr's antecedent at component pos, built in merge's
+    one pass."""
+    return _merge(cl, cr, pos, a)
 
 
 def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
@@ -387,15 +389,27 @@ def _try_embed(d: Derivation, target: LinearNestedSequent) -> Derivation | None:
     return _ew_extend(_edit(d, changes), target)
 
 
+_BOTTOM = Bottom()
+
+
 def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
     """An axiom on the target or, through EW, on its longest prefix that is
-    one; else the first fallback that embeds into the target."""
-    for k in range(target.length, 0, -1):
-        s = target.prefix(k)
-        for rule in (RuleId.BOT_L, RuleId.ID):
-            inst = instance(s, rule)
-            if inst is not None:
-                return _ew_extend(Derivation(s, rule, inst.principal), target)
+    one; else the first fallback that embeds into the target.  The axiom is
+    read off the prefix's last component: botL if it has false on the left,
+    else id on its sort_key-least atom on both sides."""
+    n = target.length
+    for k in range(n, 0, -1):
+        c = target.components[k - 1]
+        if _BOTTOM in c.ant:
+            rule, f = RuleId.BOT_L, _BOTTOM
+        else:
+            succ = c.succ
+            f = min((g for g in c.ant.members() if g.__class__ is Atom and g in succ),
+                    key=sort_key, default=None)
+            if f is None:
+                continue
+            rule = RuleId.ID
+        return _ew_extend(Derivation(target if k == n else target.prefix(k), rule, f), target)
     for d in fallbacks:
         out = _try_embed(d, target)
         if out is not None:

@@ -58,6 +58,19 @@ class Multiset:
             del counts[f]
         return Multiset._raw(counts)
 
+    def _union_less(self, other: Multiset, f: Formula) -> Multiset:
+        """self and other less one copy of f, in one dict copy; raises
+        KeyError if f is in neither."""
+        counts = self._counts.copy()
+        for g, n in other._counts.items():
+            counts[g] = counts.get(g, 0) + n
+        k = counts[f] - 1
+        if k:
+            counts[f] = k
+        else:
+            del counts[f]
+        return Multiset._raw(counts)
+
     def minus(self, other: Multiset) -> Multiset:
         """Multiset difference; raises KeyError unless other is contained in self."""
         if not other._counts:
@@ -298,12 +311,21 @@ def merge(a: LinearNestedSequent, b: LinearNestedSequent) -> LinearNestedSequent
     links (the two are structurally equivalent up to the shorter length);
     the shared components keep a's tags.
     """
+    return _merge(a, b, None, None)
+
+
+def _merge(a: LinearNestedSequent, b: LinearNestedSequent, pos: int | None,
+           f: Formula | None) -> LinearNestedSequent:
+    """merge's loop.  With a position, component pos also loses one copy of
+    f on each side, in the same dict copy as its union: cut elimination's
+    target is the merge less the two cut occurrences."""
     longer, shorter = (a, b) if a.length >= b.length else (b, a)
     n = shorter.length
     if shorter.links != longer.links[: n - 1]:
         raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
-    comps = [Component(x.ant.union(y.ant), x.succ.union(y.succ), tag=x.tag)
-             for x, y in zip(a.components, b.components)]
+    comps = [Component(x.ant._union_less(y.ant, f), x.succ._union_less(y.succ, f), x.tag)
+             if i == pos else Component(x.ant.union(y.ant), x.succ.union(y.succ), x.tag)
+             for i, (x, y) in enumerate(zip(a.components, b.components))]
     return LinearNestedSequent(tuple(comps) + longer.components[n:], longer.links)
 
 

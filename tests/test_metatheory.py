@@ -1,10 +1,13 @@
 import hashlib
 import json
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from conftest import fails_fast_on_recursion, rules_of, schema1
-from tenseprove.calculus import CalculusVariant, RuleId
+from tenseprove import metatheory
+from tenseprove.calculus import CalculusVariant, RuleId, instance
 from tenseprove.formula import (
     Atom,
     BlackBox,
@@ -26,6 +29,7 @@ from tenseprove.metatheory import (
     NotDuplicated,
     PositionOutOfRange,
     StructuralMismatch,
+    TransformError,
     check,
     contract,
     cut,
@@ -37,7 +41,7 @@ from tenseprove.metatheory import (
     weaken,
 )
 from tenseprove.prover import Valid, prove, prove_sequent
-from tenseprove.sequent import LinearNestedSequent, component, single
+from tenseprove.sequent import Component, LinearNestedSequent, component, merge, single
 
 KT, KTS = CalculusVariant.KT, CalculusVariant.KT_STAR
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
@@ -165,6 +169,13 @@ def test_contract_id():
 def test_contract_requires_duplicate():
     with pytest.raises(NotDuplicated):
         contract(id_node([p], [p]), 0, "left", p)
+
+
+def test_contract_rejects_an_unknown_side():
+    d = id_node([p, p], [p, p])
+    with pytest.raises(ValueError):
+        contract(d, 0, "sideways", p)
+    assert contract(d, 0, "right", p).conclusion == single([p, p], [p])
 
 
 def test_weaken_then_contract_round_trip():
@@ -409,6 +420,102 @@ def test_cut_corpus_pinned():
     calls = sum(rec[0] for rec in records if len(rec) == 3)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert (calls, digest) == CUT_CORPUS_PIN
+
+
+@lru_cache(maxsize=None)
+def _cut_calls():
+    """Every (cl, cr, pos, a, target) of cut's _cut_target and every target
+    its _close_terminal closes, over two corpora of KT cuts.  The first is
+    cut(d, d, a) with d = generalised_init(a => a) on all 100 formulas of
+    corpus(1270, 100, max_size=8, max_degree=2).  The second starts from two
+    tagged components, (r => q) then (a => a) or (a, p => a, p), over either
+    link, on the first 40 of those formulas: its cuts meet sequents of
+    different lengths, cut positions below the last component, merged tags
+    that differ between the two sides, and terminal targets whose last
+    component closes by neither axiom."""
+    targets, terminals = [], []
+    cut_target, close_terminal = metatheory._cut_target, metatheory._close_terminal
+
+    def record_target(cl, cr, pos, a):
+        t = cut_target(cl, cr, pos, a)
+        targets.append((cl, cr, pos, a, t))
+        return t
+
+    def record_terminal(target, fallbacks):
+        terminals.append(target)
+        return close_terminal(target, fallbacks)
+
+    formulas = corpus(1270, 100, max_size=8, max_degree=2)
+    metatheory._cut_target, metatheory._close_terminal = record_target, record_terminal
+    try:
+        for a in formulas:
+            d = generalised_init(single([a], [a]), a)
+            cut(d, d, a)
+        for a in formulas[:40]:
+            for link in (FWD, BWD):
+                d1 = generalised_init(seq(component([r], [q], tag=1), link,
+                                          component([a], [a], tag=2)), a)
+                d2 = generalised_init(seq(component([r], [q], tag=3), link,
+                                          component([a, p], [a, p], tag=4)), a)
+                cut(d1, d1, a)
+                cut(d1, d2, a)
+                cut(d2, d1, a)
+    finally:
+        metatheory._cut_target, metatheory._close_terminal = cut_target, close_terminal
+    return targets, terminals
+
+
+def test_cut_target_is_the_merge_less_the_cut_occurrences():
+    targets, _ = _cut_calls()
+    assert any(cl.length < cr.length for cl, cr, *_ in targets)
+    assert any(cl.length > cr.length for cl, cr, *_ in targets)
+    assert any(0 < pos < max(cl.length, cr.length) - 1 for cl, cr, pos, *_ in targets)
+    assert any(cl.components[0].tag != cr.components[0].tag for cl, cr, *_ in targets)
+    for cl, cr, pos, a, t in targets:
+        m = merge(cl, cr)
+        c = m.components[pos]
+        want = m.replace_component(pos, Component(c.ant.remove_one(a), c.succ.remove_one(a),
+                                                  tag=c.tag))
+        assert t == want
+        assert [x.tag for x in t.components] == [x.tag for x in want.components]
+
+
+def _first_axiom(target):
+    """(rule, principal, prefix length) of the first instance that
+    calculus.instance finds: prefixes from the longest, botL before id."""
+    for k in range(target.length, 0, -1):
+        s = target.prefix(k)
+        for rule in (RuleId.BOT_L, RuleId.ID):
+            inst = instance(s, rule)
+            if inst is not None:
+                return rule, inst.principal, k
+    return None
+
+
+def test_terminal_closure_is_the_first_axiom_instance():
+    _, terminals = _cut_calls()
+    cases = Counter()
+    for t in terminals:
+        want = _first_axiom(t)
+        if want is None:
+            cases["fallback"] += 1
+            with pytest.raises(TransformError):
+                metatheory._close_terminal(t, ())
+            continue
+        out = metatheory._close_terminal(t, ())
+        assert out.conclusion == t
+        while out.rule is RuleId.EW:
+            out = out.premisses[0]
+        assert (out.rule, out.principal, out.conclusion.length) == want
+        rule, _, k = want
+        last = t.components[k - 1]
+        shared = [f for f in last.ant.members() if isinstance(f, Atom) and f in last.succ]
+        cases[rule] += 1
+        cases["shorter prefix"] += k < t.length
+        cases["two shared atoms"] += len(shared) > 1
+        cases["botL over id"] += rule is RuleId.BOT_L and bool(shared)
+    assert all(cases[c] for c in (RuleId.BOT_L, RuleId.ID, "fallback", "shorter prefix",
+                                  "two shared atoms", "botL over id")), cases
 
 
 def test_cut_output_is_cut_free_and_concludes_merge():
