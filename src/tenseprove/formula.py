@@ -6,14 +6,15 @@ connectives ->, false, [F], [P].
 
 Every node, core or surface, is hash-consed: each constructor returns the
 one live node for its class and arguments, so equal formulas are the same
-object, equality is identity and hashing is O(1).  One precedence table
-drives both printers; the ASCII text is cached on the node and is also the
-canonical order (``sort_key``).
+object, equality is identity and hashing is O(1).  One grammar table
+(symbols and precedences) drives the parser and both printers; the ASCII
+text is cached on the node and is also the canonical order (``sort_key``).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 import weakref
 
@@ -295,144 +296,11 @@ def strict_subformulas(f: Formula) -> frozenset[Formula]:
 # --- concrete syntax ---------------------------------------------------------
 
 
-class ParseError(Exception):
-    def __init__(self, offset: int, expected, found: str):
-        self.offset = offset
-        self.expected = frozenset(expected)
-        self.found = found
-        exp = ", ".join(sorted(self.expected))
-        super().__init__(f"syntax error at byte {offset}: found {found!r}, expected {exp}")
-
-
-_PREFIX_TOKENS = ("~", "[F]", "<F>", "[P]", "<P>")
-_ATOMISH_EXPECTED = frozenset(("atom", "'false'", "'('")) | frozenset(f"'{t}'" for t in _PREFIX_TOKENS)
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tok_kind = ""
-        self.tok_value = ""
-        self.tok_start = 0
-        self.advance()
-
-    def byte_offset(self, i: int) -> int:
-        return len(self.text[:i].encode("utf-8"))
-
-    def error(self, expected) -> ParseError:
-        found = self.tok_value if self.tok_kind != "eof" else "end of input"
-        return ParseError(self.byte_offset(self.tok_start), expected, found)
-
-    def advance(self):
-        t, i = self.text, self.pos
-        while i < len(t) and t[i].isspace():
-            i += 1
-        self.tok_start = i
-        if i >= len(t):
-            self.tok_kind, self.tok_value, self.pos = "eof", "", i
-            return
-        c = t[i]
-        if c in "()&|~":
-            self.tok_kind, self.tok_value, self.pos = c, c, i + 1
-        elif c == "-":
-            if t.startswith("->", i):
-                self.tok_kind, self.tok_value, self.pos = "->", "->", i + 2
-            else:
-                raise ParseError(self.byte_offset(i), ("'->'",), t[i : i + 2])
-        elif c in "[<":
-            close = "]" if c == "[" else ">"
-            word = t[i : i + 3]
-            if len(word) == 3 and word[1] in "FP" and word[2] == close:
-                self.tok_kind, self.tok_value, self.pos = word, word, i + 3
-            else:
-                exp = (f"'{c}F{close}'", f"'{c}P{close}'")
-                raise ParseError(self.byte_offset(i), exp, word)
-        else:
-            m = _ATOM_RE.match(t, i)
-            if not m:
-                raise ParseError(self.byte_offset(i), _ATOMISH_EXPECTED, c)
-            word = m.group(0)
-            self.tok_kind = "false" if word == "false" else "atom"
-            self.tok_value = word
-            self.pos = m.end()
-
-    def expect(self, kind: str):
-        if self.tok_kind != kind:
-            raise self.error((f"'{kind}'",))
-        self.advance()
-
-
-def parse(text: str) -> Formula:
-    """Parse the surface grammar.
-
-    A ::= p | false | ~A | A -> A | A & A | A | A | [F]A | <F>A | [P]A | <P>A
-
-    Precedence: ~ and the modalities bind tightest, then &, then |, then ->
-    (right associative). Parentheses group.
-    """
-    s = _Scanner(text)
-    f = _parse_implies(s)
-    if s.tok_kind != "eof":
-        raise s.error(("end of input",))
-    return f
-
-
-def _parse_implies(s: _Scanner) -> Formula:
-    left = _parse_or(s)
-    if s.tok_kind == "->":
-        s.advance()
-        return Implies(left, _parse_implies(s))
-    return left
-
-
-def _parse_or(s: _Scanner) -> Formula:
-    f = _parse_and(s)
-    while s.tok_kind == "|":
-        s.advance()
-        f = Or(f, _parse_and(s))
-    return f
-
-
-def _parse_and(s: _Scanner) -> Formula:
-    f = _parse_unary(s)
-    while s.tok_kind == "&":
-        s.advance()
-        f = And(f, _parse_unary(s))
-    return f
-
-
-_PREFIX_NODE = {"~": Not, "[F]": Box, "<F>": Diamond, "[P]": BlackBox, "<P>": BlackDiamond}
-
-
-def _parse_unary(s: _Scanner) -> Formula:
-    if s.tok_kind in _PREFIX_NODE:
-        ctor = _PREFIX_NODE[s.tok_kind]
-        s.advance()
-        return ctor(_parse_unary(s))
-    return _parse_atomish(s)
-
-
-def _parse_atomish(s: _Scanner) -> Formula:
-    if s.tok_kind == "atom":
-        name = s.tok_value
-        s.advance()
-        return Atom(name)
-    if s.tok_kind == "false":
-        s.advance()
-        return Bottom()
-    if s.tok_kind == "(":
-        s.advance()
-        f = _parse_implies(s)
-        s.expect(")")
-        return f
-    raise s.error(_ATOMISH_EXPECTED)
-
-
-# The printers' table: each connective's ASCII and Unicode symbol, its
-# precedence, and the precedence each operand needs to go without
-# parentheses.  -> is right associative, | and & left associative; prefix
-# operators bind tightest, and an atom or false never needs parentheses.
+# The grammar, read by the parser and both printers: each connective's ASCII
+# and Unicode symbol, its precedence, and the precedence each operand needs
+# to go without parentheses.  -> is right associative, | and & left
+# associative; prefix operators bind tightest, and an atom or false never
+# needs parentheses.
 _SYNTAX = {
     Atom: (None, None, 4, ()),
     Bottom: ("false", "⊥", 4, ()),
@@ -446,6 +314,105 @@ _SYNTAX = {
     BlackDiamond: ("<P>", "◆", 3, (3,)),
 }
 _ASCII, _UNICODE = 0, 1  # the symbol columns
+
+
+class ParseError(Exception):
+    def __init__(self, offset: int, expected, found: str):
+        self.offset = offset
+        self.expected = frozenset(expected)
+        self.found = found
+        exp = ", ".join(sorted(self.expected))
+        super().__init__(f"syntax error at byte {offset}: found {found!r}, expected {exp}")
+
+
+# The table's ASCII column, keyed by symbol.  A pending operator is
+# (precedence, connective, left operand), the left operand None for a
+# prefix connective; a pending "(" has precedence -1.
+_WORDS = {row[_ASCII]: c for c, row in _SYNTAX.items() if row[_ASCII] and not row[3]}
+_PREFIX = {row[_ASCII]: (row[2], c, None) for c, row in _SYNTAX.items() if len(row[3]) == 1}
+_INFIX = {row[_ASCII]: (row[2], c, row[3][0]) for c, row in _SYNTAX.items() if len(row[3]) == 2}
+_OPEN = (-1, None, None)
+_ATOMISH_EXPECTED = frozenset(("atom", "'('", *(f"'{s}'" for s in (*_WORDS, *_PREFIX))))
+_TOKEN = "|".join(map(re.escape, (*_PREFIX, *_INFIX, "(", ")"))) + "|" + _ATOM_RE.pattern
+# A character that starts no token is a token of its own, so that the
+# parser can report it when it gets there.  \s is str.isspace.
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|\S)")
+
+
+def parse(text: str) -> Formula:
+    """Parse the surface grammar.
+
+    A ::= p | false | ~A | A -> A | A & A | A | A | [F]A | <F>A | [P]A | <P>A
+
+    Precedence: ~ and the modalities bind tightest, then &, then |, then ->
+    (right associative). Parentheses group.
+
+    Symbols and precedences are _SYNTAX's.  One loop keeps the operators
+    still waiting for an operand on a stack, so a deep formula takes no
+    frame per level.  A pending binary operator is applied while its
+    precedence is at least the next operator's left-operand need; a prefix
+    operator, tighter than every binary one, is applied as soon as its
+    operand is complete.
+    """
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # end of input
+    pending: list[tuple] = []
+    i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        op = _PREFIX.get(tok)
+        if op is not None:
+            pending.append(op)
+            continue
+        if tok == "(":
+            pending.append(_OPEN)
+            continue
+        if tok in _WORDS:
+            f = _WORDS[tok]()
+        else:
+            # Atom rejects every token that is not an atom name: an
+            # operator, ")", a stray character or the end of input.
+            try:
+                f = Atom(tok)
+            except ValueError:
+                raise _error(text, i - 1, _ATOMISH_EXPECTED) from None
+        # f is complete: apply what binds at least as tightly as the next
+        # operator needs; ")" and the end of input apply all back to a "(".
+        while True:
+            tok = tokens[i]
+            i += 1
+            op = _INFIX.get(tok)
+            need = 0 if op is None else op[2]
+            while pending and pending[-1][0] >= need:
+                _, connective, left = pending.pop()
+                f = connective(f) if left is None else connective(left, f)
+            if op is not None:
+                pending.append((op[0], op[1], f))
+                break
+            if tok == ")" and pending:
+                pending.pop()
+            elif tok or pending:
+                raise _error(text, i - 1, ("')'",) if pending else ("end of input",))
+            else:
+                return f
+
+
+def _error(text: str, k: int, expected) -> ParseError:
+    """The error at text's k-th token, or at its end when it has k tokens.
+    A character that starts no token expects the symbols that start with it
+    and shows as many characters as they have, or else expects an operand."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), k, None), None)
+    if m is None:
+        return ParseError(len(text.encode("utf-8")), expected, "end of input")
+    tok, start = m.group(1), m.start(1)
+    offset = len(text[:start].encode("utf-8"))
+    if re.fullmatch(_TOKEN, tok):
+        return ParseError(offset, expected, tok)
+    symbols = [s for s in (*_PREFIX, *_INFIX) if s[0] == tok]
+    if symbols:
+        return ParseError(offset, (f"'{s}'" for s in symbols), text[start : start + len(symbols[0])])
+    return ParseError(offset, _ATOMISH_EXPECTED, tok)
 
 
 def _render(f: Formula, column: int, text_of, store) -> str:

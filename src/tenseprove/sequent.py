@@ -27,20 +27,20 @@ class MergeUndefined(Exception):
 class Multiset:
     """Immutable multiset of formulas."""
 
-    __slots__ = ("_counts", "_hash", "_order")
+    __slots__ = ("_counts", "_hash")
 
     def __init__(self, items=()):
         counts: dict[Formula, int] = {}
         for f in items:
             counts[f] = counts.get(f, 0) + 1
         self._counts = counts
-        self._hash = self._order = None
+        self._hash = None
 
     @classmethod
     def _raw(cls, counts: dict) -> Multiset:
         m = object.__new__(cls)
         m._counts = counts
-        m._hash = m._order = None
+        m._hash = None
         return m
 
     def add(self, f: Formula) -> Multiset:
@@ -124,10 +124,8 @@ class Multiset:
         return self._counts.keys()
 
     def distinct(self) -> tuple[Formula, ...]:
-        """The distinct elements in sort_key order, sorted on first use."""
-        if self._order is None:
-            self._order = tuple(sorted(self._counts, key=sort_key))
-        return self._order
+        """The distinct elements in sort_key order, sorted on each call."""
+        return tuple(sorted(self._counts, key=sort_key))
 
     def __contains__(self, f: Formula) -> bool:
         return f in self._counts

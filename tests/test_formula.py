@@ -5,7 +5,8 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import core_formulas, fails_fast_on_recursion, surface_formulas
 from tenseprove import formula
@@ -90,6 +91,67 @@ def test_parse_error_reports_offset_and_expected():
     with pytest.raises(ParseError) as e:
         parse("[X]p")
     assert "'[F]'" in e.value.expected
+
+
+_OPERANDS = ("'('", "'<F>'", "'<P>'", "'[F]'", "'[P]'", "'false'", "'~'", "atom")
+
+
+# One row per error branch: (text, byte offset, expected, found).  A
+# character that starts no token is reported when the parser reaches it,
+# so "p q $" fails at q; "\u00a0" is a space of two UTF-8 bytes.
+@pytest.mark.parametrize("text,offset,expected,found", [
+    ("p -> ", 5, _OPERANDS, "end of input"),
+    ("p q", 2, ("end of input",), "q"),
+    ("(p q)", 3, ("')'",), "q"),
+    ("(p", 2, ("')'",), "end of input"),
+    ("p - q", 2, ("'->'",), "- "),
+    ("[X]p", 0, ("'[F]'", "'[P]'"), "[X]"),
+    ("<Fp", 0, ("'<F>'", "'<P>'"), "<Fp"),
+    ("p $ q", 2, _OPERANDS, "$"),
+    ("p q $", 2, ("end of input",), "q"),
+    ("p -> \u00e9", 5, _OPERANDS, "\u00e9"),
+    ("p\u00a0q", 3, ("end of input",), "q"),
+    ("", 0, _OPERANDS, "end of input"),
+    ("()", 1, _OPERANDS, ")"),
+    ("~", 1, _OPERANDS, "end of input"),
+])
+def test_parse_error_table(text, offset, expected, found):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.offset, e.value.expected, e.value.found) == (offset, frozenset(expected), found)
+    exp = ", ".join(sorted(expected))
+    assert str(e.value) == f"syntax error at byte {offset}: found {found!r}, expected {exp}"
+
+
+_TOKEN_TEXTS = ("p", "q", "false", "falsey", "->", "&", "|", "~", "[F]", "<F>", "[P]", "<P>",
+                "(", ")", " ", "  ", "\t", "\u00a0", "-", "[", "<", "]", ">", "[X]", "<F", "$",
+                "\u00e9")
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_TOKEN_TEXTS), max_size=14).map("".join))
+def test_parse_returns_a_reprintable_formula_or_an_error_at_its_found_text(text):
+    data = text.encode()
+    try:
+        f = parse(text)
+    except ParseError as e:
+        assert 0 <= e.offset <= len(data)
+        if e.found == "end of input":
+            assert e.offset == len(data)
+        else:
+            assert data[e.offset:].startswith(e.found.encode())
+    else:
+        assert parse(print_ascii(f)) is f
+
+
+def test_parse_takes_no_frame_per_level():
+    with fails_fast_on_recursion(200):
+        boxes = parse("[F]" * 30_000 + "p")
+        grouped = parse("(" * 5_000 + "p -> q" + ")" * 5_000)
+    for _ in range(30_000):
+        assert type(boxes) is Box
+        boxes = boxes.body
+    assert boxes is p and grouped is Implies(p, q)
 
 
 @given(surface_formulas)

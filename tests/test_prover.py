@@ -7,7 +7,7 @@ import pytest
 from conftest import fails_fast_on_recursion, predecessors, rules_of, schema1, successors
 from tenseprove import semantics
 from tenseprove.calculus import RESTART_RULES, CalculusVariant, RuleId
-from tenseprove.formula import Atom, BlackBox, Box, atoms, parse, desugar
+from tenseprove.formula import Atom, BlackBox, Box, Polarity, atoms, parse, desugar
 from tenseprove.generate import corpus
 from tenseprove.metatheory import (
     Derivation,
@@ -19,6 +19,7 @@ from tenseprove.metatheory import (
 from tenseprove.prover import (
     FAILED,
     Budget,
+    InternalModelError,
     Invalid,
     PrunedView,
     ResourceLimit,
@@ -32,7 +33,7 @@ from tenseprove.prover import (
     prune,
     search,
 )
-from tenseprove.sequent import Component, LinearNestedSequent, single
+from tenseprove.sequent import Component, LinearNestedSequent, Multiset, formula_translation, single
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -562,3 +563,37 @@ def test_deciding_an_invalid_formula_leaves_no_cyclic_garbage():
     finally:
         if was_enabled:
             gc.enable()
+
+
+# Valid two-component sequents, (=>) LINK (A => A), on which search fails
+# and the model it extracts does not falsify the sequent, so prove_sequent
+# raises InternalModelError instead of answering.
+_UNDERIVED_VALID_SEQUENTS = [
+    pytest.param(text, link, v, id=f"{text} {link.value} {v.value}")
+    for text, link, variants in (
+        ("[P]p", Polarity.FORWARD, (KT, KTS)),
+        ("[P](p -> p)", Polarity.FORWARD, (KT, KTS)),
+        ("[F]p", Polarity.BACKWARD, (KT, KTS)),
+        ("[F]p", Polarity.FORWARD, (KB,)),
+    )
+    for v in variants
+]
+
+
+def _empty_then_axiom(text, link):
+    a = parse(text)
+    return LinearNestedSequent(
+        (Component(Multiset(), Multiset(), tag=0), Component(Multiset([a]), Multiset([a]), tag=1)),
+        (link,))
+
+
+@pytest.mark.parametrize("text,link,v", _UNDERIVED_VALID_SEQUENTS)
+def test_underived_sequents_have_valid_formula_translations(text, link, v):
+    assert isinstance(prove(formula_translation(_empty_then_axiom(text, link)), v), Valid)
+
+
+@pytest.mark.xfail(strict=True, raises=InternalModelError,
+                   reason="search fails on these valid sequents and extracts no countermodel")
+@pytest.mark.parametrize("text,link,v", _UNDERIVED_VALID_SEQUENTS)
+def test_prove_sequent_derives_valid_two_component_sequents(text, link, v):
+    assert isinstance(prove_sequent(_empty_then_axiom(text, link), v), Valid)

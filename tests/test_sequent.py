@@ -204,10 +204,9 @@ def test_multiset_edits_at_the_edges():
     assert m.minus(empty) == m and empty.minus(empty) == empty
 
 
-def test_distinct_is_cached_in_sort_key_order():
+def test_distinct_is_in_sort_key_order():
     m = Multiset([Box(q), p, parse("p -> q"), p, Box(p)])
     first = m.distinct()
-    assert m.distinct() is first
     assert first == tuple(sorted({p, Box(p), Box(q), parse("p -> q")}, key=sort_key))
     assert m.add(r).distinct() == tuple(sorted(first + (r,), key=sort_key))
 
