@@ -42,7 +42,7 @@ and ph(3) from 15,782 to 376, and ph(4) decides in 2,412.
 from __future__ import annotations
 
 from .formula import (
-    Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, strict_subformulas)
+    Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, subformulas)
 from .kernel import CalculusVariant, RuleId
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, fresh_tag, slot_setters
 
@@ -122,14 +122,8 @@ class Closure:
                  "bot_right", "atom_right", "atom_left")
 
     def __init__(self, s: LinearNestedSequent):
-        found: set[Formula] = set()
-        for c in s.components:
-            for ms in (c.ant, c.succ):
-                for f in ms.members():
-                    if f not in found:
-                        found.add(f)
-                        found |= strict_subformulas(f)
-        self.formulas = order = sorted(found, key=sort_key)
+        members = (f for c in s.components for ms in (c.ant, c.succ) for f in ms.members())
+        self.formulas = order = sorted(subformulas(*members), key=sort_key)
         self.bits = bits = dict(zip(order, map((1).__lshift__, range(len(order)))))
         # The implications whose left or right part is each formula, and the
         # boxes whose body is each formula, for the formulas that have any.

@@ -7,7 +7,8 @@ connectives ->, false, [F], [P].
 Every node, core or surface, is hash-consed: each constructor returns the
 one live node for its class and arguments, so equal formulas are the same
 object, equality is identity and hashing is O(1).  One grammar table
-(symbols and precedences) drives the parser and both printers; the ASCII
+(symbols, precedences and operands) drives the parser, both printers and
+``subformulas``, the one walk the syntactic measures fold over; the ASCII
 text is cached on the node and is also the canonical order (``sort_key``).
 """
 
@@ -166,16 +167,6 @@ def core_or(a: Formula, b: Formula) -> Formula:
     return Implies(neg(a), b)
 
 
-def is_core(f: Formula) -> bool:
-    if isinstance(f, (Atom, Bottom)):
-        return True
-    if isinstance(f, Implies):
-        return is_core(f.left) and is_core(f.right)
-    if isinstance(f, (Box, BlackBox)):
-        return is_core(f.body)
-    return False
-
-
 def desugar(f: Formula) -> Formula:
     """Rewrite ~, &, |, <F>, <P> into the core connectives.
 
@@ -220,77 +211,82 @@ def collapse_backward(f: Formula) -> Formula:
     raise TypeError(f"not a core formula: {f!r}")
 
 
-def modal_degree(f: Formula) -> int:
-    """Maximal nesting depth of [F]/[P] in a core formula, found with an
-    explicit stack; a subformula is visited once per box depth it occurs at."""
-    d = 0
-    stack = [(f, 0)]
-    seen: set[tuple[Formula, int]] = set()
+def subformulas(*fs: Formula) -> list[Formula]:
+    """The distinct subformulas of fs, fs included, each after its operands
+    and the left operand's before the right's.
+
+    The walk keeps an explicit stack, so a deep formula takes no frame per
+    level, and expands each node once, since an interned node is its own
+    key.  A node's operands are read by the grammar table's operand column,
+    so the walk covers every connective; a non-formula raises TypeError."""
+    out: dict[Formula, None] = {}
+    stack = list(fs)
+    stack.reverse()
+    pop = stack.pop
     while stack:
-        g, k = stack.pop()
-        if isinstance(g, Implies):
-            kids = ((g.left, k), (g.right, k))
-        elif isinstance(g, (Box, BlackBox)):
-            kids = ((g.body, k + 1),)
-        elif isinstance(g, (Atom, Bottom)):
-            d = max(d, k)
-            continue
+        f = pop()
+        if f is _OPERANDS_DONE:
+            out[pop()] = None
+        elif f not in out:
+            n = _ARITY.get(f.__class__)
+            if n == 2:
+                stack += (f, _OPERANDS_DONE, f.right, f.left)
+            elif n == 1:
+                stack += (f, _OPERANDS_DONE, f.body)
+            elif n == 0:
+                out[f] = None
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+    return list(out)
+
+
+# Popped off subformulas' stack, it says that the node below it has all its
+# operands walked.
+_OPERANDS_DONE = object()
+_CORE = (Atom, Bottom, Implies, Box, BlackBox)
+
+
+def is_core(f: Formula) -> bool:
+    return all(g.__class__ in _CORE for g in subformulas(f))
+
+
+def modal_degree(f: Formula) -> int:
+    """Maximal nesting depth of [F]/[P] in a core formula."""
+    degree: dict[Formula, int] = {}
+    for g in subformulas(f):
+        t = g.__class__
+        if t is Implies:
+            degree[g] = max(degree[g.left], degree[g.right])
+        elif t is Box or t is BlackBox:
+            degree[g] = degree[g.body] + 1
+        elif t is Atom or t is Bottom:
+            degree[g] = 0
         else:
             raise ValueError(f"not a core formula: {g}")
-        for kid in kids:
-            if kid not in seen:
-                seen.add(kid)
-                stack.append(kid)
-    return d
+    return degree[f]
 
 
 def complexity(f: Formula) -> int:
     """Number of connective nodes (->, [F], [P]) in a core formula, cached
     on the node."""
-    n = f._size
-    if n is None:
-        if isinstance(f, Implies):
-            n = 1 + complexity(f.left) + complexity(f.right)
-        elif isinstance(f, (Box, BlackBox)):
-            n = 1 + complexity(f.body)
-        elif isinstance(f, (Atom, Bottom)):
-            n = 0
-        else:
-            raise ValueError(f"not a core formula: {f}")
-        _set(f, "_size", n)
-    return n
+    if f._size is None:
+        for g in subformulas(f):
+            if g._size is None:
+                t = g.__class__
+                if t is Implies:
+                    n = 1 + g.left._size + g.right._size
+                elif t is Box or t is BlackBox:
+                    n = 1 + g.body._size
+                elif t is Atom or t is Bottom:
+                    n = 0
+                else:
+                    raise ValueError(f"not a core formula: {g}")
+                _set(g, "_size", n)
+    return f._size
 
 
 def atoms(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Bottom):
-        return frozenset()
-    if isinstance(f, (Implies, And, Or)):
-        return atoms(f.left) | atoms(f.right)
-    if isinstance(f, (Box, BlackBox, Diamond, BlackDiamond, Not)):
-        return atoms(f.body)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def strict_subformulas(f: Formula) -> frozenset[Formula]:
-    """The proper subformulas of a core formula, found with an explicit
-    stack, so a deep formula needs no deep recursion."""
-    out: set[Formula] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Implies):
-            kids = (g.left, g.right)
-        elif isinstance(g, (Box, BlackBox)):
-            kids = (g.body,)
-        else:
-            continue
-        for k in kids:
-            if k not in out:
-                out.add(k)
-                stack.append(k)
-    return frozenset(out)
+    return frozenset(g.name for g in subformulas(f) if g.__class__ is Atom)
 
 
 # --- concrete syntax ---------------------------------------------------------
@@ -314,6 +310,7 @@ _SYNTAX = {
     BlackDiamond: ("<P>", "◆", 3, (3,)),
 }
 _ASCII, _UNICODE = 0, 1  # the symbol columns
+_ARITY = {c: len(row[3]) for c, row in _SYNTAX.items()}
 
 
 class ParseError(Exception):

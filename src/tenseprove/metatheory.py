@@ -38,7 +38,7 @@ from .formula import (
     print_ascii,
     sort_key,
 )
-from .kernel import is_instance
+from .kernel import RULES, is_instance
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, _merge, slot_setters
 
 
@@ -170,6 +170,11 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
     return CheckResult(True)
 
 
+# The rules of KB and of KT* that the full calculus KT does not have.
+_KB_ONLY = RULES[CalculusVariant.KB] - RULES[CalculusVariant.KT]
+_KT_STAR_ONLY = RULES[CalculusVariant.KT_STAR] - RULES[CalculusVariant.KT]
+
+
 def infer_variant(d: Derivation) -> CalculusVariant:
     """KB if d uses a KB rule, else KT* if it uses boxR or bboxR, else KT."""
     v = CalculusVariant.KT
@@ -179,9 +184,9 @@ def infer_variant(d: Derivation) -> CalculusVariant:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node.rule in (RuleId.KB_BOX_R, RuleId.KB_BOX_L1, RuleId.KB_BOX_L2):
+        if node.rule in _KB_ONLY:
             return CalculusVariant.KB
-        if node.rule in (RuleId.BOX_R, RuleId.BBOX_R):
+        if node.rule in _KT_STAR_ONLY:
             v = CalculusVariant.KT_STAR
         stack.extend(node.premisses)
     return v
@@ -316,7 +321,8 @@ _KTSTAR_RULE = {RuleId.BOX_R1: RuleId.BOX_R, RuleId.BOX_R2: RuleId.BOX_R,
 def to_ktstar(d: Derivation) -> Derivation:
     """Drop the left premisses of the two-premiss box rules and rename; a
     shared node is translated once, so the output shares what d shares.
-    The walk takes one frame per level of d."""
+    The walk takes one frame per level of d.  A KB rule has no KT*
+    counterpart, so a derivation that uses one raises ValueError."""
     return _to_ktstar(d, {})
 
 
@@ -324,6 +330,8 @@ def _to_ktstar(d: Derivation, memo: dict) -> Derivation:
     out = memo.get(id(d))
     if out is not None:
         return out
+    if d.rule in _KB_ONLY:
+        raise ValueError(f"to_ktstar is defined for KT and KT* only, not for {d.rule.value}")
     kept = d.premisses[1:] if d.rule is RuleId.BOX_R1 or d.rule is RuleId.BBOX_R1 else d.premisses
     prems = []
     for p in kept:

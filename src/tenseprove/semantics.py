@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, atoms, is_core
+from .formula import Atom, BlackBox, Bottom, Box, Formula, Implies, atoms, is_core, subformulas
 from .sequent import LinearNestedSequent, formula_translation
 
 DEFAULT_ENUMERATION_CAP = 1 << 24
@@ -79,61 +79,60 @@ def forces(m: KripkeModel, w: str, f: Formula, symmetric: bool = False) -> bool:
     cost is linear in the model size times the number of distinct
     subformulas.  Only worlds the evaluation visits are checked against
     m.worlds; an implication's right side and a box's remaining worlds are
-    skipped once the value is known.
+    skipped once the value is known.  The pairs still waiting for a value
+    wait on an explicit stack, each below the pair it needs next, so a deep
+    formula takes no frame per level.
     """
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = succ if symmetric else {}
     for u, v in m.edges:
         succ.setdefault(u, []).append(v)
         pred.setdefault(v, []).append(u)
-    return _forced(w, f, (m.worlds, m.true_atoms, succ, pred, {}))
-
-
-def _forced(w: str, f: Formula, ctx: tuple) -> bool:
-    """forces' evaluation; ctx holds the model's worlds, true atoms,
-    successor and predecessor lists, and the (world, formula) memo.  A
-    module function and not a closure, which would reach itself through
-    its own cell and leave a reference cycle behind every call."""
-    worlds, true_atoms, succ, pred, memo = ctx
-    key = (w, f)
-    val = memo.get(key)
-    if val is not None:
-        return val
+    worlds, true_atoms = m.worlds, m.true_atoms
     if w not in worlds:
         raise UnknownWorld(w)
-    cls = type(f)
-    if cls is Atom:
-        val = f.name in true_atoms.get(w, ())
-    elif cls is Bottom:
-        val = False
-    elif cls is Implies:
-        val = not _forced(w, f.left, ctx) or _forced(w, f.right, ctx)
-    elif cls is Box or cls is BlackBox:
-        val = True
-        for v in (succ if cls is Box else pred).get(w, ()):
-            if not _forced(v, f.body, ctx):
-                val = False
-                break
-    else:
-        raise ValueError(f"not a core formula: {f}")
-    memo[key] = val
-    return val
+    memo: dict[tuple[str, Formula], bool] = {}
+    stack = [(w, f)]
+    while stack:
+        key = u, g = stack[-1]
+        cls = g.__class__
+        if cls is Implies:
+            val = memo.get((u, g.left))
+            if val is None:
+                stack.append((u, g.left))
+                continue
+            if val:
+                val = memo.get((u, g.right))
+                if val is None:
+                    stack.append((u, g.right))
+                    continue
+            else:
+                val = True
+        elif cls is Box or cls is BlackBox:
+            body = g.body
+            val = True
+            for v in (succ if cls is Box else pred).get(u, ()):
+                val = memo.get((v, body))
+                if not val:
+                    break
+            if val is None:
+                if v not in worlds:
+                    raise UnknownWorld(v)
+                stack.append((v, body))
+                continue
+        elif cls is Atom:
+            val = g.name in true_atoms.get(u, ())
+        elif cls is Bottom:
+            val = False
+        else:
+            raise ValueError(f"not a core formula: {g}")
+        memo[key] = val
+        stack.pop()
+    return memo[w, f]
 
 
 def falsifies(m: KripkeModel, w: str, s: LinearNestedSequent, symmetric: bool = False) -> bool:
     return not forces(m, w, formula_translation(s), symmetric)
-
-
-def _postorder(f: Formula, seen: list, marked: set):
-    if f in marked:
-        return
-    if isinstance(f, Implies):
-        _postorder(f.left, seen, marked)
-        _postorder(f.right, seen, marked)
-    elif isinstance(f, (Box, BlackBox)):
-        _postorder(f.body, seen, marked)
-    marked.add(f)
-    seen.append(f)
 
 
 def _atom_lanes(bit: int, nv: int) -> int:
@@ -175,9 +174,7 @@ def bounded_countermodel_search(
     if total > cap:
         raise BudgetExceeded(f"{total} models exceeds cap {cap}")
 
-    subs: list[Formula] = []
-    _postorder(f, subs, set())
-
+    subs = subformulas(f)
     for k in range(1, max_worlds + 1):
         nv = 1 << (k * na)
         lanes = (1 << nv) - 1

@@ -22,6 +22,7 @@ from tenseprove.formula import (
     Not,
     Or,
     ParseError,
+    atoms,
     complexity,
     desugar,
     is_core,
@@ -30,8 +31,9 @@ from tenseprove.formula import (
     print_ascii,
     print_unicode,
     sort_key,
-    strict_subformulas,
+    subformulas,
 )
+from tenseprove.semantics import bounded_countermodel_search
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
@@ -155,6 +157,28 @@ def test_parse_takes_no_frame_per_level():
 
 
 @given(surface_formulas)
+def test_subformulas_are_distinct_and_come_after_their_operands(f):
+    subs = subformulas(f)
+    assert len(set(subs)) == len(subs) and subs[-1] is f
+    place = {g: i for i, g in enumerate(subs)}
+    for g in subs:
+        for name in ("left", "right", "body"):
+            if hasattr(g, name):
+                assert place[getattr(g, name)] < place[g]
+
+
+def test_subformula_walks_take_no_frame_per_level():
+    f = parse("[F]" * 30_000 + "p")
+    with fails_fast_on_recursion(200):
+        subs = subformulas(f)
+        assert len(subs) == 30_001 and subs[0] is p and subs[-1] is f
+        assert complexity(f) == modal_degree(f) == 30_000
+        assert atoms(f) == {"p"} and is_core(f)
+        model, world = bounded_countermodel_search(f, max_worlds=1)
+    assert model.edges == {("w1", "w1")} and not model.true_atoms and world == "w1"
+
+
+@given(surface_formulas)
 def test_roundtrip(f):
     assert parse(print_ascii(f)) == f
 
@@ -215,9 +239,16 @@ def test_complexity_strictly_decreases_to_subformulas(f):
         assert complexity(k) < complexity(f)
 
 
-def test_strict_subformulas():
+def test_subformulas():
     f = parse("[F](p -> q)")
-    assert strict_subformulas(f) == {parse("p -> q"), p, q}
+    assert subformulas(f) == [p, q, parse("p -> q"), f]
+    g = parse("(q -> p) -> [F](p -> q)")
+    assert subformulas(f, g) == [p, q, parse("p -> q"), f, parse("q -> p"), g]
+    assert subformulas(parse("~<P>(p & q) | false")) == [
+        p, q, And(p, q), BlackDiamond(And(p, q)), Not(BlackDiamond(And(p, q))), Bottom(),
+        Or(Not(BlackDiamond(And(p, q))), Bottom())]
+    with pytest.raises(TypeError):
+        subformulas(Implies(p, "q"))
 
 
 def test_atom_name_validation():

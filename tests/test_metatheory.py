@@ -262,6 +262,13 @@ def test_to_ktstar_keeps_a_shared_node_shared():
     assert check(star, KTS)
 
 
+def test_to_ktstar_rejects_a_kb_derivation():
+    d = prove("p -> [F]<F>p", CalculusVariant.KB).derivation
+    assert RuleId.KB_BOX_R in rules_of(d)
+    with pytest.raises(ValueError, match="kb.boxR"):
+        to_ktstar(d)
+
+
 def test_to_ktstar_takes_one_frame_per_level():
     d = prove("[F]" * 700 + "p -> " + "[F]" * 700 + "p", KT).derivation
     assert d.height == 1401
