@@ -124,14 +124,16 @@ class Closure:
     def __init__(self, s: LinearNestedSequent):
         members = (f for c in s.components for ms in (c.ant, c.succ) for f in ms.members())
         self.formulas = order = sorted(subformulas(*members), key=sort_key)
-        self.bits = bits = dict(zip(order, map((1).__lshift__, range(len(order)))))
+        self.bits = bits = {}
         # The implications whose left or right part is each formula, and the
         # boxes whose body is each formula, for the formulas that have any.
         self._lefts = lefts = {}
         self._rights = rights = {}
         self._bodies = bodies = {}
         imp = box = black_box = bot_right = atom_right = atom_left = 0
-        for f, b in bits.items():
+        b = 1
+        for f in order:
+            bits[f] = b
             t = f.__class__
             if t is Implies:
                 imp |= b
@@ -150,6 +152,7 @@ class Closure:
                 else:
                     black_box |= b
                 bodies[f.body] = bodies.get(f.body, 0) | b
+            b <<= 1
         bottom = bits.get(_BOTTOM, 0)
         self.kinds = {Implies: imp, Box: box, BlackBox: black_box, Bottom: bottom,
                       Atom: (1 << len(order)) - 1 & ~(imp | box | black_box | bottom)}

@@ -5,8 +5,11 @@ rewrites them away so that everything downstream handles only the core
 connectives ->, false, [F], [P].
 
 Every node, core or surface, is hash-consed: each constructor returns the
-one live node for its class and arguments, so equal formulas are the same
-object, equality is identity and hashing is O(1).  One grammar table
+one live node for its class and operands, so equal formulas are the same
+object, equality is identity and hashing is O(1).  There is one constructor
+per operand shape (binary, unary, atom, bottom); each makes one key and one
+table lookup, and enters a new node under a weak reference that carries its
+key, so that one callback can drop a dead node's entry.  One grammar table
 (symbols, precedences and operands) drives the parser, both printers and
 ``subformulas``, the one walk the syntactic measures fold over; the ASCII
 text is cached on the node and is also the canonical order (``sort_key``).
@@ -33,52 +36,50 @@ class Polarity(enum.Enum):
     BACKWARD = "bwd"
 
 
-# Every live node, keyed by (class, *arguments), held by a weak reference,
-# so a node leaves the table when the last formula using it is dropped.  A
-# plain dict keeps the hit path in C: one get and one ref call.
-_INTERNED: dict[tuple, weakref.ref] = {}
+# Every live node, keyed by (class, *operands), held by a weak reference
+# that carries its key, so a node leaves the table when the last formula
+# using it is dropped.  A plain dict keeps the hit path in C: one get and
+# one ref call.
+_INTERNED: dict[tuple, _KeyedRef] = {}
 _lookup = _INTERNED.get
-_set = object.__setattr__
+_new = object.__new__
+
+
+class _KeyedRef(weakref.ref):
+    """A node's entry in the intern table, which knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _KeyedRef, table=_INTERNED) -> None:
+    """Every entry's death callback.  The table is bound here, not looked up
+    as a global, so a node that dies at interpreter exit still finds it.  A
+    dead node's key may already hold a newer node's ref, which must stay."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
+
+
+def _intern(key: tuple, node: Formula) -> Formula:
+    """Enter a new node, its operands written, under key."""
+    _set_text(node, None)
+    _set_size(node, None)
+    _INTERNED[key] = ref = _KeyedRef(node, _forget)
+    ref.key = key
+    return node
 
 
 class Formula:
     """A hash-consed formula node: equal formulas are the same object.
 
     Equality is identity and the hash is the default id hash, both O(1).
-    The printed text (``print_ascii``) and ``complexity`` are cached on the
-    node the first time they are asked for.
+    The constructors are the operand shapes' ``__new__``: each takes its
+    operands by name, looks its key up once, and on a miss writes the slots
+    and enters the node.  The printed text (``print_ascii``) and
+    ``complexity`` are cached on the node the first time they are asked for.
     """
 
     __slots__ = ("_text", "_size", "__weakref__")
     _fields: tuple[str, ...] = ()
-
-    def __new__(cls, *args):
-        key = (cls, *args)
-        ref = _lookup(key)
-        node = ref() if ref is not None else None
-        if node is None:
-            node = cls._create(key, args)
-        return node
-
-    @classmethod
-    def _create(cls, key: tuple, args: tuple) -> Formula:
-        if len(args) != len(cls._fields):
-            raise TypeError(f"{cls.__name__} takes {len(cls._fields)} arguments, got {len(args)}")
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, args):
-            _set(node, name, value)
-        _set(node, "_text", None)
-        _set(node, "_size", None)
-
-        # The table is bound here, not looked up as a global, so a node
-        # that dies at interpreter exit still finds it.  A dead node's key
-        # may already hold a newer node's ref, which must stay.
-        def forget(ref, key=key, table=_INTERNED):
-            if table.get(key) is ref:
-                del table[key]
-
-        _INTERNED[key] = weakref.ref(node, forget)
-        return node
 
     def _args(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -103,50 +104,94 @@ class Formula:
 class Atom(Formula):
     __slots__ = _fields = ("name",)
 
-    @classmethod
-    def _create(cls, key, args):
-        if args and (not args[0] or args[0] == "false" or not _ATOM_RE.fullmatch(args[0])):
-            raise ValueError(f"bad atom name: {args[0]!r}")
-        return super()._create(key, args)
+    def __new__(cls, name: str):
+        key = (cls, name)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        if not name or name == "false" or not _ATOM_RE.fullmatch(name):
+            raise ValueError(f"bad atom name: {name!r}")
+        node = _new(cls)
+        _set_name(node, name)
+        return _intern(key, node)
 
 
 class Bottom(Formula):
     __slots__ = ()
 
+    def __new__(cls):
+        key = (cls,)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        return _intern(key, _new(cls))
 
-class Implies(Formula):
+
+class _Unary(Formula):
+    __slots__ = _fields = ("body",)
+
+    def __new__(cls, body: Formula):
+        key = (cls, body)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(cls)
+        _set_body(node, body)
+        return _intern(key, node)
+
+
+class _Binary(Formula):
     __slots__ = _fields = ("left", "right")
 
+    def __new__(cls, left: Formula, right: Formula):
+        key = (cls, left, right)
+        ref = _lookup(key)
+        if ref is not None and (node := ref()) is not None:
+            return node
+        node = _new(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        return _intern(key, node)
 
-class Box(Formula):
-    __slots__ = _fields = ("body",)
+
+_set_text, _set_size = Formula._text.__set__, Formula._size.__set__
+_set_name, _set_body = Atom.name.__set__, _Unary.body.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
 
 
-class BlackBox(Formula):
-    __slots__ = _fields = ("body",)
+class Implies(_Binary):
+    __slots__ = ()
+
+
+class Box(_Unary):
+    __slots__ = ()
+
+
+class BlackBox(_Unary):
+    __slots__ = ()
 
 
 # Surface-only nodes, eliminated by desugar().
 
 
-class Diamond(Formula):
-    __slots__ = _fields = ("body",)
+class Diamond(_Unary):
+    __slots__ = ()
 
 
-class BlackDiamond(Formula):
-    __slots__ = _fields = ("body",)
+class BlackDiamond(_Unary):
+    __slots__ = ()
 
 
-class Not(Formula):
-    __slots__ = _fields = ("body",)
+class Not(_Unary):
+    __slots__ = ()
 
 
-class And(Formula):
-    __slots__ = _fields = ("left", "right")
+class And(_Binary):
+    __slots__ = ()
 
 
-class Or(Formula):
-    __slots__ = _fields = ("left", "right")
+class Or(_Binary):
+    __slots__ = ()
 
 
 def neg(f: Formula) -> Formula:
@@ -281,7 +326,7 @@ def complexity(f: Formula) -> int:
                     n = 0
                 else:
                     raise ValueError(f"not a core formula: {g}")
-                _set(g, "_size", n)
+                _set_size(g, n)
     return f._size
 
 
@@ -440,7 +485,7 @@ def _render(f: Formula, column: int, text_of, store) -> str:
     return text
 
 
-_cached_text, _cache_text = Formula._text.__get__, Formula._text.__set__
+_cached_text = Formula._text.__get__
 
 
 def print_ascii(f: Formula) -> str:
@@ -451,7 +496,7 @@ def print_ascii(f: Formula) -> str:
     depend on which formulas were built before."""
     text = f._text
     if text is None:
-        text = _render(f, _ASCII, _cached_text, _cache_text)
+        text = _render(f, _ASCII, _cached_text, _set_text)
     return text
 
 

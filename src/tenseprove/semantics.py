@@ -79,9 +79,10 @@ def forces(m: KripkeModel, w: str, f: Formula, symmetric: bool = False) -> bool:
     cost is linear in the model size times the number of distinct
     subformulas.  Only worlds the evaluation visits are checked against
     m.worlds; an implication's right side and a box's remaining worlds are
-    skipped once the value is known.  The pairs still waiting for a value
-    wait on an explicit stack, each below the pair it needs next, so a deep
-    formula takes no frame per level.
+    skipped once the value is known.  A pair that needs another pair's value
+    waits on an explicit stack, so a deep formula takes no frame per level,
+    and resumes where it stopped: an implication at its right part, a box at
+    its next successor.
     """
     succ: dict[str, list[str]] = {}
     pred: dict[str, list[str]] = succ if symmetric else {}
@@ -92,43 +93,64 @@ def forces(m: KripkeModel, w: str, f: Formula, symmetric: bool = False) -> bool:
     if w not in worlds:
         raise UnknownWorld(w)
     memo: dict[tuple[str, Formula], bool] = {}
-    stack = [(w, f)]
-    while stack:
-        key = u, g = stack[-1]
+    # (world, formula, resume point): an implication at 0 waits for its left
+    # part and at 1 for its right part; a box at i has seen its body true at
+    # the successors before i and waits for it at successor i - 1.
+    waiting: list[tuple] = []
+    u, g = w, f
+    while True:
+        # (u, g) has no value yet: find it, or wait for the first pair it
+        # needs.  A box waits at 0, as if its body were true so far.
         cls = g.__class__
         if cls is Implies:
-            val = memo.get((u, g.left))
+            waiting.append((u, g, 0))
+            g = g.left
+            val = memo.get((u, g))
             if val is None:
-                stack.append((u, g.left))
                 continue
-            if val:
-                val = memo.get((u, g.right))
-                if val is None:
-                    stack.append((u, g.right))
-                    continue
-            else:
-                val = True
         elif cls is Box or cls is BlackBox:
-            body = g.body
+            waiting.append((u, g, 0))
             val = True
-            for v in (succ if cls is Box else pred).get(u, ()):
-                val = memo.get((v, body))
-                if not val:
-                    break
-            if val is None:
-                if v not in worlds:
-                    raise UnknownWorld(v)
-                stack.append((v, body))
-                continue
-        elif cls is Atom:
-            val = g.name in true_atoms.get(u, ())
-        elif cls is Bottom:
-            val = False
         else:
-            raise ValueError(f"not a core formula: {g}")
-        memo[key] = val
-        stack.pop()
-    return memo[w, f]
+            if cls is Atom:
+                val = g.name in true_atoms.get(u, ())
+            elif cls is Bottom:
+                val = False
+            else:
+                raise ValueError(f"not a core formula: {g}")
+            memo[u, g] = val
+        # val is the value of the pair the top waiting pair waits for.
+        while waiting:
+            u, g, i = waiting.pop()
+            if g.__class__ is Implies:
+                if i == 0:
+                    if val:
+                        waiting.append((u, g, 1))
+                        g = g.right
+                        val = memo.get((u, g))
+                        if val is None:
+                            break
+                        continue
+                    val = True
+            elif val:
+                vs = (succ if g.__class__ is Box else pred).get(u, ())
+                body = g.body
+                n = len(vs)
+                while i < n:
+                    v = vs[i]
+                    i += 1
+                    val = memo.get((v, body))
+                    if not val:
+                        break
+                if val is None:
+                    if v not in worlds:
+                        raise UnknownWorld(v)
+                    waiting.append((u, g, i))
+                    u, g = v, body
+                    break
+            memo[u, g] = val
+        else:
+            return val
 
 
 def falsifies(m: KripkeModel, w: str, s: LinearNestedSequent, symmetric: bool = False) -> bool:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import pickle
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -270,11 +271,36 @@ def test_desugared_diamond_is_the_negated_box():
     assert desugar(parse("<F>p")) is desugar(parse("~[F]~p"))
 
 
+# Every connective at least once.
+ALL_CONNECTIVES = "~(p & q) | <F>false -> [P]<P>[F]p"
+
+
 def test_copy_and_pickle_return_the_interned_node():
-    for f in (parse("[F](p -> [P]q) -> false"), parse("<F>~(p & q) | <P>r")):
+    nodes = subformulas(parse(ALL_CONNECTIVES))
+    assert {type(g) for g in nodes} == set(formula._SYNTAX)
+    for f in nodes:
         assert copy.copy(f) is f
         assert copy.deepcopy(f) is f
         assert pickle.loads(pickle.dumps(f)) is f
+
+
+def test_wrong_operand_counts_raise_type_error_and_intern_nothing():
+    x = Atom("x_operand")
+    before = len(formula._INTERNED)
+    for cls, n in formula._ARITY.items():
+        n += cls is Atom  # the name
+        for wrong in (n - 1, n + 1) if n else (1,):
+            with pytest.raises(TypeError, match="argument"):
+                cls(*(x,) * wrong)
+    assert len(formula._INTERNED) == before
+
+
+def test_rejected_atom_names_intern_nothing():
+    before = len(formula._INTERNED)
+    for name in ("", "a b", "false", "p!", "[F]p"):
+        with pytest.raises(ValueError):
+            Atom(name)
+    assert len(formula._INTERNED) == before
 
 
 def test_interned_nodes_are_immutable():
@@ -336,13 +362,27 @@ def test_printed_texts_match_the_pinned_digests():
 
 
 def test_intern_table_forgets_dropped_formulas():
+    # Bottom's one node lives as long as the modules that hold it, so a
+    # subclass, which Bottom's constructor interns under its own key, stands
+    # in for it.
+    class Falsum(Bottom):
+        __slots__ = ()
+
+    def by_class():
+        return Counter(key[0] for key in formula._INTERNED)
+
     gc.collect()
-    before = len(formula._INTERNED)
-    kept = [Diamond(Implies(Atom(f"x{i}_p"), Not(Atom(f"x{i}_q")))) for i in range(10_000)]
-    assert len(formula._INTERNED) >= before + 50_000
-    del kept
+    before = by_class()
+    kept = [Falsum()]
+    for i in range(5_000):
+        a, b = Atom(f"x{i}_p"), Atom(f"x{i}_q")
+        kept += (Implies(a, b), And(a, b), Or(a, b), Box(a), BlackBox(a),
+                 Diamond(a), BlackDiamond(a), Not(a))
+    assert by_class() - before == Counter(
+        {Falsum: 1, Atom: 10_000, **dict.fromkeys(formula._SYNTAX.keys() - {Atom, Bottom}, 5_000)})
+    del kept, a, b
     gc.collect()
-    assert len(formula._INTERNED) == before
+    assert by_class() == before
 
 
 def test_modal_degree_is_cached_and_rejects_surface_nodes():

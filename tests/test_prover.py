@@ -550,19 +550,34 @@ def test_budget_stop_inside_a_restart_subtree_reports_the_whole_search():
         assert (out.stats.expanded, out.stats.nodes, out.stats.max_length) == (n + 1, n + 1, 2)
 
 
-def test_deciding_an_invalid_formula_leaves_no_cyclic_garbage():
+def test_deciding_leaves_no_cyclic_garbage():
     # A self-recursive closure reaches itself through its cell, so each
     # call of one left a reference cycle that only the collector frees.
+    # The slice holds every outcome under every variant, and a known KT
+    # crash (item 10).  Objects made before the loop are frozen, so that
+    # each collection walks only what the calls left.
+    formulas = corpus(4242, 300, atoms=("p", "q"), max_size=40, max_degree=5)[:60]
+    outcomes = set()
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
+    gc.freeze()
     try:
-        for v in (KT, KTS, KB):
-            assert isinstance(prove("p -> [F]p", v), Invalid)
-            assert gc.collect() == 0, v
+        for i, f in enumerate(formulas):
+            for v in (KT, KTS, KB):
+                for budget in (None, Budget(max_nodes=3)):
+                    try:
+                        outcomes.add((v, type(prove(f, v, budget)).__name__))
+                    except SearchInvariantError:
+                        outcomes.add((v, "SearchInvariantError"))
+                    assert gc.collect() == 0, (i, v, budget)
     finally:
+        gc.unfreeze()
         if was_enabled:
             gc.enable()
+    assert outcomes == {(v, kind) for v in (KT, KTS, KB)
+                        for kind in ("Valid", "Invalid", "ResourceLimit")} | {
+        (KT, "SearchInvariantError")}
 
 
 # Valid two-component sequents, (=>) LINK (A => A), on which search fails
