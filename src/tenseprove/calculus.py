@@ -2,20 +2,20 @@
 builds premisses with them.
 
 One table holds one entry per rule; ew, which has no principal formula, is
-a case of `instance`.  An entry says where the rule finds its principal
-and of which kind it is, the last links the rule acts across and the
-premisses of its instance on a principal (`premisses`), and for backward
-search the side condition that forces progress (`open`), search's choice
-among the principals it leaves (`pick`) and what each premiss adds
-(`grow`).  The modal entries come from three makers given the box kind
-and the links.  A priority-ordered rule tuple per variant gives its rule
-set and search order.
+a case of `premisses`.  An entry says which kind of formula the rule's
+principal is, the last links the rule acts across and the premisses of
+its instance on a principal (`premisses`), and for backward search where
+its candidates sit with the side condition that forces progress (`open`),
+search's choice among the principals it leaves (`pick`) and what each
+premiss adds (`grow`).  The modal entries come from three makers given the
+box kind and the links.  A priority-ordered rule tuple per variant gives
+its rule set and search order.
 
-`instance` applies a rule's schema only: the conclusion, the rule and the
-principal formula fix the premisses, and it is how certificate replay
-builds premisses.  Id's side condition, an atom on
-both sides, is also its schema.  Nothing here is trusted: `kernel` checks
-every derivation against rules it writes out itself.
+The conclusion, the rule and the principal formula fix the premisses, so
+the table's builders serve search, certificate replay and the generalised
+initial sequents alike, through `premisses`.  Nothing here is trusted:
+`kernel` checks every derivation against rules it writes out itself,
+where the principal sits included.
 
 Search reads the side conditions as bit operations.  The calculus has the
 subformula property: backward search only adds subformulas of the end
@@ -44,7 +44,7 @@ from __future__ import annotations
 from .formula import (
     Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, subformulas)
 from .kernel import CalculusVariant, RuleId
-from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, fresh_tag, slot_setters
+from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag
 
 
 RESTART_RULES = frozenset((RuleId.BOX_L2, RuleId.BBOX_L2, RuleId.KB_BOX_L2))
@@ -62,28 +62,6 @@ class VariantMismatch(Exception):
     pass
 
 
-class RuleInstance(ReadOnly):
-    __slots__ = _fields = ("rule", "principal", "premisses")
-
-    def __init__(self, rule: RuleId, principal: Formula | None,
-                 premisses: tuple[LinearNestedSequent, ...]):
-        _set_rule(self, rule)
-        _set_principal(self, principal)
-        _set_premisses(self, premisses)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RuleInstance:
-            return NotImplemented
-        return ((self.rule, self.principal, self.premisses)
-                == (other.rule, other.principal, other.premisses))
-
-    def __hash__(self) -> int:
-        return hash((self.rule, self.principal, self.premisses))
-
-
-_set_rule, _set_principal, _set_premisses = slot_setters(RuleInstance)
-
-
 def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
     if v is CalculusVariant.KB and Polarity.BACKWARD in s.links:
         raise VariantMismatch("KB sequents use forward links only")
@@ -91,13 +69,6 @@ def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
 
 # botL's one principal, interned for as long as this module is loaded.
 _BOTTOM = Bottom()
-
-# The principal of `instance` that asks for the first candidate.
-ANY = object()
-
-# Where a rule's candidate principals sit: the last antecedent, the last
-# succedent, or the second-last antecedent.
-_ANT, _SUCC, _PREV_ANT = 0, 1, 2
 
 # The masks of one side of a component, in this order: its members, the
 # implications whose left part is a member, those whose right part is a
@@ -191,11 +162,10 @@ def _axiom_premiss(k, principals, last):
 
 
 class Rule:
-    """One rule's entry, for `rule`.  Its candidate principals are the
-    distinct `kind` formulas at `where`, and it acts across the last links
-    in `links` (None for a single component).  `premisses(s, f, tags)` are
-    the premisses of its instance on f, in schema order; `tags()` gives the
-    tag of a component it opens.
+    """One rule's entry, for `rule`.  Its principal is a `kind` formula,
+    and it acts across the last links in `links` (None for a single
+    component).  `premisses(s, f, tags)` are the premisses of its instance
+    on f, in schema order; `tags()` gives the tag of a component it opens.
 
     For search, `open(kind_mask, last, prev)` is the mask of the candidates
     the rule, side condition included, may take as its principal, given
@@ -205,10 +175,10 @@ class Rule:
     `grow(closure, masks, f)` gives the masks of each premiss from the
     conclusion's."""
 
-    __slots__ = ("rule", "where", "kind", "links", "open", "premisses", "grow", "pick")
+    __slots__ = ("rule", "kind", "links", "open", "premisses", "grow", "pick")
 
-    def __init__(self, rule, where, kind, links, open, premisses, grow=None, pick=None):
-        self.rule, self.where, self.kind, self.links = rule, where, kind, links
+    def __init__(self, rule, kind, links, open, premisses, grow=None, pick=None):
+        self.rule, self.kind, self.links = rule, kind, links
         self.open, self.premisses, self.grow, self.pick = open, premisses, grow, pick
 
 
@@ -288,7 +258,7 @@ def _propagation(rule: RuleId, kind, link: Polarity) -> Rule:
         (ant, succ), before = masks
         return (((k.join(ant, f.body), succ), before),)
 
-    return Rule(rule, _PREV_ANT, kind, (link,), _body_not_in_last, premisses, grow)
+    return Rule(rule, kind, (link,), _body_not_in_last, premisses, grow)
 
 
 def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
@@ -306,7 +276,7 @@ def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
         (ant, succ), before = masks[1]
         return (((k.join(ant, f.body), succ), before),)
 
-    return Rule(rule, _ANT, kind, (link,), _body_not_in_prev, premisses, grow)
+    return Rule(rule, kind, (link,), _body_not_in_prev, premisses, grow)
 
 
 def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
@@ -335,7 +305,7 @@ def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
         last, ((ant, succ), before) = masks
         return ((last, ((ant, k.join(succ, f.body)), before)),) + opened
 
-    return Rule(rule, _SUCC, kind, links,
+    return Rule(rule, kind, links,
                 _body_not_in_prev_succ if two_premiss else _in_succ, premisses, grow)
 
 
@@ -343,10 +313,10 @@ FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
 _ANY_LINK = (None, FWD, BWD)
 
 _RULES = {e.rule: e for e in (
-    Rule(RuleId.ID, _ANT, Atom, _ANY_LINK, _on_both_sides, _axiom),
-    Rule(RuleId.BOT_L, _ANT, Bottom, _ANY_LINK, _in_ant, _axiom),
-    Rule(RuleId.IMP_R, _SUCC, Implies, _ANY_LINK, _imp_r_open, _imp_r_premisses, _imp_r_masks),
-    Rule(RuleId.IMP_L, _ANT, Implies, _ANY_LINK, _imp_l_open, _imp_l_premisses, _imp_l_masks,
+    Rule(RuleId.ID, Atom, _ANY_LINK, _on_both_sides, _axiom),
+    Rule(RuleId.BOT_L, Bottom, _ANY_LINK, _in_ant, _axiom),
+    Rule(RuleId.IMP_R, Implies, _ANY_LINK, _imp_r_open, _imp_r_premisses, _imp_r_masks),
+    Rule(RuleId.IMP_L, Implies, _ANY_LINK, _imp_l_open, _imp_l_premisses, _imp_l_masks,
          _axiom_premiss),
     _propagation(RuleId.BOX_L1, Box, FWD),
     _propagation(RuleId.BBOX_L1, BlackBox, BWD),
@@ -434,30 +404,19 @@ def box_choices(k: Closure, v, s, masks) -> list[tuple[Rule, Formula]]:
     return out
 
 
-def instance(conclusion, rule: RuleId, principal=ANY) -> RuleInstance | None:
-    """The instance of `rule` on `conclusion` with this principal formula
-    (None for ew), or with ANY the one on the first candidate in sort_key
-    order; None when there is none.  Only that one instance is built, in
-    any calculus variant."""
-    s, links = conclusion, conclusion.links
+def premisses(conclusion, rule: RuleId, principal) -> tuple | None:
+    """The premisses of `rule`'s instance on this principal formula (None
+    for ew) in `conclusion`, in schema order, as search builds them, in any
+    calculus variant; None when the builder cannot run: the principal has
+    another connective, the rule does not act across the last link, or ew
+    is given a principal or a single component.  Where the principal sits
+    is not looked at: `kernel.is_instance` judges that, with the rest of
+    the node."""
+    links = conclusion.links
     if rule is RuleId.EW:
         # Search never weakens; ew only appears in derivations it assembles.
-        if links and (principal is ANY or principal is None):
-            return RuleInstance(RuleId.EW, None, (s.drop_last(),))
-        return None
+        return (conclusion.drop_last(),) if links and principal is None else None
     e = _RULES[rule]
-    if (links[-1] if links else None) not in e.links:
+    if type(principal) is not e.kind or (links[-1] if links else None) not in e.links:
         return None
-    last = s.last
-    prev = s.components[-2] if links else None
-    place = (last.ant, last.succ, prev and prev.ant)[e.where]
-    if principal is ANY:
-        fs = [f for f in place.distinct() if type(f) is e.kind]
-    elif type(principal) is e.kind and principal in place:
-        fs = (principal,)
-    else:
-        return None
-    if rule is RuleId.ID:  # its side condition is its schema
-        succ = last.succ
-        fs = [f for f in fs if f in succ]
-    return RuleInstance(rule, fs[0], e.premisses(s, fs[0], fresh_tag)) if fs else None
+    return e.premisses(conclusion, principal, fresh_tag)

@@ -317,9 +317,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# Built once, at import: a parser is a web of cyclic references, which a
+# parser built per call would leave for the collector on every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.not_taken:
             raise UsageError(f"{args.command} does not take {', '.join(args.not_taken)}")
         if args.command in ("decide", "prove"):

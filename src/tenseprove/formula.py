@@ -295,22 +295,6 @@ def is_core(f: Formula) -> bool:
     return all(g.__class__ in _CORE for g in subformulas(f))
 
 
-def modal_degree(f: Formula) -> int:
-    """Maximal nesting depth of [F]/[P] in a core formula."""
-    degree: dict[Formula, int] = {}
-    for g in subformulas(f):
-        t = g.__class__
-        if t is Implies:
-            degree[g] = max(degree[g.left], degree[g.right])
-        elif t is Box or t is BlackBox:
-            degree[g] = degree[g.body] + 1
-        elif t is Atom or t is Bottom:
-            degree[g] = 0
-        else:
-            raise ValueError(f"not a core formula: {g}")
-    return degree[f]
-
-
 def complexity(f: Formula) -> int:
     """Number of connective nodes (->, [F], [P]) in a core formula, cached
     on the node."""

@@ -23,7 +23,7 @@ from .calculus import (
     TWO_PREMISS_BOX_RULES,
     CalculusVariant,
     RuleId,
-    instance,
+    premisses,
 )
 from .formula import (
     Atom,
@@ -284,33 +284,28 @@ def generalised_init(s: LinearNestedSequent, shared: Formula) -> Derivation:
 
 
 def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
-    i = s.length - 1
-    last = s.last
     if isinstance(a, Atom):
         return Derivation(s, RuleId.ID, a)
     if isinstance(a, Bottom):
         return Derivation(s, RuleId.BOT_L, a)
     if isinstance(a, Implies):
-        p1 = s.replace_component(i, Component(last.ant.add(a.left), last.succ.add(a.right),
-                                              last.tag, last.restarts))
-        q1 = p1.replace_component(i, p1.last.with_ant(a.right))
-        q2 = p1.replace_component(i, p1.last.with_succ(a.left))
+        (p1,) = premisses(s, RuleId.IMP_R, a)
+        q1, q2 = premisses(p1, RuleId.IMP_L, a)
         impl = Derivation(p1, RuleId.IMP_L, a, (_gen_init(q1, a.right), _gen_init(q2, a.left)))
         return Derivation(s, RuleId.IMP_R, a, (impl,))
     if isinstance(a, (Box, BlackBox)):
         link = BOX_LINK[type(a)]
         two_premiss, one_premiss, propagation, restart = _KT_MODAL_RULES[link]
-        ext = s.extend(link, Component(Multiset(), Multiset((a.body,))))
-        prop = ext.replace_component(ext.length - 1, ext.last.with_ant(a.body))
-        right = Derivation(ext, propagation, a, (_gen_init(prop, a.body),))
-        if s.length == 1 or s.links[-1] is link:
-            return Derivation(s, one_premiss, a, (right,))
-        lseq = s.replace_component(s.length - 2, s.components[-2].with_succ(a.body))
-        lrestart = lseq.drop_last()
-        lrestart = lrestart.replace_component(
-            lrestart.length - 1, lrestart.last.with_ant(a.body))
-        left = Derivation(lseq, restart, a, (_gen_init(lrestart, a.body),))
-        return Derivation(s, two_premiss, a, (left, right))
+        rule = one_premiss if s.length == 1 or s.links[-1] is link else two_premiss
+        prems = []
+        # The body crosses into the opened component by propagation, and
+        # into the predecessor that the two-premiss rule falsifies it at by
+        # restart; either way that component then holds it on both sides.
+        for p in premisses(s, rule, a):
+            step = propagation if p.length > s.length else restart
+            (q,) = premisses(p, step, a)
+            prems.append(Derivation(p, step, a, (_gen_init(q, a.body),)))
+        return Derivation(s, rule, a, tuple(prems))
     raise NoSharedFormula(f"cannot build initial derivation for {print_ascii(a)}")
 
 
@@ -366,14 +361,6 @@ class CutMonitor:
 
     def exit(self):
         self.stack.pop()
-
-
-def _cut_target(cl: LinearNestedSequent, cr: LinearNestedSequent, pos: int,
-                a: Formula) -> LinearNestedSequent:
-    """The merge of cl and cr minus the cut occurrences, the copies of a in
-    cl's succedent and cr's antecedent at component pos, built in merge's
-    one pass."""
-    return _merge(cl, cr, pos, a)
 
 
 def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
@@ -475,7 +462,7 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
                 return out
         # Built after the left principal case, whose shift right returns
         # its own result and never reads this target.
-        target = _cut_target(d1.conclusion, d2.conclusion, pos, a)
+        target = _merge(d1.conclusion, d2.conclusion, pos, a)
 
         if d.rule in (RuleId.ID, RuleId.BOT_L):
             return _close_terminal(target, (other, d))
@@ -577,7 +564,7 @@ def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
         raise NotACutFormulaOccurrence(f"{print_ascii(cut_formula)} not in right antecedent")
     mon = monitor if monitor is not None else CutMonitor()
     out = _shift(cut_formula, d1, d2, d1.conclusion.length - 1, mon, True)
-    expected = _cut_target(d1.conclusion, d2.conclusion, d1.conclusion.length - 1, cut_formula)
+    expected = _merge(d1.conclusion, d2.conclusion, d1.conclusion.length - 1, cut_formula)
     if out.conclusion != expected:
         raise TransformError("cut concluded the wrong sequent")
     if mon.violations:
@@ -618,16 +605,20 @@ def derivation_to_json(d: Derivation) -> dict:
 def derivation_from_json(data: dict) -> Derivation:
     """Replay a schema-2 certificate from its end sequent: each node's
     conclusion gives, with its rule and principal, the conclusions of its
-    premisses (calculus.instance, in every variant; `check` then decides
-    the variant).
+    premisses (calculus.premisses, the builders search uses, in every
+    variant).  Replay judges no node: whether each is an instance of its
+    rule, where its principal sits and the variant included, is for `check`
+    to decide on the result.
 
     A malformed certificate raises ValueError, KeyError or TypeError: a
     schema-1 one, a missing key, an unknown rule, a premiss index that is
     not an earlier node, or a node the root does not reach.  One that is
-    well formed but does not replay raises InvalidDerivation with the
-    premiss path of the failing node: a (rule, principal) with no instance
-    on the node's conclusion, a premiss count other than the instance's,
-    or a shared node reached with two different conclusions.
+    well formed but cannot be replayed raises InvalidDerivation with the
+    premiss path of the failing node: a (rule, principal) whose premisses
+    cannot be built on the node's conclusion (a principal of another
+    connective, a rule that does not act across the last link, ew with a
+    principal or on one component), a premiss count other than the
+    rule's, or a shared node reached with two different conclusions.
     """
     if "nodes" not in data and "rule" in data:
         raise ValueError("a schema 1 derivation (a sequent at every node); "
@@ -637,7 +628,7 @@ def derivation_from_json(data: dict) -> Derivation:
     if not entries:
         raise ValueError("a derivation has at least one node")
     formulas: dict[str, Formula] = {}
-    rules, principals, premisses = [], [], []
+    rules, principals, named = [], [], []
     for i, e in enumerate(entries):
         rules.append(RuleId(e["rule"]))
         text = e["principal"]
@@ -648,7 +639,7 @@ def derivation_from_json(data: dict) -> Derivation:
         for j in prems:
             if type(j) is not int or not 0 <= j < i:
                 raise ValueError(f"node {i} names premiss {j!r}, which is not an earlier node")
-        premisses.append(prems)
+        named.append(prems)
 
     n = len(entries)
     conclusions: list[LinearNestedSequent | None] = [None] * n
@@ -669,13 +660,13 @@ def derivation_from_json(data: dict) -> Derivation:
         c = conclusions[i]
         if c is None:
             raise ValueError(f"node {i} is not reached from the root")
-        inst = instance(c, rules[i], principals[i])
-        if inst is None or len(inst.premisses) != len(premisses[i]):
-            what = "no instance" if inst is None else f"{len(inst.premisses)} premisses"
+        prems = premisses(c, rules[i], principals[i])
+        if prems is None or len(prems) != len(named[i]):
+            what = "cannot build the premisses" if prems is None else f"{len(prems)} premisses"
             raise InvalidDerivation(CheckResult(
                 False, path(i), f"{what} of {_node_text(rules[i], principals[i])} "
                                 f"at {c.render()}"))
-        for k, (j, s) in enumerate(zip(premisses[i], inst.premisses)):
+        for k, (j, s) in enumerate(zip(named[i], prems)):
             if conclusions[j] is None:
                 conclusions[j], parent[j] = s, (i, k)
             elif conclusions[j] != s:
@@ -686,7 +677,7 @@ def derivation_from_json(data: dict) -> Derivation:
     built: list[Derivation] = []
     for i in range(n):
         built.append(Derivation(conclusions[i], rules[i], principals[i],
-                                tuple(built[j] for j in premisses[i])))
+                                tuple(built[j] for j in named[i])))
     return built[-1]
 
 

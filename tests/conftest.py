@@ -89,6 +89,21 @@ def rules_of(d) -> set:
     return {RuleId(n["rule"]) for n in derivation_to_json(d)["nodes"]}
 
 
+def principal_place(rule, s) -> Multiset:
+    """Where `rule` takes its principal formula in s, read from the rule
+    figures: the second-last antecedent for a propagation, the last
+    antecedent for id, botL, impL and a restart, and the last succedent
+    for impR and a right box rule (nothing, for a propagation on one
+    component).  Ew has no principal."""
+    from tenseprove.calculus import RESTART_RULES, RuleId
+
+    if rule in (RuleId.BOX_L1, RuleId.BBOX_L1, RuleId.KB_BOX_L1):
+        return s.components[-2].ant if s.links else Multiset()
+    if rule in (RuleId.ID, RuleId.BOT_L, RuleId.IMP_L) or rule in RESTART_RULES:
+        return s.last.ant
+    return s.last.succ
+
+
 def successors(model, w: str) -> set:
     return {v for (u, v) in model.edges if u == w}
 

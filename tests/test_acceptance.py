@@ -32,7 +32,7 @@ from tenseprove.prover import (
     prune,
     search,
 )
-from tenseprove.sequent import LinearNestedSequent, component, single
+from tenseprove.sequent import LinearNestedSequent, _merge, component, single
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -249,7 +249,7 @@ def test_criterion_08_cut_elimination():
         total_calls += mon.calls
         if mon.violations or not check(out, KT):
             report(8, False, f"cut on {print_ascii(f)}")
-        expected = metatheory._cut_target(
+        expected = _merge(
             o1.derivation.conclusion, o2.derivation.conclusion,
             o1.derivation.conclusion.length - 1, f)
         if out.conclusion.render() != expected.render():

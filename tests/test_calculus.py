@@ -1,19 +1,19 @@
 import random
+from collections import namedtuple
 
 import pytest
 from hypothesis import given
 
-from conftest import small_sequents
+from conftest import principal_place, small_sequents
 from tenseprove import calculus, prover
 from tenseprove.calculus import (
-    ANY,
     _PRIORITY,
     _RULES,
     RESTART_RULES,
     CalculusVariant,
     RuleId,
     VariantMismatch,
-    instance,
+    premisses,
 )
 from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key)
@@ -28,11 +28,13 @@ KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
+Instance = namedtuple("Instance", "rule principal premisses")
+
 
 def applicable_rules(s, v, saturating):
     """Every rule instance whose conclusion matches s, in priority order and
-    within a rule by the principal's sort_key: `instance` on each formula
-    of s.
+    within a rule by the principal's sort_key: `premisses` on each formula
+    of s where the rule takes its principal (for id, an atom on both sides).
 
     With saturating=True only the principals each rule's side condition
     (the mask its `open` gives) keeps are taken, and EW is excluded; this is
@@ -46,14 +48,17 @@ def applicable_rules(s, v, saturating):
     for r in _PRIORITY[v]:
         if r is RuleId.EW:
             if not saturating and s.length >= 2:
-                out.append(instance(s, r, None))
+                out.append(Instance(r, None, premisses(s, r, None)))
             continue
         e = _RULES[r]
+        place = principal_place(r, s)
         for f in k.formulas:
-            inst = instance(s, r, f)
-            if inst is not None and (not saturating
-                                     or k.bits[f] & e.open(k.kinds[e.kind], last, prev)):
-                out.append(inst)
+            if f not in place or r is RuleId.ID and f not in s.last.succ:
+                continue
+            prems = premisses(s, r, f)
+            if prems is not None and (not saturating
+                                      or k.bits[f] & e.open(k.kinds[e.kind], last, prev)):
+                out.append(Instance(r, f, prems))
     return out
 
 
@@ -196,14 +201,22 @@ def test_is_valid_instance_trivia():
 
 def test_instance_builds_the_named_principal_only():
     s = single([], [Implies(p, q), Implies(q, p)])
-    inst = instance(s, RuleId.IMP_R, Implies(q, p))
-    assert inst.principal == Implies(q, p) and q in inst.premisses[0].last.ant
-    assert instance(s, RuleId.IMP_R, ANY).principal == Implies(p, q)
-    assert instance(s, RuleId.IMP_L, Implies(p, q)) is None
-    assert instance(s, RuleId.IMP_R, p) is None
+    (prem,) = premisses(s, RuleId.IMP_R, Implies(q, p))
+    assert q in prem.last.ant and p in prem.last.succ and Implies(p, q) not in prem.last.ant
+    # Where the principal sits is the kernel's to judge: impL builds on a
+    # succedent implication, and the kernel rejects the node.
+    built = premisses(s, RuleId.IMP_L, Implies(p, q))
+    assert len(built) == 2 and not is_instance(s, RuleId.IMP_L, Implies(p, q), built, KT)
+    # No premisses when the builder cannot run: a principal of another
+    # connective, a rule that does not act across the last link, or ew
+    # with a principal or on one component.
+    assert premisses(s, RuleId.IMP_R, p) is None
+    assert premisses(s, RuleId.BOX_R1, Box(p)) is None
+    assert premisses(s, RuleId.BOX_L1, Box(p)) is None
     ew = seq(component([p], []), FWD, component([q], []))
-    assert instance(ew, RuleId.EW, None).premisses == (ew.drop_last(),)
-    assert instance(ew, RuleId.EW, q) is None
+    assert premisses(ew, RuleId.BOX_L2, Box(q)) is None
+    assert premisses(ew, RuleId.EW, None) == (ew.drop_last(),)
+    assert premisses(ew, RuleId.EW, q) is None and premisses(s, RuleId.EW, None) is None
 
 
 @pytest.mark.parametrize("closing, ant, succ", [
@@ -219,13 +232,11 @@ def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant
         e, f = first_steps(c, v)[0]
         assert (e.rule, f) == (RuleId.IMP_L, closing)
         assert is_instance(c, RuleId.IMP_L, closing, e.premisses(c, f, fresh_tag), v)
-    # Checking mode is unchanged: each principal names its schema instance,
-    # and the first in sort_key order is still the first instance.
+    # Replay is unchanged: each principal names its schema instance.
     for f in (first, closing):
-        built = instance(c, RuleId.IMP_L, f)
-        assert built.premisses == (c.replace_component(0, c.last.with_ant(f.right)),
-                                   c.replace_component(0, c.last.with_succ(f.left)))
-    assert instance(c, RuleId.IMP_L, ANY).principal == first
+        assert premisses(c, RuleId.IMP_L, f) == (
+            c.replace_component(0, c.last.with_ant(f.right)),
+            c.replace_component(0, c.last.with_succ(f.left)))
 
 
 # Each rule's side condition read from the multisets, as the rule states
@@ -255,7 +266,7 @@ def _fresh_principals(s, e):
     keeps, in sort_key order."""
     last = s.last
     prev = s.components[-2] if s.links else None
-    place = (last.ant, last.succ, prev and prev.ant)[e.where]
+    place = principal_place(e.rule, s)
     keeps = _REFERENCE_SIDE_CONDITION[e.rule]
     return tuple(f for f in sorted(place.distinct(), key=sort_key)
                  if type(f) is e.kind and keeps(f, last, prev))

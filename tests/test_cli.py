@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import sys
@@ -51,6 +52,29 @@ def test_kb_forbids_full_calculus(capsys):
 def test_resource_limit_exit_two(capsys):
     rc, _, err = run(capsys, "decide", "--budget-nodes", "1", "p -> [F]~[P]~p")
     assert rc == 2
+
+
+def test_main_leaves_no_cyclic_garbage(tmp_path):
+    # An argparse parser is a web of cyclic references: when main built one
+    # per call, each call left 350 objects that only the collector frees.
+    # Objects made before the loop are frozen, so that each collection
+    # walks only what the call left.
+    cases = [(0, "decide", "p -> [F]~[P]~p"), (1, "decide", "p"),
+             (3, "check", str(tmp_path / "missing.json")), (3, "decide", "--world", "w0", "p")]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.freeze()
+    try:
+        for want, *argv in cases:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main(argv)
+            assert (rc, gc.collect()) == (want, 0), argv
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 def test_json_output_schema(capsys):

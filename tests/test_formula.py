@@ -27,7 +27,6 @@ from tenseprove.formula import (
     complexity,
     desugar,
     is_core,
-    modal_degree,
     parse,
     print_ascii,
     print_unicode,
@@ -173,7 +172,7 @@ def test_subformula_walks_take_no_frame_per_level():
     with fails_fast_on_recursion(200):
         subs = subformulas(f)
         assert len(subs) == 30_001 and subs[0] is p and subs[-1] is f
-        assert complexity(f) == modal_degree(f) == 30_000
+        assert complexity(f) == 30_000
         assert atoms(f) == {"p"} and is_core(f)
         model, world = bounded_countermodel_search(f, max_worlds=1)
     assert model.edges == {("w1", "w1")} and not model.true_atoms and world == "w1"
@@ -216,11 +215,6 @@ def test_desugar_idempotent_on_seeded_surface_sample():
 def test_desugar_conj_disj():
     assert desugar(parse("p & q")) == parse("(p -> (q -> false)) -> false")
     assert desugar(parse("p | q")) == parse("(p -> false) -> q")
-
-
-@pytest.mark.parametrize("text,deg", [("p", 0), ("[F]p", 1), ("[F](p -> [P]q)", 2)])
-def test_modal_degree(text, deg):
-    assert modal_degree(parse(text)) == deg
 
 
 @pytest.mark.parametrize("text,n", [("p", 0), ("[F]p", 1), ("(p -> false) -> false", 2)])
@@ -383,15 +377,6 @@ def test_intern_table_forgets_dropped_formulas():
     del kept, a, b
     gc.collect()
     assert by_class() == before
-
-
-def test_modal_degree_is_cached_and_rejects_surface_nodes():
-    f = parse("[F](p -> [P]q)")
-    assert modal_degree(f) == modal_degree(f) == 2
-    with pytest.raises(ValueError):
-        modal_degree(Diamond(p))
-    with pytest.raises(ValueError):
-        modal_degree(Box(Not(p)))
 
 
 def test_complexity_is_cached_and_rejects_surface_nodes():

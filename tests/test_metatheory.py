@@ -5,9 +5,9 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import fails_fast_on_recursion, rules_of, schema1
+from conftest import fails_fast_on_recursion, principal_place, rules_of, schema1
 from tenseprove import metatheory
-from tenseprove.calculus import CalculusVariant, RuleId, instance
+from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import (
     Atom,
     BlackBox,
@@ -20,6 +20,7 @@ from tenseprove.formula import (
     print_ascii,
 )
 from tenseprove.generate import corpus
+from tenseprove.kernel import is_instance
 from tenseprove.metatheory import (
     CutMonitor,
     Derivation,
@@ -431,9 +432,10 @@ def test_cut_corpus_pinned():
 
 @lru_cache(maxsize=None)
 def _cut_calls():
-    """Every (cl, cr, pos, a, target) of cut's _cut_target and every target
-    its _close_terminal closes, over two corpora of KT cuts.  The first is
-    cut(d, d, a) with d = generalised_init(a => a) on all 100 formulas of
+    """Every (cl, cr, pos, a, target) of the targets cut builds through
+    merge's loop and every target its _close_terminal closes, over two
+    corpora of KT cuts.  The first is cut(d, d, a) with d =
+    generalised_init(a => a) on all 100 formulas of
     corpus(1270, 100, max_size=8, max_degree=2).  The second starts from two
     tagged components, (r => q) then (a => a) or (a, p => a, p), over either
     link, on the first 40 of those formulas: its cuts meet sequents of
@@ -441,7 +443,7 @@ def _cut_calls():
     that differ between the two sides, and terminal targets whose last
     component closes by neither axiom."""
     targets, terminals = [], []
-    cut_target, close_terminal = metatheory._cut_target, metatheory._close_terminal
+    cut_target, close_terminal = metatheory._merge, metatheory._close_terminal
 
     def record_target(cl, cr, pos, a):
         t = cut_target(cl, cr, pos, a)
@@ -453,7 +455,7 @@ def _cut_calls():
         return close_terminal(target, fallbacks)
 
     formulas = corpus(1270, 100, max_size=8, max_degree=2)
-    metatheory._cut_target, metatheory._close_terminal = record_target, record_terminal
+    metatheory._merge, metatheory._close_terminal = record_target, record_terminal
     try:
         for a in formulas:
             d = generalised_init(single([a], [a]), a)
@@ -468,7 +470,7 @@ def _cut_calls():
                 cut(d1, d2, a)
                 cut(d2, d1, a)
     finally:
-        metatheory._cut_target, metatheory._close_terminal = cut_target, close_terminal
+        metatheory._merge, metatheory._close_terminal = cut_target, close_terminal
     return targets, terminals
 
 
@@ -488,14 +490,15 @@ def test_cut_target_is_the_merge_less_the_cut_occurrences():
 
 
 def _first_axiom(target):
-    """(rule, principal, prefix length) of the first instance that
-    calculus.instance finds: prefixes from the longest, botL before id."""
+    """(rule, principal, prefix length) of the first axiom instance the
+    kernel accepts: prefixes from the longest, botL before id, principals
+    in sort_key order."""
     for k in range(target.length, 0, -1):
         s = target.prefix(k)
         for rule in (RuleId.BOT_L, RuleId.ID):
-            inst = instance(s, rule)
-            if inst is not None:
-                return rule, inst.principal, k
+            for f in s.last.ant.distinct():
+                if is_instance(s, rule, f, (), KT):
+                    return rule, f, k
     return None
 
 
@@ -597,18 +600,102 @@ def _replay_failure(data):
     return e.value.result
 
 
+def _rejection(data, v=KT):
+    """What `tenseprove check` reports on data under v: the failure of its
+    replay, else the checker's result on the replayed derivation."""
+    try:
+        d = derivation_from_json(data)
+    except InvalidDerivation as e:
+        return e.result
+    return check(d, v)
+
+
 def test_replay_rejects_a_node_without_its_instance():
+    # Replay judges no node, so the checker rejects the first two.
     data = _mp_certificate()
     data["nodes"][2]["principal"] = "q -> p"  # absent from the conclusion
-    res = _replay_failure(data)
-    assert not res and res.path == (0, 0) and "no instance of impL on q -> p" in res.message
+    derivation_from_json(data)
+    res = _rejection(data)
+    assert not res and res.path == (0, 0) and "invalid impL on q -> p" in res.message
     data = _mp_certificate()
     data["nodes"][0]["principal"], data["nodes"][1]["principal"] = "p", "q"
-    assert _replay_failure(data).path == (0, 0, 1)  # the higher index replays first
+    assert _rejection(data).path == (0, 0, 1)  # the last premiss is checked first
     data = _mp_certificate()
     data["nodes"][2]["premisses"] = [0]
     res = _replay_failure(data)
     assert res.path == (0, 0) and "2 premisses of impL" in res.message
+    data = _mp_certificate()
+    data["nodes"][2]["principal"] = "[F]p"  # another connective
+    res = _replay_failure(data)
+    assert res.path == (0, 0) and "cannot build the premisses of impL on [F]p" in res.message
+
+
+def _tree_paths(data):
+    """The premiss path of each node of a certificate whose nodes form a
+    tree, by node index."""
+    nodes = data["nodes"]
+    paths = {len(nodes) - 1: ()}
+    for i in range(len(nodes) - 1, -1, -1):
+        for k, j in enumerate(nodes[i]["premisses"]):
+            assert j not in paths, "a shared node"
+            paths[j] = paths[i] + (k,)
+    return paths
+
+
+def _misplacement_certificates(rule):
+    """Certificates with nodes of `rule`, whose conclusions hold formulas
+    of every kind away from where the rules take their principals:
+    generalised_init on (context) link (a, r => a, p) with a = q -> B B p,
+    for each box B over the link its two-premiss right rule acts across,
+    and for ew a derivation search assembles under KT."""
+    if rule is RuleId.EW:
+        return [derivation_to_json(prove("[F](p -> [P]q) -> [F]p -> [F][P]q", KT).derivation)]
+    context = component([q, Implies(q, r), Box(q), BlackBox(q)],
+                        [r, Implies(r, q), Box(r), BlackBox(r)])
+    out = []
+    for box, link in ((Box, BWD), (BlackBox, FWD)):
+        a = Implies(q, box(box(p)))
+        last = component([a, r], [a, p])
+        out.append(derivation_to_json(generalised_init(seq(context, link, last), a)))
+    return out
+
+
+@pytest.mark.parametrize("rule", [
+    RuleId.ID, RuleId.IMP_L, RuleId.BOX_L2, RuleId.BBOX_L2,  # the last antecedent
+    RuleId.IMP_R, RuleId.BOX_R2, RuleId.BBOX_R2, RuleId.BOX_R1, RuleId.BBOX_R1,  # last succedent
+    RuleId.BOX_L1, RuleId.BBOX_L1,  # the second-last antecedent
+    RuleId.EW,  # no principal at all
+], ids=lambda rule: rule.value)
+def test_a_misplaced_principal_is_rejected_at_its_node(rule):
+    """Each node of `rule`, given in turn each formula of its conclusion of
+    the principal's kind that is not where the rule takes it (for ew, any
+    formula), is rejected by replay or by the checker with its own premiss
+    path."""
+    tried = 0
+    for data in _misplacement_certificates(rule):
+        assert _rejection(data)
+        paths = _tree_paths(data)
+        root = derivation_from_json(data)
+        for i, entry in enumerate(data["nodes"]):
+            if entry["rule"] != rule.value:
+                continue
+            node = root
+            for k in paths[i]:
+                node = node.premisses[k]
+            c = node.conclusion
+            held = {f for comp in c.components
+                    for ms in (comp.ant, comp.succ) for f in ms.members()}
+            if rule is not RuleId.EW:
+                place = principal_place(rule, c)
+                held = {f for f in held if type(f) is type(node.principal)
+                        and not (f in place and (rule is not RuleId.ID or f in c.last.succ))}
+            for f in held:
+                tampered = json.loads(json.dumps(data))
+                tampered["nodes"][i]["principal"] = print_ascii(f)
+                res = _rejection(tampered)
+                assert not res and res.path == paths[i], (rule, print_ascii(f), res)
+                tried += 1
+    assert tried >= 2, tried
 
 
 def test_replay_rejects_a_shared_node_with_two_conclusions():

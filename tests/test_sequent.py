@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from conftest import fails_fast_on_recursion, small_sequents
-from tenseprove.calculus import RuleId, RuleInstance
+from tenseprove.calculus import RuleId
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, sort_key
 from tenseprove.metatheory import Derivation
 from tenseprove.semantics import KripkeModel, forces
@@ -235,7 +235,6 @@ def _values():
     values = [
         (c, ("ant", "succ", "tag", "restarts")),
         (s2, ("components", "links")),
-        (RuleInstance(RuleId.IMP_R, imp, (leaf.conclusion,)), ("rule", "principal", "premisses")),
         (Derivation(single([], [imp]), RuleId.IMP_R, imp, (leaf,)),
          ("conclusion", "rule", "principal", "premisses", "height")),
     ]
