@@ -44,7 +44,7 @@ from __future__ import annotations
 from .formula import (
     Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, subformulas)
 from .kernel import CalculusVariant, RuleId
-from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag
+from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag, slot_setters
 
 
 RESTART_RULES = frozenset((RuleId.BOX_L2, RuleId.BBOX_L2, RuleId.KB_BOX_L2))
@@ -69,6 +69,12 @@ def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
 
 # botL's one principal, interned for as long as this module is loaded.
 _BOTTOM = Bottom()
+
+# The builders make their components past the class call (see sequent);
+# a right box rule opens its component from this empty antecedent.
+_new = object.__new__
+_set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
+_NOTHING = Multiset()
 
 # The masks of one side of a component, in this order: its members, the
 # implications whose left part is a member, those whose right part is a
@@ -226,9 +232,13 @@ def _axiom(s, f, tags):
 
 
 def _imp_r_premisses(s, f, tags):
-    last = s.last
-    return (s.replace_component(s.length - 1, Component(
-        last.ant.add(f.left), last.succ.add(f.right), last.tag, last.restarts)),)
+    last = s.components[-1]
+    c = _new(Component)
+    _set_ant(c, last.ant.add(f.left))
+    _set_succ(c, last.succ.add(f.right))
+    _set_tag(c, last.tag)
+    _set_restarts(c, last.restarts)
+    return (s.replace_component(-1, c),)
 
 
 def _imp_r_masks(k, masks, f):
@@ -237,9 +247,9 @@ def _imp_r_masks(k, masks, f):
 
 
 def _imp_l_premisses(s, f, tags):
-    last = s.last
-    return (s.replace_component(s.length - 1, last.with_ant(f.right)),
-            s.replace_component(s.length - 1, last.with_succ(f.left)))
+    last = s.components[-1]
+    return (s.replace_component(-1, last.with_ant(f.right)),
+            s.replace_component(-1, last.with_succ(f.left)))
 
 
 def _imp_l_masks(k, masks, f):
@@ -252,7 +262,7 @@ def _propagation(rule: RuleId, kind, link: Polarity) -> Rule:
     last link of polarity `link` into the last antecedent."""
 
     def premisses(s, f, tags):
-        return (s.replace_component(s.length - 1, s.last.with_ant(f.body)),)
+        return (s.replace_component(-1, s.components[-1].with_ant(f.body)),)
 
     def grow(k, masks, f):
         (ant, succ), before = masks
@@ -267,10 +277,13 @@ def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
 
     def premisses(s, f, tags):
         shorter = s.drop_last()
-        second = shorter.last
-        absorber = Component(second.ant.add(f.body), second.succ, second.tag,
-                             second.restarts + 1)
-        return (shorter.replace_component(s.length - 2, absorber),)
+        second = shorter.components[-1]
+        absorber = _new(Component)
+        _set_ant(absorber, second.ant.add(f.body))
+        _set_succ(absorber, second.succ)
+        _set_tag(absorber, second.tag)
+        _set_restarts(absorber, second.restarts + 1)
+        return (shorter.replace_component(-1, absorber),)
 
     def grow(k, masks, f):
         (ant, succ), before = masks[1]
@@ -293,9 +306,12 @@ def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
     def premisses(s, f, tags):
         left = ()
         if two_premiss:
-            second = s.components[-2]
-            left = (s.replace_component(s.length - 2, second.with_succ(f.body)),)
-        opened = Component(Multiset(), Multiset((f.body,)), tag=tags())
+            left = (s.replace_component(-2, s.components[-2].with_succ(f.body)),)
+        opened = _new(Component)
+        _set_ant(opened, _NOTHING)
+        _set_succ(opened, _NOTHING.add(f.body))
+        _set_tag(opened, tags())
+        _set_restarts(opened, 0)
         return left + (s.extend(link, opened),)
 
     def grow(k, masks, f):

@@ -73,8 +73,10 @@ class Derivation(ReadOnly):
 
     Like the sequents and rule instances, a node is a read-only slotted
     value: search and the transforms build several per step, and building
-    them is a large share of each step.  `height` is computed here;
-    equality and hash leave it out."""
+    them is a large share of each step.  `height` is computed here from the
+    premisses' heights; search builds its nodes past this constructor and
+    writes a height it read off the premisses it just derived (see
+    `prover._Search`).  Equality and hash leave `height` out."""
 
     __slots__ = ("conclusion", "rule", "principal", "premisses", "height")
     _fields = __slots__[:4]
@@ -145,9 +147,30 @@ def _node_text(rule: RuleId, principal: Formula | None) -> str:
 def check(d: Derivation, v: CalculusVariant) -> CheckResult:
     """Validate every node against the rules of the given variant, in the
     kernel, which compares the node's premisses with its conclusion; a node
-    shared by several premisses is validated once.  Each stacked node keeps
-    a link (premiss position, parent's link) to the node that reached it,
-    so the premiss path is built only for a node that fails."""
+    shared by several premisses is validated once, where the walk first
+    pops it.  The walk stacks nodes only; the premiss path of a node that
+    fails is found by `_path_to`, which walks again in the same order."""
+    stack = [d]
+    seen: set[int] = set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        prems = node.premisses
+        if not is_instance(node.conclusion, node.rule, node.principal,
+                           [p.conclusion for p in prems], v):
+            return CheckResult(False, _path_to(d, node),
+                               f"invalid {_node_text(node.rule, node.principal)} "
+                               f"at {node.conclusion.render()}")
+        stack.extend(prems)
+    return CheckResult(True)
+
+
+def _path_to(d: Derivation, target: Derivation) -> tuple[int, ...]:
+    """The premiss path by which check's walk over d first pops target.
+    Each stacked node keeps a link (premiss position, parent's link) to the
+    node that reached it, and only target's path is built from them."""
     stack: list[tuple[Derivation, tuple | None]] = [(d, None)]
     seen: set[int] = set()
     while stack:
@@ -155,19 +178,15 @@ def check(d: Derivation, v: CalculusVariant) -> CheckResult:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        prems = node.premisses
-        if not is_instance(node.conclusion, node.rule, node.principal,
-                           [p.conclusion for p in prems], v):
-            path = []
-            while link is not None:
-                i, link = link
-                path.append(i)
-            return CheckResult(False, tuple(reversed(path)),
-                               f"invalid {_node_text(node.rule, node.principal)} "
-                               f"at {node.conclusion.render()}")
-        for i, p in enumerate(prems):
+        if node is target:
+            break
+        for i, p in enumerate(node.premisses):
             stack.append((p, (i, link)))
-    return CheckResult(True)
+    path = []
+    while link is not None:
+        i, link = link
+        path.append(i)
+    return tuple(reversed(path))
 
 
 # The rules of KB and of KT* that the full calculus KT does not have.

@@ -113,6 +113,34 @@ class PrunedNode(ReadOnly):
 
 
 _set_sequent, _set_rule, _set_kind, _set_children = slot_setters(PrunedNode)
+(_set_conclusion, _set_derived_rule, _set_principal, _set_premisses,
+ _set_height) = slot_setters(Derivation)
+_new = object.__new__
+_monotonic = time.monotonic
+
+
+def _derivation(s: LinearNestedSequent, rule: RuleId, f: Formula | None,
+                premisses: tuple[Derivation, ...], height: int) -> Derivation:
+    """Derivation(s, rule, f, premisses) past the class call, for a builder
+    that knows its height."""
+    d = _new(Derivation)
+    _set_conclusion(d, s)
+    _set_derived_rule(d, rule)
+    _set_principal(d, f)
+    _set_premisses(d, premisses)
+    _set_height(d, height)
+    return d
+
+
+def _pruned(s: LinearNestedSequent, rule: RuleId | None, kind: str,
+            children: tuple[PrunedNode, ...]) -> PrunedNode:
+    """PrunedNode(s, rule, kind, children) past the class call."""
+    node = _new(PrunedNode)
+    _set_sequent(node, s)
+    _set_rule(node, rule)
+    _set_kind(node, kind)
+    _set_children(node, children)
+    return node
 
 
 class PrunedView(PrunedNode):
@@ -172,11 +200,17 @@ SearchOutcome = Valid | Invalid | ResourceLimit
 
 
 class _Search:
+    """One search from an end sequent.  Each step builds its premisses
+    through the rule table, and its Derivation or PrunedNode through
+    `_derivation` and `_pruned`, which write the slots past the class call;
+    a derivation's height is read off its premisses as they return.  Every
+    expanded node counts against the budget, whose clock it reads."""
+
     def __init__(self, variant: CalculusVariant, budget: Budget, end: LinearNestedSequent):
         self.variant = variant
-        self.budget = budget
+        self.max_nodes = budget.max_nodes
         self.stats = Statistics()
-        self.deadline = time.monotonic() + budget.max_ms / 1000.0
+        self.deadline = _monotonic() + budget.max_ms / 1000.0
         self.tags = itertools.count(end.length)  # end is retagged 0, 1, ...
         self.closure = calculus.start(end, variant)
         # Each restart adds to its absorber's antecedent a subformula of the
@@ -187,47 +221,49 @@ class _Search:
         self.restarted: dict[LinearNestedSequent, tuple[
             Derivation | Failure, LinearNestedSequent, int, int, int]] = {}
 
-    def tick(self, s: LinearNestedSequent):
-        st = self.stats
-        st.nodes += 1
-        st.expanded += 1
-        if s.length > st.max_length:
-            st.max_length = s.length
-        if st.expanded > self.budget.max_nodes or time.monotonic() > self.deadline:
-            raise BudgetExhausted(st)
-
     def fresh(self) -> int:
         return next(self.tags)
 
     def expand(self, s: LinearNestedSequent, masks: tuple) -> Derivation | Failure:
         """Search from s, whose components have these masks over the end
         sequent's closure (see calculus)."""
-        self.tick(s)
+        st = self.stats
+        st.nodes += 1
+        st.expanded += 1
+        n = len(s.components)
+        if n > st.max_length:
+            st.max_length = n
+        if st.expanded > self.max_nodes or _monotonic() > self.deadline:
+            raise BudgetExhausted(st)
         step = calculus.scan(self.closure, self.variant, s, masks)
         if step is not None:
             e, f = step
-            if e.rule in _AXIOMS:
-                return Derivation(s, e.rule, f)
+            rule = e.rule
+            if rule in _AXIOMS:
+                return _derivation(s, rule, f, (), 0)
             prems = e.premisses(s, f, self.fresh)
-            if e.rule in RESTART_RULES:
-                self.stats.restarts += 1
-                if prems[0].last.restarts > self.restart_bound:
+            if rule in RESTART_RULES:
+                st.restarts += 1
+                if prems[0].components[-1].restarts > self.restart_bound:
                     raise SearchInvariantError("restart count exceeded the subformula bound")
                 out = self.expand_restarted(prems[0], e, f, masks)
                 if not isinstance(out, tuple):
-                    return Derivation(s, e.rule, f, (out,))
+                    return _derivation(s, rule, f, (out,), out.height + 1)
                 child, collapsing = out
-                if collapsing and child.sequent.length < s.length - 1:
+                if collapsing and len(child.sequent.components) < n - 1:
                     return out
-                return PrunedNode(s.prefix(s.length - 1), e.rule, "step", (child,)), True
+                return _pruned(s.prefix(n - 1), rule, "step", (child,)), True
             # impR, impL or propagation: each premiss only grows the last component.
             derived = []
+            height = 0
             for p, m in zip(prems, e.grow(self.closure, masks, f)):
                 out = self.expand(p, m)
                 if isinstance(out, tuple):
-                    return _failed_step(s, e.rule, out)
+                    return _failed_step(s, rule, out)
                 derived.append(out)
-            return Derivation(s, e.rule, f, tuple(derived))
+                if out.height > height:
+                    height = out.height
+            return _derivation(s, rule, f, tuple(derived), height + 1)
         explored = []
         for e, f in calculus.box_choices(self.closure, self.variant, s, masks):
             out = self.expand_box(s, e, f, masks)
@@ -235,7 +271,7 @@ class _Search:
                 return out
             explored.append(out)
         if not explored:
-            return PrunedNode(s, None, "leaf"), False
+            return _pruned(s, None, "leaf", ()), False
         if any(out is None for out in explored):
             raise SearchInvariantError(
                 "left premiss of a two-premiss box rule could not be derived")
@@ -245,7 +281,7 @@ class _Search:
         if collapsed:
             best = min(collapsed, key=lambda child: child.sequent.length)
             return best, best.sequent.length < s.length
-        return PrunedNode(s, None, "and", tuple([child for child, _ in explored])), False
+        return _pruned(s, None, "and", tuple([child for child, _ in explored])), False
 
     def expand_restarted(self, p: LinearNestedSequent, e: calculus.Rule, f: Formula,
                          masks: tuple) -> Derivation | Failure:
@@ -294,11 +330,11 @@ class _Search:
         if isinstance(out, tuple):
             return _failed_step(s, e.rule, out)
         if e.rule not in TWO_PREMISS_BOX_RULES:
-            return Derivation(s, e.rule, f, (out,))
+            return _derivation(s, e.rule, f, (out,), out.height + 1)
         left = self.derive_left(prems[0], grown[0])
         if left is None:
             return None
-        return Derivation(s, e.rule, f, (left, out))
+        return _derivation(s, e.rule, f, (left, out), max(left.height, out.height) + 1)
 
     def derive_left(self, left: LinearNestedSequent, masks: tuple) -> Derivation | None:
         """Derivation of the left premiss of boxR1/bboxR1, whose components
@@ -311,7 +347,7 @@ class _Search:
         """
         prefix = self.expand(left.drop_last(), masks[1])
         if not isinstance(prefix, tuple):
-            return Derivation(left, _EW, None, (prefix,))
+            return _derivation(left, _EW, None, (prefix,), prefix.height + 1)
         tree = self.expand(left, masks)
         return None if isinstance(tree, tuple) else tree
 
@@ -322,7 +358,7 @@ def _failed_step(s: LinearNestedSequent, rule: RuleId, premiss: Failure) -> Fail
     child, collapsing = premiss
     if collapsing:
         return premiss
-    return PrunedNode(s, rule, "step", (child,)), False
+    return _pruned(s, rule, "step", (child,)), False
 
 
 def derivation_from(tree: Derivation | PrunedNode, v: CalculusVariant) -> Derivation:

@@ -1,4 +1,12 @@
-"""Components, linear nested sequents, the formula translation, and merge."""
+"""Components, linear nested sequents, the formula translation, and merge.
+
+The values a search step builds (a premiss, the component it changes and
+that component's multiset) come from the edits here and from the builders
+in `calculus`, through `object.__new__` and the slot setters, as
+`formula` builds its nodes: a class call would cost an `__init__` frame
+entered from C.  The constructors still check a sequent's shape, so a
+value built outside search is checked as before.
+"""
 
 from __future__ import annotations
 
@@ -18,6 +26,9 @@ from .formula import (
     sort_key,
     top,
 )
+
+
+_new = object.__new__
 
 
 class MergeUndefined(Exception):
@@ -44,9 +55,12 @@ class Multiset:
         return m
 
     def add(self, f: Formula) -> Multiset:
-        counts = dict(self._counts)
+        counts = self._counts.copy()
         counts[f] = counts.get(f, 0) + 1
-        return Multiset._raw(counts)
+        m = _new(Multiset)
+        m._counts = counts
+        m._hash = None
+        return m
 
     def remove_one(self, f: Formula) -> Multiset:
         """One copy fewer of f; raises KeyError if f is absent."""
@@ -154,10 +168,11 @@ def fresh_tag() -> int:
 
 class ReadOnly:
     """Base of the slotted value types built at every search, replay and
-    transform step: `__init__` writes each field once through its slot's
-    setter (see `slot_setters`), and the fields are read-only after that,
-    as in a frozen dataclass.  `_fields` are the constructor's arguments in
-    order; `repr` shows every slot, in the dataclass form."""
+    transform step: `__init__`, or a builder on a hot path that starts from
+    `object.__new__`, writes each field once through its slot's setter (see
+    `slot_setters`), and the fields are read-only after that, as in a
+    frozen dataclass.  `_fields` are the constructor's arguments in order;
+    `repr` shows every slot, in the dataclass form."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -204,10 +219,20 @@ class Component(ReadOnly):
         return hash((self.ant, self.succ))
 
     def with_ant(self, f: Formula) -> Component:
-        return Component(self.ant.add(f), self.succ, self.tag, self.restarts)
+        c = _new(Component)
+        _set_ant(c, self.ant.add(f))
+        _set_succ(c, self.succ)
+        _set_tag(c, self.tag)
+        _set_restarts(c, self.restarts)
+        return c
 
     def with_succ(self, f: Formula) -> Component:
-        return Component(self.ant, self.succ.add(f), self.tag, self.restarts)
+        c = _new(Component)
+        _set_ant(c, self.ant)
+        _set_succ(c, self.succ.add(f))
+        _set_tag(c, self.tag)
+        _set_restarts(c, self.restarts)
+        return c
 
     def render(self) -> str:
         left = ", ".join(map(print_ascii, self.ant.distinct()))
@@ -253,15 +278,26 @@ class LinearNestedSequent(ReadOnly):
         return self.components[-1]
 
     def replace_component(self, i: int, c: Component) -> LinearNestedSequent:
-        comps = list(self.components)
-        comps[i] = c
-        return LinearNestedSequent(tuple(comps), self.links)
+        """This sequent with component i, counted from the end when
+        negative, replaced by c; raises IndexError when there is none."""
+        comps = self.components
+        n = len(comps)
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError(f"component index {i} out of range for length {n}")
+        s = _new(LinearNestedSequent)
+        _set_components(s, comps[:j] + (c,) + comps[j + 1:])
+        _set_links(s, self.links)
+        return s
 
     def drop_last(self) -> LinearNestedSequent:
         return LinearNestedSequent(self.components[:-1], self.links[:-1])
 
     def extend(self, link: Polarity, c: Component) -> LinearNestedSequent:
-        return LinearNestedSequent(self.components + (c,), self.links + (link,))
+        s = _new(LinearNestedSequent)
+        _set_components(s, self.components + (c,))
+        _set_links(s, self.links + (link,))
+        return s
 
     def prefix(self, k: int) -> LinearNestedSequent:
         return LinearNestedSequent(self.components[:k], self.links[: k - 1])

@@ -106,6 +106,24 @@ def test_check_reports_the_path_of_a_deep_failure():
     assert not res and res.path == (0, 0, 1) and "invalid botL" in res.message
 
 
+def test_check_reports_a_shared_node_by_the_path_it_is_first_popped_on():
+    # A bboxR1 node whose left premiss x is also reached through its right
+    # premiss: ew, ew, impL's second premiss, boxR2.  The walk pops the
+    # right premiss first, so it first pops x five levels down, not as the
+    # root's premiss 0, where it was first pushed.
+    a_to_a, box = Implies(p, p), Box(BlackBox(p))
+    s = seq(component([a_to_a], [box]), FWD, component([], [BlackBox(p)]))
+    x = Derivation(seq(component([a_to_a], [box, p]), FWD, component([], [BlackBox(p)])),
+                   RuleId.ID, p)
+    grown = Derivation(single([a_to_a], [box, p]), RuleId.BOX_R2, box, (x,))
+    closed = Derivation(single([a_to_a, p], [box]), RuleId.ID, p)
+    imp_l = Derivation(single([a_to_a], [box]), RuleId.IMP_L, a_to_a, (closed, grown))
+    right = Derivation(s, RuleId.EW, None, (imp_l,))
+    right = Derivation(s.extend(BWD, component([], [p])), RuleId.EW, None, (right,))
+    res = check(Derivation(s, RuleId.BBOX_R1, BlackBox(p), (x, right)), KT)
+    assert not res and res.path == (1, 0, 0, 1, 0) and "invalid id on p" in res.message
+
+
 def test_height_definition():
     leaf = id_node([p], [p])
     assert leaf.height == 0

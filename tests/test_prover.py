@@ -542,6 +542,39 @@ def test_restart_sharing_keeps_verdicts_counts_and_certificates():
         assert got == (verdict, nodes, restarts, max_length, digest), (family, n, v)
 
 
+def test_search_heights_equal_the_heights_recomputed_bottom_up():
+    # Search writes each node's height from the premisses it just derived;
+    # cut elimination's CutMonitor reads them.  The slices include impL,
+    # boxR1 and bboxR1 nodes whose first premiss is the taller one.
+    formulas = ([_FAMILIES["chain"](n) for n in range(1, 9)] + corpus(555, 80)
+                + corpus(4242, 120)
+                + corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6))
+    taller_first = set()
+    for f in formulas:
+        for v in (KT, KTS, KB):
+            try:
+                out = prove(f, v)
+            except SearchInvariantError:
+                assert v is KT  # a known KT crash (item 1)
+                continue
+            if not isinstance(out, Valid):
+                continue
+            heights: dict[int, int] = {}
+            stack = [out.derivation]
+            while stack:
+                d = stack[-1]
+                todo = [p for p in d.premisses if id(p) not in heights]
+                if todo:
+                    stack.extend(todo)
+                    continue
+                stack.pop()
+                heights[id(d)] = max([heights[id(p)] + 1 for p in d.premisses], default=0)
+                assert d.height == heights[id(d)], (f, v, d.rule)
+                if len(d.premisses) == 2 and d.premisses[0].height > d.premisses[1].height:
+                    taller_first.add(d.rule)
+    assert {RuleId.IMP_L, RuleId.BOX_R1, RuleId.BBOX_R1} <= taller_first
+
+
 def test_budget_stop_inside_a_restart_subtree_reports_the_whole_search():
     text = "p -> " + "[F]<P>" * 3 + "q"
     for n in range(2, 29):
