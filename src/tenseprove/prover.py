@@ -6,17 +6,21 @@ A search numbers the end sequent's subformulas once and carries, beside
 each node's components, their masks over that numbering: each rule's side
 condition is a few bit operations on them, and a premiss's masks are its
 conclusion's with the added formulas ORed in (see calculus).
-Search builds its output as it returns from each subtree: a closed subtree
-as a Derivation, a failed one as its pruned tree, in which a failed step
-keeps only its failed premiss and only the final incarnation of each
-restarted component survives.  Search is a function of the sequent's
-contents, and different box-choice orders restart into equal premisses, so
-each search explores a restart premiss once and shares its result at every
-later occurrence: a derivation as it is, a pruned tree through a view that
-renames its tags.  The saturated leaves of a failed search's pruned tree are
-glued into a Kripke countermodel, reading each leaf's tags through the views
-above it.  Both kinds of output are re-verified before they are reported:
-derivations against the checker, models against the forcing relation.
+Search runs as one loop over an explicit stack of continuation frames, one
+per pending step: it takes no Python frame per level of its tree, so a deep
+derivation needs no raised recursion limit, and its time does not depend
+on the caller's stack depth.  It builds its output as it returns from each
+subtree: a closed subtree as a Derivation, a failed one as its pruned tree,
+in which a failed step keeps only its failed premiss and only the final
+incarnation of each restarted component survives.  Search is a function of
+the sequent's contents, and different box-choice orders restart into equal
+premisses, so each search explores a restart premiss once and shares its
+result at every later occurrence: a derivation as it is, a pruned tree
+through a view that renames its tags.  The saturated leaves of a failed
+search's pruned tree are glued into a Kripke countermodel, reading each
+leaf's tags through the views above it.  Both kinds of output are
+re-verified before they are reported: derivations against the checker,
+models against the forcing relation.
 """
 
 from __future__ import annotations
@@ -41,7 +45,10 @@ from .semantics import KripkeModel
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_setters
 
 
-# search depth tracks derivation height, which can exceed the interpreter default
+# Search runs on an explicit stack and needs no Python frame per level, but
+# these walkers still take one per level of a formula or a derivation:
+# formula's desugar, collapse_backward and _render, and metatheory's
+# to_ktstar, cut's _shift, _gen_init and _edit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 
@@ -199,12 +206,32 @@ class ResourceLimit:
 SearchOutcome = Valid | Invalid | ResourceLimit
 
 
+# The continuation frames of a search: each waits on the stack for the
+# result of the premiss searched above it, as a tuple led by its kind.  The
+# first four are steps at s by rule, which a failed premiss fails.
+#   (_STEP, s, rule, f)                 a one-premiss step (impR, propagation)
+#   (_IMP_L, s, rule, f, second, m)     impL, waiting for its first premiss
+#   (_JOIN, s, rule, f, first)          impL, waiting for its second premiss
+#   (_OPENED, s, rule, f, left, m)      a box choice, waiting for the
+#       premiss it opens; left is boxR1/bboxR1's left premiss, m its masks
+#   (_PREFIX, s, rule, f, left, m, opened)  then for left's prefix
+#   (_LEFT, s, rule, f, opened)         then for left itself
+#   (_CHOICES, s, m, choices, explored) an and-node over the box choices
+#   (_RESTART, s, rule, f, p, nodes, restarts, max_length)
+#       a restart, waiting for its premiss p, with the totals before p;
+#       p is None when the result came from the restart table
+_STEP, _IMP_L, _JOIN, _OPENED, _PREFIX, _LEFT, _CHOICES, _RESTART = range(8)
+
+
 class _Search:
-    """One search from an end sequent.  Each step builds its premisses
-    through the rule table, and its Derivation or PrunedNode through
-    `_derivation` and `_pruned`, which write the slots past the class call;
-    a derivation's height is read off its premisses as they return.  Every
-    expanded node counts against the budget, whose clock it reads."""
+    """One search from an end sequent, run by `run` as one loop over an
+    explicit stack of continuation frames (above): a search takes no
+    Python frame per level, so its time does not depend on the caller's
+    stack depth.  Each step builds its premisses through the rule table,
+    and its Derivation or PrunedNode through `_derivation` and `_pruned`,
+    which write the slots past the class call; a derivation's height is
+    read off its premisses as they return.  Every expanded node counts
+    against the budget, whose clock it reads."""
 
     def __init__(self, variant: CalculusVariant, budget: Budget, end: LinearNestedSequent):
         self.variant = variant
@@ -221,144 +248,191 @@ class _Search:
         self.restarted: dict[LinearNestedSequent, tuple[
             Derivation | Failure, LinearNestedSequent, int, int, int]] = {}
 
-    def fresh(self) -> int:
-        return next(self.tags)
-
-    def expand(self, s: LinearNestedSequent, masks: tuple) -> Derivation | Failure:
+    def run(self, s: LinearNestedSequent, masks: tuple) -> Derivation | Failure:
         """Search from s, whose components have these masks over the end
-        sequent's closure (see calculus)."""
-        st = self.stats
-        st.nodes += 1
-        st.expanded += 1
-        n = len(s.components)
-        if n > st.max_length:
-            st.max_length = n
-        if st.expanded > self.max_nodes or _monotonic() > self.deadline:
-            raise BudgetExhausted(st)
-        step = calculus.scan(self.closure, self.variant, s, masks)
-        if step is not None:
-            e, f = step
-            rule = e.rule
-            if rule in _AXIOMS:
-                return _derivation(s, rule, f, (), 0)
-            prems = e.premisses(s, f, self.fresh)
-            if rule in RESTART_RULES:
-                st.restarts += 1
-                if prems[0].components[-1].restarts > self.restart_bound:
-                    raise SearchInvariantError("restart count exceeded the subformula bound")
-                out = self.expand_restarted(prems[0], e, f, masks)
-                if not isinstance(out, tuple):
-                    return _derivation(s, rule, f, (out,), out.height + 1)
-                child, collapsing = out
-                if collapsing and len(child.sequent.components) < n - 1:
-                    return out
-                return _pruned(s.prefix(n - 1), rule, "step", (child,)), True
-            # impR, impL or propagation: each premiss only grows the last component.
-            derived = []
-            height = 0
-            for p, m in zip(prems, e.grow(self.closure, masks, f)):
-                out = self.expand(p, m)
-                if isinstance(out, tuple):
-                    return _failed_step(s, rule, out)
-                derived.append(out)
-                if out.height > height:
-                    height = out.height
-            return _derivation(s, rule, f, tuple(derived), height + 1)
-        explored = []
-        for e, f in calculus.box_choices(self.closure, self.variant, s, masks):
-            out = self.expand_box(s, e, f, masks)
-            if out is not None and not isinstance(out, tuple):
-                return out
-            explored.append(out)
-        if not explored:
-            return _pruned(s, None, "leaf", ()), False
-        if any(out is None for out in explored):
-            raise SearchInvariantError(
-                "left premiss of a two-premiss box rule could not be derived")
-        # A choice that collapsed is kept alone: the restarted
-        # re-exploration subsumes the longer siblings.
-        collapsed = [child for child, collapsing in explored if collapsing]
-        if collapsed:
-            best = min(collapsed, key=lambda child: child.sequent.length)
-            return best, best.sequent.length < s.length
-        return _pruned(s, None, "and", tuple([child for child, _ in explored])), False
+        sequent's closure (see calculus).
 
-    def expand_restarted(self, p: LinearNestedSequent, e: calculus.Rule, f: Formula,
-                         masks: tuple) -> Derivation | Failure:
-        """The result of p, the premiss of the restart step (e, f) at a node
-        with these masks, explored once per search.
+        Each pass of the outer loop expands one node: a step with premisses
+        pushes the frame that waits for the first and goes on from it; a
+        node that ends (an axiom, a saturated leaf, a table hit) hands its
+        result `out` down the stack, each frame making its own result from
+        it, until a frame has another premiss to search.  An and-node's
+        frame is pushed as its first box choice starts, at the top of the
+        loop, and each later choice starts there too.
 
-        Sequent equality ignores tags, so an equal premiss seen before
-        answers: a derivation is shared as it is, a pruned tree through a
-        view that reads it with p's tags, so models and counts are those of
-        a search that explores every premiss anew.  Either way the
-        statistics grow by the stored subtree's totals.
+        A restart premiss is explored once per search.  Sequent equality
+        ignores tags, so an equal premiss seen before answers: a derivation
+        is shared as it is, a pruned tree through a view that reads it with
+        the new premiss's tags, so models and counts are those of a search
+        that explores every premiss anew.  A box choice whose opened
+        premiss closes derives boxR1/bboxR1's left premiss by ew when the
+        conclusion's prefix is provable on its own, and otherwise searches
+        the premiss itself (its box instance is fulfilled, so this
+        terminates); a left premiss that fails leaves the choice stuck.
         """
         st = self.stats
-        seen = self.restarted.get(p)
-        if seen is not None:
-            out, first, nodes, restarts, length = seen
-            st.cache_hits += 1
-            st.nodes += nodes
-            st.restarts += restarts
-            st.max_length = max(st.max_length, length)
-            if not isinstance(out, tuple):
+        k, v, restarted, bound = self.closure, self.variant, self.restarted, self.restart_bound
+        max_nodes, deadline, fresh = self.max_nodes, self.deadline, self.tags.__next__
+        scan, box_choices = calculus.scan, calculus.box_choices
+        nodes, expanded, restarts, max_length = st.nodes, st.expanded, st.restarts, st.max_length
+        stack = []
+        choice = None  # a box choice of the and-node `frame` to start
+        while True:
+            if choice is not None:
+                e, f = choice
+                choice = None
+                s, m = frame[1], frame[2]
+                prems = e.premisses(s, f, fresh)
+                # The opened component holds only the body, whose modal degree
+                # is below that of f, a formula of the conclusion's last component.
+                opened = prems[-1].last
+                if (opened.ant or not opened.succ.is_plus(_NOTHING, f.body)
+                        or f not in s.last.succ):
+                    raise SearchInvariantError("modal degree failed to drop at a box step")
+                grown = e.grow(k, m, f)
+                stack.append(frame)
+                stack.append((_OPENED, s, e.rule, f, prems[0], grown[0]))
+                s, masks = prems[-1], grown[-1]
+            nodes += 1
+            expanded += 1
+            n = len(s.components)
+            if n > max_length:
+                max_length = n
+            if expanded > max_nodes or _monotonic() > deadline:
+                # The maximum covers the subtrees of every pending restart.
+                for frame in stack:
+                    if frame[0] == _RESTART and frame[7] > max_length:
+                        max_length = frame[7]
+                st.nodes, st.expanded, st.restarts, st.max_length = (
+                    nodes, expanded, restarts, max_length)
+                raise BudgetExhausted(st)
+            step = scan(k, v, s, masks)
+            if step is not None:
+                e, f = step
+                rule = e.rule
+                if rule in _AXIOMS:
+                    out = _derivation(s, rule, f, (), 0)
+                elif rule in RESTART_RULES:
+                    restarts += 1
+                    p = e.premisses(s, f, fresh)[0]
+                    if p.components[-1].restarts > bound:
+                        raise SearchInvariantError("restart count exceeded the subformula bound")
+                    seen = restarted.get(p)
+                    if seen is None:
+                        stack.append((_RESTART, s, rule, f, p, nodes, restarts, max_length))
+                        max_length = len(p.components)
+                        s, masks = p, e.grow(k, masks, f)[0]
+                        continue
+                    # The statistics grow by the stored subtree's totals.
+                    out, first, more_nodes, more_restarts, length = seen
+                    st.cache_hits += 1
+                    nodes += more_nodes
+                    restarts += more_restarts
+                    if length > max_length:
+                        max_length = length
+                    if out.__class__ is tuple:
+                        out = PrunedView(out[0], first, p), out[1]
+                    stack.append((_RESTART, s, rule, f, None, 0, 0, 0))
+                else:
+                    # impR, impL or propagation: each premiss only grows the last component.
+                    prems = e.premisses(s, f, fresh)
+                    grown = e.grow(k, masks, f)
+                    if len(prems) == 1:
+                        stack.append((_STEP, s, rule, f))
+                    else:
+                        stack.append((_IMP_L, s, rule, f, prems[1], grown[1]))
+                    s, masks = prems[0], grown[0]
+                    continue
+            else:
+                choices = box_choices(k, v, s, masks)
+                if choices:
+                    frame = (_CHOICES, s, masks, iter(choices), [])
+                    choice = next(frame[3])
+                    continue
+                out = _pruned(s, None, "leaf", ()), False
+            while stack:
+                frame = stack.pop()
+                kind = frame[0]
+                if kind <= _OPENED and out.__class__ is tuple:
+                    # A step whose premiss failed keeps only that premiss,
+                    # or passes on a collapse travelling down from it.
+                    if not out[1]:
+                        out = _pruned(frame[1], frame[2], "step", (out[0],)), False
+                elif kind == _STEP:
+                    _, s, rule, f = frame
+                    out = _derivation(s, rule, f, (out,), out.height + 1)
+                elif kind == _CHOICES:
+                    if out is not None and out.__class__ is not tuple:
+                        continue  # a closing choice closes the node
+                    _, s, _, choices, explored = frame
+                    explored.append(out)
+                    choice = next(choices, None)
+                    if choice is not None:
+                        break
+                    if None in explored:
+                        raise SearchInvariantError(
+                            "left premiss of a two-premiss box rule could not be derived")
+                    # A choice that collapsed is kept alone: the restarted
+                    # re-exploration subsumes the longer siblings.
+                    collapsed = [child for child, collapsing in explored if collapsing]
+                    if collapsed:
+                        best = min(collapsed, key=lambda child: child.sequent.length)
+                        out = best, best.sequent.length < s.length
+                    else:
+                        out = _pruned(s, None, "and", tuple([c for c, _ in explored])), False
+                elif kind == _OPENED:
+                    _, s, rule, f, left, m = frame
+                    if rule not in TWO_PREMISS_BOX_RULES:
+                        out = _derivation(s, rule, f, (out,), out.height + 1)
+                    else:
+                        stack.append((_PREFIX, s, rule, f, left, m, out))
+                        s, masks = left.drop_last(), m[1]
+                        break
+                elif kind == _IMP_L:
+                    _, s, rule, f, second, m = frame
+                    stack.append((_JOIN, s, rule, f, out))
+                    s, masks = second, m
+                    break
+                elif kind == _JOIN:
+                    _, s, rule, f, first = frame
+                    out = _derivation(s, rule, f, (first, out), max(first.height, out.height) + 1)
+                elif kind == _RESTART:
+                    _, s, rule, f, p, nodes_before, restarts_before, outer = frame
+                    if p is not None:
+                        length = max_length
+                        if outer > length:
+                            max_length = outer
+                        restarted[p] = (out, p, nodes - nodes_before,
+                                        restarts - restarts_before, length)
+                    if out.__class__ is not tuple:
+                        out = _derivation(s, rule, f, (out,), out.height + 1)
+                    else:
+                        # The restart deleted s's last component: its step
+                        # stands on s's prefix, unless the collapse reaches
+                        # further down.
+                        n = len(s.components)
+                        if not out[1] or len(out[0].sequent.components) >= n - 1:
+                            out = _pruned(s.prefix(n - 1), rule, "step", (out[0],)), True
+                elif kind == _PREFIX:
+                    _, s, rule, f, left, m, opened = frame
+                    if out.__class__ is tuple:
+                        stack.append((_LEFT, s, rule, f, opened))
+                        s, masks = left, m
+                        break
+                    left = _derivation(left, _EW, None, (out,), out.height + 1)
+                    out = _derivation(s, rule, f, (left, opened),
+                                      max(left.height, opened.height) + 1)
+                else:  # _LEFT
+                    _, s, rule, f, opened = frame
+                    if out.__class__ is tuple:
+                        out = None  # the choice is stuck
+                    else:
+                        out = _derivation(s, rule, f, (out, opened),
+                                          max(out.height, opened.height) + 1)
+            else:
+                st.nodes, st.expanded, st.restarts, st.max_length = (
+                    nodes, expanded, restarts, max_length)
                 return out
-            return PrunedView(out[0], first, p), out[1]
-        nodes, restarts, outer_length = st.nodes, st.restarts, st.max_length
-        st.max_length = p.length
-        try:
-            out = self.expand(p, e.grow(self.closure, masks, f)[0])
-        finally:  # a budget stop must still report the whole search's maximum
-            length, st.max_length = st.max_length, max(outer_length, st.max_length)
-        self.restarted[p] = (out, p, st.nodes - nodes, st.restarts - restarts, length)
-        return out
-
-    def expand_box(self, s: LinearNestedSequent, e: calculus.Rule, f: Formula,
-                   masks: tuple) -> Derivation | Failure | None:
-        """The result of the box choice (e, f) at s, whose components have
-        these masks; None when its right premiss closes and its left
-        premiss (boxR1/bboxR1) cannot be derived."""
-        prems = e.premisses(s, f, self.fresh)
-        # The opened component holds only the body, whose modal degree is
-        # below that of f, a formula of the conclusion's last component.
-        opened = prems[-1].last
-        if opened.ant or not opened.succ.is_plus(_NOTHING, f.body) or f not in s.last.succ:
-            raise SearchInvariantError("modal degree failed to drop at a box step")
-        grown = e.grow(self.closure, masks, f)
-        out = self.expand(prems[-1], grown[-1])  # the premiss that opens a component
-        if isinstance(out, tuple):
-            return _failed_step(s, e.rule, out)
-        if e.rule not in TWO_PREMISS_BOX_RULES:
-            return _derivation(s, e.rule, f, (out,), out.height + 1)
-        left = self.derive_left(prems[0], grown[0])
-        if left is None:
-            return None
-        return _derivation(s, e.rule, f, (left, out), max(left.height, out.height) + 1)
-
-    def derive_left(self, left: LinearNestedSequent, masks: tuple) -> Derivation | None:
-        """Derivation of the left premiss of boxR1/bboxR1, whose components
-        have these masks.
-
-        The left premiss weakens the conclusion, so when the conclusion's
-        prefix is provable on its own the premiss follows by EW; otherwise
-        search the premiss directly (its box instance is fulfilled, so this
-        terminates).
-        """
-        prefix = self.expand(left.drop_last(), masks[1])
-        if not isinstance(prefix, tuple):
-            return _derivation(left, _EW, None, (prefix,), prefix.height + 1)
-        tree = self.expand(left, masks)
-        return None if isinstance(tree, tuple) else tree
-
-
-def _failed_step(s: LinearNestedSequent, rule: RuleId, premiss: Failure) -> Failure:
-    """A step whose premiss failed: it keeps only that premiss, or passes
-    on a collapse travelling down from it."""
-    child, collapsing = premiss
-    if collapsing:
-        return premiss
-    return _pruned(s, rule, "step", (child,)), False
 
 
 def derivation_from(tree: Derivation | PrunedNode, v: CalculusVariant) -> Derivation:
@@ -377,7 +451,7 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
     eng = _Search(v, budget, s)
     t0 = time.monotonic()
     try:
-        tree = eng.expand(s, eng.closure.masks(s))
+        tree = eng.run(s, eng.closure.masks(s))
     finally:
         eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
     if isinstance(tree, tuple):

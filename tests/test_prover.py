@@ -79,14 +79,17 @@ def test_derivation_from_a_failed_tree_raises():
 
 
 def test_deep_kb_derivation_builds_without_recursion():
-    # [F]^200 p -> [F]^200 p.  Search builds the derivation as it returns;
+    # [F]^n p -> [F]^n p.  Search builds the derivation as it returns;
     # rebuilt from the search tree by a second, recursive walk, it raised
-    # RecursionError.
-    text = " -> ".join(["[F]" * 200 + "p"] * 2)
-    with fails_fast_on_recursion():
-        out = prove(text, KB)
-    assert isinstance(out, Valid)
-    assert (out.derivation.rule_applications(), out.derivation.height) == (15552, 15551)
+    # RecursionError.  Search itself runs on an explicit stack of
+    # continuation frames: when it took a Python frame per level, each of
+    # these raised RecursionError under this limit.
+    for n, v, size in ((200, KB, 15552), (300, KB, 34577), (600, KTS, 1202)):
+        text = " -> ".join(["[F]" * n + "p"] * 2)
+        with fails_fast_on_recursion(1500):
+            out = prove(text, v)
+        assert isinstance(out, Valid), (n, v)
+        assert (out.derivation.rule_applications(), out.derivation.height) == (size, size - 1)
 
 
 def test_search_restart_branch():
@@ -576,11 +579,14 @@ def test_search_heights_equal_the_heights_recomputed_bottom_up():
 
 
 def test_budget_stop_inside_a_restart_subtree_reports_the_whole_search():
+    # A restart's subtree starts one component shorter, so a stop inside it
+    # must read the maximum from the pending restarts below it.
     text = "p -> " + "[F]<P>" * 3 + "q"
-    for n in range(2, 29):
-        out = prove(text, KTS, Budget(max_nodes=n))
-        assert isinstance(out, ResourceLimit)
-        assert (out.stats.expanded, out.stats.nodes, out.stats.max_length) == (n + 1, n + 1, 2)
+    for v in (KTS, KT, KB):
+        for n in range(2, 29):
+            out = prove(text, v, Budget(max_nodes=n))
+            assert isinstance(out, ResourceLimit), (v, n)
+            assert (out.stats.expanded, out.stats.nodes, out.stats.max_length) == (n + 1, n + 1, 2)
 
 
 def test_deciding_leaves_no_cyclic_garbage():
