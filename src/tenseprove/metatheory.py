@@ -10,6 +10,12 @@ internal construction mistake, so a bad rewrite can never leak out as a
 derivation; cut elimination is one shift procedure, run as the paper's
 shift-left or shift-right lemma, whose two principal-formula hooks hold the
 only cases in which the two lemmas differ.
+
+The transforms and certificate replay build each node, and each component
+and sequent they make, past the class call (`_derivation`, `_component`,
+`sequent._merge`), as search does: a class call costs an `__init__` frame
+entered from C.  Each builder writes the height it takes from the
+premisses it has just built; only the public constructors compute it.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ from .formula import (
 )
 from .kernel import RULES, is_instance
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, _merge, slot_setters
+
+_new = object.__new__
+_set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
+_set_components, _set_links = slot_setters(LinearNestedSequent)
 
 
 class PositionOutOfRange(Exception):
@@ -74,9 +84,11 @@ class Derivation(ReadOnly):
     Like the sequents and rule instances, a node is a read-only slotted
     value: search and the transforms build several per step, and building
     them is a large share of each step.  `height` is computed here from the
-    premisses' heights; search builds its nodes past this constructor and
-    writes a height it read off the premisses it just derived (see
-    `prover._Search`).  Equality and hash leave `height` out."""
+    premisses' heights.  Search, the transforms and replay build their
+    nodes past this constructor, through `_derivation`, and write the
+    height they take from the premisses they just built (an edit, which
+    keeps the tree's shape, keeps the edited node's).  Equality and hash
+    leave `height` out."""
 
     __slots__ = ("conclusion", "rule", "principal", "premisses", "height")
     _fields = __slots__[:4]
@@ -120,6 +132,19 @@ class Derivation(ReadOnly):
 
 (_set_conclusion, _set_rule, _set_principal, _set_premisses,
  _set_height) = slot_setters(Derivation)
+
+
+def _derivation(s: LinearNestedSequent, rule: RuleId, f: Formula | None,
+                premisses: tuple[Derivation, ...], height: int) -> Derivation:
+    """Derivation(s, rule, f, premisses) past the class call, for a builder
+    that knows its height."""
+    d = _new(Derivation)
+    _set_conclusion(d, s)
+    _set_rule(d, rule)
+    _set_principal(d, f)
+    _set_premisses(d, premisses)
+    _set_height(d, height)
+    return d
 
 
 @dataclass
@@ -237,26 +262,39 @@ def _edit(d: Derivation, changes: dict, memo: dict | None = None) -> Derivation:
     comps = list(conc.components)
     for i, change in changes.items():
         comps[i] = change(comps[i])
-    n = conc.length
+    n = len(comps)
     prems = []
     for p in d.premisses:
         up = changes
-        if p.conclusion.length < n:
+        if len(p.conclusion.components) < n:
             # A rule that deletes the last component deletes its change.
             up = {i: change for i, change in changes.items() if i < n - 1}
         prems.append(_edit(p, up, memo))
-    out = memo[key] = Derivation(LinearNestedSequent(tuple(comps), conc.links), d.rule,
-                                 d.principal, tuple(prems))
+    s = _new(LinearNestedSequent)
+    _set_components(s, tuple(comps))
+    _set_links(s, conc.links)
+    # An edit keeps the tree's shape, so every node keeps its height.
+    out = memo[key] = _derivation(s, d.rule, d.principal, tuple(prems), d.height)
     return out
 
 
+def _component(ant: Multiset, succ: Multiset, tag: int) -> Component:
+    """Component(ant, succ, tag) past the class call."""
+    c = _new(Component)
+    _set_ant(c, ant)
+    _set_succ(c, succ)
+    _set_tag(c, tag)
+    _set_restarts(c, 0)
+    return c
+
+
 def _adder(add_l: Multiset, add_r: Multiset):
-    return lambda c: Component(c.ant.union(add_l), c.succ.union(add_r), tag=c.tag)
+    return lambda c: _component(c.ant.union(add_l), c.succ.union(add_r), c.tag)
 
 
 def _dropper(drop_l: Multiset, drop_r: Multiset):
     """Removes copies from a component; one holding fewer raises KeyError."""
-    return lambda c: Component(c.ant.minus(drop_l), c.succ.minus(drop_r), tag=c.tag)
+    return lambda c: _component(c.ant.minus(drop_l), c.succ.minus(drop_r), c.tag)
 
 
 def weaken(d: Derivation, position: int, add_left=(), add_right=()) -> Derivation:
@@ -304,27 +342,32 @@ def generalised_init(s: LinearNestedSequent, shared: Formula) -> Derivation:
 
 def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
     if isinstance(a, Atom):
-        return Derivation(s, RuleId.ID, a)
+        return _derivation(s, RuleId.ID, a, (), 0)
     if isinstance(a, Bottom):
-        return Derivation(s, RuleId.BOT_L, a)
+        return _derivation(s, RuleId.BOT_L, a, (), 0)
     if isinstance(a, Implies):
         (p1,) = premisses(s, RuleId.IMP_R, a)
         q1, q2 = premisses(p1, RuleId.IMP_L, a)
-        impl = Derivation(p1, RuleId.IMP_L, a, (_gen_init(q1, a.right), _gen_init(q2, a.left)))
-        return Derivation(s, RuleId.IMP_R, a, (impl,))
+        e1, e2 = _gen_init(q1, a.right), _gen_init(q2, a.left)
+        impl = _derivation(p1, RuleId.IMP_L, a, (e1, e2), max(e1.height, e2.height) + 1)
+        return _derivation(s, RuleId.IMP_R, a, (impl,), impl.height + 1)
     if isinstance(a, (Box, BlackBox)):
         link = BOX_LINK[type(a)]
         two_premiss, one_premiss, propagation, restart = _KT_MODAL_RULES[link]
-        rule = one_premiss if s.length == 1 or s.links[-1] is link else two_premiss
+        n = len(s.components)
+        rule = one_premiss if n == 1 or s.links[-1] is link else two_premiss
         prems = []
+        height = 0
         # The body crosses into the opened component by propagation, and
         # into the predecessor that the two-premiss rule falsifies it at by
         # restart; either way that component then holds it on both sides.
         for p in premisses(s, rule, a):
-            step = propagation if p.length > s.length else restart
+            step = propagation if len(p.components) > n else restart
             (q,) = premisses(p, step, a)
-            prems.append(Derivation(p, step, a, (_gen_init(q, a.body),)))
-        return Derivation(s, rule, a, tuple(prems))
+            body = _gen_init(q, a.body)
+            prems.append(_derivation(p, step, a, (body,), body.height + 1))
+            height = max(height, body.height + 2)
+        return _derivation(s, rule, a, tuple(prems), height)
     raise NoSharedFormula(f"cannot build initial derivation for {print_ascii(a)}")
 
 
@@ -335,24 +378,43 @@ _KTSTAR_RULE = {RuleId.BOX_R1: RuleId.BOX_R, RuleId.BOX_R2: RuleId.BOX_R,
 def to_ktstar(d: Derivation) -> Derivation:
     """Drop the left premisses of the two-premiss box rules and rename; a
     shared node is translated once, so the output shares what d shares.
-    The walk takes one frame per level of d.  A KB rule has no KT*
+    The walk is post-order on an explicit stack and takes no frame per
+    level of d: a node's kept premisses go on above a (node, rule, kept)
+    frame that builds it once they are translated.  A KB rule has no KT*
     counterpart, so a derivation that uses one raises ValueError."""
-    return _to_ktstar(d, {})
-
-
-def _to_ktstar(d: Derivation, memo: dict) -> Derivation:
-    out = memo.get(id(d))
-    if out is not None:
-        return out
-    if d.rule in _KB_ONLY:
-        raise ValueError(f"to_ktstar is defined for KT and KT* only, not for {d.rule.value}")
-    kept = d.premisses[1:] if d.rule is RuleId.BOX_R1 or d.rule is RuleId.BBOX_R1 else d.premisses
-    prems = []
-    for p in kept:
-        prems.append(_to_ktstar(p, memo))
-    out = memo[id(d)] = Derivation(d.conclusion, _KTSTAR_RULE.get(d.rule, d.rule), d.principal,
-                                   tuple(prems))
-    return out
+    memo: dict[int, Derivation] = {}
+    stack: list = [d]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            node, rule, kept = node
+            prems = []
+            height = 0
+            for p in kept:
+                e = memo[id(p)]
+                prems.append(e)
+                if e.height >= height:
+                    height = e.height + 1
+            memo[id(node)] = _derivation(node.conclusion, _KTSTAR_RULE.get(rule, rule),
+                                         node.principal, tuple(prems), height)
+            continue
+        if id(node) in memo:
+            continue
+        rule = node.rule
+        if rule in _KB_ONLY:
+            raise ValueError(f"to_ktstar is defined for KT and KT* only, not for {rule.value}")
+        kept = node.premisses
+        if rule in TWO_PREMISS_BOX_RULES:
+            kept = kept[1:]
+        if kept:
+            # The first premiss goes on top, so nodes are first met in the
+            # order a recursive walk meets them.
+            stack.append((node, rule, kept))
+            stack.extend(reversed(kept))
+        else:
+            memo[id(node)] = _derivation(node.conclusion, _KTSTAR_RULE.get(rule, rule),
+                                         node.principal, (), 0)
+    return memo[id(d)]
 
 
 # --- cut elimination ----------------------------------------------------------
@@ -384,14 +446,17 @@ class CutMonitor:
 
 def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
     out = d
-    while out.conclusion.length < target.length:
-        out = Derivation(target.prefix(out.conclusion.length + 1), RuleId.EW, None, (out,))
+    n = len(target.components)
+    k = len(d.conclusion.components)
+    while k < n:
+        k += 1
+        out = _derivation(target.prefix(k), RuleId.EW, None, (out,), out.height + 1)
     return out
 
 
 def _try_embed(d: Derivation, target: LinearNestedSequent) -> Derivation | None:
-    n = d.conclusion.length
-    if n > target.length or d.conclusion.links != target.links[: n - 1]:
+    n = len(d.conclusion.components)
+    if n > len(target.components) or d.conclusion.links != target.links[: n - 1]:
         return None
     changes = {}
     for i, (ci, ti) in enumerate(zip(d.conclusion.components, target.components)):
@@ -411,7 +476,7 @@ def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
     one; else the first fallback that embeds into the target.  The axiom is
     read off the prefix's last component: botL if it has false on the left,
     else id on its sort_key-least atom on both sides."""
-    n = target.length
+    n = len(target.components)
     for k in range(n, 0, -1):
         c = target.components[k - 1]
         if _BOTTOM in c.ant:
@@ -423,7 +488,8 @@ def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
             if f is None:
                 continue
             rule = RuleId.ID
-        return _ew_extend(Derivation(target if k == n else target.prefix(k), rule, f), target)
+        return _ew_extend(_derivation(target if k == n else target.prefix(k), rule, f, (), 0),
+                          target)
     for d in fallbacks:
         out = _try_embed(d, target)
         if out is not None:
@@ -435,7 +501,7 @@ def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
     """Contract d's conclusion down to target: every component drops its
     surplus over the target's, each dropped formula keeping a copy there,
     and all components change in one edit walk over d."""
-    if d.conclusion.length != target.length:
+    if len(d.conclusion.components) != len(target.components):
         raise TransformError("contract_to: length mismatch")
     changes = {}
     for i, (c, t) in enumerate(zip(d.conclusion.components, target.components)):
@@ -491,25 +557,31 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
             if out is not None:
                 return out
 
-        if pos == d.conclusion.length - 1 and (d.rule in RESTART_RULES or d.rule is RuleId.EW):
+        if (pos == len(d.conclusion.components) - 1
+                and (d.rule in RESTART_RULES or d.rule is RuleId.EW)):
             # The premiss has lost the component holding the cut occurrence.
             src = d.premisses[0]
             if d.rule is not RuleId.EW:
-                c = d.conclusion.last
-                c = (Component(c.ant, c.succ.remove_one(a), tag=c.tag) if left
-                     else Component(c.ant.remove_one(a), c.succ, tag=c.tag))
-                src = Derivation(d.conclusion.replace_component(pos, c), d.rule, d.principal,
-                                 d.premisses)
+                c = d.conclusion.components[pos]
+                c = (_component(c.ant, c.succ.remove_one(a), c.tag) if left
+                     else _component(c.ant.remove_one(a), c.succ, c.tag))
+                src = _derivation(d.conclusion.replace_component(pos, c), d.rule, d.principal,
+                                  d.premisses, d.height)
             out = _try_embed(src, target)
             if out is None:
                 raise TransformError(f"{d.rule.value} at the cut component: weakening failed")
             return out
 
         # Context case, restart and EW below the cut component included.
-        prems = tuple(_shift(a, p, d2, pos, mon, True) if left
-                      else _shift(a, d1, p, pos, mon, False, witness)
-                      for p in d.premisses)
-        return Derivation(target, d.rule, d.principal, prems)
+        prems = []
+        height = 0
+        for p in d.premisses:
+            e = (_shift(a, p, d2, pos, mon, True) if left
+                 else _shift(a, d1, p, pos, mon, False, witness))
+            prems.append(e)
+            if e.height >= height:
+                height = e.height + 1
+        return _derivation(target, d.rule, d.principal, tuple(prems), height)
     finally:
         mon.exit()
 
@@ -517,44 +589,44 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
 def _principal_left(a: Formula, d1: Derivation, d2: Derivation, pos: int,
                     mon: CutMonitor) -> Derivation | None:
     """d1 introduces `a`: shift right, first building the witness for a box."""
-    if not (pos == d1.conclusion.length - 1 and d1.rule in _RIGHT_INTRODUCTIONS
+    if not (pos == len(d1.conclusion.components) - 1 and d1.rule in _RIGHT_INTRODUCTIONS
             and d1.principal == a):
         return None
-    last2 = d2.conclusion.length - 1
+    last2 = len(d2.conclusion.components) - 1
     if isinstance(a, Implies):
         return _shift(a, d1, d2, last2, mon, False)
     right = d1.premisses[-1]
-    witness = _shift(a, right, d2, right.conclusion.length - 2, mon, True)
+    witness = _shift(a, right, d2, len(right.conclusion.components) - 2, mon, True)
     return _shift(a, d1, d2, last2, mon, False, witness)
 
 
 def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor,
                      witness: Derivation | None, target: LinearNestedSequent) -> Derivation | None:
     """`a` is principal in d2 too: cut on smaller formulas, then contract."""
-    last2 = d2.conclusion.length - 1
+    last2 = len(d2.conclusion.components) - 1
     if isinstance(a, Implies):
         if not (d2.rule is RuleId.IMP_L and pos == last2 and d2.principal == a):
             return None
         d3 = d1.premisses[0]
         d4, d5 = d2.premisses
-        e1 = _shift(a, d1, d4, d1.conclusion.length - 1, mon, True)
-        e2 = _shift(a, d1, d5, d1.conclusion.length - 1, mon, True)
-        e3 = _shift(a, d3, d2, d3.conclusion.length - 1, mon, True)
-        f = _shift(a.left, e2, e3, e2.conclusion.length - 1, mon, True)
-        g = _shift(a.right, f, e1, f.conclusion.length - 1, mon, True)
+        e1 = _shift(a, d1, d4, len(d1.conclusion.components) - 1, mon, True)
+        e2 = _shift(a, d1, d5, len(d1.conclusion.components) - 1, mon, True)
+        e3 = _shift(a, d3, d2, len(d3.conclusion.components) - 1, mon, True)
+        f = _shift(a.left, e2, e3, len(e2.conclusion.components) - 1, mon, True)
+        g = _shift(a.right, f, e1, len(f.conclusion.components) - 1, mon, True)
         return _contract_to(g, target)
 
     _, _, prop_rule, restart_rule = _KT_MODAL_RULES[BOX_LINK[type(a)]]
     if d2.rule is prop_rule and pos == last2 - 1 and d2.principal == a:
         d6 = _shift(a, d1, d2.premisses[0], pos, mon, False, witness)
-        e = _shift(a.body, witness, d6, witness.conclusion.length - 1, mon, True)
+        e = _shift(a.body, witness, d6, len(witness.conclusion.components) - 1, mon, True)
         return _contract_to(e, target)
     if d2.rule is restart_rule and pos == last2 and d2.principal == a:
         if d1.rule not in TWO_PREMISS_BOX_RULES:
             raise TransformError("one-premiss box against a principal restart")
         d3 = d1.premisses[0]
-        d6 = _shift(a, d3, d2, d3.conclusion.length - 1, mon, True)
-        e = _shift(a.body, d6, d2.premisses[0], d6.conclusion.length - 2, mon, True)
+        d6 = _shift(a, d3, d2, len(d3.conclusion.components) - 1, mon, True)
+        e = _shift(a.body, d6, d2.premisses[0], len(d6.conclusion.components) - 2, mon, True)
         return _contract_to(e, target)
     return None
 
@@ -695,8 +767,9 @@ def derivation_from_json(data: dict) -> Derivation:
 
     built: list[Derivation] = []
     for i in range(n):
-        built.append(Derivation(conclusions[i], rules[i], principals[i],
-                                tuple(built[j] for j in named[i])))
+        prems = tuple([built[j] for j in named[i]])
+        height = 1 + max([p.height for p in prems]) if prems else 0
+        built.append(_derivation(conclusions[i], rules[i], principals[i], prems, height))
     return built[-1]
 
 

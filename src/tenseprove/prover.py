@@ -40,7 +40,7 @@ from .formula import (
     desugar,
     parse,
 )
-from .metatheory import Derivation
+from .metatheory import Derivation, _derivation
 from .semantics import KripkeModel
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_setters
 
@@ -48,7 +48,7 @@ from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_se
 # Search runs on an explicit stack and needs no Python frame per level, but
 # these walkers still take one per level of a formula or a derivation:
 # formula's desugar, collapse_backward and _render, and metatheory's
-# to_ktstar, cut's _shift, _gen_init and _edit.
+# _shift in cut, _gen_init and _edit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 
@@ -120,23 +120,8 @@ class PrunedNode(ReadOnly):
 
 
 _set_sequent, _set_rule, _set_kind, _set_children = slot_setters(PrunedNode)
-(_set_conclusion, _set_derived_rule, _set_principal, _set_premisses,
- _set_height) = slot_setters(Derivation)
 _new = object.__new__
 _monotonic = time.monotonic
-
-
-def _derivation(s: LinearNestedSequent, rule: RuleId, f: Formula | None,
-                premisses: tuple[Derivation, ...], height: int) -> Derivation:
-    """Derivation(s, rule, f, premisses) past the class call, for a builder
-    that knows its height."""
-    d = _new(Derivation)
-    _set_conclusion(d, s)
-    _set_derived_rule(d, rule)
-    _set_principal(d, f)
-    _set_premisses(d, premisses)
-    _set_height(d, height)
-    return d
 
 
 def _pruned(s: LinearNestedSequent, rule: RuleId | None, kind: str,

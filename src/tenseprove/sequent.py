@@ -4,8 +4,10 @@ The values a search step builds (a premiss, the component it changes and
 that component's multiset) come from the edits here and from the builders
 in `calculus`, through `object.__new__` and the slot setters, as
 `formula` builds its nodes: a class call would cost an `__init__` frame
-entered from C.  The constructors still check a sequent's shape, so a
-value built outside search is checked as before.
+entered from C.  So do every multiset operation's result and the
+components and sequent of cut elimination's merged targets.  The
+constructors still check a sequent's shape, so a value built through them
+is checked as before.
 """
 
 from __future__ import annotations
@@ -47,13 +49,6 @@ class Multiset:
         self._counts = counts
         self._hash = None
 
-    @classmethod
-    def _raw(cls, counts: dict) -> Multiset:
-        m = object.__new__(cls)
-        m._counts = counts
-        m._hash = None
-        return m
-
     def add(self, f: Formula) -> Multiset:
         counts = self._counts.copy()
         counts[f] = counts.get(f, 0) + 1
@@ -70,7 +65,10 @@ class Multiset:
             counts[f] = k
         else:
             del counts[f]
-        return Multiset._raw(counts)
+        m = _new(Multiset)
+        m._counts = counts
+        m._hash = None
+        return m
 
     def _union_less(self, other: Multiset, f: Formula) -> Multiset:
         """self and other less one copy of f, in one dict copy; raises
@@ -83,7 +81,10 @@ class Multiset:
             counts[f] = k
         else:
             del counts[f]
-        return Multiset._raw(counts)
+        m = _new(Multiset)
+        m._counts = counts
+        m._hash = None
+        return m
 
     def minus(self, other: Multiset) -> Multiset:
         """Multiset difference; raises KeyError unless other is contained in self."""
@@ -98,7 +99,10 @@ class Multiset:
                 counts[f] = k
             else:
                 del counts[f]
-        return Multiset._raw(counts)
+        m = _new(Multiset)
+        m._counts = counts
+        m._hash = None
+        return m
 
     def union(self, other: Multiset) -> Multiset:
         # Values are immutable, so an empty operand gives back the other.
@@ -109,7 +113,10 @@ class Multiset:
         counts = dict(self._counts)
         for f, n in other._counts.items():
             counts[f] = counts.get(f, 0) + n
-        return Multiset._raw(counts)
+        m = _new(Multiset)
+        m._counts = counts
+        m._hash = None
+        return m
 
     def diff(self, other: Multiset) -> Multiset:
         """Saturating multiset difference."""
@@ -118,7 +125,10 @@ class Multiset:
             k = n - other.count(f)
             if k > 0:
                 counts[f] = k
-        return Multiset._raw(counts)
+        m = _new(Multiset)
+        m._counts = counts
+        m._hash = None
+        return m
 
     def subset(self, other: Multiset) -> bool:
         return all(n <= other.count(f) for f, n in self._counts.items())
@@ -352,15 +362,30 @@ def _merge(a: LinearNestedSequent, b: LinearNestedSequent, pos: int | None,
            f: Formula | None) -> LinearNestedSequent:
     """merge's loop.  With a position, component pos also loses one copy of
     f on each side, in the same dict copy as its union: cut elimination's
-    target is the merge less the two cut occurrences."""
-    longer, shorter = (a, b) if a.length >= b.length else (b, a)
-    n = shorter.length
+    target is the merge less the two cut occurrences.  After the links
+    check the result has the longer sequent's links and one component for
+    each, the shape the constructor checks, so it is built past that
+    check."""
+    longer, shorter = (a, b) if len(a.components) >= len(b.components) else (b, a)
+    n = len(shorter.components)
     if shorter.links != longer.links[: n - 1]:
         raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
-    comps = [Component(x.ant._union_less(y.ant, f), x.succ._union_less(y.succ, f), x.tag)
-             if i == pos else Component(x.ant.union(y.ant), x.succ.union(y.succ), x.tag)
-             for i, (x, y) in enumerate(zip(a.components, b.components))]
-    return LinearNestedSequent(tuple(comps) + longer.components[n:], longer.links)
+    comps = []
+    for i, (x, y) in enumerate(zip(a.components, b.components)):
+        c = _new(Component)
+        if i == pos:
+            _set_ant(c, x.ant._union_less(y.ant, f))
+            _set_succ(c, x.succ._union_less(y.succ, f))
+        else:
+            _set_ant(c, x.ant.union(y.ant))
+            _set_succ(c, x.succ.union(y.succ))
+        _set_tag(c, x.tag)
+        _set_restarts(c, 0)
+        comps.append(c)
+    s = _new(LinearNestedSequent)
+    _set_components(s, tuple(comps) + longer.components[n:])
+    _set_links(s, longer.links)
+    return s
 
 
 def _disjunction(fs: list[Formula]) -> Formula:
@@ -386,7 +411,7 @@ def formula_translation(s: LinearNestedSequent) -> Formula:
     Built from the last component back to the first, so a long sequent needs
     no deep recursion."""
     f = None
-    for i in range(s.length - 1, -1, -1):
+    for i in range(len(s.components) - 1, -1, -1):
         c = s.components[i]
         head = _conjunction(c.ant.distinct())
         succ = _disjunction(c.succ.distinct())

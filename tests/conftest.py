@@ -89,6 +89,29 @@ def rules_of(d) -> set:
     return {RuleId(n["rule"]) for n in derivation_to_json(d)["nodes"]}
 
 
+def assert_heights_bottom_up(d, context=()) -> set:
+    """Assert that every distinct node of d has the height recomputed
+    bottom-up from its premisses (a builder that writes a height itself
+    must agree with `Derivation(...)`, and cut's CutMonitor reads it).
+    Returns the rules of the two-premiss nodes whose first premiss is the
+    taller.  `context` goes into the assertion message."""
+    heights: dict[int, int] = {}
+    taller_first = set()
+    stack = [d]
+    while stack:
+        node = stack[-1]
+        todo = [p for p in node.premisses if id(p) not in heights]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        heights[id(node)] = max([heights[id(p)] + 1 for p in node.premisses], default=0)
+        assert node.height == heights[id(node)], (*context, node.rule)
+        if len(node.premisses) == 2 and node.premisses[0].height > node.premisses[1].height:
+            taller_first.add(node.rule)
+    return taller_first
+
+
 def principal_place(rule, s) -> Multiset:
     """Where `rule` takes its principal formula in s, read from the rule
     figures: the second-last antecedent for a propagation, the last

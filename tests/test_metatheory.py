@@ -5,7 +5,13 @@ from functools import lru_cache
 
 import pytest
 
-from conftest import fails_fast_on_recursion, principal_place, rules_of, schema1
+from conftest import (
+    assert_heights_bottom_up,
+    fails_fast_on_recursion,
+    principal_place,
+    rules_of,
+    schema1,
+)
 from tenseprove import metatheory
 from tenseprove.calculus import CalculusVariant, RuleId
 from tenseprove.formula import (
@@ -288,10 +294,12 @@ def test_to_ktstar_rejects_a_kb_derivation():
         to_ktstar(d)
 
 
-def test_to_ktstar_takes_one_frame_per_level():
+def test_to_ktstar_takes_no_frame_per_level():
+    # A walk with one frame per level raises RecursionError at height 1401
+    # under this limit.
     d = prove("[F]" * 700 + "p -> " + "[F]" * 700 + "p", KT).derivation
     assert d.height == 1401
-    with fails_fast_on_recursion(2000):
+    with fails_fast_on_recursion(300):
         star = to_ktstar(d)
     assert star.height == d.height and check(star, KTS)
 
@@ -446,6 +454,28 @@ def test_cut_corpus_pinned():
     calls = sum(rec[0] for rec in records if len(rec) == 3)
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert (calls, digest) == CUT_CORPUS_PIN
+
+
+def test_transform_heights_equal_the_heights_recomputed_bottom_up():
+    # The transforms and certificate replay write each node's height past
+    # the constructor, and CutMonitor's measure reads them.  The draw is
+    # the benchmark's transform workload.
+    for a in corpus(1270, 100, max_size=8, max_degree=2):
+        d = generalised_init(single([a], [a]), a)
+        c = cut(d, d, a)
+        w = weaken(weaken(c, 0, [a], [a]), 0, [a], [])
+        k = contract(w, 0, "left", a)
+        t = to_ktstar(k)
+        replayed = derivation_from_json(derivation_to_json(c))
+        for name, out in (("generalised_init", d), ("cut", c), ("weaken", w),
+                          ("contract", k), ("to_ktstar", t), ("replay", replayed)):
+            assert_heights_bottom_up(out, (print_ascii(a), name))
+    # In KT's derivation of this formula a two-premiss box rule's dropped
+    # premiss is the taller, so to_ktstar's output is one lower.
+    d = prove("[F][P](p -> p)", KT).derivation
+    t = to_ktstar(d)
+    assert (d.height, t.height) == (4, 3)
+    assert_heights_bottom_up(t)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,14 @@ import json
 
 import pytest
 
-from conftest import fails_fast_on_recursion, predecessors, rules_of, schema1, successors
+from conftest import (
+    assert_heights_bottom_up,
+    fails_fast_on_recursion,
+    predecessors,
+    rules_of,
+    schema1,
+    successors,
+)
 from tenseprove import semantics
 from tenseprove.calculus import RESTART_RULES, CalculusVariant, RuleId
 from tenseprove.formula import Atom, BlackBox, Box, Polarity, atoms, parse, desugar
@@ -562,19 +569,7 @@ def test_search_heights_equal_the_heights_recomputed_bottom_up():
                 continue
             if not isinstance(out, Valid):
                 continue
-            heights: dict[int, int] = {}
-            stack = [out.derivation]
-            while stack:
-                d = stack[-1]
-                todo = [p for p in d.premisses if id(p) not in heights]
-                if todo:
-                    stack.extend(todo)
-                    continue
-                stack.pop()
-                heights[id(d)] = max([heights[id(p)] + 1 for p in d.premisses], default=0)
-                assert d.height == heights[id(d)], (f, v, d.rule)
-                if len(d.premisses) == 2 and d.premisses[0].height > d.premisses[1].height:
-                    taller_first.add(d.rule)
+            taller_first |= assert_heights_bottom_up(out.derivation, (f, v))
     assert {RuleId.IMP_L, RuleId.BOX_R1, RuleId.BBOX_R1} <= taller_first
 
 

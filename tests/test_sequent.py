@@ -8,7 +8,7 @@ from hypothesis import given
 from conftest import fails_fast_on_recursion, small_sequents
 from tenseprove.calculus import CalculusVariant, RuleId, premisses
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, sort_key
-from tenseprove.metatheory import Derivation
+from tenseprove.metatheory import Derivation, cut, generalised_init, weaken
 from tenseprove.prover import PrunedNode, search
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
@@ -251,8 +251,8 @@ _PRUNED = ("sequent", "rule", "kind", "children")
 
 def _values():
     """One value of each read-only slotted type, with the names of its
-    fields: first built by its constructor, then by the builders search
-    uses.  A multiset has no read-only fields."""
+    fields: first built by its constructor, then by the builders search,
+    merge and the transforms use.  A multiset has no read-only fields."""
     c = Component(Multiset([p]), Multiset([q, q]), tag=7, restarts=3)
     s2 = LinearNestedSequent((c, component([q], [Box(p)])), (FWD,))
     imp = Implies(p, p)
@@ -260,6 +260,7 @@ def _values():
     k = parse("[F](p -> q) -> [F]p -> [F]q")
     _, derived, _ = search(single([], [k]), CalculusVariant.KT_STAR)
     _, failed, _ = search(single([], [p]), CalculusVariant.KT_STAR)
+    init = generalised_init(single([imp], [imp]), imp)
     values = [
         ("Component", c, _COMPONENT),
         ("LinearNestedSequent", s2, _SEQUENT),
@@ -269,6 +270,12 @@ def _values():
         ("add", Multiset([p]).add(q), ()),
         ("search_Derivation", derived, _DERIVATION),
         ("search_PrunedNode", failed, _PRUNED),
+        ("merge", merge(s2, seq(component([r]), FWD, component([], [r]))), _SEQUENT),
+        ("weaken_Component", weaken(leaf, 0, [q], [r]).conclusion.components[0], _COMPONENT),
+        ("union", Multiset([p]).union(Multiset([q])), ()),
+        ("minus", Multiset([p, q]).minus(Multiset([q])), ()),
+        ("diff", Multiset([p, q]).diff(Multiset([r])), ()),
+        ("cut_Derivation", cut(init, init, imp), _DERIVATION),
     ]
     return [pytest.param(v, fields, id=name) for name, v, fields in values]
 
@@ -295,7 +302,7 @@ def test_value_copies_and_pickles_equal(value, fields):
         if not isinstance(value, PrunedNode):
             assert out == value and hash(out) == hash(value)
         if isinstance(value, Component):
-            assert (out.tag, out.restarts) == (7, 3)
+            assert (out.tag, out.restarts) == (value.tag, value.restarts)
 
 
 def test_value_repr_is_the_dataclass_form():
