@@ -42,7 +42,7 @@ and ph(3) from 15,782 to 376, and ph(4) decides in 2,412.
 from __future__ import annotations
 
 from .formula import (
-    Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, sort_key, subformulas)
+    Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, canonical_order, subformulas)
 from .kernel import CalculusVariant, RuleId
 from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag, slot_setters
 
@@ -100,7 +100,7 @@ class Closure:
 
     def __init__(self, s: LinearNestedSequent):
         members = (f for c in s.components for ms in (c.ant, c.succ) for f in ms.members())
-        self.formulas = order = sorted(subformulas(*members), key=sort_key)
+        self.formulas = order = canonical_order(subformulas(*members))
         self.bits = bits = {}
         # The implications whose left or right part is each formula, and the
         # boxes whose body is each formula, for the formulas that have any.

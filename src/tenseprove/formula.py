@@ -11,8 +11,9 @@ per operand shape (binary, unary, atom, bottom); each makes one key and one
 table lookup, and enters a new node under a weak reference that carries its
 key, so that one callback can drop a dead node's entry.  One grammar table
 (symbols, precedences and operands) drives the parser, both printers and
-``subformulas``, the one walk the syntactic measures fold over; the ASCII
-text is cached on the node and is also the canonical order (``sort_key``).
+``subformulas``, the one walk the syntactic measures and the printers fold
+over; the ASCII text is cached on the node and is also the canonical order
+(``sort_key``).
 """
 
 from __future__ import annotations
@@ -441,32 +442,39 @@ def _error(text: str, k: int, expected) -> ParseError:
     return ParseError(offset, _ATOMISH_EXPECTED, tok)
 
 
-def _render(f: Formula, column: int, text_of, store) -> str:
-    """f's text with the symbols of `column`.  A node's text is
-    text_of(node) when that is not None; otherwise it is composed from its
-    operands' texts, each parenthesised when it binds more loosely than its
-    place needs, and passed to store.  One frame per level of f."""
-    text = text_of(f)
-    if text is None:
-        row = _SYNTAX[type(f)]
-        symbol, needs = row[column], row[3]
-        if len(needs) == 2:
-            left, right = f.left, f.right
-            ltext = _render(left, column, text_of, store)
-            rtext = _render(right, column, text_of, store)
-            if _SYNTAX[type(left)][2] < needs[0]:
-                ltext = f"({ltext})"
-            if _SYNTAX[type(right)][2] < needs[1]:
-                rtext = f"({rtext})"
-            text = f"{ltext} {symbol} {rtext}"
-        elif needs:
-            body = f.body
-            text = _render(body, column, text_of, store)
-            text = symbol + (f"({text})" if _SYNTAX[type(body)][2] < needs[0] else text)
-        else:
-            text = f.name if symbol is None else symbol
-        store(f, text)
-    return text
+# Each connective's precedence, and per symbol column its symbol and the
+# precedence each operand needs, padded with None: _fill_texts' view of
+# the grammar table.
+_PRECEDENCE = {c: row[2] for c, row in _SYNTAX.items()}
+_LAYOUT = tuple({c: (row[col], *(row[3] + (None, None))[:2]) for c, row in _SYNTAX.items()}
+                for col in (_ASCII, _UNICODE))
+
+
+def _fill_texts(fs: list[Formula], column: int, text_of, store) -> None:
+    """Give each formula of fs its text with the symbols of `column`; fs
+    lists every node after its operands, as `subformulas` does.  A node's
+    text is text_of(node) when that is not None; otherwise it is composed
+    from its operands' texts, each parenthesised when it binds more loosely
+    than its place needs, and passed to store.  One loop, so a deep formula
+    takes no frame per level."""
+    layout, precedence = _LAYOUT[column], _PRECEDENCE
+    for f in fs:
+        if text_of(f) is None:
+            symbol, need, right_need = layout[f.__class__]
+            if right_need is not None:
+                left, right = f.left, f.right
+                ltext, rtext = text_of(left), text_of(right)
+                if precedence[left.__class__] < need:
+                    ltext = f"({ltext})"
+                if precedence[right.__class__] < right_need:
+                    rtext = f"({rtext})"
+                store(f, f"{ltext} {symbol} {rtext}")
+            elif need is not None:
+                body = f.body
+                text = text_of(body)
+                store(f, symbol + (f"({text})" if precedence[body.__class__] < need else text))
+            else:
+                store(f, f.name if symbol is None else symbol)
 
 
 _cached_text = Formula._text.__get__
@@ -480,13 +488,22 @@ def print_ascii(f: Formula) -> str:
     depend on which formulas were built before."""
     text = f._text
     if text is None:
-        text = _render(f, _ASCII, _cached_text, _set_text)
+        _fill_texts(subformulas(f), _ASCII, _cached_text, _set_text)
+        text = f._text
     return text
 
 
 sort_key = print_ascii
 
 
+def canonical_order(fs: list[Formula]) -> list[Formula]:
+    """fs, a list in `subformulas`' order, sorted by sort_key: the texts it
+    lacks are cached in one pass over fs, and the sort reads them in C."""
+    _fill_texts(fs, _ASCII, _cached_text, _set_text)
+    return sorted(fs, key=_cached_text)
+
+
 def print_unicode(f: Formula) -> str:
     texts: dict[Formula, str] = {}
-    return _render(f, _UNICODE, texts.get, texts.__setitem__)
+    _fill_texts(subformulas(f), _UNICODE, texts.get, texts.__setitem__)
+    return texts[f]

@@ -50,6 +50,11 @@ from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, _merge,
 _new = object.__new__
 _set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
 _set_components, _set_links = slot_setters(LinearNestedSequent)
+# Reading an enum member costs a descriptor call (about 0.1 us on CPython
+# 3.11), so the members the transforms read at every call are bound once,
+# as in prover.
+_ID, _BOT_L, _IMP_R, _IMP_L, _EW = RuleId.ID, RuleId.BOT_L, RuleId.IMP_R, RuleId.IMP_L, RuleId.EW
+_AXIOMS = frozenset((_ID, _BOT_L))
 
 
 class PositionOutOfRange(Exception):
@@ -342,15 +347,15 @@ def generalised_init(s: LinearNestedSequent, shared: Formula) -> Derivation:
 
 def _gen_init(s: LinearNestedSequent, a: Formula) -> Derivation:
     if isinstance(a, Atom):
-        return _derivation(s, RuleId.ID, a, (), 0)
+        return _derivation(s, _ID, a, (), 0)
     if isinstance(a, Bottom):
-        return _derivation(s, RuleId.BOT_L, a, (), 0)
+        return _derivation(s, _BOT_L, a, (), 0)
     if isinstance(a, Implies):
-        (p1,) = premisses(s, RuleId.IMP_R, a)
-        q1, q2 = premisses(p1, RuleId.IMP_L, a)
+        (p1,) = premisses(s, _IMP_R, a)
+        q1, q2 = premisses(p1, _IMP_L, a)
         e1, e2 = _gen_init(q1, a.right), _gen_init(q2, a.left)
-        impl = _derivation(p1, RuleId.IMP_L, a, (e1, e2), max(e1.height, e2.height) + 1)
-        return _derivation(s, RuleId.IMP_R, a, (impl,), impl.height + 1)
+        impl = _derivation(p1, _IMP_L, a, (e1, e2), max(e1.height, e2.height) + 1)
+        return _derivation(s, _IMP_R, a, (impl,), impl.height + 1)
     if isinstance(a, (Box, BlackBox)):
         link = BOX_LINK[type(a)]
         two_premiss, one_premiss, propagation, restart = _KT_MODAL_RULES[link]
@@ -450,7 +455,7 @@ def _ew_extend(d: Derivation, target: LinearNestedSequent) -> Derivation:
     k = len(d.conclusion.components)
     while k < n:
         k += 1
-        out = _derivation(target.prefix(k), RuleId.EW, None, (out,), out.height + 1)
+        out = _derivation(target.prefix(k), _EW, None, (out,), out.height + 1)
     return out
 
 
@@ -480,14 +485,14 @@ def _close_terminal(target: LinearNestedSequent, fallbacks) -> Derivation:
     for k in range(n, 0, -1):
         c = target.components[k - 1]
         if _BOTTOM in c.ant:
-            rule, f = RuleId.BOT_L, _BOTTOM
+            rule, f = _BOT_L, _BOTTOM
         else:
             succ = c.succ
             f = min((g for g in c.ant.members() if g.__class__ is Atom and g in succ),
                     key=sort_key, default=None)
             if f is None:
                 continue
-            rule = RuleId.ID
+            rule = _ID
         return _ew_extend(_derivation(target if k == n else target.prefix(k), rule, f, (), 0),
                           target)
     for d in fallbacks:
@@ -517,7 +522,7 @@ def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
     return out
 
 
-_RIGHT_INTRODUCTIONS = RIGHT_BOX_RULES | {RuleId.IMP_R}
+_RIGHT_INTRODUCTIONS = RIGHT_BOX_RULES | {_IMP_R}
 
 
 def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor,
@@ -549,7 +554,7 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
         # its own result and never reads this target.
         target = _merge(d1.conclusion, d2.conclusion, pos, a)
 
-        if d.rule in (RuleId.ID, RuleId.BOT_L):
+        if d.rule in _AXIOMS:
             return _close_terminal(target, (other, d))
 
         if not left:
@@ -558,10 +563,10 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
                 return out
 
         if (pos == len(d.conclusion.components) - 1
-                and (d.rule in RESTART_RULES or d.rule is RuleId.EW)):
+                and (d.rule in RESTART_RULES or d.rule is _EW)):
             # The premiss has lost the component holding the cut occurrence.
             src = d.premisses[0]
-            if d.rule is not RuleId.EW:
+            if d.rule is not _EW:
                 c = d.conclusion.components[pos]
                 c = (_component(c.ant, c.succ.remove_one(a), c.tag) if left
                      else _component(c.ant.remove_one(a), c.succ, c.tag))
@@ -605,7 +610,7 @@ def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: 
     """`a` is principal in d2 too: cut on smaller formulas, then contract."""
     last2 = len(d2.conclusion.components) - 1
     if isinstance(a, Implies):
-        if not (d2.rule is RuleId.IMP_L and pos == last2 and d2.principal == a):
+        if not (d2.rule is _IMP_L and pos == last2 and d2.principal == a):
             return None
         d3 = d1.premisses[0]
         d4, d5 = d2.premisses

@@ -11,16 +11,16 @@ per pending step: it takes no Python frame per level of its tree, so a deep
 derivation needs no raised recursion limit, and its time does not depend
 on the caller's stack depth.  It builds its output as it returns from each
 subtree: a closed subtree as a Derivation, a failed one as its pruned tree,
-in which a failed step keeps only its failed premiss and only the final
-incarnation of each restarted component survives.  Search is a function of
-the sequent's contents, and different box-choice orders restart into equal
-premisses, so each search explores a restart premiss once and shares its
-result at every later occurrence: a derivation as it is, a pruned tree
-through a view that renames its tags.  The saturated leaves of a failed
-search's pruned tree are glued into a Kripke countermodel, reading each
-leaf's tags through the views above it.  Both kinds of output are
-re-verified before they are reported: derivations against the checker,
-models against the forcing relation.
+in which a failed step keeps no node of its own, only a restart keeps its
+step, and only the final incarnation of each restarted component survives.
+Search is a function of the sequent's contents, and different box-choice
+orders restart into equal premisses, so each search explores a restart
+premiss once and shares its result at every later occurrence: a derivation
+as it is, a pruned tree through a view that renames its tags.  The
+saturated leaves of a failed search's pruned tree are glued into a Kripke
+countermodel, reading each leaf's tags through the views above it.  Both
+kinds of output are re-verified before they are reported: derivations
+against the checker, models against the forcing relation.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_se
 
 # Search runs on an explicit stack and needs no Python frame per level, but
 # these walkers still take one per level of a formula or a derivation:
-# formula's desugar, collapse_backward and _render, and metatheory's
-# _shift in cut, _gen_init and _edit.
+# formula's desugar and collapse_backward, and metatheory's _shift in cut,
+# _gen_init and _edit.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20_000))
 
 
@@ -101,9 +101,10 @@ FAILED = "failed"
 
 
 class PrunedNode(ReadOnly):
-    """A node of a failed search's pruned tree: a saturated leaf, a step
-    that keeps only its failed premiss, or an and-node over every box
-    choice, all of which failed.
+    """A node of a failed search's pruned tree: a saturated leaf, a restart
+    step over the failed premiss it restarted into, or an and-node over
+    every box choice, all of which failed.  Any other failed step keeps no
+    node: its failed premiss's tree stands in its place.
 
     A read-only slotted value, like a Derivation: a subtree may be shared
     by several views, so it must not change once built.  Equality is
@@ -193,7 +194,8 @@ SearchOutcome = Valid | Invalid | ResourceLimit
 
 # The continuation frames of a search: each waits on the stack for the
 # result of the premiss searched above it, as a tuple led by its kind.  The
-# first four are steps at s by rule, which a failed premiss fails.
+# first four are steps at s by rule, which a failed premiss fails: the frame
+# is dropped and the premiss's failure passes down unchanged.
 #   (_STEP, s, rule, f)                 a one-premiss step (impR, propagation)
 #   (_IMP_L, s, rule, f, second, m)     impL, waiting for its first premiss
 #   (_JOIN, s, rule, f, first)          impL, waiting for its second premiss
@@ -215,8 +217,10 @@ class _Search:
     stack depth.  Each step builds its premisses through the rule table,
     and its Derivation or PrunedNode through `_derivation` and `_pruned`,
     which write the slots past the class call; a derivation's height is
-    read off its premisses as they return.  Every expanded node counts
-    against the budget, whose clock it reads."""
+    read off its premisses as they return.  A failed subtree builds a
+    PrunedNode only for a saturated leaf, an and-node and a restart step:
+    nothing reads the node of any other failed step.  Every expanded node
+    counts against the budget, whose clock it reads."""
 
     def __init__(self, variant: CalculusVariant, budget: Budget, end: LinearNestedSequent):
         self.variant = variant
@@ -339,10 +343,7 @@ class _Search:
                 frame = stack.pop()
                 kind = frame[0]
                 if kind <= _OPENED and out.__class__ is tuple:
-                    # A step whose premiss failed keeps only that premiss,
-                    # or passes on a collapse travelling down from it.
-                    if not out[1]:
-                        out = _pruned(frame[1], frame[2], "step", (out[0],)), False
+                    continue  # a failed premiss fails its step, which keeps no node
                 elif kind == _STEP:
                     _, s, rule, f = frame
                     out = _derivation(s, rule, f, (out,), out.height + 1)
@@ -432,7 +433,8 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
     """Run the strategy on s; returns (status, tree, statistics): CLOSED with
     the derivation, or FAILED with the pruned tree."""
     budget = budget or Budget()
-    s = _retag(s)
+    if any(c.tag != i for i, c in enumerate(s.components)):
+        s = _retag(s)
     eng = _Search(v, budget, s)
     t0 = time.monotonic()
     try:
@@ -445,6 +447,7 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
 
 
 def _retag(s: LinearNestedSequent) -> LinearNestedSequent:
+    """s with its components tagged 0, 1, ... in order."""
     comps = tuple(Component(c.ant, c.succ, i, c.restarts) for i, c in enumerate(s.components))
     return LinearNestedSequent(comps, s.links)
 
@@ -462,12 +465,13 @@ def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:
     """Glue the surviving saturated leaves into a model, keyed by component
     identity tags; antecedent atoms become true, everything else false.
 
-    One walk over the kept tree, with an explicit stack.  Each tag is read
-    through the renamings of the views above it, the root's included, and a
-    tag that a view's source does not map names a new world for that
-    occurrence of the view.  Worlds are numbered in the order the walk
-    first meets them: the root's components, then each leaf's, left to
-    right."""
+    One walk over the kept tree, with an explicit stack, straight through
+    its chains of restart steps, the only steps a failed tree keeps.  Each
+    tag is read through the renamings of the views above it, the root's
+    included, and a tag that a view's source does not map names a new
+    world for that occurrence of the view.  Worlds are numbered in the
+    order the walk first meets them: the root's components, then each
+    leaf's, left to right."""
     names: dict[int, str] = {}
     fresh = itertools.count(-1, -1)  # the worlds views open; search tags are >= 0
 

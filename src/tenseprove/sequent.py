@@ -397,9 +397,14 @@ def _disjunction(fs: list[Formula]) -> Formula:
     return out
 
 
+# Kept alive here, so the empty conjunction is not built and freed again at
+# every translation.
+_TOP = top()
+
+
 def _conjunction(fs: list[Formula]) -> Formula:
     if not fs:
-        return top()
+        return _TOP
     out = fs[-1]
     for f in reversed(fs[:-1]):
         out = core_and(f, out)

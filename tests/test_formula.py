@@ -337,6 +337,69 @@ def test_printers_take_one_frame_per_level():
     assert ascii_text == "[F]~" * 750 + "p" and unicode_text == "□¬" * 750 + "p"
 
 
+def test_printers_take_no_frame_per_level():
+    # Each printer composes a node's text from its operands' texts in one
+    # loop over the post-order subformula list.  Each formula is built
+    # afresh for each printer, so print_ascii's cached texts are dropped
+    # before print_unicode keeps its own.
+    def boxes():
+        f = p
+        for _ in range(5000):
+            f = Box(f)
+        return f
+
+    def chain():
+        f = p
+        for _ in range(5000):
+            f = Implies(q, f)
+        return f
+
+    with fails_fast_on_recursion(200):
+        assert print_ascii(boxes()) == "[F]" * 5000 + "p"
+        assert print_unicode(boxes()) == "□" * 5000 + "p"
+        assert print_ascii(chain()) == "q -> " * 5000 + "p"
+        assert print_unicode(chain()) == "q → " * 5000 + "p"
+
+
+# A printer written straight from the grammar, one frame per level: an
+# operand is parenthesised when its connective binds more loosely than its
+# place needs; -> groups to the right, & and | to the left, and a prefix
+# connective's operand needs a prefix connective, an atom or false.
+REFERENCE_SYNTAX = {Implies: ("->", "→", 0), Or: ("|", "∨", 1), And: ("&", "∧", 2),
+                    Not: ("~", "¬", 3), Box: ("[F]", "□", 3), Diamond: ("<F>", "◇", 3),
+                    BlackBox: ("[P]", "■", 3), BlackDiamond: ("<P>", "◆", 3)}
+
+
+def reference_text(f, unicode: bool) -> str:
+    def level(g):
+        return REFERENCE_SYNTAX[type(g)][2] if type(g) in REFERENCE_SYNTAX else 4
+
+    def operand(g, need):
+        text = show(g)
+        return f"({text})" if level(g) < need else text
+
+    def show(g):
+        if isinstance(g, Atom):
+            return g.name
+        if isinstance(g, Bottom):
+            return "⊥" if unicode else "false"
+        symbol, unicode_symbol, prec = REFERENCE_SYNTAX[type(g)]
+        symbol = unicode_symbol if unicode else symbol
+        if isinstance(g, Implies):
+            return f"{operand(g.left, prec + 1)} {symbol} {operand(g.right, prec)}"
+        if isinstance(g, (And, Or)):
+            return f"{operand(g.left, prec)} {symbol} {operand(g.right, prec + 1)}"
+        return symbol + operand(g.body, 3)
+
+    return show(f)
+
+
+@given(surface_formulas)
+def test_printers_equal_the_recursive_reference(f):
+    assert print_ascii(f) == reference_text(f, unicode=False)
+    assert print_unicode(f) == reference_text(f, unicode=True)
+
+
 # sha256 of the texts of 2,000 seeded surface formulas, one a line:
 # print_ascii, print_unicode, and sort_key of the desugared formula.
 PRINTED_TEXT_PINS = {

@@ -112,7 +112,9 @@ def test_prune_without_restarts_is_identity_shaped():
     t = prune(tree)
     assert t.kind == "and" and len(t.children) == 3
     assert t.sequent.render() == tree.sequent.render()
-    assert all(c.children[0].kind == "leaf" for c in t.children)
+    # A failed box choice keeps no step node: each child is the saturated
+    # leaf above the component it opened.
+    assert all(c.kind == "leaf" and c.sequent.length == 2 for c in t.children)
 
 
 def test_prune_keeps_restarted_branch():
@@ -214,6 +216,8 @@ def test_verdicts_agree_with_the_small_model_oracle():
 def test_failed_search_returns_its_pruned_tree():
     # Search prunes a failed subtree as it returns from it, so prune has
     # nothing left to do and the model comes straight from the search tree.
+    # A failed step keeps no node, so the root is the first kept node: its
+    # first component is the end sequent's, grown by the steps below it.
     failed = 0
     for f in corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6):
         for v in (KTS, KB):
@@ -223,9 +227,49 @@ def test_failed_search_returns_its_pruned_tree():
                 continue
             failed += 1
             assert prune(tree) is tree
-            assert tree.sequent == end
+            first = tree.sequent.components[0]
+            assert first.tag == 0
+            assert end.last.ant.subset(first.ant) and end.last.succ.subset(first.succ)
             model, root = extract_model(tree, v)
             assert semantics.falsifies(model, root, end, symmetric=(v is KB))
+    assert failed > 0
+
+
+def test_failed_trees_hold_only_leaves_and_nodes_and_restart_steps():
+    # A failed propositional, propagation or box step keeps no node over its
+    # failed premiss; only a restart keeps its step, whose sequent a
+    # collapse reads.  extract_model walks restart chains down to the leaves
+    # and and-nodes, names the root world w0, and its model falsifies the
+    # end sequent and the root's own sequent.
+    formulas = (corpus(4242, 300, atoms=("p", "q"), max_size=40, max_degree=5)
+                + corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6))
+    failed = 0
+    for f in formulas:
+        for v in (KT, KTS, KB):
+            end = single([], [core_formula(f, v)])
+            try:
+                status, tree, _ = search(end, v)
+            except SearchInvariantError:
+                # KT's stuck box choices: not a verdict, and not a tree.
+                assert v is KT
+                continue
+            if status != FAILED:
+                continue
+            failed += 1
+            stack = [tree]
+            while stack:
+                node = stack.pop()
+                if node.kind == "step":
+                    assert node.rule in RESTART_RULES and len(node.children) == 1
+                elif node.kind == "and":
+                    assert node.rule is None and node.children
+                else:
+                    assert node.kind == "leaf" and node.rule is None and not node.children
+                stack.extend(node.children)
+            model, root = extract_model(tree, v)
+            assert root == "w0"
+            assert semantics.falsifies(model, root, end, symmetric=(v is KB))
+            assert semantics.falsifies(model, root, tree.sequent, symmetric=(v is KB))
     assert failed > 0
 
 
