@@ -91,11 +91,12 @@ class Closure:
     formula a backward search from the sequent can meet.
 
     `formulas[i]` is formula i and `bits[f]` is 1 << i for formula f;
-    `kinds[t]` is the mask of the formulas of class t; `bot_right`,
-    `atom_right` and `atom_left` are the implications whose right part is
-    bottom, whose right part is an atom, and whose left part is an atom."""
+    `kinds[t]` is the mask of the formulas of class t; `atoms` pairs each
+    atom's bit with its name; `bot_right`, `atom_right` and `atom_left` are
+    the implications whose right part is bottom, whose right part is an
+    atom, and whose left part is an atom."""
 
-    __slots__ = ("formulas", "bits", "kinds", "_lefts", "_rights", "_bodies",
+    __slots__ = ("formulas", "bits", "kinds", "atoms", "_lefts", "_rights", "_bodies",
                  "bot_right", "atom_right", "atom_left")
 
     def __init__(self, s: LinearNestedSequent):
@@ -108,11 +109,14 @@ class Closure:
         self._rights = rights = {}
         self._bodies = bodies = {}
         imp = box = black_box = bot_right = atom_right = atom_left = 0
+        atoms = []
         b = 1
         for f in order:
             bits[f] = b
             t = f.__class__
-            if t is Implies:
+            if t is Atom:
+                atoms.append((b, f.name))
+            elif t is Implies:
                 imp |= b
                 left, right = f.left, f.right
                 lefts[left] = lefts.get(left, 0) | b
@@ -133,6 +137,7 @@ class Closure:
         bottom = bits.get(_BOTTOM, 0)
         self.kinds = {Implies: imp, Box: box, BlackBox: black_box, Bottom: bottom,
                       Atom: (1 << len(order)) - 1 & ~(imp | box | black_box | bottom)}
+        self.atoms = tuple(atoms)
         self.bot_right, self.atom_right, self.atom_left = bot_right, atom_right, atom_left
 
     def join(self, side: tuple, f: Formula) -> tuple:
@@ -177,15 +182,18 @@ class Rule:
     the rule, side condition included, may take as its principal, given
     the masks of the last and second-last component (prev is None for a
     single one); `pick(closure, principals, last)` narrows that mask to
-    search's choice, whose lowest bit it takes (None: all of it); and
+    search's choice, whose lowest bit it takes (None: all of it);
     `grow(closure, masks, f)` gives the masks of each premiss from the
-    conclusion's."""
+    conclusion's; and `opens` is the link a right box rule's last premiss
+    adds (None for the other rules), which search appends to the links it
+    carries."""
 
-    __slots__ = ("rule", "kind", "links", "open", "premisses", "grow", "pick")
+    __slots__ = ("rule", "kind", "links", "open", "premisses", "grow", "pick", "opens")
 
-    def __init__(self, rule, kind, links, open, premisses, grow=None, pick=None):
+    def __init__(self, rule, kind, links, open, premisses, grow=None, pick=None, opens=None):
         self.rule, self.kind, self.links = rule, kind, links
         self.open, self.premisses, self.grow, self.pick = open, premisses, grow, pick
+        self.opens = opens
 
 
 # The side conditions, as the `open` of each rule.
@@ -322,7 +330,7 @@ def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
         return ((last, ((ant, k.join(succ, f.body)), before)),) + opened
 
     return Rule(rule, kind, links,
-                _body_not_in_prev_succ if two_premiss else _in_succ, premisses, grow)
+                _body_not_in_prev_succ if two_premiss else _in_succ, premisses, grow, opens=link)
 
 
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
@@ -384,16 +392,16 @@ def start(s: LinearNestedSequent, v: CalculusVariant) -> Closure:
     return Closure(s)
 
 
-def scan(k: Closure, v, s, masks) -> tuple[Rule, Formula] | None:
-    """Search's step at s, whose components have these masks over the
-    closure k: the entry of the first saturation rule, in priority order,
-    that may take a principal, and the principal its `pick` chooses; None
-    when there is none."""
-    links = s.links
+def scan(k: Closure, v, link: Polarity | None, masks) -> tuple[Rule, Formula] | None:
+    """Search's step at a sequent whose last link is `link` (None for one
+    component) and whose components have these masks over the closure k:
+    the entry of the first saturation rule, in priority order, that may
+    take a principal, and the principal its `pick` chooses; None when there
+    is none.  The sequent itself is not read."""
     last, before = masks
-    prev = before[0] if links else None
+    prev = before[0] if before is not None else None
     kinds = k.kinds
-    for e in _SCANS[v][links[-1] if links else None]:
+    for e in _SCANS[v][link]:
         principals = e.open(kinds[e.kind], last, prev)
         if principals:
             if e.pick is not None:
@@ -402,16 +410,15 @@ def scan(k: Closure, v, s, masks) -> tuple[Rule, Formula] | None:
     return None
 
 
-def box_choices(k: Closure, v, s, masks) -> list[tuple[Rule, Formula]]:
-    """Every right box step search may choose at s, whose components have
-    these masks over the closure k, as (entry, principal): in priority
-    order, and within a rule in sort_key order, on each box the rule's
-    `open` keeps."""
-    links = s.links
+def box_choices(k: Closure, v, link: Polarity | None, masks) -> list[tuple[Rule, Formula]]:
+    """Every right box step search may choose at a sequent whose last link
+    is `link` (None for one component) and whose components have these
+    masks over the closure k, as (entry, principal): in priority order, and
+    within a rule in sort_key order, on each box the rule's `open` keeps."""
     last, before = masks
-    prev = before[0] if links else None
+    prev = before[0] if before is not None else None
     out = []
-    for e in _BOX[v][links[-1] if links else None]:
+    for e in _BOX[v][link]:
         principals = e.open(k.kinds[e.kind], last, prev)
         while principals:
             low = principals & -principals

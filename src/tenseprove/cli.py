@@ -10,12 +10,15 @@ time limit, and every budget must be a positive integer.
 
 Exit codes for decide/prove: 0 valid, 1 invalid, 2 resource limit, 3 usage
 or parse error, 4 internal error.  A bad command line or budget, an
-unreadable input file and malformed JSON are usage errors.  A crash, such
-as a recursion or memory error or a failed self-check, and a failed
---certify exit 4 with one `internal error:` line on stderr, so no verdict
-code ever comes from a crash.  --certify re-checks the certificate as
-emitted: read back from its JSON form.  All reports are machine-readable;
-JSON outputs carry a schema-version field.
+unreadable input file and malformed JSON are usage errors.  Running out of
+memory is a resource limit, reported as one `resource limit: out of
+memory` line on stderr where Python can still report it.  A crash, such
+as a recursion error or a failed self-check, and a failed --certify exit 4
+with one `internal error:` line on stderr, so no verdict code ever comes
+from a crash.  Each command fixes its exit code before it prints, and a
+reader that closes standard output early does not change it.  --certify
+re-checks the certificate as emitted: read back from its JSON form.  All
+reports are machine-readable; JSON outputs carry a schema-version field.
 
 check exits 0 when the derivation checks and 1 when a node does not, both
 on its replay from the end sequent and under the checker; a derivation
@@ -154,57 +157,60 @@ def _certify(outcome, f, v: CalculusVariant) -> bool:
                                 symmetric=(v is CalculusVariant.KB))
 
 
-def _report_decide(outcome, f, output: str) -> int:
+def _report_decide(outcome, f, output: str) -> tuple[int, str]:
     if isinstance(outcome, Valid):
         if output == "json":
-            print(json.dumps({
+            text = json.dumps({
                 "schema": SCHEMA_VERSION,
                 "formula": print_ascii(f),
                 "verdict": "valid",
                 "derivation": derivation_to_json(outcome.derivation),
                 "stats": outcome.stats.to_json(),
-            }, indent=None, sort_keys=True))
+            }, indent=None, sort_keys=True)
         elif output == "latex":
-            print(derivation_to_latex(outcome.derivation))
+            text = derivation_to_latex(outcome.derivation)
         elif output == "dot":
-            print("// valid: no countermodel")
+            text = "// valid: no countermodel"
         else:
-            print(f"valid: {print_ascii(f)}")
-            print(f"derivation: {outcome.derivation.rule_applications()} rule applications, "
-                  f"height {outcome.derivation.height}")
-        return 0
+            text = (f"valid: {print_ascii(f)}\n"
+                    f"derivation: {outcome.derivation.rule_applications()} rule applications, "
+                    f"height {outcome.derivation.height}")
+        return 0, text + "\n"
     if output == "json":
-        print(json.dumps({
+        text = json.dumps({
             "schema": SCHEMA_VERSION,
             "formula": print_ascii(f),
             "verdict": "invalid",
             "model": outcome.model.to_json(outcome.root),
             "stats": outcome.stats.to_json(),
-        }, indent=None, sort_keys=True))
+        }, indent=None, sort_keys=True)
     elif output == "dot":
-        print(outcome.model.to_dot(outcome.root))
+        text = outcome.model.to_dot(outcome.root)
     elif output == "latex":
-        print("% invalid: countermodel found")
+        text = "% invalid: countermodel found"
     else:
-        print(f"invalid: {print_ascii(f)}")
-        print(f"countermodel: {json.dumps(outcome.model.to_json(outcome.root), sort_keys=True)}")
-    return 1
+        text = (f"invalid: {print_ascii(f)}\n"
+                f"countermodel: {json.dumps(outcome.model.to_json(outcome.root), sort_keys=True)}")
+    return 1, text + "\n"
 
 
-def cmd_decide(args) -> int:
+# Each command returns its exit code and its standard output, so the code is
+# fixed before anything is printed.
+
+def cmd_decide(args) -> tuple[int, str]:
     v, budget = _variant(args), _budget(args)
     f = parse(_read_text(args.formula).strip())
     outcome = prover.prove(f, v, budget)
     if isinstance(outcome, ResourceLimit):
         print("resource limit reached", file=sys.stderr)
-        return 2
+        return 2, ""
     if args.certify and not _certify(outcome, f, v):
         print("internal error: certification failed", file=sys.stderr)
-        return 4
+        return 4, ""
     return _report_decide(outcome, f, args.output)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, str]:
     v = _variant(args)
     try:
         d = _read_json(args.derivation, "derivation", derivation_from_json)
@@ -213,10 +219,8 @@ def cmd_check(args) -> int:
     else:
         res = metatheory.check(d, v)
     if res:
-        print("ok")
-        return 0
-    print(f"invalid derivation at premiss path {list(res.path)}: {res.message}")
-    return 1
+        return 0, "ok\n"
+    return 1, f"invalid derivation at premiss path {list(res.path)}: {res.message}\n"
 
 
 def _decode_model(data) -> tuple[KripkeModel, str | None]:
@@ -229,7 +233,7 @@ def _decode_model(data) -> tuple[KripkeModel, str | None]:
     return KripkeModel.from_json(data), root
 
 
-def cmd_modelcheck(args) -> int:
+def cmd_modelcheck(args) -> tuple[int, str]:
     v = CalculusVariant.KB if args.logic == "kb" else CalculusVariant.KT
     m, root = _read_json(args.model, "model", _decode_model)
     world = args.world or root
@@ -240,11 +244,10 @@ def cmd_modelcheck(args) -> int:
         ok = semantics.forces(m, world, f, symmetric=(v is CalculusVariant.KB))
     except semantics.UnknownWorld as e:
         raise UsageError(f"world {e} is not in the model") from None
-    print("forced" if ok else "not forced")
-    return 0 if ok else 1
+    return (0, "forced\n") if ok else (1, "not forced\n")
 
 
-def cmd_corpus(args) -> int:
+def cmd_corpus(args) -> tuple[int, str]:
     import time
 
     v, budget = _variant(args), _budget(args)
@@ -268,12 +271,11 @@ def cmd_corpus(args) -> int:
         if not agree or not certified:
             failures += 1
         rows.append((expected, got, "yes" if certified else "NO", text.strip()))
-    for row in rows:
-        print("\t".join(row))
-    print(f"# {len(rows)} formulas, {failures} failures")
+    out = ["\t".join(row) for row in rows]
+    out.append(f"# {len(rows)} formulas, {failures} failures")
     # timing goes to stderr so stdout stays byte-identical across runs
     print(f"# elapsed {int((time.monotonic() - t0) * 1000)} ms", file=sys.stderr)
-    return 0 if failures == 0 else 1
+    return (0 if failures == 0 else 1), "\n".join(out) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -322,29 +324,40 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER = build_parser()
 
 
+_COMMANDS = {"decide": cmd_decide, "prove": cmd_decide, "check": cmd_check,
+             "modelcheck": cmd_modelcheck, "corpus": cmd_corpus}
+
+
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         if args.not_taken:
             raise UsageError(f"{args.command} does not take {', '.join(args.not_taken)}")
-        if args.command in ("decide", "prove"):
-            return cmd_decide(args)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "modelcheck":
-            return cmd_modelcheck(args)
-        if args.command == "corpus":
-            return cmd_corpus(args)
-        raise UsageError(f"unknown command {args.command}")
+        code, out = _COMMANDS[args.command](args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 3
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # Best effort: with no memory left, even this line may not print.
+        print("resource limit: out of memory", file=sys.stderr)
+        return 2
     except Exception as e:  # no crash may exit with a verdict code
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 4
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed standard output early; the code stands.  Standard
+        # output now points at os.devnull, so the interpreter's flush at exit
+        # cannot fail again (the Python signal module's note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

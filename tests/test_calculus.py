@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import namedtuple
 
 import pytest
@@ -67,7 +68,8 @@ def first_steps(s, v):
     right box steps, over the closure of s."""
     k = calculus.start(s, v)
     masks = k.masks(s)
-    return calculus.scan(k, v, s, masks), calculus.box_choices(k, v, s, masks)
+    link = s.links[-1] if s.links else None
+    return calculus.scan(k, v, link, masks), calculus.box_choices(k, v, link, masks)
 
 
 def seq(*parts):
@@ -286,19 +288,28 @@ def _reference_pick(rule, principals, last):
 
 def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
     """At every node search expands on a corpus, under each variant, the
-    masks carried from the parent equal those read from the node's
-    components, the scan takes the rule and principal the multiset
-    reference (`_fresh_principals`, `_reference_pick`) gives, and the box
-    choices are the reference's, in order."""
+    last link and masks carried from the parent equal those of the node's
+    sequent, built here from its handle, the scan takes the rule and
+    principal the multiset reference (`_fresh_principals`,
+    `_reference_pick`) gives, and the box choices are the reference's, in
+    order."""
     scan, box_choices = calculus.scan, calculus.box_choices
     counts = {"nodes": 0, "box": 0}
 
     def link(s):
         return s.links[-1] if s.links else None
 
-    def checked_scan(k, v, s, masks):
-        assert masks == k.masks(s), s.render()
-        step = scan(k, v, s, masks)
+    def node_sequent(k, last_link, masks):
+        # Search passes the last link and the masks alone; the node's
+        # sequent is its handle `h` in the caller, built the way a
+        # derivation builds it.
+        s = prover._sequent(sys._getframe(2).f_locals["h"])
+        assert last_link == link(s) and masks == k.masks(s), s.render()
+        return s
+
+    def checked_scan(k, v, last_link, masks):
+        s = node_sequent(k, last_link, masks)
+        step = scan(k, v, last_link, masks)
         entries = calculus._SCANS[v][link(s)]
         expected = next(((e.rule, _reference_pick(e.rule, fs, s.last))
                          for e, fs in ((e, _fresh_principals(s, e)) for e in entries) if fs), None)
@@ -306,8 +317,9 @@ def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
         counts["nodes"] += 1
         return step
 
-    def checked_box_choices(k, v, s, masks):
-        steps = box_choices(k, v, s, masks)
+    def checked_box_choices(k, v, last_link, masks):
+        s = node_sequent(k, last_link, masks)
+        steps = box_choices(k, v, last_link, masks)
         assert [(e.rule, f) for e, f in steps] == [
             (e.rule, f) for e in calculus._BOX[v][link(s)] for f in _fresh_principals(s, e)
         ], s.render()

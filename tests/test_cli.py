@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -449,3 +450,49 @@ def test_certified_json_verdicts_replay_through_check_and_modelcheck(f, logic):
         assert _main_with(report, "check", *logic, "-") == (0, "ok\n"), text
     else:
         assert _main_with(report, "modelcheck", *logic, "-", text) == (1, "not forced\n"), text
+
+
+class _ClosingStdout(io.TextIOBase):
+    """A standard output whose reader goes away after `limit` characters:
+    the write that would pass that point raises BrokenPipeError, as a
+    write to a closed pipe does.  Its descriptor is a real file's, which
+    main may point at os.devnull."""
+
+    def __init__(self, limit: int, fd: int):
+        self.limit, self.fd, self.written = limit, fd, 0
+
+    def write(self, s: str) -> int:
+        if self.written + len(s) > self.limit:
+            self.written = self.limit
+            raise BrokenPipeError(32, "Broken pipe")
+        self.written += len(s)
+        return len(s)
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("limit", [0, 1, 100, 4096, 10**9])
+def test_a_closed_standard_output_keeps_the_exit_code(limit, tmp_path, monkeypatch, capsys):
+    # `decide --output json "$fan7" | head -c 100` exited 4 when head closed
+    # the pipe: the verdict's code must stand however much was read.
+    fan = " | ".join([f"[F]p{i}" for i in range(3)] + [f"[P]~[F]q{i}" for i in range(3)])
+    cases = [(1, "decide", "--output", "json", fan), (0, "decide", "--output", "json", "p -> p"),
+             (1, "decide", "p"), (0, "decide", "--output", "latex", "p -> [F]~[P]~p")]
+    for want, *argv in cases:
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        try:
+            monkeypatch.setattr(sys, "stdout", _ClosingStdout(limit, fd))
+            assert main(argv) == want, argv
+        finally:
+            monkeypatch.undo()
+            os.close(fd)
+        assert capsys.readouterr().err == "", argv
+
+
+def test_out_of_memory_is_a_resource_limit(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(prover, "prove", exhausted)
+    assert run(capsys, "decide", "p") == (2, "", "resource limit: out of memory\n")

@@ -48,7 +48,9 @@ def _also(i, part, side):
 
 
 def _flipped_link(e):
-    """The right premiss opens its component across the other link."""
+    """The right premiss opens its component across the other link; the
+    link search carries for it flips too, so search reads the premiss it
+    built."""
     premisses = e.premisses
 
     def wrong_premisses(s, f, tags):
@@ -57,7 +59,7 @@ def _flipped_link(e):
         other = BWD if right.links[-1] is FWD else FWD
         return prems[:-1] + (LinearNestedSequent(right.components, right.links[:-1] + (other,)),)
 
-    return {"premisses": wrong_premisses}
+    return {"premisses": wrong_premisses, "opens": BWD if e.opens is FWD else FWD}
 
 
 def _open(wrong):

@@ -246,7 +246,7 @@ def test_replace_component_index_contract():
 _COMPONENT = ("ant", "succ", "tag", "restarts")
 _SEQUENT = ("components", "links")
 _DERIVATION = ("conclusion", "rule", "principal", "premisses", "height")
-_PRUNED = ("sequent", "rule", "kind", "children")
+_PRUNED = ("links", "masks", "tags", "rule", "kind", "children", "atoms", "at")
 
 
 def _values():
