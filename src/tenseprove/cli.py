@@ -16,7 +16,8 @@ memory` line on stderr where Python can still report it.  A crash, such
 as a recursion error or a failed self-check, and a failed --certify exit 4
 with one `internal error:` line on stderr, so no verdict code ever comes
 from a crash.  Each command fixes its exit code before it prints, and a
-reader that closes standard output early does not change it.  --certify
+reader that closes standard output early does not change it; any other
+failed write exits 4.  --certify
 re-checks the certificate as emitted: read back from its JSON form.  All
 reports are machine-readable; JSON outputs carry a schema-version field.
 
@@ -350,13 +351,18 @@ def main(argv=None) -> int:
     try:
         sys.stdout.write(out)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed standard output early; the code stands.  Standard
-        # output now points at os.devnull, so the interpreter's flush at exit
-        # cannot fail again (the Python signal module's note on SIGPIPE).
+    except OSError as e:
+        # A reader that closed standard output early leaves the code
+        # standing; any other write error, such as a full disk, is internal.
+        # Standard output now points at os.devnull, so the interpreter's
+        # flush at exit cannot fail again (the Python signal module's note
+        # on SIGPIPE).
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(e, BrokenPipeError):
+            print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+            return 4
     return code
 
 

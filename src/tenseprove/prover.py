@@ -106,44 +106,33 @@ FAILED = "failed"
 
 # --- sequents on demand --------------------------------------------------------
 #
-# Search carries each node's sequent as a handle: a step's premisses are one
-# cell, [premisses or None, the conclusion's handle, entry, principal, tag],
-# and the handle of its premiss i is the cell itself for i = 0 and (cell, i)
-# otherwise.  The tag is that of the component a right box step opens
+# Search carries each node's sequent as a handle (cell, i): premiss i of the
+# step whose cell is [premisses or None, the conclusion's handle, entry,
+# principal, tag].  The tag is that of the component a right box step opens
 # (None for any other step), drawn when search takes the step, so a sequent
-# built later carries the tags search gave its components.  The end
-# sequent's cell holds it already built.
+# built later carries the tags search gave its components.  A cell whose
+# entry is None stands for the prefix of its conclusion that drops the last
+# component.  The end sequent's cell holds it built, has no conclusion, and
+# holds the closure's atom table in its entry's place.
 
 
-def _sequent(h) -> LinearNestedSequent:
+def _sequent(h: tuple) -> LinearNestedSequent:
     """The sequent at handle h.  Builds each cell below h that is not yet
-    built, from the nearest built one up, through its entry's `premisses`,
-    and keeps the premisses in their cell, so each is built once."""
-    if h.__class__ is list:
-        if h[0] is not None:
-            return h[0][0]
-        cell, i = h, 0
-    else:
-        cell, i = h
-        if cell[0] is not None:
-            return cell[0][i]
-    pending = []
-    c = cell
-    while c[0] is None:
-        pending.append(c)
-        below = c[1]
-        c = below if below.__class__ is list else below[0]
-    for c in reversed(pending):
-        below = c[1]
-        s = below[0][0] if below.__class__ is list else below[0][0][below[1]]
-        tag = c[4]
-        c[0] = c[2].premisses(s, c[3], None if tag is None else itertools.repeat(tag).__next__)
+    built, from the nearest built one up, and keeps the premisses in their
+    cell, so each is built once."""
+    cell, i = h
+    if cell[0] is None:
+        pending = []
+        c = cell
+        while c[0] is None:
+            pending.append(c)
+            c = c[1][0]
+        for c in reversed(pending):
+            (below, j), e, tag = c[1], c[2], c[4]
+            s = below[0][j]
+            c[0] = (s.drop_last(),) if e is None else e.premisses(
+                s, c[3], None if tag is None else itertools.repeat(tag).__next__)
     return cell[0][i]
-
-
-# The step from boxR1/bboxR1's left premiss to its prefix, which ew derives
-# it from: a handle's entry, not a rule search scans.
-_PREFIX_OF = calculus.Rule(_EW, None, (), None, lambda s, f, tags: (s.drop_last(),))
 
 
 def _tag_chain(s: LinearNestedSequent) -> tuple | None:
@@ -178,43 +167,54 @@ class PrunedNode(ReadOnly):
 
     Stored: the node's link chain, masks and tag chain (as search carries
     them), the rule (a restart step's, else None), the kind, the children,
-    `atoms`, the (bit, name) of each atom the masks number (the closure's),
-    and `at`, the handle of the sequent search stood on.  Built on read:
-    `sequent`, from `at` (a restart step's is the prefix of its conclusion
-    that survives the restart).  Reading it builds what is missing below
-    the node, once per search.
+    and `at`, the handle of its sequent (a restart step's is the prefix of
+    its conclusion that survives the restart), which keeps the search's
+    cells below it alive.  Read through `at`: `sequent`, built on the
+    first read, once per search, with what is missing below it, and
+    `atoms`, the (bit, name) of each atom the masks number, from the
+    search's end cell.  A copy or a pickle holds both read, in an end cell
+    of its own, not the search's cells.
 
     A read-only slotted value, like a Derivation: a subtree may be shared
     by several views, so it must not change once built.  Equality is
     identity."""
 
-    __slots__ = _fields = ("links", "masks", "tags", "rule", "kind", "children",
-                           "atoms", "at")
+    __slots__ = ("links", "masks", "tags", "rule", "kind", "children", "at")
+    _fields = ("links", "masks", "tags", "rule", "kind", "children", "sequent", "atoms")
 
     def __init__(self, links: tuple, masks: tuple, tags: tuple, rule: RuleId | None,
-                 kind: str, children: tuple[PrunedNode, ...], atoms: tuple, at):
+                 kind: str, children: tuple[PrunedNode, ...], sequent: LinearNestedSequent,
+                 atoms: tuple):
         # kind is "leaf", "step" or "and"
-        for set_field, value in zip(_PRUNED_SETTERS,
-                                    (links, masks, tags, rule, kind, children, atoms, at)):
+        for set_field, value in zip(_PRUNED_SETTERS, (links, masks, tags, rule, kind, children,
+                                                      ([(sequent,), None, atoms, None, None], 0))):
             set_field(self, value)
 
     @property
     def sequent(self) -> LinearNestedSequent:
-        s = _sequent(self.at)
-        n = self.links[1] + 1
-        return s if len(s.components) == n else s.prefix(n)
+        return _sequent(self.at)
+
+    @property
+    def atoms(self) -> tuple:
+        c = self.at[0]
+        while c[1] is not None:
+            c = c[1][0]
+        return c[2]
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({inner})"
 
 
 _PRUNED_SETTERS = slot_setters(PrunedNode)
-(_set_links, _set_masks, _set_tags, _set_rule, _set_kind, _set_children, _set_atoms,
- _set_at) = _PRUNED_SETTERS
+_set_links, _set_masks, _set_tags, _set_rule, _set_kind, _set_children, _set_at = _PRUNED_SETTERS
 _new = object.__new__
 _monotonic = time.monotonic
 
 
 def _pruned(links: tuple, masks: tuple, tags: tuple, rule: RuleId | None, kind: str,
-            children: tuple[PrunedNode, ...], atoms: tuple, at) -> PrunedNode:
-    """PrunedNode(...) past the class call."""
+            children: tuple[PrunedNode, ...], at: tuple) -> PrunedNode:
+    """A PrunedNode on search's handle `at`, past the class call."""
     node = _new(PrunedNode)
     _set_links(node, links)
     _set_masks(node, masks)
@@ -222,7 +222,6 @@ def _pruned(links: tuple, masks: tuple, tags: tuple, rule: RuleId | None, kind: 
     _set_rule(node, rule)
     _set_kind(node, kind)
     _set_children(node, children)
-    _set_atoms(node, atoms)
     _set_at(node, at)
     return node
 
@@ -304,6 +303,11 @@ SearchOutcome = Valid | Invalid | ResourceLimit
 #       result came from the restart table
 _STEP, _IMP_L, _JOIN, _OPENED, _PREFIX, _LEFT, _CHOICES, _RESTART = range(8)
 
+# Called, when set, with the handle, link chain and masks of each node search
+# expands, before its step is chosen: a test sets it to build and check the
+# node's sequent.
+_watch = None
+
 
 class _Search:
     """One search from an end sequent, run by `run` as one loop over an
@@ -336,11 +340,11 @@ class _Search:
         # Each restart adds to its absorber's antecedent a subformula of the
         # end sequent it lacked, so none absorbs more than there are.
         self.restart_bound = len(self.closure.formulas) + 1
-        # (links, masks) of a restart premiss -> the result of a failed one,
-        # or the results of the closed ones, one per premiss explored; each
-        # result with the tag chain of the premiss explored, and the nodes,
-        # restarts and max_length of its subtree
-        self.restarted: dict[tuple, tuple | list[tuple]] = {}
+        # (links, masks) of a restart premiss -> the results of the premisses
+        # explored with them: one failed result, or one closed result per
+        # derivation conclusion; each with the tag chain of the premiss
+        # explored, and the nodes, restarts and max_length of its subtree
+        self.restarted: dict[tuple, list[tuple]] = {}
 
     def run(self, s: LinearNestedSequent, masks: tuple) -> Derivation | Failure:
         """Search from s, whose components have these masks over the end
@@ -372,9 +376,9 @@ class _Search:
         st = self.stats
         k, v, restarted, bound = self.closure, self.variant, self.restarted, self.restart_bound
         max_nodes, deadline, fresh = self.max_nodes, self.deadline, self.tags.__next__
-        scan, box_choices, bits, atoms = calculus.scan, calculus.box_choices, k.bits, k.atoms
+        scan, box_choices, bits, watch = calculus.scan, calculus.box_choices, k.bits, _watch
         nodes, expanded, restarts, max_length = st.nodes, st.expanded, st.restarts, st.max_length
-        h, links, tags = [(s,), None, None, None, None], _link_chain(s), _tag_chain(s)
+        h, links, tags = ([(s,), None, k.atoms, None, None], 0), _link_chain(s), _tag_chain(s)
         stack = []
         choice = None  # a box choice of the and-node `frame` to start
         while True:
@@ -393,9 +397,9 @@ class _Search:
                 stack.append(frame)
                 if len(grown) == 1:
                     stack.append((_OPENED, at, e.rule, f, None, None, links, tags))
-                    h = cell
+                    h = (cell, 0)
                 else:
-                    stack.append((_OPENED, at, e.rule, f, cell, grown[0], links, tags))
+                    stack.append((_OPENED, at, e.rule, f, (cell, 0), grown[0], links, tags))
                     h = (cell, 1)
                 links = (e.opens, links[1] + 1, links)
                 tags = ((tag, 0), tags)
@@ -412,6 +416,8 @@ class _Search:
                 st.nodes, st.expanded, st.restarts, st.max_length = (
                     nodes, expanded, restarts, max_length)
                 raise BudgetExhausted(st)
+            if watch is not None:
+                watch(h, links, masks)
             step = scan(k, v, links[0], masks)
             if step is not None:
                 e, f = step
@@ -423,18 +429,20 @@ class _Search:
                     (tag, count), below = tags[1]
                     if count >= bound:
                         raise SearchInvariantError("restart count exceeded the subformula bound")
-                    cell = [None, h, e, f, None]
+                    q = ([None, h, e, f, None], 0)
                     p = ((tag, count + 1), below)
                     key = (links[2], e.grow(k, masks, f)[0])
                     seen = restarted.get(key)
-                    if seen.__class__ is list:
-                        q = _sequent(cell)
-                        seen = next((r for r in seen if r[0].conclusion == q), None)
+                    if seen is not None:
+                        # A failed result is shared as it is, a closed one
+                        # only with a premiss its derivation concludes.
+                        seen = next((r for r in seen if r[0].__class__ is tuple
+                                     or r[0].conclusion == _sequent(q)), None)
                     if seen is None:
                         stack.append((_RESTART, h, links, masks, tags, rule, f, key, p,
                                       nodes, restarts, max_length))
                         max_length = links[1]
-                        h, links, masks, tags = cell, key[0], key[1], p
+                        h, links, masks, tags = q, key[0], key[1], p
                         continue
                     # The statistics grow by the stored subtree's totals.
                     out, first, more_nodes, more_restarts, length = seen
@@ -454,7 +462,7 @@ class _Search:
                         stack.append((_STEP, h, rule, f))
                     else:
                         stack.append((_IMP_L, h, rule, f, (cell, 1), grown[1], links, tags))
-                    h, masks = cell, grown[0]
+                    h, masks = (cell, 0), grown[0]
                     continue
             else:
                 choices = box_choices(k, v, links[0], masks)
@@ -462,7 +470,7 @@ class _Search:
                     frame = (_CHOICES, h, links, masks, tags, iter(choices), [])
                     choice = next(frame[5])
                     continue
-                out = _pruned(links, masks, tags, None, "leaf", (), atoms, h), False
+                out = _pruned(links, masks, tags, None, "leaf", (), h), False
             while stack:
                 frame = stack.pop()
                 kind = frame[0]
@@ -490,14 +498,14 @@ class _Search:
                         out = best, best.links[1] < links[1]
                     else:
                         out = _pruned(links, masks, tags, None, "and",
-                                      tuple([c for c, _ in explored]), atoms, at), False
+                                      tuple([c for c, _ in explored]), at), False
                 elif kind == _OPENED:
                     _, at, rule, f, left, m, links, tags = frame
                     if left is None:
                         out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
                     else:
                         stack.append((_PREFIX, at, rule, f, left, m, out, links, tags))
-                        h, links, masks, tags = [None, left, _PREFIX_OF, None, None], \
+                        h, links, masks, tags = ([None, left, None, None, None], 0), \
                             links[2], m[1], tags[1]
                         break
                 elif kind == _IMP_L:
@@ -516,11 +524,8 @@ class _Search:
                         length = max_length
                         if outer > length:
                             max_length = outer
-                        result = (out, p, nodes - nodes_before, restarts - restarts_before, length)
-                        if out.__class__ is tuple:
-                            restarted[key] = result
-                        else:
-                            restarted.setdefault(key, []).append(result)
+                        restarted.setdefault(key, []).append(
+                            (out, p, nodes - nodes_before, restarts - restarts_before, length))
                     if out.__class__ is not tuple:
                         out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
                     elif not out[1] or out[0].links[1] >= links[1] - 1:
@@ -528,7 +533,7 @@ class _Search:
                         # its step stands on the prefix, unless the collapse
                         # reaches further down.
                         out = _pruned(links[2], masks[1], tags[1], rule, "step", (out[0],),
-                                      atoms, at), True
+                                      ([None, at, None, None, None], 0)), True
                 elif kind == _PREFIX:
                     _, at, rule, f, left, m, opened, links, tags = frame
                     if out.__class__ is tuple:

@@ -1,5 +1,4 @@
 import random
-import sys
 from collections import namedtuple
 
 import pytest
@@ -295,15 +294,20 @@ def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
     order."""
     scan, box_choices = calculus.scan, calculus.box_choices
     counts = {"nodes": 0, "box": 0}
+    node = {}
 
     def link(s):
         return s.links[-1] if s.links else None
 
-    def node_sequent(k, last_link, masks):
-        # Search passes the last link and the masks alone; the node's
-        # sequent is its handle `h` in the caller, built the way a
+    def watch(h, links, masks):
+        # Search hands over each node's handle, link chain and masks before
+        # it scans; the sequent is built from the handle the way a
         # derivation builds it.
-        s = prover._sequent(sys._getframe(2).f_locals["h"])
+        node.update(s=prover._sequent(h), link=links[0], masks=masks)
+
+    def node_sequent(k, last_link, masks):
+        s = node["s"]
+        assert (last_link, masks) == (node["link"], node["masks"]), s.render()
         assert last_link == link(s) and masks == k.masks(s), s.render()
         return s
 
@@ -326,6 +330,7 @@ def test_incremental_scan_agrees_with_the_saturating_generators(monkeypatch):
         counts["box"] += 1
         return steps
 
+    monkeypatch.setattr(prover, "_watch", watch)
     monkeypatch.setattr(calculus, "scan", checked_scan)
     monkeypatch.setattr(calculus, "box_choices", checked_box_choices)
     formulas = (corpus(7, 300, atoms=("p", "q"), max_size=30, max_degree=6)

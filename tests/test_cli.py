@@ -453,18 +453,18 @@ def test_certified_json_verdicts_replay_through_check_and_modelcheck(f, logic):
 
 
 class _ClosingStdout(io.TextIOBase):
-    """A standard output whose reader goes away after `limit` characters:
-    the write that would pass that point raises BrokenPipeError, as a
+    """A standard output that takes `limit` characters: the write that
+    would pass that point raises `error`, BrokenPipeError by default, as a
     write to a closed pipe does.  Its descriptor is a real file's, which
     main may point at os.devnull."""
 
-    def __init__(self, limit: int, fd: int):
-        self.limit, self.fd, self.written = limit, fd, 0
+    def __init__(self, limit: int, fd: int, error: OSError = BrokenPipeError(32, "Broken pipe")):
+        self.limit, self.fd, self.error, self.written = limit, fd, error, 0
 
     def write(self, s: str) -> int:
         if self.written + len(s) > self.limit:
             self.written = self.limit
-            raise BrokenPipeError(32, "Broken pipe")
+            raise self.error
         self.written += len(s)
         return len(s)
 
@@ -488,6 +488,22 @@ def test_a_closed_standard_output_keeps_the_exit_code(limit, tmp_path, monkeypat
             monkeypatch.undo()
             os.close(fd)
         assert capsys.readouterr().err == "", argv
+
+
+@pytest.mark.parametrize("limit", [0, 10])
+def test_a_failed_write_is_an_internal_error(limit, tmp_path, monkeypatch, capsys):
+    # A full disk is no verdict: a valid and an invalid formula both exit 4.
+    for argv in (("decide", "p -> p"), ("decide", "p")):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT | os.O_TRUNC)
+        try:
+            full = OSError(28, "No space left on device")
+            monkeypatch.setattr(sys, "stdout", _ClosingStdout(limit, fd, full))
+            assert main(list(argv)) == 4, argv
+        finally:
+            monkeypatch.undo()
+            os.close(fd)
+        assert capsys.readouterr().err == (
+            "internal error: OSError: [Errno 28] No space left on device\n"), argv
 
 
 def test_out_of_memory_is_a_resource_limit(monkeypatch, capsys):

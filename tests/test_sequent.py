@@ -7,9 +7,11 @@ from hypothesis import given
 
 from conftest import fails_fast_on_recursion, small_sequents
 from tenseprove.calculus import CalculusVariant, RuleId, premisses
-from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, Polarity, parse, sort_key
+from tenseprove.formula import (
+    Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key,
+)
 from tenseprove.metatheory import Derivation, cut, generalised_init, weaken
-from tenseprove.prover import PrunedNode, search
+from tenseprove.prover import PrunedNode, extract_model, search
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
     Component,
@@ -246,7 +248,8 @@ def test_replace_component_index_contract():
 _COMPONENT = ("ant", "succ", "tag", "restarts")
 _SEQUENT = ("components", "links")
 _DERIVATION = ("conclusion", "rule", "principal", "premisses", "height")
-_PRUNED = ("links", "masks", "tags", "rule", "kind", "children", "atoms", "at")
+_PRUNED = ("links", "masks", "tags", "rule", "kind", "children", "sequent", "atoms")
+_FAN3 = " | ".join([f"[F]p{i}" for i in range(3)] + [f"[P]~[F]q{i}" for i in range(3)])
 
 
 def _values():
@@ -260,6 +263,11 @@ def _values():
     k = parse("[F](p -> q) -> [F]p -> [F]q")
     _, derived, _ = search(single([], [k]), CalculusVariant.KT_STAR)
     _, failed, _ = search(single([], [p]), CalculusVariant.KT_STAR)
+    # fan(3) fails with box choices, restart steps and a shared premiss.
+    _, fan, _ = search(single([], [desugar(parse(_FAN3))]), CalculusVariant.KT_STAR)
+    # This one keeps its repeated restart premiss's tree a second time as a view.
+    shared_text = "[F](b -> a) -> [F](a -> b) -> [F]<P>[F]q -> [F]a | [F]b"
+    _, shared, _ = search(single([], [desugar(parse(shared_text))]), CalculusVariant.KT_STAR)
     init = generalised_init(single([imp], [imp]), imp)
     values = [
         ("Component", c, _COMPONENT),
@@ -270,6 +278,8 @@ def _values():
         ("add", Multiset([p]).add(q), ()),
         ("search_Derivation", derived, _DERIVATION),
         ("search_PrunedNode", failed, _PRUNED),
+        ("search_PrunedNode_fan", fan, _PRUNED),
+        ("search_PrunedNode_shared", shared, _PRUNED),
         ("merge", merge(s2, seq(component([r]), FWD, component([], [r]))), _SEQUENT),
         ("weaken_Component", weaken(leaf, 0, [q], [r]).conclusion.components[0], _COMPONENT),
         ("union", Multiset([p]).union(Multiset([q])), ()),
@@ -293,13 +303,28 @@ def test_value_fields_are_read_only(value, fields):
         value.extra = 1
 
 
+def _same(a, b) -> bool:
+    """a equals b, and a pruned node, whose equality is identity, equals
+    another of its type with the same fields."""
+    if isinstance(a, PrunedNode):
+        return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in a._fields)
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 @pytest.mark.parametrize("value, fields", _values())
 def test_value_copies_and_pickles_equal(value, fields):
     for out in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(out) is type(value)
-        assert all(getattr(out, n) == getattr(value, n) for n in fields)
-        # A pruned node's equality is identity; its fields are compared above.
-        if not isinstance(value, PrunedNode):
+        assert all(_same(getattr(out, n), getattr(value, n)) for n in fields)
+        # A pruned node's equality is identity; its fields are compared
+        # above, and a copy holds what a model is read from.
+        if isinstance(value, PrunedNode):
+            model, root = extract_model(out, CalculusVariant.KT_STAR)
+            expected, expected_root = extract_model(value, CalculusVariant.KT_STAR)
+            assert model.to_json(root) == expected.to_json(expected_root)
+        else:
             assert out == value and hash(out) == hash(value)
         if isinstance(value, Component):
             assert (out.tag, out.restarts) == (value.tag, value.restarts)
