@@ -8,10 +8,10 @@ cut elimination as executable proof transformations.
 
 from .calculus import CalculusVariant, RuleId
 from .formula import desugar, parse, print_ascii, print_unicode
-from .metatheory import Derivation, check, cut, generalised_init, to_ktstar, weaken
+from .metatheory import Derivation, check, cut, generalised_init, merge, to_ktstar, weaken
 from .prover import Budget, Invalid, ResourceLimit, Valid, prove, prove_sequent
 from .semantics import KripkeModel, bounded_countermodel_search, falsifies, forces
-from .sequent import LinearNestedSequent, formula_translation, merge
+from .sequent import LinearNestedSequent, formula_translation
 
 __version__ = "0.1.0"
 

@@ -10,9 +10,10 @@ time limit, and every budget must be a positive integer.
 
 Exit codes for decide/prove: 0 valid, 1 invalid, 2 resource limit, 3 usage
 or parse error, 4 internal error.  A bad command line or budget, an
-unreadable input file and malformed JSON are usage errors.  Running out of
-memory is a resource limit, reported as one `resource limit: out of
-memory` line on stderr where Python can still report it.  A crash, such
+unreadable input file or standard input and malformed JSON are usage
+errors.  Running out of memory is a resource limit, reported as one
+`resource limit: out of memory` line on stderr where Python can still
+report it.  A crash, such
 as a recursion error or a failed self-check, and a failed --certify exit 4
 with one `internal error:` line on stderr, so no verdict code ever comes
 from a crash.  Each command fixes its exit code before it prints, and a
@@ -102,19 +103,21 @@ def _budget(args) -> Budget:
 
 
 def _read_text(arg: str) -> str:
-    if arg == "-":
-        return sys.stdin.read()
-    return arg
+    return _read_file(arg) if arg == "-" else arg
 
 
 def _read_file(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The text of path, or of standard input for -; input that cannot be
+    read or decoded, or a closed standard input, is a usage error."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
+        if path != "-":
+            with open(path, encoding="utf-8") as fh:
+                return fh.read()
+        if sys.stdin is None:
+            raise UsageError("cannot read standard input: it is closed")
+        return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as e:
-        raise UsageError(f"cannot read {path}: {e}") from None
+        raise UsageError(f"cannot read {'standard input' if path == '-' else path}: {e}") from None
 
 
 # What the report of each verdict carries.
@@ -137,7 +140,8 @@ def _read_json(path: str, kind: str, decode):
         if isinstance(data, dict) and kind in data:
             data = data[kind]
         return decode(data)
-    except (ValueError, KeyError, TypeError, AttributeError) as e:
+    # JSON nested past the recursion limit raises RecursionError.
+    except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as e:
         raise UsageError(f"malformed {kind} in {path}: {type(e).__name__}: {e}") from None
 
 

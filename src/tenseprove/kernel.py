@@ -12,10 +12,10 @@ component (the restart, whose new last component gains the body, and ew).
 
 A node is checked by comparison: no component, sequent or multiset is
 built.  A component the rule leaves alone is compared by identity first,
-since search shares it between conclusion and premiss, and by the
-tag-blind equality of `sequent.Component` only when that fails.  This
-module imports only `formula` and `sequent`, which with it form the
-trusted base.
+since search and the transforms share it between conclusion and premiss,
+and by the tag-blind equality of `sequent.Component` only when that
+fails.  This module imports only `formula` and `sequent`, which with it
+form the trusted base.
 """
 
 from __future__ import annotations

@@ -13,9 +13,14 @@ only cases in which the two lemmas differ.
 
 The transforms and certificate replay build each node, and each component
 and sequent they make, past the class call (`_derivation`, `_component`,
-`sequent._merge`), as search does: a class call costs an `__init__` frame
-entered from C.  Each builder writes the height it takes from the
-premisses it has just built; only the public constructors compute it.
+`_merge`), as search does: a class call costs an `__init__` frame entered
+from C.  Each builder writes the height it takes from the premisses it has
+just built; only the public constructors compute it.  Merge lives here,
+not in the trusted `sequent`, since cut is its one reader.  A transform
+call builds each distinct component once: cut's shifts share one memo of
+merged components and each edit walk one of edited components, so the
+output shares an unchanged component by identity, as search's
+derivations do.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .formula import (
     sort_key,
 )
 from .kernel import RULES, is_instance
-from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, _merge, slot_setters
+from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_setters
 
 _new = object.__new__
 _set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
@@ -254,7 +259,10 @@ def _recheck(out: Derivation, v: CalculusVariant, what: str) -> Derivation:
 def _edit(d: Derivation, changes: dict, memo: dict | None = None) -> Derivation:
     """Apply changes[i] to component i of every sequent of d that still has
     it, in one walk; a shared node is edited once for each set of changes
-    that reaches it, so the output shares what d shares."""
+    that reaches it, so the output shares what d shares.  So is a shared
+    component once for each change: memo also maps (change, id of the
+    component) to its edit, and d keeps every keyed component alive, so
+    an id is not reused while the walk runs."""
     if not changes:
         return d
     if memo is None:
@@ -266,7 +274,12 @@ def _edit(d: Derivation, changes: dict, memo: dict | None = None) -> Derivation:
     conc = d.conclusion
     comps = list(conc.components)
     for i, change in changes.items():
-        comps[i] = change(comps[i])
+        c = comps[i]
+        ckey = (change, id(c))
+        e = memo.get(ckey)
+        if e is None:
+            e = memo[ckey] = change(c)
+        comps[i] = e
     n = len(comps)
     prems = []
     for p in d.premisses:
@@ -422,7 +435,59 @@ def to_ktstar(d: Derivation) -> Derivation:
     return memo[id(d)]
 
 
-# --- cut elimination ----------------------------------------------------------
+# --- merge and cut elimination -----------------------------------------------
+
+
+class MergeUndefined(Exception):
+    pass
+
+
+def merge(a: LinearNestedSequent, b: LinearNestedSequent) -> LinearNestedSequent:
+    """Componentwise multiset union, keeping the longer tail.
+
+    Defined when the shorter sequent's links equal the longer one's first
+    links (the two are structurally equivalent up to the shorter length);
+    the shared components keep a's tags.
+    """
+    return _merge(a, b, None, None, {})
+
+
+def _merge(a: LinearNestedSequent, b: LinearNestedSequent, pos: int | None,
+           f: Formula | None, memo: dict) -> LinearNestedSequent:
+    """merge's loop.  With a position, component pos also loses one copy of
+    f on each side, in the same dict copy as its union: cut elimination's
+    target is the merge less the two cut occurrences.  memo maps (id of a's
+    component, id of b's, f at pos and None elsewhere) to the merged
+    component and both operands, which it holds so that their ids are not
+    reused while it lives: a cut call passes one memo to every shift and
+    merges each distinct pair once.  After the links check the result has
+    the longer sequent's links and one component for each, the shape the
+    constructor checks, so it is built past that check."""
+    longer, shorter = (a, b) if len(a.components) >= len(b.components) else (b, a)
+    n = len(shorter.components)
+    if shorter.links != longer.links[: n - 1]:
+        raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
+    comps = []
+    for i, (x, y) in enumerate(zip(a.components, b.components)):
+        g = f if i == pos else None
+        key = (id(x), id(y), g)
+        hit = memo.get(key)
+        if hit is None:
+            c = _new(Component)
+            if g is None:
+                _set_ant(c, x.ant.union(y.ant))
+                _set_succ(c, x.succ.union(y.succ))
+            else:
+                _set_ant(c, x.ant._union_less(y.ant, g))
+                _set_succ(c, x.succ._union_less(y.succ, g))
+            _set_tag(c, x.tag)
+            _set_restarts(c, 0)
+            hit = memo[key] = (c, x, y)
+        comps.append(hit[0])
+    s = _new(LinearNestedSequent)
+    _set_components(s, tuple(comps) + longer.components[n:])
+    _set_links(s, longer.links)
+    return s
 
 
 class CutMonitor:
@@ -526,7 +591,7 @@ _RIGHT_INTRODUCTIONS = RIGHT_BOX_RULES | {_IMP_R}
 
 
 def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor,
-           left: bool, witness: Derivation | None = None) -> Derivation:
+           memo: dict, left: bool, witness: Derivation | None = None) -> Derivation:
     """Shift the cut on `a` up into d1 (left) or into d2 (right).
 
     d1 concludes G + (Gamma => Delta, a) + I and d2 concludes
@@ -539,7 +604,8 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
     extended with an empty component holding the box body; it pays for
     eliminating the contextual copy when the cut gets principal on the left
     side of d2.  The prefix only grows up d2, so the witness's context is
-    in every later target and `_contract_to` takes the surplus out.
+    in every later target and `_contract_to` takes the surplus out.  memo
+    is the cut call's memo of merged components (`_merge`).
     """
     mon.enter(complexity(a), d1.height + d2.height, 1 if left else 0)
     try:
@@ -547,18 +613,18 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
         if left:
             # Before the terminal case, which it never meets: a terminal d1
             # introduces nothing.
-            out = _principal_left(a, d1, d2, pos, mon)
+            out = _principal_left(a, d1, d2, pos, mon, memo)
             if out is not None:
                 return out
         # Built after the left principal case, whose shift right returns
         # its own result and never reads this target.
-        target = _merge(d1.conclusion, d2.conclusion, pos, a)
+        target = _merge(d1.conclusion, d2.conclusion, pos, a, memo)
 
         if d.rule in _AXIOMS:
             return _close_terminal(target, (other, d))
 
         if not left:
-            out = _principal_right(a, d1, d2, pos, mon, witness, target)
+            out = _principal_right(a, d1, d2, pos, mon, memo, witness, target)
             if out is not None:
                 return out
 
@@ -581,8 +647,8 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
         prems = []
         height = 0
         for p in d.premisses:
-            e = (_shift(a, p, d2, pos, mon, True) if left
-                 else _shift(a, d1, p, pos, mon, False, witness))
+            e = (_shift(a, p, d2, pos, mon, memo, True) if left
+                 else _shift(a, d1, p, pos, mon, memo, False, witness))
             prems.append(e)
             if e.height >= height:
                 height = e.height + 1
@@ -592,21 +658,22 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
 
 
 def _principal_left(a: Formula, d1: Derivation, d2: Derivation, pos: int,
-                    mon: CutMonitor) -> Derivation | None:
+                    mon: CutMonitor, memo: dict) -> Derivation | None:
     """d1 introduces `a`: shift right, first building the witness for a box."""
     if not (pos == len(d1.conclusion.components) - 1 and d1.rule in _RIGHT_INTRODUCTIONS
             and d1.principal == a):
         return None
     last2 = len(d2.conclusion.components) - 1
     if isinstance(a, Implies):
-        return _shift(a, d1, d2, last2, mon, False)
+        return _shift(a, d1, d2, last2, mon, memo, False)
     right = d1.premisses[-1]
-    witness = _shift(a, right, d2, len(right.conclusion.components) - 2, mon, True)
-    return _shift(a, d1, d2, last2, mon, False, witness)
+    witness = _shift(a, right, d2, len(right.conclusion.components) - 2, mon, memo, True)
+    return _shift(a, d1, d2, last2, mon, memo, False, witness)
 
 
 def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor,
-                     witness: Derivation | None, target: LinearNestedSequent) -> Derivation | None:
+                     memo: dict, witness: Derivation | None,
+                     target: LinearNestedSequent) -> Derivation | None:
     """`a` is principal in d2 too: cut on smaller formulas, then contract."""
     last2 = len(d2.conclusion.components) - 1
     if isinstance(a, Implies):
@@ -614,24 +681,25 @@ def _principal_right(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: 
             return None
         d3 = d1.premisses[0]
         d4, d5 = d2.premisses
-        e1 = _shift(a, d1, d4, len(d1.conclusion.components) - 1, mon, True)
-        e2 = _shift(a, d1, d5, len(d1.conclusion.components) - 1, mon, True)
-        e3 = _shift(a, d3, d2, len(d3.conclusion.components) - 1, mon, True)
-        f = _shift(a.left, e2, e3, len(e2.conclusion.components) - 1, mon, True)
-        g = _shift(a.right, f, e1, len(f.conclusion.components) - 1, mon, True)
+        e1 = _shift(a, d1, d4, len(d1.conclusion.components) - 1, mon, memo, True)
+        e2 = _shift(a, d1, d5, len(d1.conclusion.components) - 1, mon, memo, True)
+        e3 = _shift(a, d3, d2, len(d3.conclusion.components) - 1, mon, memo, True)
+        f = _shift(a.left, e2, e3, len(e2.conclusion.components) - 1, mon, memo, True)
+        g = _shift(a.right, f, e1, len(f.conclusion.components) - 1, mon, memo, True)
         return _contract_to(g, target)
 
     _, _, prop_rule, restart_rule = _KT_MODAL_RULES[BOX_LINK[type(a)]]
     if d2.rule is prop_rule and pos == last2 - 1 and d2.principal == a:
-        d6 = _shift(a, d1, d2.premisses[0], pos, mon, False, witness)
-        e = _shift(a.body, witness, d6, len(witness.conclusion.components) - 1, mon, True)
+        d6 = _shift(a, d1, d2.premisses[0], pos, mon, memo, False, witness)
+        e = _shift(a.body, witness, d6, len(witness.conclusion.components) - 1, mon, memo, True)
         return _contract_to(e, target)
     if d2.rule is restart_rule and pos == last2 and d2.principal == a:
         if d1.rule not in TWO_PREMISS_BOX_RULES:
             raise TransformError("one-premiss box against a principal restart")
         d3 = d1.premisses[0]
-        d6 = _shift(a, d3, d2, len(d3.conclusion.components) - 1, mon, True)
-        e = _shift(a.body, d6, d2.premisses[0], len(d6.conclusion.components) - 2, mon, True)
+        d6 = _shift(a, d3, d2, len(d3.conclusion.components) - 1, mon, memo, True)
+        e = _shift(a.body, d6, d2.premisses[0], len(d6.conclusion.components) - 2, mon, memo,
+                   True)
         return _contract_to(e, target)
     return None
 
@@ -659,8 +727,11 @@ def cut(d1: Derivation, d2: Derivation, cut_formula: Formula,
     if cut_formula not in d2.conclusion.last.ant:
         raise NotACutFormulaOccurrence(f"{print_ascii(cut_formula)} not in right antecedent")
     mon = monitor if monitor is not None else CutMonitor()
-    out = _shift(cut_formula, d1, d2, d1.conclusion.length - 1, mon, True)
-    expected = _merge(d1.conclusion, d2.conclusion, d1.conclusion.length - 1, cut_formula)
+    # One memo for the call's merges, dropped when it returns.
+    memo: dict = {}
+    pos = d1.conclusion.length - 1
+    out = _shift(cut_formula, d1, d2, pos, mon, memo, True)
+    expected = _merge(d1.conclusion, d2.conclusion, pos, cut_formula, memo)
     if out.conclusion != expected:
         raise TransformError("cut concluded the wrong sequent")
     if mon.violations:
@@ -790,17 +861,20 @@ def _latex_escape(s: str) -> str:
 
 
 def derivation_to_latex(d: Derivation) -> str:
-    """Proof-tree markup in bussproofs style."""
+    """Proof-tree markup in bussproofs style: each node's lines follow its
+    premisses' subtrees, in order, written out as a tree.  The walk is
+    post-order on an explicit stack, so it takes no frame per level of d."""
     lines: list[str] = []
-
-    def emit(n: Derivation):
-        for p in n.premisses:
-            emit(p)
+    stack = [(d, False)]
+    while stack:
+        n, ready = stack.pop()
+        if not ready:
+            stack.append((n, True))
+            stack.extend((p, False) for p in reversed(n.premisses))
+            continue
         if not n.premisses:
             lines.append(r"\AxiomC{}")
         lines.append(rf"\RightLabel{{\scriptsize {_latex_escape(n.rule.value)}}}")
         cmd = {0: "UnaryInfC", 1: "UnaryInfC", 2: "BinaryInfC", 3: "TrinaryInfC"}[len(n.premisses)]
         lines.append(rf"\{cmd}{{\texttt{{{_latex_escape(n.conclusion.render())}}}}}")
-
-    emit(d)
     return "\n".join([r"\begin{prooftree}", *lines, r"\end{prooftree}"])

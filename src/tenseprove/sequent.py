@@ -1,13 +1,13 @@
-"""Components, linear nested sequents, the formula translation, and merge.
+"""Components, linear nested sequents, and the formula translation.
 
 The values a search step builds (a premiss, the component it changes and
 that component's multiset) come from the edits here and from the builders
 in `calculus`, through `object.__new__` and the slot setters, as
 `formula` builds its nodes: a class call would cost an `__init__` frame
-entered from C.  So do every multiset operation's result and the
-components and sequent of cut elimination's merged targets.  The
-constructors still check a sequent's shape, so a value built through them
-is checked as before.
+entered from C.  So does every multiset operation's result.  Merge and
+the transforms' builders live in `metatheory`, outside the trusted base.
+The constructors still check a sequent's shape, so a value built through
+them is checked as before.
 """
 
 from __future__ import annotations
@@ -31,10 +31,6 @@ from .formula import (
 
 
 _new = object.__new__
-
-
-class MergeUndefined(Exception):
-    pass
 
 
 class Multiset:
@@ -346,46 +342,6 @@ _set_components, _set_links = slot_setters(LinearNestedSequent)
 
 def single(ants=(), succs=(), tag: int = -1) -> LinearNestedSequent:
     return LinearNestedSequent((component(ants, succs, tag),), ())
-
-
-def merge(a: LinearNestedSequent, b: LinearNestedSequent) -> LinearNestedSequent:
-    """Componentwise multiset union, keeping the longer tail.
-
-    Defined when the shorter sequent's links equal the longer one's first
-    links (the two are structurally equivalent up to the shorter length);
-    the shared components keep a's tags.
-    """
-    return _merge(a, b, None, None)
-
-
-def _merge(a: LinearNestedSequent, b: LinearNestedSequent, pos: int | None,
-           f: Formula | None) -> LinearNestedSequent:
-    """merge's loop.  With a position, component pos also loses one copy of
-    f on each side, in the same dict copy as its union: cut elimination's
-    target is the merge less the two cut occurrences.  After the links
-    check the result has the longer sequent's links and one component for
-    each, the shape the constructor checks, so it is built past that
-    check."""
-    longer, shorter = (a, b) if len(a.components) >= len(b.components) else (b, a)
-    n = len(shorter.components)
-    if shorter.links != longer.links[: n - 1]:
-        raise MergeUndefined(f"cannot merge {a.render()} with {b.render()}")
-    comps = []
-    for i, (x, y) in enumerate(zip(a.components, b.components)):
-        c = _new(Component)
-        if i == pos:
-            _set_ant(c, x.ant._union_less(y.ant, f))
-            _set_succ(c, x.succ._union_less(y.succ, f))
-        else:
-            _set_ant(c, x.ant.union(y.ant))
-            _set_succ(c, x.succ.union(y.succ))
-        _set_tag(c, x.tag)
-        _set_restarts(c, 0)
-        comps.append(c)
-    s = _new(LinearNestedSequent)
-    _set_components(s, tuple(comps) + longer.components[n:])
-    _set_links(s, longer.links)
-    return s
 
 
 def _disjunction(fs: list[Formula]) -> Formula:

@@ -22,7 +22,7 @@ from tenseprove.formula import (
     print_ascii,
 )
 from tenseprove.generate import corpus
-from tenseprove.metatheory import CutMonitor, check, cut, to_ktstar
+from tenseprove.metatheory import CutMonitor, _merge, check, cut, to_ktstar
 from tenseprove.prover import (
     Invalid,
     Valid,
@@ -32,7 +32,7 @@ from tenseprove.prover import (
     prune,
     search,
 )
-from tenseprove.sequent import LinearNestedSequent, _merge, component, single
+from tenseprove.sequent import LinearNestedSequent, component, single
 
 KT, KTS, KB = CalculusVariant.KT, CalculusVariant.KT_STAR, CalculusVariant.KB
 p, q, r = Atom("p"), Atom("q"), Atom("r")
@@ -251,7 +251,7 @@ def test_criterion_08_cut_elimination():
             report(8, False, f"cut on {print_ascii(f)}")
         expected = _merge(
             o1.derivation.conclusion, o2.derivation.conclusion,
-            o1.derivation.conclusion.length - 1, f)
+            o1.derivation.conclusion.length - 1, f, {})
         if out.conclusion.render() != expected.render():
             report(8, False, f"wrong conclusion for {print_ascii(f)}")
     dt = time.monotonic() - t0

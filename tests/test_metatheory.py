@@ -44,11 +44,12 @@ from tenseprove.metatheory import (
     derivation_to_json,
     derivation_to_latex,
     generalised_init,
+    merge,
     to_ktstar,
     weaken,
 )
 from tenseprove.prover import Valid, prove, prove_sequent
-from tenseprove.sequent import Component, LinearNestedSequent, component, merge, single
+from tenseprove.sequent import Component, LinearNestedSequent, component, single
 
 KT, KTS = CalculusVariant.KT, CalculusVariant.KT_STAR
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
@@ -493,8 +494,8 @@ def _cut_calls():
     targets, terminals = [], []
     cut_target, close_terminal = metatheory._merge, metatheory._close_terminal
 
-    def record_target(cl, cr, pos, a):
-        t = cut_target(cl, cr, pos, a)
+    def record_target(cl, cr, pos, a, memo):
+        t = cut_target(cl, cr, pos, a, memo)
         targets.append((cl, cr, pos, a, t))
         return t
 
@@ -621,6 +622,98 @@ def test_weaken_keeps_a_shared_node_shared():
     d = prove(SHARED_SUBTREE_KB, CalculusVariant.KB).derivation
     w = weaken(d, 0, [Atom("zz")])
     assert len(derivation_to_json(w)["nodes"]) == 54 and w.rule_applications() == 56
+
+
+def _shared_components_kept(d, out) -> int:
+    """Walk d and an edit's output out in parallel (an edit keeps the
+    tree's shape) and check that each component d shares between a node
+    and its premiss, at one position, is one object again in out; returns
+    the number of shared components checked."""
+    checked = 0
+    stack, seen = [(d, out)], set()
+    while stack:
+        x, y = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        for px, py in zip(x.premisses, y.premisses):
+            for i, (cx, cp) in enumerate(zip(x.conclusion.components, px.conclusion.components)):
+                if cx is cp:
+                    assert y.conclusion.components[i] is py.conclusion.components[i]
+                    checked += 1
+            stack.append((px, py))
+    return checked
+
+
+def test_edits_keep_a_shared_component_shared():
+    # The edit walk edits a component once for each change, so what the
+    # input shares stays shared, whether the change reaches it or not.
+    checked = 0
+    for a in corpus(1270, 100, max_size=8, max_degree=2):
+        d = generalised_init(single([a], [a]), a)
+        w = weaken(d, 0, [q], [r])
+        checked += _shared_components_kept(d, w)
+        checked += _shared_components_kept(w, contract(weaken(w, 0, [q], []), 0, "left", q))
+        c = cut(d, d, a)
+        checked += _shared_components_kept(c, weaken(c, 0, [a], [a]))
+    assert checked > 1000
+
+
+def test_cut_merges_each_pair_of_components_once():
+    # Within one cut call, two targets merged from the same component
+    # objects at one position (and at the cut position, on the same cut
+    # formula) hold the same merged component.
+    calls = []
+    merge_loop = metatheory._merge
+
+    def record(cl, cr, pos, a, memo):
+        t = merge_loop(cl, cr, pos, a, memo)
+        calls.append((cl, cr, pos, a, memo, t))
+        return t
+
+    metatheory._merge = record
+    try:
+        for a in corpus(1270, 100, max_size=8, max_degree=2):
+            d = generalised_init(single([a], [a]), a)
+            cut(d, d, a)
+    finally:
+        metatheory._merge = merge_loop
+    merged, seen = 0, {}
+    for cl, cr, pos, a, memo, t in calls:
+        for i, (x, y) in enumerate(zip(cl.components, cr.components)):
+            merged += 1
+            # The calls list holds every memo, so no two share an id.
+            key = (id(memo), id(x), id(y), a if i == pos else None)
+            assert seen.setdefault(key, t.components[i]) is t.components[i], t.render()
+    # About half of the merges repeat a pair.
+    assert len(seen) < merged * 0.6, (len(seen), merged)
+
+
+def test_cut_keeps_nothing_across_calls():
+    for a in corpus(1270, 30, max_size=8, max_degree=2):
+        d = generalised_init(single([a], [a]), a)
+        inputs = {id(c) for n in _nodes(d) for c in n.conclusion.components}
+        c1, c2 = cut(d, d, a), cut(d, d, a)
+        assert derivation_to_json(c1) == derivation_to_json(c2)
+        assert _tags(c1) == _tags(c2)
+        built = {id(c) for n in _nodes(c1) for c in n.conclusion.components} - inputs
+        assert built and not built & {id(c) for n in _nodes(c2) for c in n.conclusion.components}
+
+
+def _nodes(d):
+    """d's distinct nodes, in a fixed order."""
+    out, stack, seen = [], [d], set()
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            out.append(n)
+            stack.extend(n.premisses)
+    return out
+
+
+def _tags(d):
+    return [[(c.tag, c.restarts) for c in n.conclusion.components] for n in _nodes(d)]
 
 
 def test_rule_applications_counts_a_shared_node_at_every_occurrence():
@@ -776,3 +869,30 @@ def test_latex_output_mentions_rules():
     g = generalised_init(single([p], [p]), p)
     tex = derivation_to_latex(g)
     assert tex.startswith(r"\begin{prooftree}") and "id" in tex
+
+
+def test_latex_output_pinned():
+    # Each node's lines follow its premisses' subtrees, in order; a node
+    # shared by two premisses is written out at each (56 nodes as a tree).
+    cases = [("p -> (p -> q) -> q", KTS, 14, "ed1da7ac8ed24061"),
+             (SHARED_SUBTREE_KB, CalculusVariant.KB, 124, "2c94ffa2378498a8")]
+    for text, v, lines, digest in cases:
+        tex = derivation_to_latex(prove(text, v).derivation)
+        assert (tex.count("\n") + 1, hashlib.sha256(tex.encode()).hexdigest()[:16]) == (
+            lines, digest), text
+
+
+def test_latex_takes_no_frame_per_level():
+    # decide --output latex on depth(11000) under KT* exited 4 with a
+    # RecursionError.  Latex output does not check the derivation, so a
+    # chain of 30,000 nodes on one sequent will do.
+    s = single([p], [p])
+    d = metatheory._derivation(s, RuleId.ID, p, (), 0)
+    for h in range(1, 30_001):
+        d = metatheory._derivation(s, RuleId.EW, None, (d,), h)
+    with fails_fast_on_recursion():
+        lines = derivation_to_latex(d).split("\n")
+    assert len(lines) == 3 + 2 * 30_001
+    assert lines[1:4] == [r"\AxiomC{}", r"\RightLabel{\scriptsize id}", r"\UnaryInfC{\texttt{p => p}}"]
+    assert lines[-3:] == [r"\RightLabel{\scriptsize ew}", r"\UnaryInfC{\texttt{p => p}}",
+                          r"\end{prooftree}"]

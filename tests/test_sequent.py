@@ -10,18 +10,16 @@ from tenseprove.calculus import CalculusVariant, RuleId, premisses
 from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key,
 )
-from tenseprove.metatheory import Derivation, cut, generalised_init, weaken
+from tenseprove.metatheory import Derivation, MergeUndefined, cut, generalised_init, merge, weaken
 from tenseprove.prover import PrunedNode, extract_model, search
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
     Component,
     LinearNestedSequent,
-    MergeUndefined,
     Multiset,
     ReadOnly,
     component,
     formula_translation,
-    merge,
     single,
 )
 
