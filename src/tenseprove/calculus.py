@@ -44,7 +44,7 @@ from __future__ import annotations
 from .formula import (
     Atom, BlackBox, Bottom, Box, Formula, Implies, Polarity, canonical_order, subformulas)
 from .kernel import CalculusVariant, RuleId
-from .sequent import Component, LinearNestedSequent, Multiset, fresh_tag, slot_setters
+from .sequent import Component, LinearNestedSequent, Multiset, slot_setters
 
 
 RESTART_RULES = frozenset((RuleId.BOX_L2, RuleId.BBOX_L2, RuleId.KB_BOX_L2))
@@ -73,7 +73,7 @@ _BOTTOM = Bottom()
 # The builders make their components past the class call (see sequent);
 # a right box rule opens its component from this empty antecedent.
 _new = object.__new__
-_set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
+_set_ant, _set_succ = slot_setters(Component)
 _NOTHING = Multiset()
 
 # The masks of one side of a component, in this order: its members, the
@@ -175,8 +175,8 @@ def _axiom_premiss(k, principals, last):
 class Rule:
     """One rule's entry, for `rule`.  Its principal is a `kind` formula,
     and it acts across the last links in `links` (None for a single
-    component).  `premisses(s, f, tags)` are the premisses of its instance
-    on f, in schema order; `tags()` gives the tag of a component it opens.
+    component).  `premisses(s, f)` are the premisses of its instance on
+    f, in schema order.
 
     For search, `open(kind_mask, last, prev)` is the mask of the candidates
     the rule, side condition included, may take as its principal, given
@@ -235,17 +235,15 @@ def _body_not_in_prev_succ(kind, last, prev):
 # --- the propositional rules and the three modal makers ----------------------
 
 
-def _axiom(s, f, tags):
+def _axiom(s, f):
     return ()
 
 
-def _imp_r_premisses(s, f, tags):
+def _imp_r_premisses(s, f):
     last = s.components[-1]
     c = _new(Component)
     _set_ant(c, last.ant.add(f.left))
     _set_succ(c, last.succ.add(f.right))
-    _set_tag(c, last.tag)
-    _set_restarts(c, last.restarts)
     return (s.replace_component(-1, c),)
 
 
@@ -254,7 +252,7 @@ def _imp_r_masks(k, masks, f):
     return (((k.join(ant, f.left), k.join(succ, f.right)), before),)
 
 
-def _imp_l_premisses(s, f, tags):
+def _imp_l_premisses(s, f):
     last = s.components[-1]
     return (s.replace_component(-1, last.with_ant(f.right)),
             s.replace_component(-1, last.with_succ(f.left)))
@@ -269,7 +267,7 @@ def _propagation(rule: RuleId, kind, link: Polarity) -> Rule:
     """A `kind` box in the second-last antecedent sends its body across a
     last link of polarity `link` into the last antecedent."""
 
-    def premisses(s, f, tags):
+    def premisses(s, f):
         return (s.replace_component(-1, s.components[-1].with_ant(f.body)),)
 
     def grow(k, masks, f):
@@ -283,14 +281,12 @@ def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
     """A `kind` box in the last antecedent, across a last link of polarity
     `link`, deletes the last component and hands its body to the one before."""
 
-    def premisses(s, f, tags):
+    def premisses(s, f):
         shorter = s.drop_last()
         second = shorter.components[-1]
         absorber = _new(Component)
         _set_ant(absorber, second.ant.add(f.body))
         _set_succ(absorber, second.succ)
-        _set_tag(absorber, second.tag)
-        _set_restarts(absorber, second.restarts + 1)
         return (shorter.replace_component(-1, absorber),)
 
     def grow(k, masks, f):
@@ -311,15 +307,13 @@ def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
     two_premiss = rule in TWO_PREMISS_BOX_RULES
     link = BOX_LINK[kind]
 
-    def premisses(s, f, tags):
+    def premisses(s, f):
         left = ()
         if two_premiss:
             left = (s.replace_component(-2, s.components[-2].with_succ(f.body)),)
         opened = _new(Component)
         _set_ant(opened, _NOTHING)
         _set_succ(opened, _NOTHING.add(f.body))
-        _set_tag(opened, tags())
-        _set_restarts(opened, 0)
         return left + (s.extend(link, opened),)
 
     def grow(k, masks, f):
@@ -442,4 +436,4 @@ def premisses(conclusion, rule: RuleId, principal) -> tuple | None:
     e = _RULES[rule]
     if type(principal) is not e.kind or (links[-1] if links else None) not in e.links:
         return None
-    return e.premisses(conclusion, principal, fresh_tag)
+    return e.premisses(conclusion, principal)

@@ -13,7 +13,7 @@ component (the restart, whose new last component gains the body, and ew).
 A node is checked by comparison: no component, sequent or multiset is
 built.  A component the rule leaves alone is compared by identity first,
 since search and the transforms share it between conclusion and premiss,
-and by the tag-blind equality of `sequent.Component` only when that
+and by the content equality of `sequent.Component` only when that
 fails.  This module imports only `formula` and `sequent`, which with it
 form the trusted base.
 """
@@ -192,8 +192,8 @@ _SCHEMAS = {
 def is_instance(conclusion, rule: RuleId, principal, premisses, v: CalculusVariant) -> bool:
     """True iff `premisses` (sequents, in schema order) are the premisses
     of the instance of `rule`, a rule of v, on this principal formula (None
-    for ew) in `conclusion`.  Identity tags and restart counts never
-    matter."""
+    for ew) in `conclusion`.  Components compare by their two multisets,
+    as in the rule figures."""
     if rule not in RULES[v]:
         return False
     links = conclusion.links

@@ -53,7 +53,7 @@ from .kernel import RULES, is_instance
 from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_setters
 
 _new = object.__new__
-_set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
+_set_ant, _set_succ = slot_setters(Component)
 _set_components, _set_links = slot_setters(LinearNestedSequent)
 # Reading an enum member costs a descriptor call (about 0.1 us on CPython
 # 3.11), so the members the transforms read at every call are bound once,
@@ -296,23 +296,21 @@ def _edit(d: Derivation, changes: dict, memo: dict | None = None) -> Derivation:
     return out
 
 
-def _component(ant: Multiset, succ: Multiset, tag: int) -> Component:
-    """Component(ant, succ, tag) past the class call."""
+def _component(ant: Multiset, succ: Multiset) -> Component:
+    """Component(ant, succ) past the class call."""
     c = _new(Component)
     _set_ant(c, ant)
     _set_succ(c, succ)
-    _set_tag(c, tag)
-    _set_restarts(c, 0)
     return c
 
 
 def _adder(add_l: Multiset, add_r: Multiset):
-    return lambda c: _component(c.ant.union(add_l), c.succ.union(add_r), c.tag)
+    return lambda c: _component(c.ant.union(add_l), c.succ.union(add_r))
 
 
 def _dropper(drop_l: Multiset, drop_r: Multiset):
     """Removes copies from a component; one holding fewer raises KeyError."""
-    return lambda c: _component(c.ant.minus(drop_l), c.succ.minus(drop_r), c.tag)
+    return lambda c: _component(c.ant.minus(drop_l), c.succ.minus(drop_r))
 
 
 def weaken(d: Derivation, position: int, add_left=(), add_right=()) -> Derivation:
@@ -446,8 +444,7 @@ def merge(a: LinearNestedSequent, b: LinearNestedSequent) -> LinearNestedSequent
     """Componentwise multiset union, keeping the longer tail.
 
     Defined when the shorter sequent's links equal the longer one's first
-    links (the two are structurally equivalent up to the shorter length);
-    the shared components keep a's tags.
+    links (the two are structurally equivalent up to the shorter length).
     """
     return _merge(a, b, None, None, {})
 
@@ -480,8 +477,6 @@ def _merge(a: LinearNestedSequent, b: LinearNestedSequent, pos: int | None,
             else:
                 _set_ant(c, x.ant._union_less(y.ant, g))
                 _set_succ(c, x.succ._union_less(y.succ, g))
-            _set_tag(c, x.tag)
-            _set_restarts(c, 0)
             hit = memo[key] = (c, x, y)
         comps.append(hit[0])
     s = _new(LinearNestedSequent)
@@ -634,8 +629,8 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
             src = d.premisses[0]
             if d.rule is not _EW:
                 c = d.conclusion.components[pos]
-                c = (_component(c.ant, c.succ.remove_one(a), c.tag) if left
-                     else _component(c.ant.remove_one(a), c.succ, c.tag))
+                c = (_component(c.ant, c.succ.remove_one(a)) if left
+                     else _component(c.ant.remove_one(a), c.succ))
                 src = _derivation(d.conclusion.replace_component(pos, c), d.rule, d.principal,
                                   d.premisses, d.height)
             out = _try_embed(src, target)

@@ -108,12 +108,12 @@ FAILED = "failed"
 #
 # Search carries each node's sequent as a handle (cell, i): premiss i of the
 # step whose cell is [premisses or None, the conclusion's handle, entry,
-# principal, tag].  The tag is that of the component a right box step opens
-# (None for any other step), drawn when search takes the step, so a sequent
-# built later carries the tags search gave its components.  A cell whose
-# entry is None stands for the prefix of its conclusion that drops the last
-# component.  The end sequent's cell holds it built, has no conclusion, and
-# holds the closure's atom table in its entry's place.
+# principal].  A cell whose entry is None stands for the prefix of its
+# conclusion that drops the last component.  The end sequent's cell holds it
+# built, has no conclusion, and holds the closure's atom table in its
+# entry's place.  A sequent is two multisets per component; which world each
+# component is, and how often it was restarted, only search's tag chain
+# says: ((tag, restart count), the chain before it), from the last component.
 
 
 def _sequent(h: tuple) -> LinearNestedSequent:
@@ -128,21 +128,10 @@ def _sequent(h: tuple) -> LinearNestedSequent:
             pending.append(c)
             c = c[1][0]
         for c in reversed(pending):
-            (below, j), e, tag = c[1], c[2], c[4]
+            (below, j), e = c[1], c[2]
             s = below[0][j]
-            c[0] = (s.drop_last(),) if e is None else e.premisses(
-                s, c[3], None if tag is None else itertools.repeat(tag).__next__)
+            c[0] = (s.drop_last(),) if e is None else e.premisses(s, c[3])
     return cell[0][i]
-
-
-def _tag_chain(s: LinearNestedSequent) -> tuple | None:
-    """The (tag, restart count) of each component of s, as a chain from the
-    last, like its masks: ((tag, restarts), the chain before it), ending in
-    None."""
-    out = None
-    for c in s.components:
-        out = ((c.tag, c.restarts), out)
-    return out
 
 
 # The link chain of a sequent of one component.  A chain is (its last link,
@@ -187,7 +176,7 @@ class PrunedNode(ReadOnly):
                  atoms: tuple):
         # kind is "leaf", "step" or "and"
         for set_field, value in zip(_PRUNED_SETTERS, (links, masks, tags, rule, kind, children,
-                                                      ([(sequent,), None, atoms, None, None], 0))):
+                                                      ([(sequent,), None, atoms, None], 0))):
             set_field(self, value)
 
     @property
@@ -236,7 +225,7 @@ class PrunedView(PrunedNode):
     worlds, position by position, and every other tag for a world of this
     occurrence's own, as a fresh exploration would have opened.
     `extract_model` applies that renaming as it walks.  Every other field
-    is the shared node's, so the sequent carries source's tags."""
+    is the shared node's."""
 
     __slots__ = _fields = ("shared", "source", "target")
 
@@ -335,7 +324,7 @@ class _Search:
         self.max_nodes = budget.max_nodes
         self.stats = Statistics()
         self.deadline = _monotonic() + budget.max_ms / 1000.0
-        self.tags = itertools.count(end.length)  # end is retagged 0, 1, ...
+        self.tags = itertools.count(end.length)  # the end's components are 0, 1, ...
         self.closure = calculus.start(end, variant)
         # Each restart adds to its absorber's antecedent a subformula of the
         # end sequent it lacked, so none absorbs more than there are.
@@ -378,7 +367,10 @@ class _Search:
         max_nodes, deadline, fresh = self.max_nodes, self.deadline, self.tags.__next__
         scan, box_choices, bits, watch = calculus.scan, calculus.box_choices, k.bits, _watch
         nodes, expanded, restarts, max_length = st.nodes, st.expanded, st.restarts, st.max_length
-        h, links, tags = ([(s,), None, k.atoms, None, None], 0), _link_chain(s), _tag_chain(s)
+        h, links = ([(s,), None, k.atoms, None], 0), _link_chain(s)
+        tags = None  # component i of s is world i, not yet restarted
+        for i in range(s.length):
+            tags = ((i, 0), tags)
         stack = []
         choice = None  # a box choice of the and-node `frame` to start
         while True:
@@ -392,8 +384,7 @@ class _Search:
                 opened, masks = grown[-1][0], grown[-1]
                 if opened[0][0] or opened[1][0] != bits[f.body] or not m[0][1][0] & bits[f]:
                     raise SearchInvariantError("modal degree failed to drop at a box step")
-                tag = fresh()
-                cell = [None, at, e, f, tag]
+                cell = [None, at, e, f]
                 stack.append(frame)
                 if len(grown) == 1:
                     stack.append((_OPENED, at, e.rule, f, None, None, links, tags))
@@ -402,7 +393,7 @@ class _Search:
                     stack.append((_OPENED, at, e.rule, f, (cell, 0), grown[0], links, tags))
                     h = (cell, 1)
                 links = (e.opens, links[1] + 1, links)
-                tags = ((tag, 0), tags)
+                tags = ((fresh(), 0), tags)
             nodes += 1
             expanded += 1
             n = links[1] + 1
@@ -429,7 +420,7 @@ class _Search:
                     (tag, count), below = tags[1]
                     if count >= bound:
                         raise SearchInvariantError("restart count exceeded the subformula bound")
-                    q = ([None, h, e, f, None], 0)
+                    q = ([None, h, e, f], 0)
                     p = ((tag, count + 1), below)
                     key = (links[2], e.grow(k, masks, f)[0])
                     seen = restarted.get(key)
@@ -457,7 +448,7 @@ class _Search:
                 else:
                     # impR, impL or propagation: each premiss only grows the last component.
                     grown = e.grow(k, masks, f)
-                    cell = [None, h, e, f, None]
+                    cell = [None, h, e, f]
                     if len(grown) == 1:
                         stack.append((_STEP, h, rule, f))
                     else:
@@ -505,7 +496,7 @@ class _Search:
                         out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
                     else:
                         stack.append((_PREFIX, at, rule, f, left, m, out, links, tags))
-                        h, links, masks, tags = ([None, left, None, None, None], 0), \
+                        h, links, masks, tags = ([None, left, None, None], 0), \
                             links[2], m[1], tags[1]
                         break
                 elif kind == _IMP_L:
@@ -533,7 +524,7 @@ class _Search:
                         # its step stands on the prefix, unless the collapse
                         # reaches further down.
                         out = _pruned(links[2], masks[1], tags[1], rule, "step", (out[0],),
-                                      ([None, at, None, None, None], 0)), True
+                                      ([None, at, None, None], 0)), True
                 elif kind == _PREFIX:
                     _, at, rule, f, left, m, opened, links, tags = frame
                     if out.__class__ is tuple:
@@ -568,8 +559,6 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
     """Run the strategy on s; returns (status, tree, statistics): CLOSED with
     the derivation, or FAILED with the pruned tree."""
     budget = budget or Budget()
-    if any(c.tag != i for i, c in enumerate(s.components)):
-        s = _retag(s)
     eng = _Search(v, budget, s)
     t0 = time.monotonic()
     try:
@@ -579,12 +568,6 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
     if isinstance(tree, tuple):
         return FAILED, tree[0], eng.stats
     return CLOSED, tree, eng.stats
-
-
-def _retag(s: LinearNestedSequent) -> LinearNestedSequent:
-    """s with its components tagged 0, 1, ... in order."""
-    comps = tuple(Component(c.ant, c.succ, i, c.restarts) for i, c in enumerate(s.components))
-    return LinearNestedSequent(comps, s.links)
 
 
 def prune(t: PrunedNode) -> PrunedNode:
@@ -597,8 +580,9 @@ def prune(t: PrunedNode) -> PrunedNode:
 
 
 def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:
-    """Glue the surviving saturated leaves into a model, keyed by component
-    identity tags; antecedent atoms become true, everything else false.
+    """Glue the surviving saturated leaves into a model, keyed by the world
+    tags of search's tag chains; antecedent atoms become true, everything
+    else false.
 
     One walk over the kept tree, with an explicit stack, straight through
     its chains of restart steps, the only steps a failed tree keeps.  A
@@ -711,5 +695,5 @@ def prove(f: Formula | str, v: CalculusVariant = CalculusVariant.KT_STAR,
     """Decide a formula: Valid with a derivation of ( => f), Invalid with a
     countermodel falsifying it at the root, or ResourceLimit."""
     g = core_formula(parse(f) if isinstance(f, str) else f, v)
-    end = LinearNestedSequent((Component(Multiset(), Multiset((g,)), tag=0),), ())
+    end = LinearNestedSequent((Component(Multiset(), Multiset((g,))),), ())
     return prove_sequent(end, v, budget)

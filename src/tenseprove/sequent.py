@@ -1,5 +1,7 @@
 """Components, linear nested sequents, and the formula translation.
 
+A component is two multisets and nothing else: the world it stands for
+and its restart count are kept by search, in its tag chain (`prover`).
 The values a search step builds (a premiss, the component it changes and
 that component's multiset) come from the edits here and from the builders
 in `calculus`, through `object.__new__` and the slot setters, as
@@ -11,8 +13,6 @@ them is checked as before.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .formula import (
     BlackBox,
@@ -165,13 +165,6 @@ class Multiset:
         return f"Multiset({[print_ascii(f) for f in self.distinct()]})"
 
 
-_tags = itertools.count()
-
-
-def fresh_tag() -> int:
-    return next(_tags)
-
-
 class ReadOnly:
     """Base of the slotted value types built at every search, replay and
     transform step: `__init__`, or a builder on a hot path that starts from
@@ -205,16 +198,14 @@ def slot_setters(cls: type) -> tuple:
 
 
 class Component(ReadOnly):
-    """One antecedent/succedent pair; the tag identifies a world across rules.
-    Equality and hash ignore the tag and the restart count."""
+    """One antecedent/succedent pair Γ ⇒ Δ, equal and hashed by content.
+    The keyword `tag` is ignored; perfbench's workloads still pass it."""
 
-    __slots__ = _fields = ("ant", "succ", "tag", "restarts")
+    __slots__ = _fields = ("ant", "succ")
 
-    def __init__(self, ant: Multiset, succ: Multiset, tag: int = -1, restarts: int = 0):
+    def __init__(self, ant: Multiset, succ: Multiset, *, tag=None):
         _set_ant(self, ant)
         _set_succ(self, succ)
-        _set_tag(self, tag)
-        _set_restarts(self, restarts)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Component:
@@ -228,16 +219,12 @@ class Component(ReadOnly):
         c = _new(Component)
         _set_ant(c, self.ant.add(f))
         _set_succ(c, self.succ)
-        _set_tag(c, self.tag)
-        _set_restarts(c, self.restarts)
         return c
 
     def with_succ(self, f: Formula) -> Component:
         c = _new(Component)
         _set_ant(c, self.ant)
         _set_succ(c, self.succ.add(f))
-        _set_tag(c, self.tag)
-        _set_restarts(c, self.restarts)
         return c
 
     def render(self) -> str:
@@ -246,11 +233,11 @@ class Component(ReadOnly):
         return f"{left} => {right}".strip()
 
 
-_set_ant, _set_succ, _set_tag, _set_restarts = slot_setters(Component)
+_set_ant, _set_succ = slot_setters(Component)
 
 
-def component(ants=(), succs=(), tag: int = -1) -> Component:
-    return Component(Multiset(ants), Multiset(succs), tag=tag)
+def component(ants=(), succs=()) -> Component:
+    return Component(Multiset(ants), Multiset(succs))
 
 
 _LINK_TEXT = {Polarity.FORWARD: "/F/", Polarity.BACKWARD: "\\P\\"}
@@ -340,8 +327,8 @@ class LinearNestedSequent(ReadOnly):
 _set_components, _set_links = slot_setters(LinearNestedSequent)
 
 
-def single(ants=(), succs=(), tag: int = -1) -> LinearNestedSequent:
-    return LinearNestedSequent((component(ants, succs, tag),), ())
+def single(ants=(), succs=()) -> LinearNestedSequent:
+    return LinearNestedSequent((component(ants, succs),), ())
 
 
 def _disjunction(fs: list[Formula]) -> Formula:

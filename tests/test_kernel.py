@@ -26,12 +26,12 @@ def _also(i, part, side):
     def mutate(e):
         premisses, grow = e.premisses, e.grow
 
-        def wrong_premisses(s, f, tags):
-            prems = list(premisses(s, f, tags))
+        def wrong_premisses(s, f):
+            prems = list(premisses(s, f))
             p, g = prems[i], part(f)
             c = p.last
             c = Component(c.ant.add(g) if side == "ant" else c.ant,
-                          c.succ.add(g) if side == "succ" else c.succ, c.tag, c.restarts)
+                          c.succ.add(g) if side == "succ" else c.succ)
             prems[i] = p.replace_component(p.length - 1, c)
             return tuple(prems)
 
@@ -53,8 +53,8 @@ def _flipped_link(e):
     built."""
     premisses = e.premisses
 
-    def wrong_premisses(s, f, tags):
-        prems = premisses(s, f, tags)
+    def wrong_premisses(s, f):
+        prems = premisses(s, f)
         right = prems[-1]
         other = BWD if right.links[-1] is FWD else FWD
         return prems[:-1] + (LinearNestedSequent(right.components, right.links[:-1] + (other,)),)
@@ -114,7 +114,7 @@ def test_an_unsound_rule_table_entry_never_yields_valid(rule, monkeypatch):
     e = _RULES[rule]
     for name, value in mutate(e).items():
         monkeypatch.setattr(e, name, value)
-    end = single((), (prover.core_formula(parse(text), v),), tag=0)
+    end = single((), (prover.core_formula(parse(text), v),))
     status, tree, _ = prover.search(end, v)
     assert status == prover.CLOSED and rule in _rules_used(tree)
     res = check(tree, v)

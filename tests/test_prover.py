@@ -33,8 +33,8 @@ from tenseprove.prover import (
     ResourceLimit,
     SearchInvariantError,
     Valid,
+    _Search,
     _link_chain,
-    _tag_chain,
     core_formula,
     derivation_from,
     extract_model,
@@ -110,6 +110,29 @@ def test_search_restart_branch():
     assert stats.restarts >= 1
 
 
+# fan(2) in the perfbench families: its failed search restarts the first
+# component twice, and keeps both restart steps.
+FAN2 = "[F]p0 | [F]p1 | [P]~[F]q0 | [P]~[F]q1"
+
+
+@pytest.mark.parametrize("v", [KTS, KB])
+def test_restart_watchdog_reads_the_tag_chain(v):
+    end = single([], [core_formula(parse(FAN2), v)])
+    eng = _Search(v, Budget(), end)
+    eng.restart_bound = 1
+    with pytest.raises(SearchInvariantError, match="restart count exceeded the subformula bound"):
+        eng.run(end, eng.closure.masks(end))
+    # With the default bound the same search fails as usual, and the tree
+    # above each kept restart step holds its absorber, the first component,
+    # one restart further on.
+    eng = _Search(v, Budget(), end)
+    tree = eng.run(end, eng.closure.masks(end))[0]
+    assert eng.stats.restarts == 4
+    steps = [n for n in _kept_nodes(tree) if n.kind == "step"]
+    assert [(n.tags, n.children[0].tags) for n in steps] == [
+        (((0, 0), None), ((0, 1), None)), (((0, 1), None), ((0, 2), None))]
+
+
 def test_prune_without_restarts_is_identity_shaped():
     status, tree, _ = search(fan_sequent(), KTS)
     t = prune(tree)
@@ -132,11 +155,8 @@ def test_prune_keeps_restarted_branch():
 
 def test_a_view_at_the_root_is_a_failed_tree():
     status, tree, _ = search(fan_sequent(), KTS)
-    source = tree.sequent
-    target = LinearNestedSequent(
-        tuple(Component(c.ant, c.succ, c.tag + 100, c.restarts) for c in source.components),
-        source.links)
-    view = PrunedView(tree, _tag_chain(source), _tag_chain(target))
+    assert tree.tags == ((0, 0), None)
+    view = PrunedView(tree, tree.tags, ((100, 0), None))
     assert prune(view) is view
     with pytest.raises(SearchInvariantError):
         derivation_from(view, KTS)
@@ -231,7 +251,7 @@ def test_failed_search_returns_its_pruned_tree():
             failed += 1
             assert prune(tree) is tree
             first = tree.sequent.components[0]
-            assert first.tag == 0
+            assert _chain(tree.tags)[0] == 0
             assert end.last.ant.subset(first.ant) and end.last.succ.subset(first.succ)
             model, root = extract_model(tree, v)
             assert semantics.falsifies(model, root, end, symmetric=(v is KB))
@@ -689,7 +709,7 @@ _UNDERIVED_VALID_SEQUENTS = [
 def _empty_then_axiom(text, link):
     a = parse(text)
     return LinearNestedSequent(
-        (Component(Multiset(), Multiset(), tag=0), Component(Multiset([a]), Multiset([a]), tag=1)),
+        (Component(Multiset(), Multiset()), Component(Multiset([a]), Multiset([a]))),
         (link,))
 
 
@@ -716,9 +736,9 @@ def builder_calls(monkeypatch):
     """Counts the calls of every premiss builder of the rule table."""
     calls = [0]
     for e in calculus._RULES.values():
-        def counted(s, f, tags, build=e.premisses):
+        def counted(s, f, build=e.premisses):
             calls[0] += 1
-            return build(s, f, tags)
+            return build(s, f)
         monkeypatch.setattr(e, "premisses", counted)
     return calls
 
@@ -767,8 +787,9 @@ def _chain(tags):
 
 
 def _model_from_sequents(t):
-    """extract_model's walk, reading each leaf's atoms and tags from its
-    sequent, built on read, instead of from its masks and tag chain."""
+    """extract_model's walk, reading each leaf's atoms and links from its
+    sequent, built on read, instead of from its masks and link chain; its
+    worlds come from its tag chain, whose length must be the sequent's."""
     names, fresh = {}, itertools.count(-1, -1)
 
     def world(tag, renaming):
@@ -778,9 +799,10 @@ def _model_from_sequents(t):
             renaming[tag] = next(fresh)
         return renaming[tag]
 
-    def names_of(s, renaming):
-        return [names.setdefault(world(c.tag, renaming), f"w{len(names)}")
-                for c in s.components]
+    def names_of(node, renaming):
+        tags = _chain(node.tags)
+        assert len(tags) == node.sequent.length
+        return [names.setdefault(world(tag, renaming), f"w{len(names)}") for tag in tags]
 
     def unwrap(node, renaming):
         while isinstance(node, PrunedView):
@@ -790,7 +812,7 @@ def _model_from_sequents(t):
         return node, renaming
 
     t, renaming = unwrap(t, None)
-    root = names_of(t.sequent, renaming)[0]
+    root = names_of(t, renaming)[0]
     edges, trues, stack = set(), {}, [(t, renaming)]
     while stack:
         node, renaming = unwrap(*stack.pop())
@@ -800,7 +822,7 @@ def _model_from_sequents(t):
             stack.extend((c, renaming) for c in reversed(node.children))
             continue
         s = node.sequent
-        ws = names_of(s, renaming)
+        ws = names_of(node, renaming)
         for w, c in zip(ws, s.components):
             trues.setdefault(w, set()).update(f.name for f in c.ant.members() if isinstance(f, Atom))
         for i, link in enumerate(s.links):
@@ -813,12 +835,12 @@ def _model_from_sequents(t):
 def test_kept_nodes_store_the_masks_of_the_sequent_they_build():
     # A kept node stores its links, masks and tag chain and builds its
     # sequent on read; under the end sequent's closure, that sequent has the
-    # stored masks, links and tags.  The model read from the masks is the
-    # one read from the built leaves.
+    # stored masks and links, and one component per tag.  The model read
+    # from the masks is the one read from the built leaves.
     failed = 0
     for f in _BOTH_CORPORA:
         for v in (KT, KTS, KB):
-            end = single([], [core_formula(f, v)], tag=0)
+            end = single([], [core_formula(f, v)])
             try:
                 status, tree, _ = search(end, v)
             except SearchInvariantError:
@@ -830,8 +852,9 @@ def test_kept_nodes_store_the_masks_of_the_sequent_they_build():
             k = calculus.start(end, v)
             for node in _kept_nodes(tree):
                 s = node.sequent
-                assert (node.links, node.masks, node.tags, node.atoms) == (
-                    _link_chain(s), k.masks(s), _tag_chain(s), k.atoms)
+                assert (node.links, node.masks, node.atoms) == (
+                    _link_chain(s), k.masks(s), k.atoms)
+                assert len(_chain(node.tags)) == s.length
             model, root = extract_model(tree, v)
             expected, expected_root = _model_from_sequents(tree)
             assert model.to_json(root) == expected.to_json(expected_root), (f, v)
@@ -841,7 +864,7 @@ def test_kept_nodes_store_the_masks_of_the_sequent_they_build():
 def test_a_valid_answer_concludes_the_sequent_it_was_asked():
     for f in _BOTH_CORPORA:
         for v in (KT, KTS, KB):
-            end = single([], [core_formula(f, v)], tag=0)
+            end = single([], [core_formula(f, v)])
             try:
                 out = prove_sequent(end, v)
             except SearchInvariantError:
