@@ -13,9 +13,13 @@ its rule set and search order.
 
 The conclusion, the rule and the principal formula fix the premisses, so
 the table's builders serve search, certificate replay and the generalised
-initial sequents alike, through `premisses`.  Nothing here is trusted:
-`kernel` checks every derivation against rules it writes out itself,
-where the principal sits included.
+initial sequents alike, through `premisses`.  They make each premiss from
+four value builders, which `metatheory`'s transforms share: one more copy
+of a formula in a multiset, a component, a sequent with one component
+replaced, and a sequent extended by a link and a component.  Nothing here
+is trusted: `kernel` checks every derivation against rules it writes out
+itself, where the principal sits included, and compares every value these
+builders make.
 
 Search reads the side conditions as bit operations.  The calculus has the
 subformula property: backward search only adds subformulas of the end
@@ -70,11 +74,53 @@ def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
 # botL's one principal, interned for as long as this module is loaded.
 _BOTTOM = Bottom()
 
-# The builders make their components past the class call (see sequent);
-# a right box rule opens its component from this empty antecedent.
+# The value builders: each makes a multiset, component or sequent past the
+# class call and its `__init__` frame (see sequent).  A right box rule opens
+# its component from this empty multiset.
 _new = object.__new__
+(_set_counts,) = slot_setters(Multiset)
 _set_ant, _set_succ = slot_setters(Component)
+_set_components, _set_links = slot_setters(LinearNestedSequent)
 _NOTHING = Multiset()
+
+
+def added(m: Multiset, f: Formula) -> Multiset:
+    """m with one more copy of f."""
+    counts = m._counts.copy()
+    counts[f] = counts.get(f, 0) + 1
+    out = _new(Multiset)
+    _set_counts(out, counts)
+    return out
+
+
+def make_component(ant: Multiset, succ: Multiset) -> Component:
+    """Component(ant, succ)."""
+    c = _new(Component)
+    _set_ant(c, ant)
+    _set_succ(c, succ)
+    return c
+
+
+def replaced(s: LinearNestedSequent, i: int, c: Component) -> LinearNestedSequent:
+    """s with component i, counted from the end when negative, replaced by
+    c, and s's links tuple; raises IndexError when there is none."""
+    comps = s.components
+    n = len(comps)
+    j = i + n if i < 0 else i
+    if not 0 <= j < n:
+        raise IndexError(f"component index {i} out of range for length {n}")
+    out = _new(LinearNestedSequent)
+    _set_components(out, comps[:j] + (c,) + comps[j + 1:])
+    _set_links(out, s.links)
+    return out
+
+
+def extended(s: LinearNestedSequent, link: Polarity, c: Component) -> LinearNestedSequent:
+    """s with c appended after one more link."""
+    out = _new(LinearNestedSequent)
+    _set_components(out, s.components + (c,))
+    _set_links(out, s.links + (link,))
+    return out
 
 # The masks of one side of a component, in this order: its members, the
 # implications whose left part is a member, those whose right part is a
@@ -241,10 +287,7 @@ def _axiom(s, f):
 
 def _imp_r_premisses(s, f):
     last = s.components[-1]
-    c = _new(Component)
-    _set_ant(c, last.ant.add(f.left))
-    _set_succ(c, last.succ.add(f.right))
-    return (s.replace_component(-1, c),)
+    return (replaced(s, -1, make_component(added(last.ant, f.left), added(last.succ, f.right))),)
 
 
 def _imp_r_masks(k, masks, f):
@@ -254,8 +297,8 @@ def _imp_r_masks(k, masks, f):
 
 def _imp_l_premisses(s, f):
     last = s.components[-1]
-    return (s.replace_component(-1, last.with_ant(f.right)),
-            s.replace_component(-1, last.with_succ(f.left)))
+    return (replaced(s, -1, make_component(added(last.ant, f.right), last.succ)),
+            replaced(s, -1, make_component(last.ant, added(last.succ, f.left))))
 
 
 def _imp_l_masks(k, masks, f):
@@ -268,7 +311,8 @@ def _propagation(rule: RuleId, kind, link: Polarity) -> Rule:
     last link of polarity `link` into the last antecedent."""
 
     def premisses(s, f):
-        return (s.replace_component(-1, s.components[-1].with_ant(f.body)),)
+        last = s.components[-1]
+        return (replaced(s, -1, make_component(added(last.ant, f.body), last.succ)),)
 
     def grow(k, masks, f):
         (ant, succ), before = masks
@@ -284,10 +328,7 @@ def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
     def premisses(s, f):
         shorter = s.drop_last()
         second = shorter.components[-1]
-        absorber = _new(Component)
-        _set_ant(absorber, second.ant.add(f.body))
-        _set_succ(absorber, second.succ)
-        return (shorter.replace_component(-1, absorber),)
+        return (replaced(shorter, -1, make_component(added(second.ant, f.body), second.succ)),)
 
     def grow(k, masks, f):
         (ant, succ), before = masks[1]
@@ -310,11 +351,9 @@ def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
     def premisses(s, f):
         left = ()
         if two_premiss:
-            left = (s.replace_component(-2, s.components[-2].with_succ(f.body)),)
-        opened = _new(Component)
-        _set_ant(opened, _NOTHING)
-        _set_succ(opened, _NOTHING.add(f.body))
-        return left + (s.extend(link, opened),)
+            prev = s.components[-2]
+            left = (replaced(s, -2, make_component(prev.ant, added(prev.succ, f.body))),)
+        return left + (extended(s, link, make_component(_NOTHING, added(_NOTHING, f.body))),)
 
     def grow(k, masks, f):
         opened = (((_EMPTY_SIDE, k.join(_EMPTY_SIDE, f.body)), masks),)

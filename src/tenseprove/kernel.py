@@ -16,6 +16,19 @@ since search and the transforms share it between conclusion and premiss,
 and by the content equality of `sequent.Component` only when that
 fails.  This module imports only `formula` and `sequent`, which with it
 form the trusted base.
+
+The multisets, components and sequents a derivation holds need no trust
+in whoever built them.  Search, replay and the transforms build them past
+the class call, in `calculus` and `metatheory`, outside the trusted base.
+The end sequent a verdict is about comes from `sequent`'s constructors,
+which check its shape: `prove_sequent` compares a derivation's conclusion
+with it, and replay starts from it.  Every other node's conclusion must
+equal, by counts and by shape, a value this module derives from the
+conclusion below it.  So by induction from the root, every multiset and
+sequent of an accepted derivation is canonical, whoever built it.  A
+builder writes no derived field either, as `sequent` caches none, so a
+wrong builder can only make a comparison fail: an internal error, never
+a verdict.
 """
 
 from __future__ import annotations

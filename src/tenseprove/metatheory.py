@@ -11,16 +11,18 @@ derivation; cut elimination is one shift procedure, run as the paper's
 shift-left or shift-right lemma, whose two principal-formula hooks hold the
 only cases in which the two lemmas differ.
 
-The transforms and certificate replay build each node, and each component
-and sequent they make, past the class call (`_derivation`, `_component`,
-`_merge`), as search does: a class call costs an `__init__` frame entered
-from C.  Each builder writes the height it takes from the premisses it has
-just built; only the public constructors compute it.  Merge lives here,
-not in the trusted `sequent`, since cut is its one reader.  A transform
-call builds each distinct component once: cut's shifts share one memo of
-merged components and each edit walk one of edited components, so the
-output shares an unchanged component by identity, as search's
-derivations do.
+The transforms and certificate replay build each node, and each multiset,
+component and sequent they make, past the class call, as search does: a
+class call costs an `__init__` frame entered from C.  Nodes come from
+`_derivation`, components and replaced components from calculus's
+builders, and multiset unions and differences and merged sequents from
+the builders here, which only the transforms read, outside the trusted
+`sequent`.  Each node builder writes the height it takes from the
+premisses it has just built; only the public constructors compute it.  A
+transform call builds each distinct component once: cut's shifts share
+one memo of merged components and each edit walk one of edited
+components, so the output shares an unchanged component by identity, as
+search's derivations do.
 """
 
 from __future__ import annotations
@@ -34,7 +36,9 @@ from .calculus import (
     TWO_PREMISS_BOX_RULES,
     CalculusVariant,
     RuleId,
+    make_component,
     premisses,
+    replaced,
 )
 from .formula import (
     Atom,
@@ -50,10 +54,10 @@ from .formula import (
     sort_key,
 )
 from .kernel import RULES, is_instance
-from .sequent import Component, LinearNestedSequent, Multiset, ReadOnly, slot_setters
+from .sequent import LinearNestedSequent, Multiset, ReadOnly, slot_setters
 
 _new = object.__new__
-_set_ant, _set_succ = slot_setters(Component)
+(_set_counts,) = slot_setters(Multiset)
 _set_components, _set_links = slot_setters(LinearNestedSequent)
 # Reading an enum member costs a descriptor call (about 0.1 us on CPython
 # 3.11), so the members the transforms read at every call are bound once,
@@ -98,7 +102,10 @@ class Derivation(ReadOnly):
     nodes past this constructor, through `_derivation`, and write the
     height they take from the premisses they just built (an edit, which
     keeps the tree's shape, keeps the edited node's).  Equality and hash
-    leave `height` out."""
+    are identity, as a `PrunedNode`'s: comparing by content would walk
+    every path through the premisses, a shared node at each of its
+    occurrences, and no reader needs it; `derivation_to_json` writes a
+    derivation's content."""
 
     __slots__ = ("conclusion", "rule", "principal", "premisses", "height")
     _fields = __slots__[:4]
@@ -110,15 +117,6 @@ class Derivation(ReadOnly):
         _set_principal(self, principal)
         _set_premisses(self, premisses)
         _set_height(self, 1 + max([p.height for p in premisses]) if premisses else 0)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Derivation:
-            return NotImplemented
-        return ((self.conclusion, self.rule, self.principal, self.premisses)
-                == (other.conclusion, other.rule, other.principal, other.premisses))
-
-    def __hash__(self) -> int:
-        return hash((self.conclusion, self.rule, self.principal, self.premisses))
 
     def rule_applications(self) -> int:
         """The number of nodes written out as a tree, in one walk over
@@ -296,21 +294,78 @@ def _edit(d: Derivation, changes: dict, memo: dict | None = None) -> Derivation:
     return out
 
 
-def _component(ant: Multiset, succ: Multiset) -> Component:
-    """Component(ant, succ) past the class call."""
-    c = _new(Component)
-    _set_ant(c, ant)
-    _set_succ(c, succ)
-    return c
+# --- multiset builders --------------------------------------------------------
+#
+# Only the transforms take unions and differences, so these live here, past
+# the class call like calculus's builders.  Each copies a counts dict once,
+# and a union with an empty operand, or `_minus` of nothing, gives back the
+# other operand itself.
+
+
+def _multiset(counts: dict) -> Multiset:
+    m = _new(Multiset)
+    _set_counts(m, counts)
+    return m
+
+
+def _union(a: Multiset, b: Multiset) -> Multiset:
+    if not b._counts:
+        return a
+    if not a._counts:
+        return b
+    counts = a._counts.copy()
+    for f, n in b._counts.items():
+        counts[f] = counts.get(f, 0) + n
+    return _multiset(counts)
+
+
+def _union_less(a: Multiset, b: Multiset, f: Formula) -> Multiset:
+    """a and b less one copy of f, in one dict copy; raises KeyError if f
+    is in neither."""
+    counts = a._counts.copy()
+    for g, n in b._counts.items():
+        counts[g] = counts.get(g, 0) + n
+    k = counts[f] - 1
+    if k:
+        counts[f] = k
+    else:
+        del counts[f]
+    return _multiset(counts)
+
+
+def _minus(a: Multiset, b: Multiset) -> Multiset:
+    """Multiset difference; raises KeyError unless b is contained in a."""
+    if not b._counts:
+        return a
+    counts = a._counts.copy()
+    for f, n in b._counts.items():
+        k = counts.get(f, 0) - n
+        if k < 0:
+            raise KeyError(f"{f} not in multiset {n} times")
+        if k:
+            counts[f] = k
+        else:
+            del counts[f]
+    return _multiset(counts)
+
+
+def _diff(a: Multiset, b: Multiset) -> Multiset:
+    """Saturating multiset difference: empty iff b contains a."""
+    counts = {}
+    for f, n in a._counts.items():
+        k = n - b.count(f)
+        if k > 0:
+            counts[f] = k
+    return _multiset(counts)
 
 
 def _adder(add_l: Multiset, add_r: Multiset):
-    return lambda c: _component(c.ant.union(add_l), c.succ.union(add_r))
+    return lambda c: make_component(_union(c.ant, add_l), _union(c.succ, add_r))
 
 
 def _dropper(drop_l: Multiset, drop_r: Multiset):
     """Removes copies from a component; one holding fewer raises KeyError."""
-    return lambda c: _component(c.ant.minus(drop_l), c.succ.minus(drop_r))
+    return lambda c: make_component(_minus(c.ant, drop_l), _minus(c.succ, drop_r))
 
 
 def weaken(d: Derivation, position: int, add_left=(), add_right=()) -> Derivation:
@@ -470,13 +525,10 @@ def _merge(a: LinearNestedSequent, b: LinearNestedSequent, pos: int | None,
         key = (id(x), id(y), g)
         hit = memo.get(key)
         if hit is None:
-            c = _new(Component)
             if g is None:
-                _set_ant(c, x.ant.union(y.ant))
-                _set_succ(c, x.succ.union(y.succ))
+                c = make_component(_union(x.ant, y.ant), _union(x.succ, y.succ))
             else:
-                _set_ant(c, x.ant._union_less(y.ant, g))
-                _set_succ(c, x.succ._union_less(y.succ, g))
+                c = make_component(_union_less(x.ant, y.ant, g), _union_less(x.succ, y.succ, g))
             hit = memo[key] = (c, x, y)
         comps.append(hit[0])
     s = _new(LinearNestedSequent)
@@ -525,9 +577,9 @@ def _try_embed(d: Derivation, target: LinearNestedSequent) -> Derivation | None:
         return None
     changes = {}
     for i, (ci, ti) in enumerate(zip(d.conclusion.components, target.components)):
-        if not (ci.ant.subset(ti.ant) and ci.succ.subset(ti.succ)):
-            return None
-        add_l, add_r = ti.ant.diff(ci.ant), ti.succ.diff(ci.succ)
+        if _diff(ci.ant, ti.ant) or _diff(ci.succ, ti.succ):
+            return None  # ci is not contained in ti
+        add_l, add_r = _diff(ti.ant, ci.ant), _diff(ti.succ, ci.succ)
         if add_l or add_r:
             changes[i] = _adder(add_l, add_r)
     return _ew_extend(_edit(d, changes), target)
@@ -570,7 +622,7 @@ def _contract_to(d: Derivation, target: LinearNestedSequent) -> Derivation:
         raise TransformError("contract_to: length mismatch")
     changes = {}
     for i, (c, t) in enumerate(zip(d.conclusion.components, target.components)):
-        extra_l, extra_r = c.ant.diff(t.ant), c.succ.diff(t.succ)
+        extra_l, extra_r = _diff(c.ant, t.ant), _diff(c.succ, t.succ)
         if (any(f not in t.ant for f in extra_l.members())
                 or any(f not in t.succ for f in extra_r.members())):
             raise TransformError("contract_to: support mismatch")
@@ -628,10 +680,10 @@ def _shift(a: Formula, d1: Derivation, d2: Derivation, pos: int, mon: CutMonitor
             # The premiss has lost the component holding the cut occurrence.
             src = d.premisses[0]
             if d.rule is not _EW:
-                c = d.conclusion.components[pos]
-                c = (_component(c.ant, c.succ.remove_one(a)) if left
-                     else _component(c.ant.remove_one(a), c.succ))
-                src = _derivation(d.conclusion.replace_component(pos, c), d.rule, d.principal,
+                c, one = d.conclusion.components[pos], Multiset((a,))
+                c = (make_component(c.ant, _minus(c.succ, one)) if left
+                     else make_component(_minus(c.ant, one), c.succ))
+                src = _derivation(replaced(d.conclusion, pos, c), d.rule, d.principal,
                                   d.premisses, d.height)
             out = _try_embed(src, target)
             if out is None:

@@ -240,13 +240,6 @@ class PrunedView(PrunedNode):
 _set_shared, _set_source, _set_target = slot_setters(PrunedView)
 
 
-# What search returns from a failed subtree: its pruned tree, and whether a
-# restart collapse is still travelling down from it.  A restart deletes the
-# last component of its conclusion, and that deletion cascades down through
-# the rules that acted inside it.
-Failure = tuple[PrunedNode, bool]
-
-
 @dataclass
 class Valid:
     derivation: Derivation
@@ -272,8 +265,14 @@ SearchOutcome = Valid | Invalid | ResourceLimit
 # result of the premiss searched above it, as a tuple led by its kind.  h is
 # the handle of the conclusion; links, masks and tags are the conclusion's,
 # where a frame goes on to search another of its premisses or keeps a node.
-# The first four are steps by rule, which a failed premiss fails: the frame
-# is dropped and the premiss's failure passes down unchanged.
+# A result is a Derivation or, for a failed subtree, its pruned tree (None
+# for a stuck box choice, which only reaches _CHOICES).  A restart deletes
+# the last component of its conclusion, and that deletion cascades down
+# through the rules that acted inside it: while a failed tree's root is
+# shorter than the premiss it failed, the collapse is still travelling down
+# from it.  The first four frames are steps by rule, which a failed premiss
+# fails: the frame is dropped and the premiss's pruned tree passes down
+# unchanged.
 #   (_STEP, h, rule, f)                  a one-premiss step (impR, propagation)
 #   (_IMP_L, h, rule, f, second, m, links, tags)
 #       impL, waiting for its first premiss; second is the second's handle,
@@ -335,7 +334,7 @@ class _Search:
         # explored, and the nodes, restarts and max_length of its subtree
         self.restarted: dict[tuple, list[tuple]] = {}
 
-    def run(self, s: LinearNestedSequent, masks: tuple) -> Derivation | Failure:
+    def run(self, s: LinearNestedSequent, masks: tuple) -> Derivation | PrunedNode:
         """Search from s, whose components have these masks over the end
         sequent's closure (see calculus).
 
@@ -427,7 +426,7 @@ class _Search:
                     if seen is not None:
                         # A failed result is shared as it is, a closed one
                         # only with a premiss its derivation concludes.
-                        seen = next((r for r in seen if r[0].__class__ is tuple
+                        seen = next((r for r in seen if r[0].__class__ is not Derivation
                                      or r[0].conclusion == _sequent(q)), None)
                     if seen is None:
                         stack.append((_RESTART, h, links, masks, tags, rule, f, key, p,
@@ -442,8 +441,8 @@ class _Search:
                     restarts += more_restarts
                     if length > max_length:
                         max_length = length
-                    if out.__class__ is tuple:
-                        out = PrunedView(out[0], first, p), out[1]
+                    if out.__class__ is not Derivation:
+                        out = PrunedView(out, first, p)
                     stack.append((_RESTART, h, links, masks, tags, rule, f, None, None, 0, 0, 0))
                 else:
                     # impR, impL or propagation: each premiss only grows the last component.
@@ -461,17 +460,17 @@ class _Search:
                     frame = (_CHOICES, h, links, masks, tags, iter(choices), [])
                     choice = next(frame[5])
                     continue
-                out = _pruned(links, masks, tags, None, "leaf", (), h), False
+                out = _pruned(links, masks, tags, None, "leaf", (), h)
             while stack:
                 frame = stack.pop()
                 kind = frame[0]
-                if kind <= _OPENED and out.__class__ is tuple:
+                if kind <= _OPENED and out.__class__ is not Derivation:
                     continue  # a failed premiss fails its step, which keeps no node
                 elif kind == _STEP:
                     _, at, rule, f = frame
                     out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
                 elif kind == _CHOICES:
-                    if out is not None and out.__class__ is not tuple:
+                    if out.__class__ is Derivation:
                         continue  # a closing choice closes the node
                     _, at, links, masks, tags, choices, explored = frame
                     explored.append(out)
@@ -481,15 +480,12 @@ class _Search:
                     if None in explored:
                         raise SearchInvariantError(
                             "left premiss of a two-premiss box rule could not be derived")
-                    # A choice that collapsed is kept alone: the restarted
-                    # re-exploration subsumes the longer siblings.
-                    collapsed = [child for child, collapsing in explored if collapsing]
-                    if collapsed:
-                        best = min(collapsed, key=lambda child: child.links[1])
-                        out = best, best.links[1] < links[1]
-                    else:
-                        out = _pruned(links, masks, tags, None, "and",
-                                      tuple([c for c, _ in explored]), at), False
+                    # A choice that collapsed, its root no longer than the
+                    # and-node, is kept alone: the restarted re-exploration
+                    # subsumes the longer siblings.
+                    out = min(explored, key=lambda child: child.links[1])
+                    if out.links[1] > links[1]:
+                        out = _pruned(links, masks, tags, None, "and", tuple(explored), at)
                 elif kind == _OPENED:
                     _, at, rule, f, left, m, links, tags = frame
                     if left is None:
@@ -517,17 +513,17 @@ class _Search:
                             max_length = outer
                         restarted.setdefault(key, []).append(
                             (out, p, nodes - nodes_before, restarts - restarts_before, length))
-                    if out.__class__ is not tuple:
+                    if out.__class__ is Derivation:
                         out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
-                    elif not out[1] or out[0].links[1] >= links[1] - 1:
+                    elif out.links[1] >= links[1] - 1:
                         # The restart deleted the conclusion's last component:
                         # its step stands on the prefix, unless the collapse
                         # reaches further down.
-                        out = _pruned(links[2], masks[1], tags[1], rule, "step", (out[0],),
-                                      ([None, at, None, None], 0)), True
+                        out = _pruned(links[2], masks[1], tags[1], rule, "step", (out,),
+                                      ([None, at, None, None], 0))
                 elif kind == _PREFIX:
                     _, at, rule, f, left, m, opened, links, tags = frame
-                    if out.__class__ is tuple:
+                    if out.__class__ is not Derivation:
                         stack.append((_LEFT, at, rule, f, opened))
                         h, masks = left, m
                         break
@@ -536,7 +532,7 @@ class _Search:
                                       max(left.height, opened.height) + 1)
                 else:  # _LEFT
                     _, at, rule, f, opened = frame
-                    if out.__class__ is tuple:
+                    if out.__class__ is not Derivation:
                         out = None  # the choice is stuck
                     else:
                         out = _derivation(_sequent(at), rule, f, (out, opened),
@@ -565,8 +561,8 @@ def search(s: LinearNestedSequent, v: CalculusVariant,
         tree = eng.run(s, eng.closure.masks(s))
     finally:
         eng.stats.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    if isinstance(tree, tuple):
-        return FAILED, tree[0], eng.stats
+    if isinstance(tree, PrunedNode):
+        return FAILED, tree, eng.stats
     return CLOSED, tree, eng.stats
 
 
@@ -657,8 +653,8 @@ def extract_model(t: PrunedNode, v: CalculusVariant) -> tuple[KripkeModel, str]:
             below = n
     trues = {w: frozenset([name for bit, name in named if members & bit])
              for w, members in true.items()}
-    worlds = tuple(sorted(names.values(), key=lambda w: int(w[1:])))
-    return KripkeModel(worlds, frozenset(edges), trues), root
+    # Each name is w{number of names before it}, so they are in order.
+    return KripkeModel(tuple(names.values()), frozenset(edges), trues), root
 
 
 def prove_sequent(s: LinearNestedSequent, v: CalculusVariant = CalculusVariant.KT_STAR,

@@ -1,15 +1,19 @@
 """Components, linear nested sequents, and the formula translation.
 
-A component is two multisets and nothing else: the world it stands for
-and its restart count are kept by search, in its tag chain (`prover`).
-The values a search step builds (a premiss, the component it changes and
-that component's multiset) come from the edits here and from the builders
-in `calculus`, through `object.__new__` and the slot setters, as
-`formula` builds its nodes: a class call would cost an `__init__` frame
-entered from C.  So does every multiset operation's result.  Merge and
-the transforms' builders live in `metatheory`, outside the trusted base.
-The constructors still check a sequent's shape, so a value built through
-them is checked as before.
+This module holds the read side of the values the kernel judges: the
+constructors with their shape checks, counts, comparisons, printers and
+JSON.  With `kernel` and `formula` it is the trusted base.  A component is
+two multisets and nothing else: the world it stands for and its restart
+count are kept by search, in its tag chain (`prover`).
+
+The values a search, replay or transform step builds come from builders
+in the untrusted modules that call them, past the class call and its
+`__init__` frame, as `formula` builds its nodes: `calculus` adds one copy
+of a formula to a multiset, makes a component, replaces a component and
+extends a sequent; `metatheory` takes multiset unions and differences and
+merges sequents.  A builder writes only the fields a constructor writes,
+and nothing here caches a field derived from them, so a wrong builder
+can only make one of the kernel's comparisons fail (see `kernel`).
 """
 
 from __future__ import annotations
@@ -30,104 +34,18 @@ from .formula import (
 )
 
 
-_new = object.__new__
-
-
 class Multiset:
-    """Immutable multiset of formulas."""
+    """Immutable multiset of formulas, held as a dict from each distinct
+    element to its count.  The builders in `calculus` and `metatheory` make
+    one from a counts dict of their own, which nothing changes after."""
 
-    __slots__ = ("_counts", "_hash")
+    __slots__ = ("_counts",)
 
     def __init__(self, items=()):
         counts: dict[Formula, int] = {}
         for f in items:
             counts[f] = counts.get(f, 0) + 1
         self._counts = counts
-        self._hash = None
-
-    def add(self, f: Formula) -> Multiset:
-        counts = self._counts.copy()
-        counts[f] = counts.get(f, 0) + 1
-        m = _new(Multiset)
-        m._counts = counts
-        m._hash = None
-        return m
-
-    def remove_one(self, f: Formula) -> Multiset:
-        """One copy fewer of f; raises KeyError if f is absent."""
-        counts = dict(self._counts)
-        k = counts[f] - 1
-        if k:
-            counts[f] = k
-        else:
-            del counts[f]
-        m = _new(Multiset)
-        m._counts = counts
-        m._hash = None
-        return m
-
-    def _union_less(self, other: Multiset, f: Formula) -> Multiset:
-        """self and other less one copy of f, in one dict copy; raises
-        KeyError if f is in neither."""
-        counts = self._counts.copy()
-        for g, n in other._counts.items():
-            counts[g] = counts.get(g, 0) + n
-        k = counts[f] - 1
-        if k:
-            counts[f] = k
-        else:
-            del counts[f]
-        m = _new(Multiset)
-        m._counts = counts
-        m._hash = None
-        return m
-
-    def minus(self, other: Multiset) -> Multiset:
-        """Multiset difference; raises KeyError unless other is contained in self."""
-        if not other._counts:
-            return self
-        counts = dict(self._counts)
-        for f, n in other._counts.items():
-            k = counts.get(f, 0) - n
-            if k < 0:
-                raise KeyError(f"{f} not in multiset {n} times")
-            if k:
-                counts[f] = k
-            else:
-                del counts[f]
-        m = _new(Multiset)
-        m._counts = counts
-        m._hash = None
-        return m
-
-    def union(self, other: Multiset) -> Multiset:
-        # Values are immutable, so an empty operand gives back the other.
-        if not other._counts:
-            return self
-        if not self._counts:
-            return other
-        counts = dict(self._counts)
-        for f, n in other._counts.items():
-            counts[f] = counts.get(f, 0) + n
-        m = _new(Multiset)
-        m._counts = counts
-        m._hash = None
-        return m
-
-    def diff(self, other: Multiset) -> Multiset:
-        """Saturating multiset difference."""
-        counts = {}
-        for f, n in self._counts.items():
-            k = n - other.count(f)
-            if k > 0:
-                counts[f] = k
-        m = _new(Multiset)
-        m._counts = counts
-        m._hash = None
-        return m
-
-    def subset(self, other: Multiset) -> bool:
-        return all(n <= other.count(f) for f, n in self._counts.items())
 
     def count(self, f: Formula) -> int:
         return self._counts.get(f, 0)
@@ -157,9 +75,7 @@ class Multiset:
         return isinstance(other, Multiset) and self._counts == other._counts
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._counts.items()))
-        return self._hash
+        return hash(frozenset(self._counts.items()))
 
     def __repr__(self) -> str:
         return f"Multiset({[print_ascii(f) for f in self.distinct()]})"
@@ -168,7 +84,7 @@ class Multiset:
 class ReadOnly:
     """Base of the slotted value types built at every search, replay and
     transform step: `__init__`, or a builder on a hot path that starts from
-    `object.__new__`, writes each field once through its slot's setter (see
+    a bare instance, writes each field once through its slot's setter (see
     `slot_setters`), and the fields are read-only after that, as in a
     frozen dataclass.  `_fields` are the constructor's arguments in order;
     `repr` shows every slot, in the dataclass form."""
@@ -215,18 +131,6 @@ class Component(ReadOnly):
     def __hash__(self) -> int:
         return hash((self.ant, self.succ))
 
-    def with_ant(self, f: Formula) -> Component:
-        c = _new(Component)
-        _set_ant(c, self.ant.add(f))
-        _set_succ(c, self.succ)
-        return c
-
-    def with_succ(self, f: Formula) -> Component:
-        c = _new(Component)
-        _set_ant(c, self.ant)
-        _set_succ(c, self.succ.add(f))
-        return c
-
     def render(self) -> str:
         left = ", ".join(map(print_ascii, self.ant.distinct()))
         right = ", ".join(map(print_ascii, self.succ.distinct()))
@@ -270,27 +174,8 @@ class LinearNestedSequent(ReadOnly):
     def last(self) -> Component:
         return self.components[-1]
 
-    def replace_component(self, i: int, c: Component) -> LinearNestedSequent:
-        """This sequent with component i, counted from the end when
-        negative, replaced by c; raises IndexError when there is none."""
-        comps = self.components
-        n = len(comps)
-        j = i + n if i < 0 else i
-        if not 0 <= j < n:
-            raise IndexError(f"component index {i} out of range for length {n}")
-        s = _new(LinearNestedSequent)
-        _set_components(s, comps[:j] + (c,) + comps[j + 1:])
-        _set_links(s, self.links)
-        return s
-
     def drop_last(self) -> LinearNestedSequent:
         return LinearNestedSequent(self.components[:-1], self.links[:-1])
-
-    def extend(self, link: Polarity, c: Component) -> LinearNestedSequent:
-        s = _new(LinearNestedSequent)
-        _set_components(s, self.components + (c,))
-        _set_links(s, self.links + (link,))
-        return s
 
     def prefix(self, k: int) -> LinearNestedSequent:
         return LinearNestedSequent(self.components[:k], self.links[: k - 1])

@@ -13,7 +13,9 @@ from tenseprove.calculus import (
     CalculusVariant,
     RuleId,
     VariantMismatch,
+    added,
     premisses,
+    replaced,
 )
 from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key)
@@ -235,8 +237,8 @@ def test_search_takes_an_imp_l_instance_with_an_axiom_premiss_first(closing, ant
     # Replay is unchanged: each principal names its schema instance.
     for f in (first, closing):
         assert premisses(c, RuleId.IMP_L, f) == (
-            c.replace_component(0, c.last.with_ant(f.right)),
-            c.replace_component(0, c.last.with_succ(f.left)))
+            single([first, closing, *ant, f.right], succ),
+            single([first, closing, *ant], [*succ, f.left]))
 
 
 # Each rule's side condition read from the multisets, as the rule states
@@ -499,8 +501,8 @@ def test_kb_instances_are_collapse_images(s):
         if i.rule is RuleId.KB_BOX_L2:
             ants = _expanded(collapsed.last.ant)
             ants[ants.index(i.principal)] = BlackBox(i.principal.body)
-            pre = collapsed.replace_component(
-                collapsed.length - 1,
+            pre = replaced(
+                collapsed, collapsed.length - 1,
                 component(ants, _expanded(collapsed.last.succ)),
             )
             pre_insts = applicable_rules(pre, KTS, False)
@@ -545,7 +547,8 @@ def _forgeries(node):
             yield rule, a, prems
     for k in range(len(prems)):
         yield node.rule, a, prems[:k] + prems[k + 1:]
-        fat = prems[k].replace_component(prems[k].length - 1, prems[k].last.with_ant(Atom("zz")))
+        last = prems[k].last
+        fat = replaced(prems[k], -1, Component(added(last.ant, Atom("zz")), last.succ))
         yield node.rule, a, prems[:k] + [fat] + prems[k + 1:]
         links = prems[k].links
         if links:

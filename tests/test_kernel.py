@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 from tenseprove import kernel, prover
-from tenseprove.calculus import _MEMBERS, _PRIORITY, _RULES, CalculusVariant, RuleId
+from tenseprove.calculus import (
+    _MEMBERS, _PRIORITY, _RULES, CalculusVariant, RuleId, added, replaced,
+)
 from tenseprove.formula import Polarity, parse
 from tenseprove.metatheory import check
 from tenseprove.sequent import Component, LinearNestedSequent, single
@@ -30,9 +32,9 @@ def _also(i, part, side):
             prems = list(premisses(s, f))
             p, g = prems[i], part(f)
             c = p.last
-            c = Component(c.ant.add(g) if side == "ant" else c.ant,
-                          c.succ.add(g) if side == "succ" else c.succ)
-            prems[i] = p.replace_component(p.length - 1, c)
+            c = Component(added(c.ant, g) if side == "ant" else c.ant,
+                          added(c.succ, g) if side == "succ" else c.succ)
+            prems[i] = replaced(p, p.length - 1, c)
             return tuple(prems)
 
         def wrong_grow(k, masks, f):
@@ -141,6 +143,16 @@ def test_the_kernel_imports_only_formula_and_sequent():
     assert _package_imports(SRC / "kernel.py") == {"formula", "sequent"}
     assert _package_imports(SRC / "sequent.py") == {"formula"}
     assert _package_imports(SRC / "formula.py") == set()
+
+
+def test_the_trusted_sequent_module_builds_nothing_past_the_class_call():
+    # sequent.py holds the read side of the values the kernel judges; the
+    # builders that skip a constructor live in the untrusted modules that
+    # call them, so this trusted module does not grow with them.
+    tree = ast.parse((SRC / "sequent.py").read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "__new__"
+                or isinstance(node, ast.Constant) and node.value == "__new__"]
 
 
 @pytest.mark.parametrize("v", [KT, KTS, KB])

@@ -14,7 +14,7 @@ from conftest import (
     schema1,
 )
 from tenseprove import metatheory
-from tenseprove.calculus import CalculusVariant, RuleId
+from tenseprove.calculus import CalculusVariant, RuleId, extended, replaced
 from tenseprove.formula import (
     Atom,
     BlackBox,
@@ -38,6 +38,7 @@ from tenseprove.metatheory import (
     PositionOutOfRange,
     StructuralMismatch,
     TransformError,
+    _minus,
     check,
     contract,
     cut,
@@ -45,12 +46,13 @@ from tenseprove.metatheory import (
     derivation_to_json,
     derivation_to_latex,
     generalised_init,
+    infer_variant,
     merge,
     to_ktstar,
     weaken,
 )
 from tenseprove.prover import Valid, prove, prove_sequent
-from tenseprove.sequent import Component, LinearNestedSequent, component, single
+from tenseprove.sequent import Component, LinearNestedSequent, Multiset, component, single
 
 KT, KTS = CalculusVariant.KT, CalculusVariant.KT_STAR
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
@@ -127,7 +129,7 @@ def test_check_reports_a_shared_node_by_the_path_it_is_first_popped_on():
     closed = Derivation(single([a_to_a, p], [box]), RuleId.ID, p)
     imp_l = Derivation(single([a_to_a], [box]), RuleId.IMP_L, a_to_a, (closed, grown))
     right = Derivation(s, RuleId.EW, None, (imp_l,))
-    right = Derivation(s.extend(BWD, component([], [p])), RuleId.EW, None, (right,))
+    right = Derivation(extended(s, BWD, component([], [p])), RuleId.EW, None, (right,))
     res = check(Derivation(s, RuleId.BBOX_R1, BlackBox(p), (x, right)), KT)
     assert not res and res.path == (1, 0, 0, 1, 0) and "invalid id on p" in res.message
 
@@ -211,6 +213,19 @@ def test_weaken_then_contract_round_trip():
     c = contract(w, 0, "left", q)
     assert check(c, KT)
     assert c.conclusion.components[0].ant == d.conclusion.components[0].ant
+
+
+def test_weaken_and_contract_re_check_a_kt_star_derivation_under_kt_star():
+    # The edits re-check their output under the variant the derivation's
+    # rules imply: here KT*, whose boxR and bboxR the full calculus KT lacks.
+    d = prove("p -> [F]~[P]~p", KTS).derivation
+    assert infer_variant(d) is KTS
+    w = weaken(d, 0, [q], [q])
+    assert check(w, KTS) and not check(w, KT)
+    first = w.conclusion.components[0]
+    assert first.ant == Multiset([q]) and first.succ.count(q) == 1
+    c = contract(weaken(w, 0, [q], []), 0, "left", q)
+    assert check(c, KTS) and c.conclusion == w.conclusion
 
 
 def test_generalised_init_atom_is_id():
@@ -531,7 +546,8 @@ def test_cut_target_is_the_merge_less_the_cut_occurrences():
     for cl, cr, pos, a, t in targets:
         m = merge(cl, cr)
         c = m.components[pos]
-        assert t == m.replace_component(pos, Component(c.ant.remove_one(a), c.succ.remove_one(a)))
+        one = Multiset([a])
+        assert t == replaced(m, pos, Component(_minus(c.ant, one), _minus(c.succ, one)))
 
 
 def _first_axiom(target):
@@ -598,12 +614,26 @@ def test_derivation_json_roundtrip():
 
 def test_replay_is_deterministic():
     # Replay builds its values from the certificate alone, so two replays of
-    # one certificate are the same value down to their repr and pickle.
+    # one certificate are the same value down to their repr and pickle.  A
+    # derivation's equality is identity, so the two compare by what they
+    # write out.
     d = prove("[F](p -> [P]q) -> [F]p -> [F][P]q", KT).derivation
     data = derivation_to_json(d)
     a, b = derivation_from_json(data), derivation_from_json(data)
-    assert a == b and repr(a) == repr(b)
+    assert a != b and derivation_to_json(a) == derivation_to_json(b) == data
+    assert repr(a) == repr(b)
     assert pickle.dumps(a) == pickle.dumps(b)
+
+
+def test_derivation_equality_and_hash_are_identity_at_any_height():
+    # By content they recursed through the premisses: on KT* depth(5000)'s
+    # certificate (height 10,001) both raised RecursionError.
+    s = single([p], [p])
+    a = b = Derivation(s, RuleId.ID, p)
+    for _ in range(30_000):
+        a, b = Derivation(s, RuleId.EW, None, (a,)), Derivation(s, RuleId.EW, None, (b,))
+    with fails_fast_on_recursion(1_000):
+        assert a == a and a != b and {a: 1}[a] == 1 and len({a, b}) == 2
 
 
 # A KB formula whose search shares a closed restart subtree: its derivation

@@ -6,11 +6,16 @@ import pytest
 from hypothesis import given
 
 from conftest import fails_fast_on_recursion, small_sequents
-from tenseprove.calculus import CalculusVariant, RuleId, premisses
+from tenseprove.calculus import (
+    CalculusVariant, RuleId, added, make_component, premisses, replaced,
+)
 from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key,
 )
-from tenseprove.metatheory import Derivation, MergeUndefined, cut, generalised_init, merge, weaken
+from tenseprove.metatheory import (
+    Derivation, MergeUndefined, _diff, _minus, _union, _union_less, cut, derivation_to_json,
+    generalised_init, merge, weaken,
+)
 from tenseprove.prover import PrunedNode, extract_model, search
 from tenseprove.semantics import KripkeModel, forces
 from tenseprove.sequent import (
@@ -180,37 +185,42 @@ def test_render_and_json_roundtrip():
 
 
 def test_multiset_semantics():
+    # The builders are calculus's `added` and the transforms' unions and
+    # differences in metatheory.
     m = Multiset([p, p, q])
     assert m.count(p) == 2 and p in m and r not in m
-    assert m.remove_one(p).count(p) == 1
-    assert m.add(r).count(r) == 1
-    assert m == Multiset([q, p, p])
-    assert m.union(Multiset([q])).count(q) == 2
-    assert m.diff(Multiset([p])).count(p) == 1
-    assert m.minus(Multiset([p, q])) == Multiset([p])
+    assert _minus(m, Multiset([p])).count(p) == 1
+    assert added(m, r).count(r) == 1
+    assert m == Multiset([q, p, p]) and hash(m) == hash(Multiset([q, p, p]))
+    assert _union(m, Multiset([q])).count(q) == 2
+    assert _diff(m, Multiset([p])).count(p) == 1
+    assert _minus(m, Multiset([p, q])) == Multiset([p])
     with pytest.raises(KeyError):
-        m.minus(Multiset([q, q]))
+        _minus(m, Multiset([q, q]))
     with pytest.raises(KeyError):
-        m.remove_one(r)
-    assert Multiset([p]).subset(m)
+        _minus(m, Multiset([r]))
+    assert not _diff(Multiset([p]), m) and _diff(Multiset([r]), m)
 
 
 def test_multiset_edits_at_the_edges():
     m, empty = Multiset([p, p, q]), Multiset()
     with pytest.raises(KeyError):
-        m.remove_one(r)
+        _minus(m, Multiset([r]))
     with pytest.raises(KeyError):
-        empty.remove_one(p)
-    assert m.remove_one(q) == Multiset([p, p]) and m == Multiset([p, p, q])
-    assert m.union(empty) == empty.union(m) == m
-    assert m.minus(empty) == m and empty.minus(empty) == empty
+        _minus(empty, Multiset([p]))
+    with pytest.raises(KeyError):
+        _union_less(m, empty, r)
+    assert _minus(m, Multiset([q])) == Multiset([p, p]) and m == Multiset([p, p, q])
+    assert _union_less(m, Multiset([q]), q) == m
+    assert _union(m, empty) is _union(empty, m) is m
+    assert _minus(m, empty) is m and _minus(empty, empty) == empty
 
 
 def test_distinct_is_in_sort_key_order():
     m = Multiset([Box(q), p, parse("p -> q"), p, Box(p)])
     first = m.distinct()
     assert first == tuple(sorted({p, Box(p), Box(q), parse("p -> q")}, key=sort_key))
-    assert m.add(r).distinct() == tuple(sorted(first + (r,), key=sort_key))
+    assert added(m, r).distinct() == tuple(sorted(first + (r,), key=sort_key))
 
 
 def test_component_edits_change_one_side():
@@ -218,8 +228,15 @@ def test_component_edits_change_one_side():
     # workloads still pass, is accepted and ignored.
     c = Component(Multiset([p]), Multiset([q]), tag=7)
     assert c.__slots__ == ("ant", "succ") and c == Component(Multiset([p]), Multiset([q]))
-    assert c.with_ant(r).ant == Multiset([p, r]) and c.with_ant(r).succ == c.succ
-    assert c.with_succ(r).succ == Multiset([q, r]) and c.with_succ(r).ant == c.ant
+    assert Multiset.__slots__ == ("_counts",)
+    # Each impL premiss changes one side of the last component and keeps
+    # the other, and the links, by identity.
+    f = Implies(r, s)
+    end = LinearNestedSequent((c, component([f], [q])), (FWD,))
+    first, second = premisses(end, RuleId.IMP_L, f)
+    assert first.last.ant == Multiset([f, s]) and first.last.succ is end.last.succ
+    assert second.last.succ == Multiset([q, r]) and second.last.ant is end.last.ant
+    assert all(x.components[0] is c and x.links is end.links for x in (first, second))
 
 
 def test_replace_component_index_contract():
@@ -227,12 +244,12 @@ def test_replace_component_index_contract():
     c = component([s])
     for i in range(3):
         want = s3.components[:i] + (c,) + s3.components[i + 1:]
-        for out in (s3.replace_component(i, c), s3.replace_component(i - 3, c)):
+        for out in (replaced(s3, i, c), replaced(s3, i - 3, c)):
             assert out.links is s3.links and len(out.components) == 3
             assert all(x is y for x, y in zip(out.components, want))
     for i in (3, 4, -4, -5):
         with pytest.raises(IndexError):
-            s3.replace_component(i, c)
+            replaced(s3, i, c)
     with pytest.raises(ValueError):
         single([p], [q]).drop_last()
 
@@ -247,7 +264,8 @@ _FAN3 = " | ".join([f"[F]p{i}" for i in range(3)] + [f"[P]~[F]q{i}" for i in ran
 def _values():
     """One value of each read-only slotted type, with the names of its
     fields: first built by its constructor, then by the builders search,
-    merge and the transforms use.  A multiset has no read-only fields."""
+    merge and the transforms use (calculus's and metatheory's).  A multiset
+    has no read-only fields."""
     c = Component(Multiset([p]), Multiset([q, q]))
     s2 = LinearNestedSequent((c, component([q], [Box(p)])), (FWD,))
     imp = Implies(p, p)
@@ -266,17 +284,17 @@ def _values():
         ("LinearNestedSequent", s2, _SEQUENT),
         ("Derivation", Derivation(single([], [imp]), RuleId.IMP_R, imp, (leaf,)), _DERIVATION),
         ("premiss", premisses(s2, RuleId.BOX_R, Box(p))[0], _SEQUENT),
-        ("with_ant", c.with_ant(r), _COMPONENT),
-        ("add", Multiset([p]).add(q), ()),
+        ("with_ant", make_component(added(c.ant, r), c.succ), _COMPONENT),
+        ("add", added(Multiset([p]), q), ()),
         ("search_Derivation", derived, _DERIVATION),
         ("search_PrunedNode", failed, _PRUNED),
         ("search_PrunedNode_fan", fan, _PRUNED),
         ("search_PrunedNode_shared", shared, _PRUNED),
         ("merge", merge(s2, seq(component([r]), FWD, component([], [r]))), _SEQUENT),
         ("weaken_Component", weaken(leaf, 0, [q], [r]).conclusion.components[0], _COMPONENT),
-        ("union", Multiset([p]).union(Multiset([q])), ()),
-        ("minus", Multiset([p, q]).minus(Multiset([q])), ()),
-        ("diff", Multiset([p, q]).diff(Multiset([r])), ()),
+        ("union", _union(Multiset([p]), Multiset([q])), ()),
+        ("minus", _minus(Multiset([p, q]), Multiset([q])), ()),
+        ("diff", _diff(Multiset([p, q]), Multiset([r])), ()),
         ("cut_Derivation", cut(init, init, imp), _DERIVATION),
     ]
     return [pytest.param(v, fields, id=name) for name, v, fields in values]
@@ -296,9 +314,9 @@ def test_value_fields_are_read_only(value, fields):
 
 
 def _same(a, b) -> bool:
-    """a equals b, and a pruned node, whose equality is identity, equals
-    another of its type with the same fields."""
-    if isinstance(a, PrunedNode):
+    """a equals b, and a pruned node or a derivation, whose equality is
+    identity, equals another of its type with the same fields."""
+    if isinstance(a, (PrunedNode, Derivation)):
         return type(a) is type(b) and all(_same(getattr(a, n), getattr(b, n)) for n in a._fields)
     if isinstance(a, tuple):
         return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
@@ -310,12 +328,15 @@ def test_value_copies_and_pickles_equal(value, fields):
     for out in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(out) is type(value)
         assert all(_same(getattr(out, n), getattr(value, n)) for n in fields)
-        # A pruned node's equality is identity; its fields are compared
-        # above, and a copy holds what a model is read from.
+        # A pruned node's and a derivation's equality is identity; their
+        # fields are compared above, a pruned node's copy holds what a model
+        # is read from, and a derivation's writes the same certificate.
         if isinstance(value, PrunedNode):
             model, root = extract_model(out, CalculusVariant.KT_STAR)
             expected, expected_root = extract_model(value, CalculusVariant.KT_STAR)
             assert model.to_json(root) == expected.to_json(expected_root)
+        elif isinstance(value, Derivation):
+            assert out != value and derivation_to_json(out) == derivation_to_json(value)
         else:
             assert out == value and hash(out) == hash(value)
 
