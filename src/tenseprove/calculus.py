@@ -4,12 +4,12 @@ builds premisses with them.
 One table holds one entry per rule; ew, which has no principal formula, is
 a case of `premisses`.  An entry says which kind of formula the rule's
 principal is, the last links the rule acts across and the premisses of
-its instance on a principal (`premisses`), and for backward search where
-its candidates sit with the side condition that forces progress (`open`),
-search's choice among the principals it leaves (`pick`) and what each
-premiss adds (`grow`).  The modal entries come from three makers given the
-box kind and the links.  A priority-ordered rule tuple per variant gives
-its rule set and search order.
+its instance on a principal (`premisses`), and for backward search what
+each premiss adds (`grow`) and the link a right box rule opens (`opens`).
+The modal entries come from three makers given the box kind and the links.
+A priority-ordered rule tuple per variant gives its rule set and search
+order, and `step` is search's policy: which rule it applies at a node, on
+which principal, or which right box choices it branches over.
 
 The conclusion, the rule and the principal formula fix the premisses, so
 the table's builders serve search, certificate replay and the generalised
@@ -27,11 +27,12 @@ sequent, so a search numbers that set once, in sort_key order (`Closure`),
 and a set of its formulas is a Python int with bit i for formula i.  Each
 side of a component has four masks: its members, the implications whose
 left part is a member, those whose right part is a member, and the boxes
-whose body is a member.  A rule's `open` is one bit expression over the
-last and second-last components' masks, the principals the rule may take
-there (impR: the succedent's implications, less those whose left part is
-in the antecedent and right part in the succedent), and its lowest set bit
-is the first of them in sort_key order.  A premiss's masks are its
+whose body is a member.  Each side condition is one bit expression over
+the last and second-last components' masks, the principals the rule may
+take there (impR: the succedent's implications, less those whose left part
+is in the antecedent and right part in the succedent), and its lowest set
+bit is the first of them in sort_key order; `step` evaluates them all, in
+priority order, in one call per node.  A premiss's masks are its
 conclusion's ORed with what the rule adds to it (`grow`), so no node
 rescans a component and search sorts nothing.
 
@@ -64,11 +65,6 @@ BOX_LINK = {Box: Polarity.FORWARD, BlackBox: Polarity.BACKWARD}
 
 class VariantMismatch(Exception):
     pass
-
-
-def _check_variant(s: LinearNestedSequent, v: CalculusVariant):
-    if v is CalculusVariant.KB and Polarity.BACKWARD in s.links:
-        raise VariantMismatch("KB sequents use forward links only")
 
 
 # botL's one principal, interned for as long as this module is loaded.
@@ -122,13 +118,13 @@ def extended(s: LinearNestedSequent, link: Polarity, c: Component) -> LinearNest
     _set_links(out, s.links + (link,))
     return out
 
+
 # The masks of one side of a component, in this order: its members, the
 # implications whose left part is a member, those whose right part is a
 # member, and the boxes whose body is a member.  A component's masks are
 # the pair (antecedent side, succedent side), and a sequent's are a chain
 # from its last component (see Closure.masks): rules act on the last two
 # components, so a premiss shares all the chain below them.
-_MEMBERS, _LEFTS, _RIGHTS, _BODIES = range(4)
 _EMPTY_SIDE = (0, 0, 0, 0)
 
 
@@ -207,75 +203,21 @@ class Closure:
         return side
 
 
-def _axiom_premiss(k, principals, last):
-    """impL's choice, made again at each node because the last component
-    it reads grows: the principals with an axiom premiss, else all.  A
-    principal has one when its right side is bottom or an atom of the last
-    succedent (premiss 1 closes by botL or id), or its left side is an
-    atom of the last antecedent (premiss 2 closes by id)."""
-    ant, succ = last
-    return principals & (k.bot_right | k.atom_right & succ[_RIGHTS]
-                         | k.atom_left & ant[_LEFTS]) or principals
-
-
 class Rule:
     """One rule's entry, for `rule`.  Its principal is a `kind` formula,
     and it acts across the last links in `links` (None for a single
     component).  `premisses(s, f)` are the premisses of its instance on
-    f, in schema order.
+    f, in schema order.  For search, `grow(closure, masks, f)` gives the
+    masks of each premiss from the conclusion's, and `opens` is the link a
+    right box rule's last premiss adds (None for the other rules), which
+    search appends to the links it carries.  Which rule search applies,
+    and on which principal, is `step`'s to say."""
 
-    For search, `open(kind_mask, last, prev)` is the mask of the candidates
-    the rule, side condition included, may take as its principal, given
-    the masks of the last and second-last component (prev is None for a
-    single one); `pick(closure, principals, last)` narrows that mask to
-    search's choice, whose lowest bit it takes (None: all of it);
-    `grow(closure, masks, f)` gives the masks of each premiss from the
-    conclusion's; and `opens` is the link a right box rule's last premiss
-    adds (None for the other rules), which search appends to the links it
-    carries."""
+    __slots__ = ("rule", "kind", "links", "premisses", "grow", "opens")
 
-    __slots__ = ("rule", "kind", "links", "open", "premisses", "grow", "pick", "opens")
-
-    def __init__(self, rule, kind, links, open, premisses, grow=None, pick=None, opens=None):
+    def __init__(self, rule, kind, links, premisses, grow=None, opens=None):
         self.rule, self.kind, self.links = rule, kind, links
-        self.open, self.premisses, self.grow, self.pick = open, premisses, grow, pick
-        self.opens = opens
-
-
-# The side conditions, as the `open` of each rule.
-
-def _on_both_sides(kind, last, prev):
-    return last[0][_MEMBERS] & last[1][_MEMBERS] & kind
-
-
-def _in_ant(kind, last, prev):
-    return last[0][_MEMBERS] & kind
-
-
-def _in_succ(kind, last, prev):
-    return last[1][_MEMBERS] & kind
-
-
-def _imp_r_open(kind, last, prev):
-    ant, succ = last
-    return succ[_MEMBERS] & kind & ~(ant[_LEFTS] & succ[_RIGHTS])
-
-
-def _imp_l_open(kind, last, prev):
-    ant, succ = last
-    return ant[_MEMBERS] & kind & ~(ant[_RIGHTS] | succ[_LEFTS])
-
-
-def _body_not_in_last(kind, last, prev):
-    return prev[0][_MEMBERS] & kind & ~last[0][_BODIES]
-
-
-def _body_not_in_prev(kind, last, prev):
-    return last[0][_MEMBERS] & kind & ~prev[0][_BODIES]
-
-
-def _body_not_in_prev_succ(kind, last, prev):
-    return last[1][_MEMBERS] & kind & ~prev[1][_BODIES]
+        self.premisses, self.grow, self.opens = premisses, grow, opens
 
 
 # --- the propositional rules and the three modal makers ----------------------
@@ -318,7 +260,7 @@ def _propagation(rule: RuleId, kind, link: Polarity) -> Rule:
         (ant, succ), before = masks
         return (((k.join(ant, f.body), succ), before),)
 
-    return Rule(rule, kind, (link,), _body_not_in_last, premisses, grow)
+    return Rule(rule, kind, (link,), premisses, grow)
 
 
 def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
@@ -334,7 +276,7 @@ def _restart(rule: RuleId, kind, link: Polarity) -> Rule:
         (ant, succ), before = masks[1]
         return (((k.join(ant, f.body), succ), before),)
 
-    return Rule(rule, kind, (link,), _body_not_in_prev, premisses, grow)
+    return Rule(rule, kind, (link,), premisses, grow)
 
 
 def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
@@ -362,19 +304,17 @@ def _right_box(rule: RuleId, kind, links: tuple) -> Rule:
         last, ((ant, succ), before) = masks
         return ((last, ((ant, k.join(succ, f.body)), before)),) + opened
 
-    return Rule(rule, kind, links,
-                _body_not_in_prev_succ if two_premiss else _in_succ, premisses, grow, opens=link)
+    return Rule(rule, kind, links, premisses, grow, link)
 
 
 FWD, BWD = Polarity.FORWARD, Polarity.BACKWARD
 _ANY_LINK = (None, FWD, BWD)
 
 _RULES = {e.rule: e for e in (
-    Rule(RuleId.ID, Atom, _ANY_LINK, _on_both_sides, _axiom),
-    Rule(RuleId.BOT_L, Bottom, _ANY_LINK, _in_ant, _axiom),
-    Rule(RuleId.IMP_R, Implies, _ANY_LINK, _imp_r_open, _imp_r_premisses, _imp_r_masks),
-    Rule(RuleId.IMP_L, Implies, _ANY_LINK, _imp_l_open, _imp_l_premisses, _imp_l_masks,
-         _axiom_premiss),
+    Rule(RuleId.ID, Atom, _ANY_LINK, _axiom),
+    Rule(RuleId.BOT_L, Bottom, _ANY_LINK, _axiom),
+    Rule(RuleId.IMP_R, Implies, _ANY_LINK, _imp_r_premisses, _imp_r_masks),
+    Rule(RuleId.IMP_L, Implies, _ANY_LINK, _imp_l_premisses, _imp_l_masks),
     _propagation(RuleId.BOX_L1, Box, FWD),
     _propagation(RuleId.BBOX_L1, BlackBox, BWD),
     _propagation(RuleId.KB_BOX_L1, Box, FWD),
@@ -403,59 +343,86 @@ _PRIORITY = {
 }
 
 
-def _acting(rules, link, right_box: bool) -> tuple:
-    return tuple(_RULES[r] for r in rules if r in _RULES
-                 and (r in RIGHT_BOX_RULES) is right_box and link in _RULES[r].links)
+def _across(rules: tuple, link) -> tuple:
+    """What search reads of a variant's priority-ordered `rules` across a
+    last link `link` (None for one component): its propagation and restart
+    entries, (None, None) where it has none, and its right box entries in
+    priority order, each with whether it is a two-premiss rule."""
+    acting = [_RULES[r] for r in rules[len(_CLOSURE_AND_CPL):]
+              if r in _RULES and link in _RULES[r].links]
+    propagation, restart = [e for e in acting if e.opens is None] or (None, None)
+    return propagation, restart, tuple(
+        (e, e.rule in TWO_PREMISS_BOX_RULES) for e in acting if e.opens is not None)
 
 
-# The rules search tries, per variant and last link (None for a single
-# component), in priority order: the saturation rules it scans, and the
-# right box rules it chooses among.
-_SCANS = {v: {link: _acting(rules, link, False) for link in _ANY_LINK}
-          for v, rules in _PRIORITY.items()}
-_BOX = {v: {link: _acting(rules, link, True) for link in _ANY_LINK}
-        for v, rules in _PRIORITY.items()}
+# What `step` reads per variant and last link, and the entries it names.
+_STEPS = {v: {link: _across(rules, link) for link in _ANY_LINK} for v, rules in _PRIORITY.items()}
+_ID, _BOT_L, _IMP_R, _IMP_L = (_RULES[r] for r in _CLOSURE_AND_CPL)
 
 
 def start(s: LinearNestedSequent, v: CalculusVariant) -> Closure:
     """The closure a search under v from s reads; raises VariantMismatch
-    when s is not a sequent of v.  Search only opens links of the box kinds
-    v has, so no later node needs the check."""
-    _check_variant(s, v)
-    return Closure(s)
+    when s is not a sequent of v: under KB, one with a backward link or a
+    [P] formula, for which KB has no rule.  Search only opens links of the
+    box kinds v has, so no later node needs the check."""
+    if v is CalculusVariant.KB and Polarity.BACKWARD in s.links:
+        raise VariantMismatch("KB sequents use forward links only")
+    k = Closure(s)
+    if v is CalculusVariant.KB and k.kinds[BlackBox]:
+        raise VariantMismatch("KB sequents have no [P] formulas")
+    return k
 
 
-def scan(k: Closure, v, link: Polarity | None, masks) -> tuple[Rule, Formula] | None:
+def step(k: Closure, v, link: Polarity | None, masks) -> tuple[Rule, Formula] | list:
     """Search's step at a sequent whose last link is `link` (None for one
-    component) and whose components have these masks over the closure k:
-    the entry of the first saturation rule, in priority order, that may
-    take a principal, and the principal its `pick` chooses; None when there
-    is none.  The sequent itself is not read."""
-    last, before = masks
-    prev = before[0] if before is not None else None
-    kinds = k.kinds
-    for e in _SCANS[v][link]:
-        principals = e.open(kinds[e.kind], last, prev)
+    component) and whose components have these masks over the closure k.
+    The sequent itself is not read.
+
+    Each rule's side condition is evaluated here, in the priority order the
+    three variants share, and a rule's principal is the lowest set bit of
+    its mask, the first in sort_key order: id, botL, impR, then impL, whose
+    mask narrows to the principals with an axiom premiss when there are any
+    (a right side that is bottom or an atom of the succedent, or a left
+    side that is an atom of the antecedent), and across a link the
+    variant's propagation, then its restart.  The first rule that may take
+    a principal gives the step, as (entry, principal).  Otherwise the step
+    is the list of every right box choice, as (entry, principal), in
+    priority order and within a rule in sort_key order, empty at a
+    saturated leaf."""
+    # A side's masks are (members, lefts, rights, bodies) (see Closure).
+    ((ant, ant_lefts, ant_rights, ant_bodies), (succ, succ_lefts, succ_rights, _)), before = masks
+    kinds, formulas = k.kinds, k.formulas
+    principals = ant & succ & kinds[Atom]
+    if principals:
+        return _ID, formulas[(principals & -principals).bit_length() - 1]
+    if ant & kinds[Bottom]:
+        return _BOT_L, _BOTTOM
+    imp = kinds[Implies]
+    principals = succ & imp & ~(ant_lefts & succ_rights)
+    if principals:
+        return _IMP_R, formulas[(principals & -principals).bit_length() - 1]
+    principals = ant & imp & ~(ant_rights | succ_lefts)
+    if principals:
+        principals = principals & (k.bot_right | k.atom_right & succ_rights
+                                   | k.atom_left & ant_lefts) or principals
+        return _IMP_L, formulas[(principals & -principals).bit_length() - 1]
+    propagation, restart, boxes = _STEPS[v][link]
+    if propagation is not None:
+        prev_ant = before[0][0]
+        principals = prev_ant[0] & kinds[propagation.kind] & ~ant_bodies
         if principals:
-            if e.pick is not None:
-                principals = e.pick(k, principals, last)
-            return e, k.formulas[(principals & -principals).bit_length() - 1]
-    return None
-
-
-def box_choices(k: Closure, v, link: Polarity | None, masks) -> list[tuple[Rule, Formula]]:
-    """Every right box step search may choose at a sequent whose last link
-    is `link` (None for one component) and whose components have these
-    masks over the closure k, as (entry, principal): in priority order, and
-    within a rule in sort_key order, on each box the rule's `open` keeps."""
-    last, before = masks
-    prev = before[0] if before is not None else None
+            return propagation, formulas[(principals & -principals).bit_length() - 1]
+        principals = ant & kinds[restart.kind] & ~prev_ant[3]
+        if principals:
+            return restart, formulas[(principals & -principals).bit_length() - 1]
     out = []
-    for e in _BOX[v][link]:
-        principals = e.open(k.kinds[e.kind], last, prev)
+    for e, two_premiss in boxes:
+        principals = succ & kinds[e.kind]
+        if two_premiss:
+            principals &= ~before[0][1][3]
         while principals:
             low = principals & -principals
-            out.append((e, k.formulas[low.bit_length() - 1]))
+            out.append((e, formulas[low.bit_length() - 1]))
             principals ^= low
     return out
 

@@ -359,6 +359,15 @@ def _diff(a: Multiset, b: Multiset) -> Multiset:
     return _multiset(counts)
 
 
+def _within(a: Multiset, b: Multiset) -> bool:
+    """Whether b contains a, read from the counts in place."""
+    counts = b._counts
+    for f, n in a._counts.items():
+        if counts.get(f, 0) < n:
+            return False
+    return True
+
+
 def _adder(add_l: Multiset, add_r: Multiset):
     return lambda c: make_component(_union(c.ant, add_l), _union(c.succ, add_r))
 
@@ -577,8 +586,8 @@ def _try_embed(d: Derivation, target: LinearNestedSequent) -> Derivation | None:
         return None
     changes = {}
     for i, (ci, ti) in enumerate(zip(d.conclusion.components, target.components)):
-        if _diff(ci.ant, ti.ant) or _diff(ci.succ, ti.succ):
-            return None  # ci is not contained in ti
+        if not (_within(ci.ant, ti.ant) and _within(ci.succ, ti.succ)):
+            return None
         add_l, add_r = _diff(ti.ant, ci.ant), _diff(ti.succ, ci.succ)
         if add_l or add_r:
             changes[i] = _adder(add_l, add_r)

@@ -114,13 +114,14 @@ FAILED = "failed"
 # entry's place.  A sequent is two multisets per component; which world each
 # component is, and how often it was restarted, only search's tag chain
 # says: ((tag, restart count), the chain before it), from the last component.
+# Every step with a cell has a premiss, so a built cell's premisses are a
+# true value: `(cell[0] or _built(cell))[i]` reads a built one in place.
 
 
-def _sequent(h: tuple) -> LinearNestedSequent:
-    """The sequent at handle h.  Builds each cell below h that is not yet
-    built, from the nearest built one up, and keeps the premisses in their
-    cell, so each is built once."""
-    cell, i = h
+def _built(cell: list) -> tuple:
+    """The premisses of cell.  Builds it and each cell below it that is not
+    yet built, from the nearest built one up, and keeps the premisses in
+    their cell, so each is built once."""
     if cell[0] is None:
         pending = []
         c = cell
@@ -131,7 +132,12 @@ def _sequent(h: tuple) -> LinearNestedSequent:
             (below, j), e = c[1], c[2]
             s = below[0][j]
             c[0] = (s.drop_last(),) if e is None else e.premisses(s, c[3])
-    return cell[0][i]
+    return cell[0]
+
+
+def _sequent(h: tuple) -> LinearNestedSequent:
+    """The sequent at handle h (see `_built`)."""
+    return _built(h[0])[h[1]]
 
 
 # The link chain of a sequent of one component.  A chain is (its last link,
@@ -364,7 +370,7 @@ class _Search:
         st = self.stats
         k, v, restarted, bound = self.closure, self.variant, self.restarted, self.restart_bound
         max_nodes, deadline, fresh = self.max_nodes, self.deadline, self.tags.__next__
-        scan, box_choices, bits, watch = calculus.scan, calculus.box_choices, k.bits, _watch
+        step, bits, watch = calculus.step, k.bits, _watch
         nodes, expanded, restarts, max_length = st.nodes, st.expanded, st.restarts, st.max_length
         h, links = ([(s,), None, k.atoms, None], 0), _link_chain(s)
         tags = None  # component i of s is world i, not yet restarted
@@ -408,12 +414,13 @@ class _Search:
                 raise BudgetExhausted(st)
             if watch is not None:
                 watch(h, links, masks)
-            step = scan(k, v, links[0], masks)
-            if step is not None:
-                e, f = step
+            taken = step(k, v, links[0], masks)
+            if taken.__class__ is tuple:
+                e, f = taken
                 rule = e.rule
                 if rule in _AXIOMS:
-                    out = _derivation(_sequent(h), rule, f, (), 0)
+                    c, i = h
+                    out = _derivation((c[0] or _built(c))[i], rule, f, (), 0)
                 elif rule in RESTART_RULES:
                     restarts += 1
                     (tag, count), below = tags[1]
@@ -454,12 +461,11 @@ class _Search:
                         stack.append((_IMP_L, h, rule, f, (cell, 1), grown[1], links, tags))
                     h, masks = (cell, 0), grown[0]
                     continue
+            elif taken:
+                frame = (_CHOICES, h, links, masks, tags, iter(taken), [])
+                choice = next(frame[5])
+                continue
             else:
-                choices = box_choices(k, v, links[0], masks)
-                if choices:
-                    frame = (_CHOICES, h, links, masks, tags, iter(choices), [])
-                    choice = next(frame[5])
-                    continue
                 out = _pruned(links, masks, tags, None, "leaf", (), h)
             while stack:
                 frame = stack.pop()
@@ -467,8 +473,8 @@ class _Search:
                 if kind <= _OPENED and out.__class__ is not Derivation:
                     continue  # a failed premiss fails its step, which keeps no node
                 elif kind == _STEP:
-                    _, at, rule, f = frame
-                    out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
+                    _, (c, i), rule, f = frame
+                    out = _derivation((c[0] or _built(c))[i], rule, f, (out,), out.height + 1)
                 elif kind == _CHOICES:
                     if out.__class__ is Derivation:
                         continue  # a closing choice closes the node
@@ -489,7 +495,8 @@ class _Search:
                 elif kind == _OPENED:
                     _, at, rule, f, left, m, links, tags = frame
                     if left is None:
-                        out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
+                        c, i = at
+                        out = _derivation((c[0] or _built(c))[i], rule, f, (out,), out.height + 1)
                     else:
                         stack.append((_PREFIX, at, rule, f, left, m, out, links, tags))
                         h, links, masks, tags = ([None, left, None, None], 0), \
@@ -501,8 +508,8 @@ class _Search:
                     h, masks = second, m
                     break
                 elif kind == _JOIN:
-                    _, at, rule, f, first = frame
-                    out = _derivation(_sequent(at), rule, f, (first, out),
+                    _, (c, i), rule, f, first = frame
+                    out = _derivation((c[0] or _built(c))[i], rule, f, (first, out),
                                       max(first.height, out.height) + 1)
                 elif kind == _RESTART:
                     _, at, links, masks, tags, rule, f, key, p, nodes_before, restarts_before, \
@@ -514,7 +521,8 @@ class _Search:
                         restarted.setdefault(key, []).append(
                             (out, p, nodes - nodes_before, restarts - restarts_before, length))
                     if out.__class__ is Derivation:
-                        out = _derivation(_sequent(at), rule, f, (out,), out.height + 1)
+                        c, i = at
+                        out = _derivation((c[0] or _built(c))[i], rule, f, (out,), out.height + 1)
                     elif out.links[1] >= links[1] - 1:
                         # The restart deleted the conclusion's last component:
                         # its step stands on the prefix, unless the collapse
@@ -527,15 +535,17 @@ class _Search:
                         stack.append((_LEFT, at, rule, f, opened))
                         h, masks = left, m
                         break
-                    left = _derivation(_sequent(left), _EW, None, (out,), out.height + 1)
-                    out = _derivation(_sequent(at), rule, f, (left, opened),
+                    c, i = left
+                    left = _derivation((c[0] or _built(c))[i], _EW, None, (out,), out.height + 1)
+                    c, i = at
+                    out = _derivation((c[0] or _built(c))[i], rule, f, (left, opened),
                                       max(left.height, opened.height) + 1)
                 else:  # _LEFT
-                    _, at, rule, f, opened = frame
+                    _, (c, i), rule, f, opened = frame
                     if out.__class__ is not Derivation:
                         out = None  # the choice is stuck
                     else:
-                        out = _derivation(_sequent(at), rule, f, (out, opened),
+                        out = _derivation((c[0] or _built(c))[i], rule, f, (out, opened),
                                           max(out.height, opened.height) + 1)
             else:
                 st.nodes, st.expanded, st.restarts, st.max_length = (

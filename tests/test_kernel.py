@@ -1,18 +1,18 @@
 """The proof kernel is independent of the rule table search builds with.
 
-Each case below makes one entry of `calculus._RULES` unsound, the way a
-wrong schema would: search then builds and closes derivations through it,
-and the kernel, which states every rule itself, must reject them."""
+Each case below makes one rule of `calculus._RULES` unsound, the way a
+wrong schema would: its entry builds premisses the rule does not have, or
+search's `calculus.step` offers it where its side condition fails.  Search
+then builds and closes derivations through it, and the kernel, which
+states every rule itself, must reject them."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from tenseprove import kernel, prover
-from tenseprove.calculus import (
-    _MEMBERS, _PRIORITY, _RULES, CalculusVariant, RuleId, added, replaced,
-)
+from tenseprove import calculus, kernel, prover
+from tenseprove.calculus import _PRIORITY, _RULES, CalculusVariant, RuleId, added, replaced
 from tenseprove.formula import Polarity, parse
 from tenseprove.metatheory import check
 from tenseprove.sequent import Component, LinearNestedSequent, single
@@ -45,7 +45,7 @@ def _also(i, part, side):
                        k.join(succ, g) if side == "succ" else succ), before)
             return tuple(out)
 
-        return {"premisses": wrong_premisses, "grow": wrong_grow}
+        return [(e, "premisses", wrong_premisses), (e, "grow", wrong_grow)]
     return mutate
 
 
@@ -61,11 +61,28 @@ def _flipped_link(e):
         other = BWD if right.links[-1] is FWD else FWD
         return prems[:-1] + (LinearNestedSequent(right.components, right.links[:-1] + (other,)),)
 
-    return {"premisses": wrong_premisses, "opens": BWD if e.opens is FWD else FWD}
+    return [(e, "premisses", wrong_premisses), (e, "opens", BWD if e.opens is FWD else FWD)]
 
 
-def _open(wrong):
-    return lambda e: {"open": wrong}
+def _offered(wrong):
+    """Search's step offers the rule, at its place in priority order, on
+    the lowest principal of wrong(kind_mask, last), given the masks of the
+    last component, in place of the principals its side condition keeps."""
+    def mutate(e):
+        step = calculus.step
+
+        def wrong_step(k, v, link, masks):
+            taken = step(k, v, link, masks)
+            order = _PRIORITY[v].index
+            if type(taken) is tuple and order(taken[0].rule) < order(e.rule):
+                return taken
+            principals = wrong(k.kinds[e.kind], masks[0])
+            if principals:
+                return e, k.formulas[(principals & -principals).bit_length() - 1]
+            return taken
+
+        return [(calculus, "step", wrong_step)]
+    return mutate
 
 
 _BODY = lambda f: f.body  # noqa: E731
@@ -74,8 +91,8 @@ _BODY = lambda f: f.body  # noqa: E731
 # the mutation)
 UNSOUND = {
     # id on an atom of the antecedent only; botL on a bottom anywhere
-    RuleId.ID: (KTS, "p -> q", _open(lambda kind, last, prev: last[0][_MEMBERS] & kind)),
-    RuleId.BOT_L: (KTS, "~p", _open(lambda kind, last, prev: kind)),
+    RuleId.ID: (KTS, "p -> q", _offered(lambda kind, last: last[0][0] & kind)),
+    RuleId.BOT_L: (KTS, "~p", _offered(lambda kind, last: kind)),
     # impR also puts B on the left; impL's second premiss also has A on the left
     RuleId.IMP_R: (KTS, "p -> q", _also(0, lambda f: f.right, "ant")),
     RuleId.IMP_L: (KTS, "(p -> q) -> q", _also(1, lambda f: f.left, "ant")),
@@ -114,8 +131,8 @@ def test_every_rule_table_entry_has_an_unsound_case():
 def test_an_unsound_rule_table_entry_never_yields_valid(rule, monkeypatch):
     v, text, mutate = UNSOUND[rule]
     e = _RULES[rule]
-    for name, value in mutate(e).items():
-        monkeypatch.setattr(e, name, value)
+    for target, name, value in mutate(e):
+        monkeypatch.setattr(target, name, value)
     end = single((), (prover.core_formula(parse(text), v),))
     status, tree, _ = prover.search(end, v)
     assert status == prover.CLOSED and rule in _rules_used(tree)

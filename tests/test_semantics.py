@@ -6,7 +6,10 @@ import sys
 import pytest
 
 import tenseprove
+from tenseprove import prover, semantics
+from tenseprove.calculus import CalculusVariant
 from tenseprove.formula import Atom, BlackBox, Bottom, Box, Implies, desugar, parse, subformulas
+from tenseprove.generate import corpus
 from tenseprove.semantics import (
     BudgetExceeded,
     KripkeModel,
@@ -20,22 +23,27 @@ from tenseprove.sequent import single
 p, q, r = Atom("p"), Atom("q"), Atom("r")
 
 
-def naive_forces(m, w, f, symmetric=False):
-    """Independent reference evaluator; deliberately different code path."""
+def naive_forces(m, w, f, symmetric=False, wrong=None):
+    """Independent reference evaluator; deliberately different code path.
+    With `wrong` a connective, the value of every formula of that class is
+    negated (the mutants below)."""
     rel = set(m.edges)
     if symmetric:
         rel = rel | {(b, a) for (a, b) in rel}
     if isinstance(f, Atom):
-        return f.name in m.true_atoms.get(w, frozenset())
-    if isinstance(f, Bottom):
-        return False
-    if isinstance(f, Implies):
-        return naive_forces(m, w, f.right, symmetric) if naive_forces(m, w, f.left, symmetric) else True
-    if isinstance(f, Box):
-        return all(naive_forces(m, v, f.body, symmetric) for (u, v) in rel if u == w)
-    if isinstance(f, BlackBox):
-        return all(naive_forces(m, u, f.body, symmetric) for (u, v) in rel if v == w)
-    raise AssertionError
+        value = f.name in m.true_atoms.get(w, frozenset())
+    elif isinstance(f, Bottom):
+        value = False
+    elif isinstance(f, Implies):
+        value = (naive_forces(m, w, f.right, symmetric, wrong)
+                 if naive_forces(m, w, f.left, symmetric, wrong) else True)
+    elif isinstance(f, Box):
+        value = all(naive_forces(m, v, f.body, symmetric, wrong) for (u, v) in rel if u == w)
+    elif isinstance(f, BlackBox):
+        value = all(naive_forces(m, u, f.body, symmetric, wrong) for (u, v) in rel if v == w)
+    else:
+        raise AssertionError
+    return value is not (type(f) is wrong)
 
 
 def test_vacuous_box():
@@ -294,3 +302,48 @@ def test_model_json_and_dot():
     assert back.true_atoms == {"w1": frozenset({"p"})}
     dot = m.to_dot("w0")
     assert "doublecircle" in dot and '"w0" -> "w1"' in dot and "p" in dot
+
+
+# --- the countermodel check reads the forcing relation --------------------------
+#
+# A Valid answer is judged by the kernel; an Invalid one by `forces`, which
+# prove and prove_sequent call on every model they report.  Each case below
+# makes `forces` wrong on one connective alone, by negating its value there,
+# and some model check must then fail.
+
+
+def _failing_model_checks(monkeypatch):
+    """The model checks that fail: "extracted" when prove's own check
+    rejects a model it extracted, on a corpus under KT* and KB, and
+    "forced" when prove reports a model that forces its formula (here p,
+    at a world where p is true) instead of raising InternalModelError."""
+    failing = set()
+    for f in corpus(4242, 100, atoms=("p", "q"), max_size=40, max_degree=5):
+        for v in (CalculusVariant.KT_STAR, CalculusVariant.KB):
+            try:
+                prover.prove(f, v)
+            except prover.InternalModelError:
+                failing.add("extracted")
+    forcing = KripkeModel(("w0",), frozenset(), {"w0": frozenset({"p"})})
+    monkeypatch.setattr(prover, "extract_model", lambda tree, v: (forcing, "w0"))
+    try:
+        prover.prove("p")
+    except prover.InternalModelError:
+        pass
+    else:
+        failing.add("forced")
+    return failing
+
+
+def test_the_model_checks_pass_with_the_forcing_relation(monkeypatch):
+    assert _failing_model_checks(monkeypatch) == set()
+
+
+@pytest.mark.parametrize("wrong", [Atom, Bottom, Implies, Box, BlackBox],
+                         ids=lambda c: c.__name__)
+def test_a_forcing_relation_wrong_on_one_connective_fails_a_model_check(wrong, monkeypatch):
+    # A negated implication reads the empty antecedent's top as false, so
+    # every end sequent reads as falsified and only the forcing model shows it.
+    monkeypatch.setattr(semantics, "forces", lambda m, w, f, symmetric=False:
+                        naive_forces(m, w, f, symmetric, wrong))
+    assert _failing_model_checks(monkeypatch)

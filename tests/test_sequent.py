@@ -13,8 +13,8 @@ from tenseprove.formula import (
     Atom, BlackBox, Bottom, Box, Implies, Polarity, desugar, parse, sort_key,
 )
 from tenseprove.metatheory import (
-    Derivation, MergeUndefined, _diff, _minus, _union, _union_less, cut, derivation_to_json,
-    generalised_init, merge, weaken,
+    Derivation, MergeUndefined, _diff, _minus, _union, _union_less, _within, cut,
+    derivation_to_json, generalised_init, merge, weaken,
 )
 from tenseprove.prover import PrunedNode, extract_model, search
 from tenseprove.semantics import KripkeModel, forces
@@ -200,6 +200,10 @@ def test_multiset_semantics():
     with pytest.raises(KeyError):
         _minus(m, Multiset([r]))
     assert not _diff(Multiset([p]), m) and _diff(Multiset([r]), m)
+    # Containment, as _diff's emptiness reads it, counts copies.
+    for a, b in ((Multiset([p]), m), (Multiset([p, p]), m), (Multiset([p, p, p]), m),
+                 (Multiset([r]), m), (Multiset(), m), (m, Multiset())):
+        assert _within(a, b) == (not _diff(a, b))
 
 
 def test_multiset_edits_at_the_edges():
