@@ -97,7 +97,7 @@ class Statistics:
 # Reading an enum member costs a descriptor call (about 0.1 us on CPython
 # 3.11), so the members search reads at every node are bound once.
 _AXIOMS = frozenset((RuleId.ID, RuleId.BOT_L))
-_EW = RuleId.EW
+_EW, _IMPL = RuleId.EW, RuleId.IMP_L
 _FORWARD = Polarity.FORWARD
 
 CLOSED = "closed"
@@ -268,34 +268,36 @@ SearchOutcome = Valid | Invalid | ResourceLimit
 
 
 # The continuation frames of a search: each waits on the stack for the
-# result of the premiss searched above it, as a tuple led by its kind.  h is
+# result of the node searched above it, as a tuple led by its kind.  h is
 # the handle of the conclusion; links, masks and tags are the conclusion's,
 # where a frame goes on to search another of its premisses or keeps a node.
-# A result is a Derivation or, for a failed subtree, its pruned tree (None
-# for a stuck box choice, which only reaches _CHOICES).  A restart deletes
-# the last component of its conclusion, and that deletion cascades down
-# through the rules that acted inside it: while a failed tree's root is
-# shorter than the premiss it failed, the collapse is still travelling down
-# from it.  The first four frames are steps by rule, which a failed premiss
-# fails: the frame is dropped and the premiss's pruned tree passes down
-# unchanged.
-#   (_STEP, h, rule, f)                  a one-premiss step (impR, propagation)
+# A result is a Derivation or a failure: a failed subtree's pruned tree, or
+# _STUCK.  A restart deletes the last component of its conclusion, and that
+# deletion cascades down through the rules that acted inside it: while a
+# failed tree's root is shorter than the premiss it failed, the collapse is
+# still travelling down from it.  The first four frames are steps by rule,
+# which a failed premiss fails: the frame is dropped and the failure passes
+# down unchanged.
+#   (_STEP, h, rule, f)                  a one-premiss step
 #   (_IMP_L, h, rule, f, second, m, links, tags)
 #       impL, waiting for its first premiss; second is the second's handle,
 #       m its masks
-#   (_JOIN, h, rule, f, first)           impL, waiting for its second premiss
-#   (_OPENED, h, rule, f, left, m, links, tags)  a box choice, waiting for
-#       the premiss it opens; left is boxR1/bboxR1's left premiss's handle
-#       (None for a one-premiss rule), m its masks
-#   (_PREFIX, h, rule, f, left, m, opened, links, tags)  then for left's prefix
-#   (_LEFT, h, rule, f, opened)          then for left itself
-#   (_CHOICES, h, links, masks, tags, choices, explored)
-#       an and-node over the box choices
+#   (_JOIN, h, rule, f, other)           impL waiting for its second premiss,
+#       or boxR1/bboxR1 for its left one; other is the premiss derived
+#   (_OPENED, h, rule, f, left, m, links, tags)  boxR1/bboxR1, waiting for
+#       the premiss it opens; left is the left premiss's handle, m its masks
+#   (_OR, h, links, masks, tags, alternatives, failed)
+#       an or-node, waiting on one alternative at a time (see `run`): a box
+#       node's, or, with h None, a left premiss's, which has no node of its own
 #   (_RESTART, h, links, masks, tags, rule, f, key, p, nodes, restarts, max_length)
 #       a restart, waiting for its premiss, whose restart-table key is key
 #       and tag chain p, with the totals before it; key is None when the
 #       result came from the restart table
-_STEP, _IMP_L, _JOIN, _OPENED, _PREFIX, _LEFT, _CHOICES, _RESTART = range(8)
+_STEP, _IMP_L, _JOIN, _OPENED, _OR, _RESTART = range(6)
+
+# The failure of a left premiss that no attempt derives: it holds no tree,
+# so it adds no world to a countermodel.
+_STUCK = object()
 
 # Called, when set, with the handle, link chain and masks of each node search
 # expands, before its step is chosen: a test sets it to build and check the
@@ -348,9 +350,22 @@ class _Search:
         pushes the frame that waits for the first and goes on from it; a
         node that ends (an axiom, a saturated leaf, a table hit) hands its
         result `out` down the stack, each frame making its own result from
-        it, until a frame has another premiss to search.  An and-node's
-        frame is pushed as its first box choice starts, at the top of the
-        loop, and each later choice starts there too.
+        it, until a frame has another node to search.
+
+        An or-node holds the alternatives it has yet to try and tries them
+        one at a time, in order; the first Derivation closes it and passes
+        down as it is.  A box node's alternatives are its right box choices,
+        each grown as it is reached; its or-node is pushed with no result
+        yet (`out` None), on which it starts the first.  When boxR1/bboxR1's
+        opened premiss closes, its left premiss is an or-node of two
+        attempts: ew over its prefix, started as it is pushed, then the
+        premiss itself (its box instance is fulfilled, so this terminates).
+        When every alternative fails, a left premiss's or-node fails as
+        _STUCK, and a box node's keeps its failures.  A failure that carries
+        a tree contributes its worlds: the node keeps every tree as an
+        and-node, or only the shortest that a restart collapsed.  _STUCK
+        contributes none, so a box node with a stuck choice has no
+        countermodel: it raises instead of gluing one with a gap.
 
         A restart premiss is explored once per search.  The table is keyed
         on its links and masks, which decide the search above it, so an
@@ -360,45 +375,19 @@ class _Search:
         explores every premiss anew, and a closed one only when its
         derivation concludes the premiss itself, built for the comparison
         (equal masks may hide other multiplicities, which the kernel would
-        reject); otherwise the premiss is searched again.  A box choice
-        whose opened premiss closes derives boxR1/bboxR1's left premiss by
-        ew when the conclusion's prefix is provable on its own, and
-        otherwise searches the premiss itself (its box instance is
-        fulfilled, so this terminates); a left premiss that fails leaves
-        the choice stuck.
+        reject); otherwise the premiss is searched again.
         """
         st = self.stats
         k, v, restarted, bound = self.closure, self.variant, self.restarted, self.restart_bound
-        max_nodes, deadline, fresh = self.max_nodes, self.deadline, self.tags.__next__
-        step, bits, watch = calculus.step, k.bits, _watch
+        max_nodes, deadline, step, watch = self.max_nodes, self.deadline, calculus.step, _watch
+        fresh, bits = self.tags.__next__, k.bits
         nodes, expanded, restarts, max_length = st.nodes, st.expanded, st.restarts, st.max_length
         h, links = ([(s,), None, k.atoms, None], 0), _link_chain(s)
         tags = None  # component i of s is world i, not yet restarted
         for i in range(s.length):
             tags = ((i, 0), tags)
         stack = []
-        choice = None  # a box choice of the and-node `frame` to start
         while True:
-            if choice is not None:
-                e, f = choice
-                choice = None
-                _, at, links, m, tags = frame[:5]
-                grown = e.grow(k, m, f)
-                # The opened component holds only the body, whose modal degree
-                # is below that of f, a formula of the conclusion's last succedent.
-                opened, masks = grown[-1][0], grown[-1]
-                if opened[0][0] or opened[1][0] != bits[f.body] or not m[0][1][0] & bits[f]:
-                    raise SearchInvariantError("modal degree failed to drop at a box step")
-                cell = [None, at, e, f]
-                stack.append(frame)
-                if len(grown) == 1:
-                    stack.append((_OPENED, at, e.rule, f, None, None, links, tags))
-                    h = (cell, 0)
-                else:
-                    stack.append((_OPENED, at, e.rule, f, (cell, 0), grown[0], links, tags))
-                    h = (cell, 1)
-                links = (e.opens, links[1] + 1, links)
-                tags = ((fresh(), 0), tags)
             nodes += 1
             expanded += 1
             n = links[1] + 1
@@ -462,9 +451,8 @@ class _Search:
                     h, masks = (cell, 0), grown[0]
                     continue
             elif taken:
-                frame = (_CHOICES, h, links, masks, tags, iter(taken), [])
-                choice = next(frame[5])
-                continue
+                stack.append((_OR, h, links, masks, tags, iter(taken), []))
+                out = None  # no choice tried yet: the or-node starts the first
             else:
                 out = _pruned(links, masks, tags, None, "leaf", (), h)
             while stack:
@@ -475,43 +463,67 @@ class _Search:
                 elif kind == _STEP:
                     _, (c, i), rule, f = frame
                     out = _derivation((c[0] or _built(c))[i], rule, f, (out,), out.height + 1)
-                elif kind == _CHOICES:
+                elif kind == _OR:
                     if out.__class__ is Derivation:
-                        continue  # a closing choice closes the node
-                    _, at, links, masks, tags, choices, explored = frame
-                    explored.append(out)
-                    choice = next(choices, None)
-                    if choice is not None:
+                        continue  # the first alternative that closes closes the node
+                    _, at, links, m, tags, alternatives, failed = frame
+                    if out is not None:
+                        failed.append(out)
+                    alternative = next(alternatives, None)
+                    if alternative is not None:
+                        stack.append(frame)
+                        if at is None:  # the left premiss itself
+                            h, links, masks, tags = alternative
+                            break
+                        # A right box choice, grown as it is reached.  The opened
+                        # component holds only the body, whose modal degree is
+                        # below that of f, a formula of the conclusion's last succedent.
+                        e, f = alternative
+                        grown = e.grow(k, m, f)
+                        opened, masks = grown[-1][0], grown[-1]
+                        if (opened[0][0] or opened[1][0] != bits[f.body]
+                                or not m[0][1][0] & bits[f]):
+                            raise SearchInvariantError("modal degree failed to drop at a box step")
+                        cell = [None, at, e, f]
+                        if len(grown) == 1:
+                            stack.append((_STEP, at, e.rule, f))
+                        else:
+                            stack.append((_OPENED, at, e.rule, f, (cell, 0), grown[0], links, tags))
+                        h, links = (cell, len(grown) - 1), (e.opens, links[1] + 1, links)
+                        tags = ((fresh(), 0), tags)
                         break
-                    if None in explored:
+                    if at is None:
+                        out = _STUCK
+                    elif _STUCK in failed:
                         raise SearchInvariantError(
                             "left premiss of a two-premiss box rule could not be derived")
-                    # A choice that collapsed, its root no longer than the
-                    # and-node, is kept alone: the restarted re-exploration
-                    # subsumes the longer siblings.
-                    out = min(explored, key=lambda child: child.links[1])
-                    if out.links[1] > links[1]:
-                        out = _pruned(links, masks, tags, None, "and", tuple(explored), at)
-                elif kind == _OPENED:
-                    _, at, rule, f, left, m, links, tags = frame
-                    if left is None:
-                        c, i = at
-                        out = _derivation((c[0] or _built(c))[i], rule, f, (out,), out.height + 1)
                     else:
-                        stack.append((_PREFIX, at, rule, f, left, m, out, links, tags))
-                        h, links, masks, tags = ([None, left, None, None], 0), \
-                            links[2], m[1], tags[1]
-                        break
+                        # A choice that collapsed, its root no longer than the
+                        # and-node, is kept alone: the restarted re-exploration
+                        # subsumes the longer siblings.
+                        out = min(failed, key=lambda child: child.links[1])
+                        if out.links[1] > links[1]:
+                            out = _pruned(links, m, tags, None, "and", tuple(failed), at)
+                elif kind == _OPENED:
+                    # The left premiss's or-node: ew over its prefix, tried
+                    # here, then the premiss itself.
+                    _, at, rule, f, left, m, links, tags = frame
+                    itself = iter(((left, links, m, tags),))
+                    stack += ((_JOIN, at, rule, f, out), (_OR, None, None, None, None, itself, []),
+                              (_STEP, left, _EW, None))
+                    h, links, masks, tags = ([None, left, None, None], 0), links[2], m[1], tags[1]
+                    break
                 elif kind == _IMP_L:
                     _, at, rule, f, second, m, links, tags = frame
                     stack.append((_JOIN, at, rule, f, out))
                     h, masks = second, m
                     break
                 elif kind == _JOIN:
-                    _, (c, i), rule, f, first = frame
-                    out = _derivation((c[0] or _built(c))[i], rule, f, (first, out),
-                                      max(first.height, out.height) + 1)
-                elif kind == _RESTART:
+                    _, (c, i), rule, f, other = frame
+                    out = _derivation((c[0] or _built(c))[i], rule, f,
+                                      (other, out) if rule is _IMPL else (out, other),
+                                      max(other.height, out.height) + 1)
+                else:  # _RESTART
                     _, at, links, masks, tags, rule, f, key, p, nodes_before, restarts_before, \
                         outer = frame
                     if key is not None:
@@ -529,24 +541,6 @@ class _Search:
                         # reaches further down.
                         out = _pruned(links[2], masks[1], tags[1], rule, "step", (out,),
                                       ([None, at, None, None], 0))
-                elif kind == _PREFIX:
-                    _, at, rule, f, left, m, opened, links, tags = frame
-                    if out.__class__ is not Derivation:
-                        stack.append((_LEFT, at, rule, f, opened))
-                        h, masks = left, m
-                        break
-                    c, i = left
-                    left = _derivation((c[0] or _built(c))[i], _EW, None, (out,), out.height + 1)
-                    c, i = at
-                    out = _derivation((c[0] or _built(c))[i], rule, f, (left, opened),
-                                      max(left.height, opened.height) + 1)
-                else:  # _LEFT
-                    _, (c, i), rule, f, opened = frame
-                    if out.__class__ is not Derivation:
-                        out = None  # the choice is stuck
-                    else:
-                        out = _derivation((c[0] or _built(c))[i], rule, f, (out, opened),
-                                          max(out.height, opened.height) + 1)
             else:
                 st.nodes, st.expanded, st.restarts, st.max_length = (
                     nodes, expanded, restarts, max_length)

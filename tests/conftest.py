@@ -127,6 +127,23 @@ def principal_place(rule, s) -> Multiset:
     return s.last.succ
 
 
+# KT search's one known crash: a box node one of whose two-premiss choices
+# opens a premiss that closes, but whose left premiss neither ew over its
+# prefix nor a search of its own derives.  KT* proves such left premisses.
+KT_STUCK_MESSAGE = "left premiss of a two-premiss box rule could not be derived"
+
+
+def assert_kt_stuck(e: BaseException, v) -> None:
+    """Assert that e is that known crash: KT, and exactly this type and
+    message.  A wrong countermodel (InternalModelError, a subclass) or a
+    degree or restart watchdog is not it."""
+    from tenseprove.calculus import CalculusVariant
+    from tenseprove.prover import SearchInvariantError
+
+    assert v is CalculusVariant.KT and type(e) is SearchInvariantError, (v, repr(e))
+    assert str(e) == KT_STUCK_MESSAGE, (v, repr(e))
+
+
 def successors(model, w: str) -> set:
     return {v for (u, v) in model.edges if u == w}
 

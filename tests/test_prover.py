@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     assert_heights_bottom_up,
+    assert_kt_stuck,
     fails_fast_on_recursion,
     predecessors,
     rules_of,
@@ -19,6 +20,7 @@ from tenseprove.formula import Atom, BlackBox, Box, Polarity, atoms, parse, desu
 from tenseprove.generate import corpus
 from tenseprove.metatheory import (
     Derivation,
+    _derivation,
     _diff,
     check,
     derivation_from_json,
@@ -273,9 +275,9 @@ def test_failed_trees_hold_only_leaves_and_nodes_and_restart_steps():
             end = single([], [core_formula(f, v)])
             try:
                 status, tree, _ = search(end, v)
-            except SearchInvariantError:
+            except SearchInvariantError as e:
                 # KT's stuck box choices: not a verdict, and not a tree.
-                assert v is KT
+                assert_kt_stuck(e, v)
                 continue
             if status != FAILED:
                 continue
@@ -642,8 +644,8 @@ def test_search_heights_equal_the_heights_recomputed_bottom_up():
         for v in (KT, KTS, KB):
             try:
                 out = prove(f, v)
-            except SearchInvariantError:
-                assert v is KT  # a known KT crash (item 1)
+            except SearchInvariantError as e:
+                assert_kt_stuck(e, v)
                 continue
             if not isinstance(out, Valid):
                 continue
@@ -665,9 +667,9 @@ def test_budget_stop_inside_a_restart_subtree_reports_the_whole_search():
 def test_deciding_leaves_no_cyclic_garbage():
     # A self-recursive closure reaches itself through its cell, so each
     # call of one left a reference cycle that only the collector frees.
-    # The slice holds every outcome under every variant, and a known KT
-    # crash (item 10).  Objects made before the loop are frozen, so that
-    # each collection walks only what the calls left.
+    # The slice holds every outcome under every variant, and KT's known
+    # crash (see assert_kt_stuck).  Objects made before the loop are
+    # frozen, so that each collection walks only what the calls left.
     formulas = corpus(4242, 300, atoms=("p", "q"), max_size=40, max_degree=5)[:60]
     outcomes = set()
     was_enabled = gc.isenabled()
@@ -680,8 +682,9 @@ def test_deciding_leaves_no_cyclic_garbage():
                 for budget in (None, Budget(max_nodes=3)):
                     try:
                         outcomes.add((v, type(prove(f, v, budget)).__name__))
-                    except SearchInvariantError:
-                        outcomes.add((v, "SearchInvariantError"))
+                    except SearchInvariantError as e:
+                        assert_kt_stuck(e, v)
+                        outcomes.add((v, type(e).__name__))
                     assert gc.collect() == 0, (i, v, budget)
     finally:
         gc.unfreeze()
@@ -844,8 +847,8 @@ def test_kept_nodes_store_the_masks_of_the_sequent_they_build():
             end = single([], [core_formula(f, v)])
             try:
                 status, tree, _ = search(end, v)
-            except SearchInvariantError:
-                assert v is KT  # the known KT crashes (item 1)
+            except SearchInvariantError as e:
+                assert_kt_stuck(e, v)
                 continue
             if status != FAILED:
                 continue
@@ -868,8 +871,8 @@ def test_a_valid_answer_concludes_the_sequent_it_was_asked():
             end = single([], [core_formula(f, v)])
             try:
                 out = prove_sequent(end, v)
-            except SearchInvariantError:
-                assert v is KT  # the known KT crashes (item 1)
+            except SearchInvariantError as e:
+                assert_kt_stuck(e, v)
                 continue
             if isinstance(out, Valid):
                 assert out.derivation.conclusion == end
@@ -885,3 +888,77 @@ def test_prove_sequent_rejects_a_derivation_of_another_sequent(monkeypatch):
     monkeypatch.setattr(prover, "search", lambda *args: other)
     with pytest.raises(SearchInvariantError, match="concludes"):
         prove_sequent(s, KTS)
+
+
+# --- the or-node -------------------------------------------------------------------
+
+# sha256 over the outcome of every formula of _BOTH_CORPORA under KT, KT* and
+# KB, in that order: each is the JSON, with sorted keys, of [verdict,
+# Statistics.to_json(), the derivation's or the model's JSON], or of [the
+# exception's type name, its message].  A change that moves it on purpose
+# records the new value and the reason.
+CORPUS_OUTCOME_PIN = "208f39a9c074497a7c14f5b07a9670958548bb992371eba3f9b6802b6a83e3a0"
+
+
+def test_corpus_outcomes_match_their_pin():
+    digest, raised = hashlib.sha256(), []
+    for i, f in enumerate(_BOTH_CORPORA):
+        for v in (KT, KTS, KB):
+            try:
+                out = prove(f, v)
+            except SearchInvariantError as e:
+                raised.append((i, v))
+                record = [type(e).__name__, str(e)]
+            else:
+                record = [type(out).__name__, out.stats.to_json(),
+                          derivation_to_json(out.derivation) if isinstance(out, Valid)
+                          else out.model.to_json(out.root)]
+            digest.update(json.dumps(record, sort_keys=True).encode())
+    # KT's known crashes: items 10 and 117 of corpus 4242, and items 38, 64
+    # and 293 of corpus 7.
+    assert raised == [(10, KT), (117, KT), (338, KT), (364, KT), (593, KT)]
+    assert digest.hexdigest() == CORPUS_OUTCOME_PIN
+
+
+def test_a_box_node_with_a_stuck_choice_raises():
+    # bboxR1's opened premiss closes on [P][P][P](p -> p), but neither ew
+    # over the left premiss's prefix nor a search of the left premiss
+    # derives it; no other choice closes.
+    with pytest.raises(SearchInvariantError) as info:
+        prove("[F][F][P][P][P](p -> p)", KT)
+    assert_kt_stuck(info.value, KT)
+
+
+def test_a_left_premiss_derived_itself_after_its_prefix_fails():
+    # The root's boxR1 opens a premiss that closes, and its left premiss
+    # => [P]p -> p \P\ => ... has an underivable prefix (=> [P]p -> p), so
+    # the left premiss's or-node goes on to its second attempt, the premiss
+    # itself, which boxR1 derives.
+    s = LinearNestedSequent(
+        (Component(Multiset(), Multiset()),
+         Component(Multiset(), Multiset([parse("[F]([P]p -> p)"), parse("[F][F](false -> q)")]))),
+        (Polarity.BACKWARD,))
+    out = prove_sequent(s, KT)
+    assert isinstance(out, Valid)
+    left = out.derivation.premisses[0]
+    assert out.derivation.rule is RuleId.BOX_R1 and left.rule is RuleId.BOX_R1
+
+
+def test_a_left_premiss_closed_by_ew_inside_an_invalid_search(monkeypatch):
+    # A box choice's left premiss closes by ew over its prefix, and the
+    # two-premiss node joins it with the opened premiss's derivation; the
+    # search still fails elsewhere, and its model falsifies the formula.
+    built = []
+
+    def recorded(*args):
+        built.append(_derivation(*args))
+        return built[-1]
+
+    monkeypatch.setattr(prover, "_derivation", recorded)
+    text = "[F][P]((p -> [F][F]q) -> [F][F]q)"
+    out = prove(text, KT)
+    assert isinstance(out, Invalid)
+    end = single([], [core_formula(parse(text), KT)])
+    assert semantics.falsifies(out.model, out.root, end)
+    assert any(d.rule in (RuleId.BOX_R1, RuleId.BBOX_R1) and d.premisses[0].rule is RuleId.EW
+               for d in built)
